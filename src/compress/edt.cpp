@@ -8,6 +8,18 @@
 namespace aidft {
 namespace {
 
+// `count` distinct values offset + rng.next_below(bound), in draw order.
+std::vector<std::size_t> distinct_draws(Rng& rng, std::size_t count,
+                                        std::size_t bound,
+                                        std::size_t offset = 0) {
+  std::vector<std::size_t> out;
+  while (out.size() < count) {
+    const std::size_t v = offset + rng.next_below(bound);
+    if (std::find(out.begin(), out.end(), v) == out.end()) out.push_back(v);
+  }
+  return out;
+}
+
 // Feedback tap positions (exponents of the polynomial, excluding x^n and 1)
 // for common widths; primitive or near-primitive — what matters for
 // encoding is the rank of the resulting linear map, which these give.
@@ -21,14 +33,7 @@ std::vector<std::size_t> feedback_taps(std::size_t nbits, std::uint64_t seed) {
     default: {
       // Deterministic fallback: three distinct taps from the seed.
       Rng rng(seed ^ 0xFEEDBACC);
-      std::vector<std::size_t> taps;
-      while (taps.size() < 3) {
-        const std::size_t t = 1 + rng.next_below(nbits - 1);
-        if (std::find(taps.begin(), taps.end(), t) == taps.end()) {
-          taps.push_back(t);
-        }
-      }
-      return taps;
+      return distinct_draws(rng, 3, nbits - 1, 1);
     }
   }
 }
@@ -50,23 +55,12 @@ EdtCodec::EdtCodec(const EdtConfig& config, std::size_t num_chains,
 
   Rng rng(config.seed);
   // Injector positions: spread deterministically, distinct.
-  for (std::size_t c = 0; c < config.channels; ++c) {
-    std::size_t pos;
-    do {
-      pos = rng.next_below(config.lfsr_bits);
-    } while (std::find(injectors_.begin(), injectors_.end(), pos) !=
-             injectors_.end());
-    injectors_.push_back(pos);
-  }
+  injectors_ = distinct_draws(rng, config.channels, config.lfsr_bits);
   // Phase shifter: 3 distinct taps per chain (classic EDT uses small XORs).
   ps_taps_.resize(num_chains);
   for (auto& taps : ps_taps_) {
-    while (taps.size() < std::min<std::size_t>(3, config.lfsr_bits)) {
-      const std::size_t t = rng.next_below(config.lfsr_bits);
-      if (std::find(taps.begin(), taps.end(), t) == taps.end()) {
-        taps.push_back(t);
-      }
-    }
+    taps = distinct_draws(rng, std::min<std::size_t>(3, config.lfsr_bits),
+                          config.lfsr_bits);
   }
 }
 
@@ -133,11 +127,9 @@ std::optional<std::vector<BitVec>> EdtCodec::encode(
       if (rhs[i]) return std::nullopt;  // 0 = 1: unencodable cube
       continue;
     }
+    // After the swap, row r is the new pivot row.
     std::swap(rows[i], rows[r]);
-    const bool tmp = rhs[i];
-    rhs[i] = rhs[r];
-    rhs[r] = tmp;
-    // Hack-free swap bookkeeping: after swap, row r is the new pivot row.
+    rhs.swap(rhs[i], rhs[r]);
     pivot_col.push_back(col);
     // Eliminate this column from earlier pivot rows to reach reduced form.
     for (std::size_t k = 0; k < r; ++k) {
@@ -227,15 +219,23 @@ bool XorCompactor::visible(const std::vector<bool>& chain_diffs) const {
   return false;
 }
 
+std::uint64_t XorCompactor::visible_lanes(
+    std::span<const std::uint64_t> chain_diffs) const {
+  std::uint64_t lanes = 0;
+  for (const auto& group : groups_) {
+    std::uint64_t parity = 0;
+    for (std::size_t c : group) {
+      if (c < chain_diffs.size()) parity ^= chain_diffs[c];
+    }
+    lanes |= parity;
+  }
+  return lanes;
+}
+
 Misr::Misr(std::size_t bits, std::uint64_t poly_seed) : nbits_(bits) {
   AIDFT_REQUIRE(bits >= 4, "MISR needs >= 4 bits");
   Rng rng(poly_seed);
-  while (taps_.size() < 3) {
-    const std::size_t t = 1 + rng.next_below(bits - 1);
-    if (std::find(taps_.begin(), taps_.end(), t) == taps_.end()) {
-      taps_.push_back(t);
-    }
-  }
+  taps_ = distinct_draws(rng, 3, bits - 1, 1);
   state_.assign((bits + 63) / 64, 0);
 }
 

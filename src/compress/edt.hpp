@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/bitvec.hpp"
@@ -91,6 +92,12 @@ class XorCompactor {
   /// cycle) survives compaction — i.e. some output channel sees an odd
   /// number of differing chains. The aliasing analysis of benchmark E4.
   bool visible(const std::vector<bool>& chain_diffs) const;
+
+  /// Word-parallel visible(): `chain_diffs[c]` packs chain c's diff flags
+  /// for one unload cycle across 64 pattern lanes. Bit l of the result is
+  /// visible() of lane l's flags — the lanes in which some output channel
+  /// sees an odd number of differing chains.
+  std::uint64_t visible_lanes(std::span<const std::uint64_t> chain_diffs) const;
 
  private:
   std::vector<std::vector<std::size_t>> groups_;

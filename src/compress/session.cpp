@@ -62,6 +62,7 @@ CompressedSessionResult run_compressed_session(
 
   RunControl* rc = config.run_control;
   Rng pi_rng(config.pi_fill_seed);
+  obs::Span encode_span = obs::span(config.telemetry, "edt.encode", "compress");
   const auto scan_patterns = to_scan_patterns(nl, plan, cubes);
   for (std::size_t i = 0; i < cubes.size(); ++i) {
     if (rc != nullptr && (i & 15) == 0) {
@@ -95,12 +96,15 @@ CompressedSessionResult run_compressed_session(
     }
     result.delivered.push_back(std::move(full));
   }
+  encode_span.end();
 
   if (faults.empty()) return result;
 
   // Uncompressed-delivery reference: the same cubes, random-filled, applied
   // without any codec. Compression "cost" is measured against this.
   {
+    obs::Span baseline_span =
+        obs::span(config.telemetry, "edt.grade_baseline", "compress");
     std::vector<TestCube> baseline = cubes;
     Rng fill_rng(config.pi_fill_seed ^ 0xBA5E11FEull);
     for (auto& c : baseline) c.random_fill(fill_rng);
@@ -116,31 +120,46 @@ CompressedSessionResult run_compressed_session(
   if (result.delivered.empty()) return result;
 
   // Grade: ideal observation + compacted observation with fault dropping.
+  obs::Span grade_span =
+      obs::span(config.telemetry, "edt.grade_compacted", "compress");
   FaultSimulator fsim(nl);
   const auto observe = nl.observe_points();
-  // Observe point -> unload coordinates: POs are directly visible; flops map
-  // to (chain, unload cycle).
-  struct OpCoord {
-    bool is_po = false;
-    std::size_t chain = 0;
-    std::size_t cycle = 0;
-  };
-  std::vector<OpCoord> coords(observe.size());
-  for (std::size_t i = 0; i < observe.size(); ++i) {
-    const GateId op = observe[i];
-    if (nl.type(op) != GateType::kDff) {
-      coords[i].is_po = true;
-    } else {
-      const auto [c, p] = cell_of[op];
-      coords[i].chain = c;
-      coords[i].cycle = plan.chains[c].cells.size() - 1 - p;
+  // Unload layout, built once. POs are directly visible; the flop at
+  // position p of chain c leaves in unload cycle len(c) - 1 - p, so
+  // unload[cycle * chains + c] is its observe index (kNoCell past the end of
+  // a short chain).
+  constexpr std::uint32_t kNoCell = UINT32_MAX;
+  const std::size_t chains = plan.num_chains();
+  std::vector<std::uint32_t> unload(max_len * chains, kNoCell);
+  std::vector<std::uint32_t> po_index;
+  for (std::uint32_t i = 0; i < observe.size(); ++i) {
+    if (nl.type(observe[i]) != GateType::kDff) {
+      po_index.push_back(i);
+      continue;
     }
+    const auto [c, p] = cell_of[observe[i]];
+    unload[(plan.chains[c].cells.size() - 1 - p) * chains + c] = i;
   }
 
   std::vector<bool> ideal_done(faults.size(), false);
   std::vector<bool> compact_done(faults.size(), false);
   std::vector<std::uint64_t> op_diffs;
-  std::vector<bool> chain_diffs(plan.num_chains());
+  std::vector<std::uint64_t> cycle_diffs(chains);
+  // Live lanes in which a fault shows through the compactor: a PO fails, or
+  // some unload cycle leaves odd parity in some compactor group.
+  const auto compacted_lanes = [&](std::uint64_t live) {
+    std::uint64_t lanes = 0;
+    for (const std::uint32_t oi : po_index) lanes |= op_diffs[oi];
+    for (std::size_t cycle = 0; cycle < max_len && (lanes & live) == 0;
+         ++cycle) {
+      const std::uint32_t* row = unload.data() + cycle * chains;
+      for (std::size_t c = 0; c < chains; ++c) {
+        cycle_diffs[c] = row[c] == kNoCell ? 0 : op_diffs[row[c]];
+      }
+      lanes |= compactor.visible_lanes(cycle_diffs);
+    }
+    return lanes & live;
+  };
 
   for (std::size_t base = 0; base < result.delivered.size(); base += 64) {
     if (rc != nullptr) {
@@ -152,6 +171,7 @@ CompressedSessionResult run_compressed_session(
     }
     const std::size_t count =
         std::min<std::size_t>(64, result.delivered.size() - base);
+    const std::uint64_t live = count == 64 ? ~0ull : (1ull << count) - 1;
     fsim.load_batch(pack_patterns(result.delivered, base, count));
     for (std::size_t fi = 0; fi < faults.size(); ++fi) {
       if (ideal_done[fi] && compact_done[fi]) continue;
@@ -161,39 +181,9 @@ CompressedSessionResult run_compressed_session(
         ideal_done[fi] = true;
         ++result.detected_ideal;
       }
-      if (compact_done[fi]) continue;
-      // A lane detects through the compactor if a PO fails, or some unload
-      // cycle's chain-diff pattern has odd parity in some compactor group.
-      for (std::size_t lane = 0; lane < count && !compact_done[fi]; ++lane) {
-        const std::uint64_t bit = 1ull << lane;
-        bool po_fail = false;
-        for (std::size_t oi = 0; oi < coords.size(); ++oi) {
-          if (coords[oi].is_po && (op_diffs[oi] & bit)) {
-            po_fail = true;
-            break;
-          }
-        }
-        if (po_fail) {
-          compact_done[fi] = true;
-          ++result.detected_compacted;
-          break;
-        }
-        for (std::size_t cycle = 0; cycle < max_len; ++cycle) {
-          std::fill(chain_diffs.begin(), chain_diffs.end(), false);
-          bool any = false;
-          for (std::size_t oi = 0; oi < coords.size(); ++oi) {
-            if (!coords[oi].is_po && coords[oi].cycle == cycle &&
-                (op_diffs[oi] & bit)) {
-              chain_diffs[coords[oi].chain] = true;
-              any = true;
-            }
-          }
-          if (any && compactor.visible(chain_diffs)) {
-            compact_done[fi] = true;
-            ++result.detected_compacted;
-            break;
-          }
-        }
+      if (!compact_done[fi] && compacted_lanes(live) != 0) {
+        compact_done[fi] = true;
+        ++result.detected_compacted;
       }
     }
   }

@@ -27,6 +27,7 @@ struct CompressedSessionConfig {
   std::uint64_t pi_fill_seed = 7;
   std::size_t num_threads = 1;   // fault-campaign workers (baseline grading)
   /// Observability sink: null (default) = off. Emits an `edt.session` span
+  /// holding `edt.encode`, `edt.grade_baseline` and `edt.grade_compacted`,
   /// plus `edt.encode_attempts` / `edt.encode_failures` / `edt.cubes_encoded`
   /// counters; the baseline campaign inherits the same sink.
   obs::Telemetry* telemetry = nullptr;

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+
 #include "atpg/atpg.hpp"
 #include "bench_circuits/generators.hpp"
 #include "common/rng.hpp"
 #include "compress/session.hpp"
 #include "fault/fault.hpp"
+#include "fsim/fault_sim.hpp"
 
 namespace aidft {
 namespace {
@@ -135,6 +140,34 @@ TEST(XorCompactor, CompactAndVisibility) {
   EXPECT_TRUE(comp.visible(d));
 }
 
+TEST(XorCompactor, VisibleLanesMatchesPerLaneVisible) {
+  Rng rng(404);
+  // Chain counts that are not a multiple of the channel count, plus more
+  // channels than chains.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {3, 2}, {5, 2}, {7, 3}, {10, 4}, {13, 4}, {2, 4}};
+  for (const auto& [chains, out_channels] : shapes) {
+    const XorCompactor comp(chains, out_channels);
+    for (int trial = 0; trial < 50; ++trial) {
+      // Dense and sparse diff words, so both odd and even group parities
+      // (aliasing) occur.
+      std::vector<std::uint64_t> words(chains);
+      for (auto& w : words) {
+        w = trial % 2 == 0 ? rng.next_u64()
+                           : rng.next_u64() & rng.next_u64() & rng.next_u64();
+      }
+      const std::uint64_t lanes = comp.visible_lanes(words);
+      for (std::size_t l = 0; l < 64; ++l) {
+        std::vector<bool> d(chains);
+        for (std::size_t c = 0; c < chains; ++c) d[c] = (words[c] >> l) & 1;
+        EXPECT_EQ(((lanes >> l) & 1) != 0, comp.visible(d))
+            << chains << " chains, " << out_channels << " channels, lane "
+            << l;
+      }
+    }
+  }
+}
+
 TEST(Misr, SignatureSensitiveToSingleBit) {
   Misr a(32), b(32);
   std::vector<bool> resp(10, false);
@@ -184,6 +217,112 @@ TEST(Session, CompressionPreservesCoverageOnMac) {
   // Compaction may alias a little, never gain.
   EXPECT_LE(session.detected_compacted, session.detected_ideal);
   EXPECT_GT(session.coverage_compacted(), 0.90);
+}
+
+// Flops dealt so chain 0 is about twice as long as the others: flop i goes
+// to chain (i mod (chains + 1)) mod chains.
+ScanPlan ragged_plan(const Netlist& nl, std::size_t chains) {
+  ScanPlan plan;
+  plan.chains.resize(chains);
+  for (std::size_t i = 0; i < nl.dffs().size(); ++i) {
+    plan.chains[(i % (chains + 1)) % chains].cells.push_back(nl.dffs()[i]);
+  }
+  return plan;
+}
+
+struct LaneGrades {
+  std::size_t ideal = 0;
+  std::size_t compacted = 0;
+};
+
+// Independent oracle for the session's grading: every fault against every
+// delivered pattern, lane by lane and unload cycle by unload cycle, judged
+// by the scalar XorCompactor::visible().
+LaneGrades grade_per_lane(const Netlist& nl, const ScanPlan& plan,
+                          const std::vector<Fault>& faults,
+                          const std::vector<TestCube>& delivered,
+                          std::size_t out_channels) {
+  const XorCompactor compactor(plan.num_chains(), out_channels);
+  const auto observe = nl.observe_points();
+  // Observe point -> (chain, unload cycle); POs keep chain SIZE_MAX.
+  std::vector<std::pair<std::size_t, std::size_t>> coord(observe.size(),
+                                                         {SIZE_MAX, 0});
+  std::size_t max_len = 0;
+  for (std::size_t c = 0; c < plan.num_chains(); ++c) {
+    const auto& cells = plan.chains[c].cells;
+    max_len = std::max(max_len, cells.size());
+    for (std::size_t p = 0; p < cells.size(); ++p) {
+      const auto it = std::find(observe.begin(), observe.end(), cells[p]);
+      coord[it - observe.begin()] = {c, cells.size() - 1 - p};
+    }
+  }
+  FaultSimulator fsim(nl);
+  std::vector<bool> ideal(faults.size(), false);
+  std::vector<bool> compacted(faults.size(), false);
+  std::vector<std::uint64_t> op_diffs;
+  for (std::size_t base = 0; base < delivered.size(); base += 64) {
+    const std::size_t count = std::min<std::size_t>(64, delivered.size() - base);
+    fsim.load_batch(pack_patterns(delivered, base, count));
+    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+      const std::uint64_t mask = fsim.detect_mask_detailed(faults[fi], op_diffs);
+      if (mask != 0) ideal[fi] = true;
+      for (std::size_t lane = 0; lane < count && !compacted[fi]; ++lane) {
+        const std::uint64_t bit = 1ull << lane;
+        if ((mask & bit) == 0) continue;
+        for (std::size_t cycle = 0; cycle < max_len && !compacted[fi];
+             ++cycle) {
+          std::vector<bool> chain_diffs(plan.num_chains(), false);
+          for (std::size_t oi = 0; oi < observe.size(); ++oi) {
+            if ((op_diffs[oi] & bit) == 0) continue;
+            if (coord[oi].first == SIZE_MAX) {
+              compacted[fi] = true;  // a failing PO is seen directly
+            } else if (coord[oi].second == cycle) {
+              chain_diffs[coord[oi].first] = true;
+            }
+          }
+          if (compactor.visible(chain_diffs)) compacted[fi] = true;
+        }
+      }
+    }
+  }
+  return {static_cast<std::size_t>(std::count(ideal.begin(), ideal.end(), true)),
+          static_cast<std::size_t>(
+              std::count(compacted.begin(), compacted.end(), true))};
+}
+
+TEST(Session, CompactedGradingMatchesPerLaneOracle) {
+  const Netlist nl = circuits::make_mac(8, /*registered=*/true);
+  ASSERT_FALSE(nl.outputs().empty());
+  ASSERT_GT(nl.dffs().size(), 16u);
+  const auto faults = collapse_equivalent(nl, generate_stuck_at_faults(nl));
+  AtpgOptions atpg_opts;
+  atpg_opts.random_patterns = 0;
+  // Deterministic cubes only: each fault is caught by few patterns, so
+  // single-channel compaction aliases some of them away.
+  const auto cubes = generate_tests(nl, faults, atpg_opts).cubes;
+
+  std::size_t aliased_configs = 0;
+  for (const std::size_t chains : {1u, 3u, 8u, 16u}) {
+    const ScanPlan plan = ragged_plan(nl, chains);
+    for (const std::size_t out_channels : {1u, 2u, 4u}) {
+      CompressedSessionConfig cfg;
+      cfg.out_channels = out_channels;
+      const CompressedSessionResult session =
+          run_compressed_session(nl, plan, faults, cubes, cfg);
+      // Two batches, the last one partial.
+      ASSERT_GT(session.delivered.size(), 64u);
+      ASSERT_NE(session.delivered.size() % 64, 0u);
+      const LaneGrades oracle =
+          grade_per_lane(nl, plan, faults, session.delivered, out_channels);
+      EXPECT_EQ(session.detected_ideal, oracle.ideal)
+          << chains << " chains, " << out_channels << " channels";
+      EXPECT_EQ(session.detected_compacted, oracle.compacted)
+          << chains << " chains, " << out_channels << " channels";
+      if (oracle.compacted < oracle.ideal) ++aliased_configs;
+    }
+  }
+  // Some configurations must alias, or XOR parity is not being exercised.
+  EXPECT_GT(aliased_configs, 0u);
 }
 
 TEST(Session, DeliveredPatternsAreFullySpecified) {

@@ -3,6 +3,7 @@
 // DFT flow end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -327,6 +328,37 @@ TEST(Telemetry, DftFlowEmitsStageSpansAndMetrics) {
   EXPECT_NE(json.find("\"stage_seconds\""), std::string::npos);
   EXPECT_NE(json.find("\"metrics\""), std::string::npos);
   EXPECT_TRUE(obs::json_valid(telemetry.trace.to_chrome_json()));
+}
+
+TEST(Telemetry, EdtSessionSubSpansNestUnderSession) {
+  const Netlist nl = circuits::make_mac(4, /*registered=*/true);
+  obs::Telemetry telemetry;
+  DftFlowOptions options;
+  options.telemetry = &telemetry;
+  options.atpg.random_patterns = 0;  // compression consumes deterministic cubes
+  options.run_lbist = false;
+  const DftFlowReport report = run_dft_flow(nl, options);
+  ASSERT_TRUE(report.compression_ran);
+
+  const auto events = telemetry.trace.events();
+  const auto named = [&](const std::string& name) {
+    return std::find_if(events.begin(), events.end(),
+                        [&](const obs::TraceEvent& e) { return e.name == name; });
+  };
+  const auto session = named("edt.session");
+  ASSERT_NE(session, events.end());
+  std::uint64_t previous_start = session->start_us;
+  // The session's phases, in the order they run, inside its span.
+  for (const char* name :
+       {"edt.encode", "edt.grade_baseline", "edt.grade_compacted"}) {
+    const auto it = named(name);
+    ASSERT_NE(it, events.end()) << name;
+    EXPECT_EQ(it->tid, session->tid) << name;
+    EXPECT_GE(it->start_us, previous_start) << name;
+    EXPECT_LE(it->start_us + it->dur_us, session->start_us + session->dur_us)
+        << name;
+    previous_start = it->start_us;
+  }
 }
 
 TEST(Telemetry, DftFlowWithoutSinkStillTimesStages) {
