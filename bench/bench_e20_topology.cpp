@@ -1,23 +1,13 @@
-// E20 — Compiled-topology (CSR) vs Gate-struct traversal:
-//   goodsim_gate / goodsim_csr — 64-way good-machine simulation, the SAME
-//       algorithm templated over the adjacency source: `gate` chases the
-//       builder-phase Gate structs (heap vector per gate, the pre-refactor
-//       layout), `csr` walks the compiled Topology spans. Patterns/sec.
-//   goodsim_engine             — the production ParallelSimulator (CSR plus
-//       level buckets), to show shipped-engine throughput on the same work.
-//   campaign_gate / campaign_csr — stem-fault grading by 64-way full-circuit
-//       resimulation with injection, again one algorithm x two adjacency
-//       sources; detection counts are asserted equal at setup. Faults/sec.
-//   scoap_gate / scoap_csr     — SCOAP controllability forward sweep over
-//       each representation, plus scoap_engine for the production
-//       compute_scoap (controllability + observability). Sweeps/sec.
-//   footprint                  — bytes per gate of each representation
-//       (Gate-struct heap vectors vs Topology::bytes()).
+// E20 — production engines over the compiled Topology:
+//   goodsim_engine — 64-way good-machine simulation by ParallelSimulator
+//       (CSR plus level buckets). Patterns/sec.
+//   scoap_engine   — compute_scoap (controllability + observability).
+//       Sweeps/sec.
+//   footprint      — bytes per gate of the compiled view (Topology::bytes()).
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "fault/fault.hpp"
 #include "netlist/scoap.hpp"
 #include "sim/parallel_sim.hpp"
 
@@ -25,64 +15,6 @@ namespace aidft {
 namespace {
 
 constexpr std::size_t kBatches = 8;  // 8 x 64 = 512 patterns per iteration
-
-// Adjacency facades: the only difference between the paired rungs.
-struct GateWalk {
-  const Netlist& nl;
-  GateType type(GateId g) const { return nl.gate(g).type; }
-  const std::vector<GateId>& fanin(GateId g) const { return nl.gate(g).fanin; }
-};
-struct CsrWalk {
-  const Topology& t;
-  GateType type(GateId g) const { return t.type(g); }
-  std::span<const GateId> fanin(GateId g) const { return t.fanin(g); }
-};
-
-template <typename Adj>
-Adj make_adj(const Netlist& nl);
-template <>
-GateWalk make_adj<GateWalk>(const Netlist& nl) { return GateWalk{nl}; }
-template <>
-CsrWalk make_adj<CsrWalk>(const Netlist& nl) { return CsrWalk{nl.topology()}; }
-
-template <typename Adj>
-void simulate(const Netlist& nl, const Adj& adj, const PatternBatch& batch,
-              std::vector<std::uint64_t>& values) {
-  const auto& comb = nl.combinational_inputs();
-  for (std::size_t i = 0; i < comb.size(); ++i) values[comb[i]] = batch.words[i];
-  for (GateId id : nl.topo_order()) {
-    const GateType t = adj.type(id);
-    if (is_source(t) || is_state_element(t)) {
-      if (t == GateType::kConst0) values[id] = 0;
-      if (t == GateType::kConst1) values[id] = ~0ull;
-      continue;
-    }
-    const auto& fin = adj.fanin(id);
-    values[id] = eval_gate_words(
-        t, fin.size(), [&](std::size_t i) { return values[fin[i]]; });
-  }
-}
-
-// Same sweep with a stuck value forced onto one gate's output stem.
-template <typename Adj>
-void simulate_injected(const Netlist& nl, const Adj& adj,
-                       const PatternBatch& batch, GateId site,
-                       std::uint64_t stuck, std::vector<std::uint64_t>& values) {
-  const auto& comb = nl.combinational_inputs();
-  for (std::size_t i = 0; i < comb.size(); ++i) values[comb[i]] = batch.words[i];
-  for (GateId id : nl.topo_order()) {
-    const GateType t = adj.type(id);
-    if (is_source(t) || is_state_element(t)) {
-      if (t == GateType::kConst0) values[id] = 0;
-      if (t == GateType::kConst1) values[id] = ~0ull;
-    } else {
-      const auto& fin = adj.fanin(id);
-      values[id] = eval_gate_words(
-          t, fin.size(), [&](std::size_t i) { return values[fin[i]]; });
-    }
-    if (id == site) values[id] = stuck;
-  }
-}
 
 std::vector<PatternBatch> make_batches(const Netlist& nl) {
   Rng rng(0xE20);
@@ -93,25 +25,6 @@ std::vector<PatternBatch> make_batches(const Netlist& nl) {
     batches.push_back(pack_patterns(cubes, base, 64));
   }
   return batches;
-}
-
-template <typename Adj>
-void e20_goodsim(benchmark::State& state, const std::string& name) {
-  const Netlist nl = bench::circuit_by_name(name);
-  const Adj adj = make_adj<Adj>(nl);
-  const auto batches = make_batches(nl);
-  std::vector<std::uint64_t> values(nl.num_gates(), 0);
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    for (const PatternBatch& b : batches) {
-      simulate(nl, adj, b, values);
-      for (GateId po : nl.outputs()) sink ^= values[po];
-    }
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kBatches * 64));
-  state.counters["gates"] = static_cast<double>(nl.num_gates());
 }
 
 void e20_goodsim_engine(benchmark::State& state, const std::string& name) {
@@ -128,119 +41,7 @@ void e20_goodsim_engine(benchmark::State& state, const std::string& name) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kBatches * 64));
-}
-
-// Grades every collapsed stem fault against one 64-pattern batch by full
-// resimulation with injection. Returns the detection count so the two
-// representations can be asserted identical.
-template <typename Adj>
-std::size_t grade_stems(const Netlist& nl, const Adj& adj,
-                        const std::vector<Fault>& stems,
-                        const PatternBatch& batch,
-                        const std::vector<std::uint64_t>& good,
-                        std::vector<std::uint64_t>& values) {
-  std::size_t detected = 0;
-  for (const Fault& f : stems) {
-    simulate_injected(nl, adj, batch, f.gate, f.stuck_at_one() ? ~0ull : 0,
-                      values);
-    std::uint64_t diff = 0;
-    for (GateId po : nl.outputs()) diff |= values[po] ^ good[po];
-    detected += (diff & batch.lane_mask()) != 0;
-  }
-  return detected;
-}
-
-template <typename Adj>
-void e20_campaign(benchmark::State& state, const std::string& name) {
-  const Netlist nl = bench::circuit_by_name(name);
-  const Adj adj = make_adj<Adj>(nl);
-  const auto batch = make_batches(nl).front();
-  std::vector<Fault> stems;
-  for (const Fault& f : collapse_equivalent(nl, generate_stuck_at_faults(nl))) {
-    if (f.is_stem()) stems.push_back(f);
-  }
-  std::vector<std::uint64_t> good(nl.num_gates(), 0), values(nl.num_gates(), 0);
-  simulate(nl, adj, batch, good);
-  // Bit-identity gate: both representations must grade identically.
-  const std::size_t via_gate =
-      grade_stems(nl, GateWalk{nl}, stems, batch, good, values);
-  const std::size_t via_csr =
-      grade_stems(nl, CsrWalk{nl.topology()}, stems, batch, good, values);
-  AIDFT_REQUIRE(via_gate == via_csr,
-                "gate/csr detection counts diverged on " + name);
-  std::size_t detected = 0;
-  for (auto _ : state) {
-    detected = grade_stems(nl, adj, stems, batch, good, values);
-    benchmark::DoNotOptimize(detected);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(stems.size()));
-  state.counters["stem_faults"] = static_cast<double>(stems.size());
-  state.counters["detected"] = static_cast<double>(detected);
-}
-
-// SCOAP controllability forward sweep (the scoap.cpp recurrences minus
-// observability), templated over the adjacency source.
-template <typename Adj>
-std::uint32_t scoap_forward(const Netlist& nl, const Adj& adj,
-                            std::vector<std::uint32_t>& cc0,
-                            std::vector<std::uint32_t>& cc1) {
-  auto sat = [](std::uint32_t a, std::uint32_t b) {
-    const std::uint32_t s = a + b;
-    return s >= kUnreachable ? kUnreachable : s;
-  };
-  cc0.assign(nl.num_gates(), kUnreachable);
-  cc1.assign(nl.num_gates(), kUnreachable);
-  for (GateId id : nl.topo_order()) {
-    const GateType t = adj.type(id);
-    const auto& fin = adj.fanin(id);
-    std::uint32_t c0 = kUnreachable, c1 = kUnreachable;
-    switch (t) {
-      case GateType::kInput:
-      case GateType::kDff:
-        c0 = c1 = 1;
-        break;
-      case GateType::kConst0: c0 = 0; break;
-      case GateType::kConst1: c1 = 0; break;
-      case GateType::kOutput:
-      case GateType::kBuf:
-        c0 = sat(cc0[fin[0]], 1);
-        c1 = sat(cc1[fin[0]], 1);
-        break;
-      case GateType::kNot:
-        c0 = sat(cc1[fin[0]], 1);
-        c1 = sat(cc0[fin[0]], 1);
-        break;
-      default: {
-        // Uniform AND-style bound is enough for a traversal benchmark: the
-        // full per-type recurrences live in compute_scoap.
-        std::uint32_t all = 0, cheapest = kUnreachable;
-        for (GateId f : fin) {
-          all = sat(all, sat(cc0[f], cc1[f]));
-          cheapest = std::min(cheapest, std::min(cc0[f], cc1[f]));
-        }
-        c1 = sat(all, 1);
-        c0 = sat(cheapest, 1);
-        break;
-      }
-    }
-    cc0[id] = c0;
-    cc1[id] = c1;
-  }
-  std::uint32_t sink = 0;
-  for (GateId po : nl.outputs()) sink ^= cc0[po] ^ cc1[po];
-  return sink;
-}
-
-template <typename Adj>
-void e20_scoap(benchmark::State& state, const std::string& name) {
-  const Netlist nl = bench::circuit_by_name(name);
-  const Adj adj = make_adj<Adj>(nl);
-  std::vector<std::uint32_t> cc0, cc1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scoap_forward(nl, adj, cc0, cc1));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["gates"] = static_cast<double>(nl.num_gates());
 }
 
 void e20_scoap_engine(benchmark::State& state, const std::string& name) {
@@ -252,50 +53,21 @@ void e20_scoap_engine(benchmark::State& state, const std::string& name) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-std::size_t gate_struct_bytes(const Netlist& nl) {
-  std::size_t total = nl.num_gates() * sizeof(Gate);
-  for (GateId id = 0; id < nl.num_gates(); ++id) {
-    total += nl.gate(id).fanin.capacity() * sizeof(GateId);
-    total += nl.gate(id).fanout.capacity() * sizeof(GateId);
-  }
-  return total;
-}
-
 void e20_footprint(benchmark::State& state, const std::string& name) {
   const Netlist nl = bench::circuit_by_name(name);
   for (auto _ : state) {
     benchmark::DoNotOptimize(nl.topology().bytes());
   }
-  const double n = static_cast<double>(nl.num_gates());
-  state.counters["gate_bytes_per_gate"] =
-      static_cast<double>(gate_struct_bytes(nl)) / n;
   state.counters["csr_bytes_per_gate"] =
-      static_cast<double>(nl.topology().bytes()) / n;
+      static_cast<double>(nl.topology().bytes()) /
+      static_cast<double>(nl.num_gates());
 }
 
 void register_all() {
   for (const char* name : {"mul8", "mul12", "alu8", "cla16", "mac8reg"}) {
-    bench::reg(std::string("E20/goodsim_gate/") + name,
-               [name](benchmark::State& s) { e20_goodsim<GateWalk>(s, name); })
-        ->Unit(benchmark::kMillisecond);
-    bench::reg(std::string("E20/goodsim_csr/") + name,
-               [name](benchmark::State& s) { e20_goodsim<CsrWalk>(s, name); })
-        ->Unit(benchmark::kMillisecond);
     bench::reg(std::string("E20/goodsim_engine/") + name,
                [name](benchmark::State& s) { e20_goodsim_engine(s, name); })
         ->Unit(benchmark::kMillisecond);
-    bench::reg(std::string("E20/campaign_gate/") + name,
-               [name](benchmark::State& s) { e20_campaign<GateWalk>(s, name); })
-        ->Unit(benchmark::kMillisecond);
-    bench::reg(std::string("E20/campaign_csr/") + name,
-               [name](benchmark::State& s) { e20_campaign<CsrWalk>(s, name); })
-        ->Unit(benchmark::kMillisecond);
-    bench::reg(std::string("E20/scoap_gate/") + name,
-               [name](benchmark::State& s) { e20_scoap<GateWalk>(s, name); })
-        ->Unit(benchmark::kMicrosecond);
-    bench::reg(std::string("E20/scoap_csr/") + name,
-               [name](benchmark::State& s) { e20_scoap<CsrWalk>(s, name); })
-        ->Unit(benchmark::kMicrosecond);
     bench::reg(std::string("E20/scoap_engine/") + name,
                [name](benchmark::State& s) { e20_scoap_engine(s, name); })
         ->Unit(benchmark::kMicrosecond);

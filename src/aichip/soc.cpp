@@ -22,18 +22,9 @@ SocNetlist make_replicated_soc(const Netlist& core, std::size_t n) {
   soc.core_ffs = core.dffs().size();
 
   for (std::size_t inst = 0; inst < n; ++inst) {
-    const std::string prefix = "u" + std::to_string(inst) + "_";
-    std::vector<GateId> map(core.num_gates());
-    for (GateId id = 0; id < core.num_gates(); ++id) {
-      const Gate& g = core.gate(id);
-      map[id] = soc.netlist.add_gate(g.type,
-                                     core.name_of(id).empty() ? "" : prefix + core.name_of(id));
-    }
-    for (GateId id = 0; id < core.num_gates(); ++id) {
-      for (GateId f : core.gate(id).fanin) {
-        soc.netlist.connect(map[f], map[id]);
-      }
-    }
+    const std::vector<GateId> map = clone_gates(
+        soc.netlist, core, "u" + std::to_string(inst) + "_");
+    clone_fanins(soc.netlist, core, map, map);
   }
   soc.netlist.finalize();
 
@@ -57,25 +48,22 @@ SocNetlist make_replicated_soc_with_compare(const Netlist& core, std::size_t n) 
 
   // Per instance: the gates driving each primary-output marker. The
   // markers themselves are NOT cloned — on-chip compare replaces direct
-  // observation of instance outputs.
+  // observation of instance outputs — so this builder clones gates with its
+  // own loop (map[marker] stays kNoGate) and lets clone_fanins skip them.
+  const Topology& t = core.topology();
   std::vector<std::vector<GateId>> po_drivers(n);
   for (std::size_t inst = 0; inst < n; ++inst) {
     const std::string prefix = "u" + std::to_string(inst) + "_";
     std::vector<GateId> map(core.num_gates(), kNoGate);
     for (GateId id = 0; id < core.num_gates(); ++id) {
-      const Gate& g = core.gate(id);
-      if (g.type == GateType::kOutput) continue;
-      map[id] = soc.netlist.add_gate(g.type,
-                                     core.name_of(id).empty() ? "" : prefix + core.name_of(id));
+      if (t.type(id) == GateType::kOutput) continue;
+      const std::string& name = core.name_of(id);
+      map[id] = soc.netlist.add_gate(t.type(id),
+                                     name.empty() ? "" : prefix + name);
     }
-    for (GateId id = 0; id < core.num_gates(); ++id) {
-      if (core.type(id) == GateType::kOutput) continue;
-      for (GateId f : core.gate(id).fanin) {
-        soc.netlist.connect(map[f], map[id]);
-      }
-    }
+    clone_fanins(soc.netlist, core, map, map);
     for (GateId po : core.outputs()) {
-      po_drivers[inst].push_back(map[core.gate(po).fanin[0]]);
+      po_drivers[inst].push_back(map[t.fanin0(po)]);
     }
   }
   // Compare trees: instance i vs instance 0.

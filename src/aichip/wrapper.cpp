@@ -9,16 +9,13 @@ WrappedCore insert_core_wrapper(const Netlist& core) {
 
   // Clone gates; PIs keep their names, internal logic is rewired through
   // the boundary muxes.
-  std::vector<GateId> map(core.num_gates());
-  for (GateId id = 0; id < core.num_gates(); ++id) {
-    map[id] = out.netlist.add_gate(core.type(id), core.name_of(id));
-  }
+  const std::vector<GateId> map = clone_gates(out.netlist, core, "");
   out.wrapper_enable = out.netlist.add_input("wen");
 
   // Input boundary: cell + mux per PI. The cell's functional D input is the
   // pin itself (boundary register shadows the pin in functional mode, the
   // standard WBR arrangement), so the cell is exercised functionally too.
-  std::vector<GateId> pi_feed(core.num_gates(), kNoGate);
+  std::vector<GateId> feed = map;
   std::size_t wi = 0;
   for (GateId pi : core.inputs()) {
     const GateId cell =
@@ -26,27 +23,21 @@ WrappedCore insert_core_wrapper(const Netlist& core) {
     const GateId mux = out.netlist.add_gate(
         GateType::kMux, {out.wrapper_enable, map[pi], cell},
         "wbr_in_mux" + std::to_string(wi));
-    pi_feed[pi] = mux;
+    feed[pi] = mux;
     out.functional_inputs.push_back(map[pi]);
     out.input_cells.push_back(cell);
     ++wi;
   }
 
   // Wire the clone: sinks of a PI read the boundary mux instead.
-  for (GateId id = 0; id < core.num_gates(); ++id) {
-    for (GateId f : core.gate(id).fanin) {
-      const GateId src =
-          (core.type(f) == GateType::kInput) ? pi_feed[f] : map[f];
-      out.netlist.connect(src, map[id]);
-    }
-  }
+  clone_fanins(out.netlist, core, map, feed);
 
   // Output boundary: a capture cell on each PO driver (the PO marker stays,
   // so functional observation is unchanged; the cell adds the scan-out
   // path used during internal test).
   std::size_t wo = 0;
   for (GateId po : core.outputs()) {
-    const GateId driver = map[core.gate(po).fanin[0]];
+    const GateId driver = map[core.topology().fanin0(po)];
     out.output_cells.push_back(
         out.netlist.add_dff(driver, "wbr_out" + std::to_string(wo++)));
   }

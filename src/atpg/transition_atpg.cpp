@@ -126,7 +126,7 @@ TransitionAtpgResult generate_transition_tests(
     }
     const Fault& f = faults[i];
     const GateId line =
-        f.is_stem() ? f.gate : nl.gate(f.gate).fanin[f.pin];
+        f.is_stem() ? f.gate : nl.topology().fanin(f.gate)[f.pin];
     // Initial value the launch vector must establish: the opposite of the
     // transition's final value. The late line then behaves as stuck-at-init
     // during capture.

@@ -49,13 +49,10 @@ Netlist apply_test_points(const Netlist& nl, const TestPointPlan& plan) {
   AIDFT_REQUIRE(nl.finalized(), "apply_test_points requires finalized netlist");
   Netlist out(nl.name() + "_tp");
 
-  std::vector<GateId> map(nl.num_gates());
-  for (GateId id = 0; id < nl.num_gates(); ++id) {
-    map[id] = out.add_gate(nl.type(id), nl.name_of(id));
-  }
+  const std::vector<GateId> map = clone_gates(out, nl, "");
 
   // Control splices: sinks of `net` reroute through the splice gate.
-  std::vector<GateId> sink_map = map;
+  std::vector<GateId> feed = map;
   std::size_t ci = 0;
   for (const ControlPoint& cp : plan.control) {
     AIDFT_REQUIRE(cp.net < nl.num_gates(), "control point out of range");
@@ -69,20 +66,18 @@ Netlist apply_test_points(const Netlist& nl, const TestPointPlan& plan) {
       splice = out.add_gate(GateType::kAnd, {map[cp.net], ntp},
                             "tp_and" + std::to_string(ci));
     }
-    sink_map[cp.net] = splice;
+    feed[cp.net] = splice;
     ++ci;
   }
 
-  // Wire the cloned gates through the sink map.
-  for (GateId id = 0; id < nl.num_gates(); ++id) {
-    for (GateId f : nl.gate(id).fanin) out.connect(sink_map[f], map[id]);
-  }
+  // Wire the cloned gates through the splices.
+  clone_fanins(out, nl, map, feed);
 
   // Observe taps (on the spliced value, so control points stay observable).
   std::size_t oi = 0;
   for (GateId g : plan.observe) {
     AIDFT_REQUIRE(g < nl.num_gates(), "observe point out of range");
-    out.add_output(sink_map[g], "tp_obs" + std::to_string(oi++));
+    out.add_output(feed[g], "tp_obs" + std::to_string(oi++));
   }
 
   out.finalize();

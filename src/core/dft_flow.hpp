@@ -26,12 +26,6 @@
 
 namespace aidft {
 
-/// Power-analysis stage config. The stage has no tunables today; the struct
-/// exists so every optional stage has the same shape (`run_<stage>` flag +
-/// `<stage>` config, mirroring DftFlowReport's `<stage>_ran` fields) and
-/// future knobs don't change the API.
-struct PowerStageOptions {};
-
 struct DftFlowOptions {
   /// DFT DRC + SCOAP audit as the first stage (industrial flows always DRC
   /// before pattern generation). Any error-severity finding aborts the flow
@@ -55,7 +49,6 @@ struct DftFlowOptions {
   bool run_transition = false;   // adds two-vector delay test
   TransitionAtpgOptions transition;
   bool run_power = true;         // WTM of the final stuck-at pattern set
-  PowerStageOptions power;
   /// Observability sink: null (the default) = telemetry off at near-zero
   /// cost. When set, the facade emits one `flow.<stage>` span per stage,
   /// threads the sink through every stage (ATPG, campaigns, EDT, LBIST,

@@ -137,35 +137,6 @@ std::pair<std::size_t, std::size_t> arity_range(GateType t) {
   }
 }
 
-// Fanout adapter for the structural rules. A finalized netlist serves the
-// compiled Topology CSR directly; an unfinalized one (which DRC must accept
-// — its whole point is diagnosing netlists finalize() would reject) gets
-// locally-built lists with out-of-range fanin ids skipped (D2 reports them).
-class FanoutView {
- public:
-  explicit FanoutView(const Netlist& nl) {
-    if (nl.finalized()) {
-      topo_ = &nl.topology();
-      return;
-    }
-    local_.resize(nl.num_gates());
-    for (GateId id = 0; id < nl.num_gates(); ++id) {
-      for (GateId f : nl.gate(id).fanin) {
-        if (f < nl.num_gates()) local_[f].push_back(id);
-      }
-    }
-  }
-
-  std::span<const GateId> operator[](GateId g) const {
-    return topo_ != nullptr ? topo_->fanout(g)
-                            : std::span<const GateId>(local_[g]);
-  }
-
- private:
-  const Topology* topo_ = nullptr;
-  std::vector<std::vector<GateId>> local_;
-};
-
 // ---- D2: undriven / ill-formed pins --------------------------------------
 void check_pins(const Netlist& nl, Sink& sink) {
   for (GateId id = 0; id < nl.num_gates(); ++id) {
@@ -212,7 +183,7 @@ bool is_x_source(const Netlist& nl, GateId id) {
 // Edges follow driver -> sink but never INTO a flop: the D pin terminates a
 // path, so any surviving cycle is purely combinational. SCCs of size > 1
 // (or with a self-edge) are loops; one violation per SCC.
-void check_loops(const Netlist& nl, const FanoutView& fanout, Sink& sink) {
+void check_loops(const Netlist& nl, const Csr& fanout, Sink& sink) {
   const std::size_t n = nl.num_gates();
   constexpr std::uint32_t kUnvisited = 0xFFFFFFFFu;
   std::vector<std::uint32_t> index(n, kUnvisited), lowlink(n, 0);
@@ -226,7 +197,7 @@ void check_loops(const Netlist& nl, const FanoutView& fanout, Sink& sink) {
   };
   std::vector<Frame> dfs;
 
-  auto edges = [&](GateId g) { return fanout[g]; };
+  auto edges = [&](GateId g) { return fanout.row(g); };
   auto edge_ok = [&](GateId s) {
     return !is_state_element(nl.type(s));  // D pins terminate paths
   };
@@ -290,13 +261,13 @@ void check_loops(const Netlist& nl, const FanoutView& fanout, Sink& sink) {
 }
 
 // ---- D3: floating nets ---------------------------------------------------
-void check_floating(const Netlist& nl, const FanoutView& fanout, Sink& sink) {
+void check_floating(const Netlist& nl, const Csr& fanout, Sink& sink) {
   for (GateId id = 0; id < nl.num_gates(); ++id) {
     const GateType t = nl.type(id);
     // OUTPUT markers are observation; a flop with unused Q is still fully
     // tested through scan (load via chain, capture observed at its D).
     if (t == GateType::kOutput || t == GateType::kDff) continue;
-    if (fanout[id].empty()) {
+    if (fanout.row(id).empty()) {
       sink.emit("D3", id,
                 gate_label(nl, id) +
                     " drives nothing and is not observed; faults reaching "
@@ -306,7 +277,7 @@ void check_floating(const Netlist& nl, const FanoutView& fanout, Sink& sink) {
 }
 
 // ---- D4: X-source propagation to capture points --------------------------
-void check_x_sources(const Netlist& nl, const FanoutView& fanout, Sink& sink) {
+void check_x_sources(const Netlist& nl, const Csr& fanout, Sink& sink) {
   for (GateId src = 0; src < nl.num_gates(); ++src) {
     if (!is_x_source(nl, src)) continue;
     // BFS forward; the X stops at a flop (scan reload re-controls Q) but
@@ -319,7 +290,7 @@ void check_x_sources(const Netlist& nl, const FanoutView& fanout, Sink& sink) {
     while (!queue.empty()) {
       const GateId g = queue.back();
       queue.pop_back();
-      for (GateId s : fanout[g]) {
+      for (GateId s : fanout.row(g)) {
         const GateType t = nl.type(s);
         if (t == GateType::kOutput || t == GateType::kDff) {
           if (capture == kNoGate) capture = s;
@@ -346,7 +317,7 @@ void check_x_sources(const Netlist& nl, const FanoutView& fanout, Sink& sink) {
 }
 
 // ---- D5: uncontrollable scan-cell state ----------------------------------
-void check_uncontrollable_cells(const Netlist& nl, const FanoutView& fanout,
+void check_uncontrollable_cells(const Netlist& nl, const Csr& fanout,
                                 Sink& sink) {
   // Forward reachability from controllable sources (PIs and flop Qs).
   std::vector<bool> controllable(nl.num_gates(), false);
@@ -361,7 +332,7 @@ void check_uncontrollable_cells(const Netlist& nl, const FanoutView& fanout,
   while (!queue.empty()) {
     const GateId g = queue.back();
     queue.pop_back();
-    for (GateId s : fanout[g]) {
+    for (GateId s : fanout.row(g)) {
       if (is_state_element(nl.type(s))) continue;  // stop at D pins
       if (!controllable[s]) {
         controllable[s] = true;
@@ -573,7 +544,10 @@ DrcReport run_drc(const Netlist& nl, const DrcOptions& options) {
   obs::Span drc_span =
       obs::span(options.telemetry, "drc.netlist_rules", "drc");
 
-  const FanoutView fanout(nl);
+  // The rules must accept unfinalized netlists (DRC diagnoses what
+  // finalize() would reject), so fanout comes from the shared builder, which
+  // skips out-of-range fanin ids (D2 reports them).
+  const Csr fanout = build_fanout_csr(nl);
   check_pins(nl, sink);
   check_loops(nl, fanout, sink);
   check_floating(nl, fanout, sink);

@@ -37,8 +37,6 @@ class UnionFind {
   std::vector<std::size_t> parent_;
 };
 
-bool eligible_gate(const Gate& g) { return g.type != GateType::kOutput; }
-
 }  // namespace
 
 std::pair<GateId, std::uint8_t> canonical_line(const Netlist& nl, GateId gate,
@@ -63,25 +61,27 @@ std::string fault_name(const Netlist& nl, const Fault& f) {
 
 static std::vector<Fault> generate_faults(const Netlist& nl, FaultKind kind) {
   AIDFT_REQUIRE(nl.finalized(), "fault generation requires finalized netlist");
+  const Topology& t = nl.topology();
   std::vector<Fault> faults;
   for (GateId id = 0; id < nl.num_gates(); ++id) {
-    const Gate& g = nl.gate(id);
-    if (!eligible_gate(g)) continue;
+    const GateType type = t.type(id);
+    if (type == GateType::kOutput) continue;
     // Output stem faults. For constants only the opposite polarity is a
     // distinct behaviour (stuck at its own value is a no-op by construction).
     for (std::uint8_t v : {std::uint8_t{0}, std::uint8_t{1}}) {
       if (kind == FaultKind::kStuckAt) {
-        if (g.type == GateType::kConst0 && v == 0) continue;
-        if (g.type == GateType::kConst1 && v == 1) continue;
+        if (type == GateType::kConst0 && v == 0) continue;
+        if (type == GateType::kConst1 && v == 1) continue;
       } else {
         // A constant line never transitions; no transition faults on it.
-        if (g.type == GateType::kConst0 || g.type == GateType::kConst1) continue;
+        if (type == GateType::kConst0 || type == GateType::kConst1) continue;
       }
       faults.push_back(Fault{id, kStemPin, v, kind});
     }
     // Branch faults on pins whose driver forks.
-    for (std::uint8_t pin = 0; pin < g.fanin.size(); ++pin) {
-      if (nl.topology().fanout_size(g.fanin[pin]) <= 1) continue;
+    const std::span<const GateId> fanin = t.fanin(id);
+    for (std::uint8_t pin = 0; pin < fanin.size(); ++pin) {
+      if (t.fanout_size(fanin[pin]) <= 1) continue;
       for (std::uint8_t v : {std::uint8_t{0}, std::uint8_t{1}}) {
         faults.push_back(Fault{id, pin, v, kind});
       }
@@ -121,9 +121,10 @@ std::vector<Fault> collapse_equivalent(const Netlist& nl,
     if (a != SIZE_MAX && b != SIZE_MAX) uf.unite(a, b);
   };
 
+  const Topology& t = nl.topology();
   for (GateId id = 0; id < nl.num_gates(); ++id) {
-    const Gate& g = nl.gate(id);
-    switch (g.type) {
+    const std::size_t arity = t.fanin_size(id);
+    switch (t.type(id)) {
       case GateType::kBuf:
         // Same polarity passes through.
         for (std::uint8_t v : {0, 1}) {
@@ -136,22 +137,22 @@ std::vector<Fault> collapse_equivalent(const Netlist& nl,
         }
         break;
       case GateType::kAnd:
-        for (std::uint8_t pin = 0; pin < g.fanin.size(); ++pin) {
+        for (std::uint8_t pin = 0; pin < arity; ++pin) {
           unite(line_fault(id, pin, 0), stem_fault(id, 0));
         }
         break;
       case GateType::kNand:
-        for (std::uint8_t pin = 0; pin < g.fanin.size(); ++pin) {
+        for (std::uint8_t pin = 0; pin < arity; ++pin) {
           unite(line_fault(id, pin, 0), stem_fault(id, 1));
         }
         break;
       case GateType::kOr:
-        for (std::uint8_t pin = 0; pin < g.fanin.size(); ++pin) {
+        for (std::uint8_t pin = 0; pin < arity; ++pin) {
           unite(line_fault(id, pin, 1), stem_fault(id, 1));
         }
         break;
       case GateType::kNor:
-        for (std::uint8_t pin = 0; pin < g.fanin.size(); ++pin) {
+        for (std::uint8_t pin = 0; pin < arity; ++pin) {
           unite(line_fault(id, pin, 1), stem_fault(id, 0));
         }
         break;
@@ -189,19 +190,20 @@ std::vector<Fault> collapse_dominance(const Netlist& nl,
     return index.count(fault_key(Fault{cg, cp, v, faults[0].kind})) > 0;
   };
 
+  const Topology& t = nl.topology();
   std::vector<bool> drop(faults.size(), false);
   for (GateId id = 0; id < nl.num_gates(); ++id) {
-    const Gate& g = nl.gate(id);
     std::uint8_t in_v = 0, out_v = 0;
-    switch (g.type) {
+    switch (t.type(id)) {
       case GateType::kAnd: in_v = 1; out_v = 1; break;
       case GateType::kNand: in_v = 1; out_v = 0; break;
       case GateType::kOr: in_v = 0; out_v = 0; break;
       case GateType::kNor: in_v = 0; out_v = 1; break;
       default: continue;
     }
-    bool all_present = !g.fanin.empty();
-    for (std::uint8_t pin = 0; pin < g.fanin.size() && all_present; ++pin) {
+    const std::size_t arity = t.fanin_size(id);
+    bool all_present = arity != 0;
+    for (std::uint8_t pin = 0; pin < arity && all_present; ++pin) {
       all_present = has_line_fault(id, pin, in_v);
     }
     if (!all_present) continue;

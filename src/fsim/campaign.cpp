@@ -329,6 +329,19 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
     }
   };
 
+  // Writes the resumable state as of `batches_done`.
+  auto save_checkpoint = [&] {
+    CampaignCheckpoint ckpt;
+    ckpt.drop_limit = options.drop_limit;
+    ckpt.total_faults = faults.size();
+    ckpt.total_patterns = patterns.size();
+    ckpt.batches_done = batches_done;
+    ckpt.first_detected_by = r.first_detected_by;
+    ckpt.hits = hits;
+    ckpt.dropped = drops.snapshot();
+    save_campaign_checkpoint(ckpt, options.checkpoint_path);
+  };
+
   while (batches_done < total_batches && !drops.campaign_done()) {
     if (rc != nullptr) {
       const StopReason stop = rc->check();
@@ -358,30 +371,14 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
     batches_done = round_end;
     if (!options.checkpoint_path.empty() && batches_done < total_batches &&
         !drops.campaign_done()) {
-      CampaignCheckpoint ckpt;
-      ckpt.drop_limit = options.drop_limit;
-      ckpt.total_faults = faults.size();
-      ckpt.total_patterns = patterns.size();
-      ckpt.batches_done = batches_done;
-      ckpt.first_detected_by = r.first_detected_by;
-      ckpt.hits = hits;
-      ckpt.dropped = drops.snapshot();
-      save_campaign_checkpoint(ckpt, options.checkpoint_path);
+      save_checkpoint();
     }
   }
   if (r.outcome != StageOutcome::kCompleted &&
       !options.checkpoint_path.empty()) {
     // Final checkpoint on an early stop. Partial in-round progress recorded
     // in first_detected_by/hits/drops is safe to keep (see checkpoint.hpp).
-    CampaignCheckpoint ckpt;
-    ckpt.drop_limit = options.drop_limit;
-    ckpt.total_faults = faults.size();
-    ckpt.total_patterns = patterns.size();
-    ckpt.batches_done = batches_done;
-    ckpt.first_detected_by = r.first_detected_by;
-    ckpt.hits = hits;
-    ckpt.dropped = drops.snapshot();
-    save_campaign_checkpoint(ckpt, options.checkpoint_path);
+    save_checkpoint();
   }
   r.batches_graded =
       r.outcome == StageOutcome::kCompleted ? total_batches : batches_done;

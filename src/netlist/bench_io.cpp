@@ -193,18 +193,20 @@ void write_bench(const Netlist& netlist, std::ostream& out) {
     const std::string& name = netlist.name_of(id);
     return name.empty() ? "n" + std::to_string(id) : name;
   };
+  const Topology& t = netlist.topology();
   out << "# circuit: " << netlist.name() << "\n";
   for (GateId id : netlist.inputs()) out << "INPUT(" << sig_name(id) << ")\n";
   for (GateId id : netlist.outputs()) {
-    out << "OUTPUT(" << sig_name(netlist.gate(id).fanin[0]) << ")\n";
+    out << "OUTPUT(" << sig_name(t.fanin0(id)) << ")\n";
   }
-  for (GateId id : netlist.topo_order()) {
-    const Gate& g = netlist.gate(id);
-    if (g.type == GateType::kInput || g.type == GateType::kOutput) continue;
-    out << sig_name(id) << " = " << to_string(g.type) << "(";
-    for (std::size_t i = 0; i < g.fanin.size(); ++i) {
+  for (GateId id : t.topo_order()) {
+    const GateType type = t.type(id);
+    if (type == GateType::kInput || type == GateType::kOutput) continue;
+    out << sig_name(id) << " = " << to_string(type) << "(";
+    const std::span<const GateId> fanin = t.fanin(id);
+    for (std::size_t i = 0; i < fanin.size(); ++i) {
       if (i) out << ", ";
-      out << sig_name(g.fanin[i]);
+      out << sig_name(fanin[i]);
     }
     out << ")\n";
   }

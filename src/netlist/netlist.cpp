@@ -1,8 +1,5 @@
 #include "netlist/netlist.hpp"
 
-#include <algorithm>
-#include <queue>
-
 namespace aidft {
 
 std::string_view to_string(GateType type) {
@@ -131,58 +128,7 @@ void Netlist::check_arity(GateId id) const {
 void Netlist::finalize() {
   AIDFT_REQUIRE(!finalized_, "finalize() called twice");
   for (GateId id = 0; id < gates_.size(); ++id) check_arity(id);
-
-  // Fanout lists.
-  for (GateId id = 0; id < gates_.size(); ++id) {
-    for (GateId f : gates_[id].fanin) gates_[f].fanout.push_back(id);
-  }
-
-  // Kahn's algorithm over the combinational graph. DFFs break cycles: a DFF
-  // is a source (its Q is available at time 0); its D-input edge is not a
-  // topological dependency of the DFF node itself.
-  // FIFO dequeue order is level-sorted (all of level L is enqueued before
-  // any gate of level L+1), which Topology::build relies on for its
-  // contiguous per-level buckets.
-  std::vector<std::uint32_t> pending(gates_.size(), 0);
-  std::queue<GateId> ready;
-  for (GateId id = 0; id < gates_.size(); ++id) {
-    const Gate& g = gates_[id];
-    if (is_source(g.type) || is_state_element(g.type)) {
-      pending[id] = 0;
-      ready.push(id);
-    } else {
-      pending[id] = static_cast<std::uint32_t>(g.fanin.size());
-      if (pending[id] == 0) ready.push(id);  // defensive; arity check forbids
-    }
-  }
-  std::vector<GateId> topo;
-  topo.reserve(gates_.size());
-  while (!ready.empty()) {
-    const GateId id = ready.front();
-    ready.pop();
-    Gate& g = gates_[id];
-    g.level = 0;
-    if (!is_source(g.type) && !is_state_element(g.type)) {
-      for (GateId f : g.fanin) {
-        g.level = std::max(g.level, gates_[f].level + 1);
-      }
-    }
-    topo.push_back(id);
-    for (GateId s : g.fanout) {
-      if (is_state_element(gates_[s].type)) continue;  // edge into DFF D pin
-      AIDFT_ASSERT(pending[s] > 0, "topological bookkeeping broken");
-      if (--pending[s] == 0) ready.push(s);
-    }
-  }
-  if (topo.size() != gates_.size()) {
-    throw Error("netlist '" + name_ +
-                "' has a combinational cycle (or unreachable gate): sorted " +
-                std::to_string(topo.size()) + " of " +
-                std::to_string(gates_.size()) + " gates");
-  }
-  num_levels_ = 0;
-  for (const Gate& g : gates_) num_levels_ = std::max(num_levels_, g.level + 1);
-  topo_view_ = Topology::build(*this, std::move(topo));
+  topo_view_ = Topology::build(*this);
   finalized_ = true;
 }
 
@@ -209,6 +155,26 @@ std::size_t Netlist::logic_gate_count() const {
     if (g.type != GateType::kInput && g.type != GateType::kOutput) ++n;
   }
   return n;
+}
+
+std::vector<GateId> clone_gates(Netlist& dst, const Netlist& src,
+                                const std::string& prefix) {
+  std::vector<GateId> map(src.num_gates());
+  for (GateId id = 0; id < src.num_gates(); ++id) {
+    const std::string& name = src.name_of(id);
+    map[id] = dst.add_gate(src.type(id), name.empty() ? "" : prefix + name);
+  }
+  return map;
+}
+
+void clone_fanins(Netlist& dst, const Netlist& src,
+                  std::span<const GateId> sink_map,
+                  std::span<const GateId> driver_map) {
+  const Topology& t = src.topology();
+  for (GateId id = 0; id < src.num_gates(); ++id) {
+    if (sink_map[id] == kNoGate) continue;
+    for (GateId f : t.fanin(id)) dst.connect(driver_map[f], sink_map[id]);
+  }
 }
 
 }  // namespace aidft

@@ -2,13 +2,15 @@
 //
 // A Netlist is a DAG of gates plus DFF state elements, and lives in two
 // phases. Phase 1 (builder): it is built incrementally (add_* then connect)
-// on per-gate Gate structs. Phase 2 (compiled): `finalize()` validates the
-// structure, computes fanouts, levels and a topological order, freezes the
-// netlist, and compiles a flat Topology view (CSR fanin/fanout, flat type
-// and level arrays, per-level bucket offsets) — the structure every
-// analysis engine (simulation, ATPG, fault sim, SCOAP, ...) traverses on
-// its hot path. Gate names live in a side table so the residual Gate
-// struct stays small.
+// on per-gate Gate records that hold only a type and a fanin list. Phase 2
+// (compiled): `finalize()` validates the structure, freezes the netlist and
+// compiles the Topology view (CSR fanin/fanout, flat type and level arrays,
+// topological order, per-level buckets) — the only home of fanout, levels
+// and order, and the structure every analysis engine (simulation, ATPG,
+// fault sim, SCOAP, ...) traverses. Gate names live in a side table.
+//
+// Rewrites (SoC replication, wrappers, scan and test-point insertion) build
+// a new netlist from a finalized one with clone_gates() + clone_fanins().
 //
 // Sequential handling: a DFF's value is its Q output; its single fanin is D.
 // For full-scan test generation the combinational view treats every DFF
@@ -29,11 +31,11 @@
 
 namespace aidft {
 
+/// Builder-phase gate record. After finalize(), read structure through
+/// topology() instead.
 struct Gate {
   GateType type = GateType::kBuf;
   std::vector<GateId> fanin;
-  std::vector<GateId> fanout;  // filled by finalize()
-  std::uint32_t level = 0;     // topological level; sources are level 0
 };
 
 class Netlist {
@@ -64,10 +66,9 @@ class Netlist {
   /// Appends `driver` to `sink`'s fanin list. Only valid before finalize().
   void connect(GateId driver, GateId sink);
 
-  /// Validates structure, computes fanout lists, levels, topological order,
-  /// and compiles the flat Topology view. Throws Error on malformed
-  /// structure (wrong arity, cycles through combinational logic, dangling
-  /// fanin).
+  /// Validates structure and compiles the Topology view (fanout, levels,
+  /// topological order). Throws Error on malformed structure (wrong arity,
+  /// cycles through combinational logic, dangling fanin).
   void finalize();
 
   bool finalized() const { return finalized_; }
@@ -111,7 +112,7 @@ class Netlist {
   }
 
   /// Max level + 1 (0 for an empty netlist). Valid after finalize().
-  std::uint32_t num_levels() const { return num_levels_; }
+  std::uint32_t num_levels() const { return topo_view_.num_levels(); }
 
   /// Full-scan combinational view: primary inputs followed by DFF outputs
   /// (PPIs). This is the controllable-point list for test engines.
@@ -125,8 +126,8 @@ class Netlist {
   /// Value actually observed at an observe point `g`: the gate's own value
   /// for POs, the D-input gate for DFFs.
   GateId observed_gate(GateId g) const {
-    const Gate& gg = gate(g);
-    return gg.type == GateType::kDff ? gg.fanin[0] : g;
+    const Topology& t = topology();
+    return t.type(g) == GateType::kDff ? t.fanin0(g) : g;
   }
 
   /// Looks up a gate by name; returns kNoGate if absent.
@@ -147,8 +148,20 @@ class Netlist {
   std::vector<GateId> dffs_;
   std::unordered_map<std::string, GateId> by_name_;
   Topology topo_view_;  // compiled by finalize()
-  std::uint32_t num_levels_ = 0;
   bool finalized_ = false;
 };
+
+/// Rewrite primitive, step 1: appends a copy of every gate of `src` to
+/// `dst` (same type; a named gate gets `prefix` + its name, an unnamed one
+/// stays unnamed) and returns the map from `src` ids to `dst` ids.
+std::vector<GateId> clone_gates(Netlist& dst, const Netlist& src,
+                                const std::string& prefix);
+
+/// Rewrite primitive, step 2: copies every fanin edge f -> s of the
+/// finalized `src` into `dst` as driver_map[f] -> sink_map[s], in pin order.
+/// A sink that maps to kNoGate is left unwired for the caller to wire.
+void clone_fanins(Netlist& dst, const Netlist& src,
+                  std::span<const GateId> sink_map,
+                  std::span<const GateId> driver_map);
 
 }  // namespace aidft

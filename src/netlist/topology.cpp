@@ -1,61 +1,100 @@
 #include "netlist/topology.hpp"
 
+#include <algorithm>
+#include <string>
+
 #include "netlist/netlist.hpp"
 
 namespace aidft {
 
-Topology Topology::build(const Netlist& netlist, std::vector<GateId> topo) {
+Csr build_fanout_csr(const Netlist& netlist) {
+  const std::size_t n = netlist.num_gates();
+  Csr out;
+  // Counting pass, prefix sum, then a fill pass that scans sinks in id order
+  // so each row comes out ascending.
+  out.offsets.assign(n + 1, 0);
+  for (GateId id = 0; id < n; ++id) {
+    for (GateId f : netlist.gate(id).fanin) {
+      if (f < n) ++out.offsets[f + 1];
+    }
+  }
+  for (std::size_t i = 1; i <= n; ++i) out.offsets[i] += out.offsets[i - 1];
+  out.edges.resize(out.offsets[n]);
+  std::vector<std::uint32_t> cursor(out.offsets.begin(), out.offsets.end() - 1);
+  for (GateId id = 0; id < n; ++id) {
+    for (GateId f : netlist.gate(id).fanin) {
+      if (f < n) out.edges[cursor[f]++] = id;
+    }
+  }
+  return out;
+}
+
+Topology Topology::build(const Netlist& netlist) {
   const std::size_t n = netlist.num_gates();
   Topology t;
   t.types_.resize(n);
-  t.levels_.resize(n);
-  t.topo_ = std::move(topo);
-  AIDFT_ASSERT(t.topo_.size() == n, "topo order does not cover the netlist");
-
   std::size_t nedges = 0;
   for (GateId id = 0; id < n; ++id) {
-    const Gate& g = netlist.gate(id);
-    t.types_[id] = g.type;
-    t.levels_[id] = g.level;
-    nedges += g.fanin.size();
+    t.types_[id] = netlist.type(id);
+    nedges += netlist.gate(id).fanin.size();
   }
 
   // Fanin CSR: edge order is exactly Gate::fanin (pin order matters to
   // every engine — MUX select, DFF D, fault pin indices).
-  t.fanin_offsets_.resize(n + 1);
-  t.fanin_edges_.reserve(nedges);
+  t.fanin_.offsets.resize(n + 1);
+  t.fanin_.edges.reserve(nedges);
   for (GateId id = 0; id < n; ++id) {
-    t.fanin_offsets_[id] = static_cast<std::uint32_t>(t.fanin_edges_.size());
-    const Gate& g = netlist.gate(id);
-    t.fanin_edges_.insert(t.fanin_edges_.end(), g.fanin.begin(), g.fanin.end());
+    t.fanin_.offsets[id] = static_cast<std::uint32_t>(t.fanin_.edges.size());
+    const auto& fanin = netlist.gate(id).fanin;
+    t.fanin_.edges.insert(t.fanin_.edges.end(), fanin.begin(), fanin.end());
   }
-  t.fanin_offsets_[n] = static_cast<std::uint32_t>(t.fanin_edges_.size());
+  t.fanin_.offsets[n] = static_cast<std::uint32_t>(t.fanin_.edges.size());
+  t.fanout_ = build_fanout_csr(netlist);
 
-  // Fanout CSR, counting pass then fill pass. Scanning sinks in id order
-  // reproduces Gate::fanout order exactly (finalize() builds those lists the
-  // same way), so migrated engines keep identical traversal order.
-  t.fanout_offsets_.assign(n + 1, 0);
-  for (GateId f : t.fanin_edges_) ++t.fanout_offsets_[f + 1];
-  for (std::size_t i = 1; i <= n; ++i) {
-    t.fanout_offsets_[i] += t.fanout_offsets_[i - 1];
-  }
-  t.fanout_edges_.resize(nedges);
-  std::vector<std::uint32_t> cursor(t.fanout_offsets_.begin(),
-                                    t.fanout_offsets_.end() - 1);
+  // Kahn's algorithm over the combinational graph, with topo_ as the FIFO.
+  // DFFs break cycles: a DFF is a source (its Q is available at time 0);
+  // its D-input edge is not a topological dependency of the DFF itself.
+  // FIFO order is level-sorted (all of level L is enqueued before any gate
+  // of level L+1), which the per-level buckets below rely on.
+  auto is_root = [&](GateId id) {
+    return is_source(t.types_[id]) || is_state_element(t.types_[id]);
+  };
+  std::vector<std::uint32_t> pending(n, 0);
+  t.topo_.reserve(n);
   for (GateId id = 0; id < n; ++id) {
-    for (std::uint32_t e = t.fanin_offsets_[id]; e < t.fanin_offsets_[id + 1];
-         ++e) {
-      t.fanout_edges_[cursor[t.fanin_edges_[e]]++] = id;
+    // Logic with no fanin is enqueued too (defensive; arity check forbids).
+    if (!is_root(id)) {
+      pending[id] = static_cast<std::uint32_t>(t.fanin_size(id));
+    }
+    if (pending[id] == 0) t.topo_.push_back(id);
+  }
+  t.levels_.assign(n, 0);
+  for (std::size_t head = 0; head < t.topo_.size(); ++head) {
+    const GateId id = t.topo_[head];
+    if (!is_root(id)) {
+      for (GateId f : t.fanin(id)) {
+        t.levels_[id] = std::max(t.levels_[id], t.levels_[f] + 1);
+      }
+    }
+    for (GateId s : t.fanout(id)) {
+      if (is_state_element(t.types_[s])) continue;  // edge into DFF D pin
+      AIDFT_ASSERT(pending[s] > 0, "topological bookkeeping broken");
+      if (--pending[s] == 0) t.topo_.push_back(s);
     }
   }
+  if (t.topo_.size() != n) {
+    throw Error("netlist '" + netlist.name() +
+                "' has a combinational cycle (or unreachable gate): sorted " +
+                std::to_string(t.topo_.size()) + " of " + std::to_string(n) +
+                " gates");
+  }
 
-  // Level buckets. FIFO Kahn dequeues in nondecreasing level order (a gate
-  // is enqueued only after a gate of the previous level completes, and all
-  // of level L is enqueued before any of level L+1), so the topo order is
-  // already the concatenation of the level buckets; verify and record the
-  // boundaries.
+  // Level buckets: the level-sorted topo order is the concatenation of the
+  // buckets; verify and record the boundaries.
   t.num_levels_ = 0;
-  for (std::uint32_t lvl : t.levels_) t.num_levels_ = std::max(t.num_levels_, lvl + 1);
+  for (std::uint32_t lvl : t.levels_) {
+    t.num_levels_ = std::max(t.num_levels_, lvl + 1);
+  }
   t.level_begin_.assign(t.num_levels_ + 1, 0);
   std::uint32_t prev = 0;
   for (std::size_t i = 0; i < t.topo_.size(); ++i) {
@@ -73,13 +112,13 @@ Topology Topology::build(const Netlist& netlist, std::vector<GateId> topo) {
 }
 
 std::size_t Topology::bytes() const {
+  auto csr_bytes = [](const Csr& c) {
+    return c.offsets.capacity() * sizeof(std::uint32_t) +
+           c.edges.capacity() * sizeof(GateId);
+  };
   return types_.capacity() * sizeof(GateType) +
-         levels_.capacity() * sizeof(std::uint32_t) +
-         fanin_offsets_.capacity() * sizeof(std::uint32_t) +
-         fanin_edges_.capacity() * sizeof(GateId) +
-         fanout_offsets_.capacity() * sizeof(std::uint32_t) +
-         fanout_edges_.capacity() * sizeof(GateId) +
-         topo_.capacity() * sizeof(GateId) +
+         levels_.capacity() * sizeof(std::uint32_t) + csr_bytes(fanin_) +
+         csr_bytes(fanout_) + topo_.capacity() * sizeof(GateId) +
          level_begin_.capacity() * sizeof(std::uint32_t);
 }
 

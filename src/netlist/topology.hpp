@@ -1,25 +1,24 @@
-// Compiled structure-of-arrays view of a finalized Netlist.
+// Compiled structure-of-arrays view of a finalized Netlist: the only home
+// of fanout, levels and topological order.
 //
-// The builder-side IR (Netlist + per-gate heap std::vectors) is convenient
-// to grow incrementally, but its adjacency lists are allocation-fragmented
-// pointer chases — exactly what the innermost loops of every hot engine
-// (good-machine simulation, PPSFP fault propagation, SCOAP, PODEM
-// implication) traverse millions of times. Topology is the flat view
-// Netlist::finalize() compiles once:
+// The builder-side IR keeps just each gate's type and fanin list, which is
+// convenient to grow incrementally but is an allocation-fragmented pointer
+// chase — exactly what the innermost loops of every hot engine (good-machine
+// simulation, PPSFP fault propagation, SCOAP, PODEM implication) traverse
+// millions of times. Topology is the flat view Netlist::finalize() compiles
+// once:
 //
-//  * CSR fanin and fanout adjacency (offsets[] / edges[], one contiguous
-//    allocation each, edge order identical to Gate::fanin / Gate::fanout);
+//  * CSR fanin adjacency (edge order identical to Gate::fanin: pin order)
+//    and CSR fanout adjacency (sinks in ascending id, one entry per edge),
+//    the latter from build_fanout_csr(), the one fanout builder;
 //  * flat GateType[] and level[] arrays (no Gate struct in the hot path);
 //  * the topological order plus per-level bucket offsets (level_begin[]),
-//    so simulators can iterate level-by-level over contiguous ranges — the
-//    enabler for future intra-batch level-parallel evaluation.
+//    so simulators can iterate level-by-level over contiguous ranges.
 //
 // Invalidation: a Netlist is frozen by finalize() (add_gate/connect throw
 // afterwards), so the compiled view can never go stale; it lives exactly as
 // long as its Netlist. Engines cache `const Topology&` at construction and
-// never touch Gate objects on the hot path. Gate::fanin/fanout stay on the
-// builder struct as the mutable source of truth and the cross-check
-// reference for property tests.
+// never touch Gate objects after finalize().
 #pragma once
 
 #include <cstdint>
@@ -33,36 +32,42 @@ namespace aidft {
 
 class Netlist;
 
+/// Compressed sparse rows: row g is edges[offsets[g], offsets[g+1]).
+struct Csr {
+  std::vector<std::uint32_t> offsets;  // size rows+1
+  std::vector<GateId> edges;
+
+  std::span<const GateId> row(GateId g) const {
+    return {edges.data() + offsets[g], offsets[g + 1] - offsets[g]};
+  }
+  std::size_t row_size(GateId g) const { return offsets[g + 1] - offsets[g]; }
+};
+
+/// Fanout CSR of the netlist's fanin lists, by counting sort: row d holds
+/// the sinks of driver d in ascending id, one entry per edge. Drivers out of
+/// range are skipped, so it also serves unfinalized netlists.
+Csr build_fanout_csr(const Netlist& netlist);
+
 class Topology {
  public:
   Topology() = default;
 
-  /// Compiles the flat view. `topo` is the already-computed topological
-  /// order (sources first); FIFO Kahn yields it level-sorted, which build()
-  /// verifies before deriving the per-level bucket offsets.
-  static Topology build(const Netlist& netlist, std::vector<GateId> topo);
+  /// Compiles the flat view and levelises it (FIFO Kahn over the fanout
+  /// CSR; a DFF is a source and its D edge is not a dependency). Throws
+  /// Error when some gate cannot be ordered (a combinational cycle).
+  static Topology build(const Netlist& netlist);
 
   std::size_t num_gates() const { return types_.size(); }
   GateType type(GateId g) const { return types_[g]; }
   std::uint32_t level(GateId g) const { return levels_[g]; }
 
-  std::span<const GateId> fanin(GateId g) const {
-    return {fanin_edges_.data() + fanin_offsets_[g],
-            fanin_offsets_[g + 1] - fanin_offsets_[g]};
-  }
-  std::size_t fanin_size(GateId g) const {
-    return fanin_offsets_[g + 1] - fanin_offsets_[g];
-  }
+  std::span<const GateId> fanin(GateId g) const { return fanin_.row(g); }
+  std::size_t fanin_size(GateId g) const { return fanin_.row_size(g); }
   /// First fanin (D pin of a DFF, driver of a BUF/NOT/OUTPUT).
-  GateId fanin0(GateId g) const { return fanin_edges_[fanin_offsets_[g]]; }
+  GateId fanin0(GateId g) const { return fanin_.edges[fanin_.offsets[g]]; }
 
-  std::span<const GateId> fanout(GateId g) const {
-    return {fanout_edges_.data() + fanout_offsets_[g],
-            fanout_offsets_[g + 1] - fanout_offsets_[g]};
-  }
-  std::size_t fanout_size(GateId g) const {
-    return fanout_offsets_[g + 1] - fanout_offsets_[g];
-  }
+  std::span<const GateId> fanout(GateId g) const { return fanout_.row(g); }
+  std::size_t fanout_size(GateId g) const { return fanout_.row_size(g); }
 
   /// Gates in topological order (sources first), level-sorted: the gates of
   /// level L occupy the contiguous range [level_begin(L), level_begin(L+1)).
@@ -87,12 +92,10 @@ class Topology {
  private:
   std::vector<GateType> types_;
   std::vector<std::uint32_t> levels_;
-  std::vector<std::uint32_t> fanin_offsets_;   // size num_gates+1
-  std::vector<GateId> fanin_edges_;
-  std::vector<std::uint32_t> fanout_offsets_;  // size num_gates+1
-  std::vector<GateId> fanout_edges_;
+  Csr fanin_;
+  Csr fanout_;
   std::vector<GateId> topo_;
-  std::vector<std::uint32_t> level_begin_;     // size num_levels+1
+  std::vector<std::uint32_t> level_begin_;  // size num_levels+1
   std::uint32_t num_levels_ = 0;
 };
 

@@ -61,27 +61,21 @@ ScanNetlist insert_scan(const Netlist& nl, const ScanPlan& plan) {
   ScanNetlist out;
   out.netlist.set_name(nl.name() + "_scan");
   // Clone gates (same order → same names resolve to parallel structure).
-  std::vector<GateId> map(nl.num_gates());
-  for (GateId id = 0; id < nl.num_gates(); ++id) {
-    map[id] = out.netlist.add_gate(nl.type(id), nl.name_of(id));
-  }
+  const std::vector<GateId> map = clone_gates(out.netlist, nl, "");
   // Scan infrastructure pins.
   out.scan_enable = out.netlist.add_input("se");
   for (std::size_t c = 0; c < plan.chains.size(); ++c) {
     out.scan_in.push_back(out.netlist.add_input("si" + std::to_string(c)));
   }
   // Wire non-flop gates 1:1; flops get a scan mux in front of D.
-  for (GateId id = 0; id < nl.num_gates(); ++id) {
-    const Gate& g = nl.gate(id);
-    if (g.type != GateType::kDff) {
-      for (GateId f : g.fanin) out.netlist.connect(map[f], map[id]);
-    }
-  }
+  std::vector<GateId> sinks = map;
+  for (GateId ff : nl.dffs()) sinks[ff] = kNoGate;
+  clone_fanins(out.netlist, nl, sinks, map);
   out.chain_cells.resize(plan.chains.size());
   for (std::size_t c = 0; c < plan.chains.size(); ++c) {
     GateId prev_q = out.scan_in[c];
     for (GateId ff : plan.chains[c].cells) {
-      const GateId d_new = map[nl.gate(ff).fanin[0]];
+      const GateId d_new = map[nl.topology().fanin0(ff)];
       const GateId mux = out.netlist.add_gate(
           GateType::kMux, {out.scan_enable, d_new, prev_q},
           out.netlist.name_of(map[ff]).empty()

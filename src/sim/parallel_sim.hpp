@@ -71,7 +71,7 @@ class ParallelSimulator {
 
   /// Captured D-input word of a DFF (what the flop would load next cycle).
   std::uint64_t next_state(GateId dff) const {
-    return values_[netlist_->gate(dff).fanin[0]];
+    return values_[netlist_->topology().fanin0(dff)];
   }
 
   /// Observed response: words at observe_points() in order (POs then DFFs'

@@ -19,7 +19,7 @@ TEST(BridgeSampler, SameLevelDistinctDeterministic) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i], b[i]);
     EXPECT_NE(a[i].a, a[i].b);
-    EXPECT_EQ(nl.gate(a[i].a).level, nl.gate(a[i].b).level);
+    EXPECT_EQ(nl.topology().level(a[i].a), nl.topology().level(a[i].b));
     EXPECT_NE(nl.type(a[i].a), GateType::kOutput);
   }
 }
@@ -35,7 +35,7 @@ TEST(BridgeSim, WiredAndHandExample) {
   nl.add_output(ba, "oa");
   nl.add_output(bb, "ob");
   nl.finalize();
-  ASSERT_EQ(nl.gate(ba).level, nl.gate(bb).level);
+  ASSERT_EQ(nl.topology().level(ba), nl.topology().level(bb));
 
   std::vector<TestCube> cubes;
   for (int m = 0; m < 4; ++m) {

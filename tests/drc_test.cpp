@@ -120,6 +120,31 @@ TEST(DrcSeeded, UnfinalizableSeedsWouldThrowInFinalize) {
   }
 }
 
+TEST(DrcSeeded, UnfinalizedDanglingPinsReportD2ViaSharedFanoutBuilder) {
+  // A MUX missing its data1 pin and a BUF with no driver, both feeding
+  // logic: finalize() would reject this netlist, and DRC walks it through
+  // build_fanout_csr(). The sanitizer jobs run this to catch any
+  // out-of-range read on the missing pins.
+  Netlist nl("dangling");
+  const GateId a = nl.add_input("a");
+  const GateId b = nl.add_input("b");
+  const GateId mux = nl.add_gate(GateType::kMux, {a, b}, "mux");
+  const GateId buf = nl.add_gate(GateType::kBuf, "buf");
+  const GateId g = nl.add_gate(GateType::kAnd, {mux, buf, mux}, "g");
+  const GateId y = nl.add_output(g, "y");
+  ASSERT_FALSE(nl.finalized());
+
+  const Csr fanout = build_fanout_csr(nl);
+  ASSERT_EQ(fanout.offsets.size(), nl.num_gates() + 1);
+  EXPECT_EQ(fanout.edges.size(), 6u);
+  EXPECT_EQ(fanout.row_size(buf), 1u);
+  EXPECT_EQ(fanout.row_size(mux), 2u);  // one entry per edge
+  EXPECT_EQ(fanout.row_size(y), 0u);
+
+  const DrcReport report = run_drc(nl);
+  EXPECT_EQ(sites_of(report, "D2"), (std::vector<GateId>{mux, buf}));
+}
+
 // ---- clean designs stay silent -------------------------------------------
 
 TEST(DrcClean, StandardSuiteHasZeroFindings) {

@@ -102,7 +102,7 @@ TEST(FaultSim, DffPinFaultIsCaptureDetected) {
   nl.add_output(ff, "q");
   nl.add_output(g2, "y");
   nl.finalize();
-  ASSERT_EQ(nl.gate(g).fanout.size(), 2u);
+  ASSERT_EQ(nl.topology().fanout_size(g), 2u);
 
   std::vector<TestCube> cubes;
   for (int m = 0; m < 4; ++m) {

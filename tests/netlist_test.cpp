@@ -21,8 +21,8 @@ TEST(Netlist, BuildAndFinalize) {
   EXPECT_EQ(nl.num_gates(), 4u);
   EXPECT_EQ(nl.inputs().size(), 2u);
   EXPECT_EQ(nl.outputs().size(), 1u);
-  EXPECT_EQ(nl.gate(g).level, 1u);
-  EXPECT_EQ(nl.gate(g).fanout.size(), 1u);
+  EXPECT_EQ(nl.topology().level(g), 1u);
+  EXPECT_EQ(nl.topology().fanout_size(g), 1u);
   EXPECT_EQ(nl.find("g"), g);
   EXPECT_EQ(nl.find("nope"), kNoGate);
 }
@@ -84,11 +84,11 @@ TEST(Netlist, CombinationalViewListsPpiAndPpo) {
 
 TEST(Netlist, LevelsAreMonotone) {
   const Netlist nl = circuits::make_array_multiplier(6);
+  const Topology& t = nl.topology();
   for (GateId id = 0; id < nl.num_gates(); ++id) {
-    const Gate& g = nl.gate(id);
-    if (is_source(g.type) || is_state_element(g.type)) continue;
-    for (GateId f : g.fanin) {
-      EXPECT_LT(nl.gate(f).level, g.level);
+    if (is_source(t.type(id)) || is_state_element(t.type(id))) continue;
+    for (GateId f : t.fanin(id)) {
+      EXPECT_LT(t.level(f), t.level(id));
     }
   }
 }
@@ -254,7 +254,8 @@ TEST(Scoap, DeepLinesHarderToControl) {
   for (GateId id = 0; id < nl.num_gates(); ++id) {
     EXPECT_LT(s.cc0[id], kUnreachable) << id;
     EXPECT_LT(s.cc1[id], kUnreachable) << id;
-    if (!nl.gate(id).fanout.empty() || nl.type(id) == GateType::kOutput) {
+    if (nl.topology().fanout_size(id) != 0 ||
+        nl.type(id) == GateType::kOutput) {
       EXPECT_LT(s.co[id], kUnreachable) << id;
     }
   }

@@ -56,13 +56,15 @@ TEST(InsertScan, RejectsIncompletePlan) {
 // The keystone property: shifting patterns through the real scan-inserted
 // netlist produces exactly the responses the combinational full-scan view
 // predicts — protocol, stitching, and mux wiring all verified at once.
+// The circuit name is a std::string, not a const char*, so the printed
+// parameter (and with it the test name) holds the text, not an address.
 class ScanProtocolEquivalence
-    : public ::testing::TestWithParam<std::tuple<const char*, std::size_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::size_t>> {};
 
 TEST_P(ScanProtocolEquivalence, ProtocolMatchesCombinationalView) {
   const auto [name, nchains] = GetParam();
   Netlist nl;
-  const std::string which = name;
+  const std::string& which = name;
   if (which == "counter") nl = circuits::make_counter(8);
   if (which == "mac") nl = circuits::make_mac(4, true);
   if (which == "shift") nl = circuits::make_shift_register(6);

@@ -1,8 +1,8 @@
-// Tests of the compiled Topology view: CSR adjacency must mirror the
-// builder-phase Gate lists exactly, level buckets must partition the topo
-// order, and every engine that traverses the view must produce results
-// bit-identical to a straight Gate-struct walk. This file is the contract
-// that lets the hot engines drop the Gate structs entirely.
+// Tests of the compiled Topology view: fanin CSR must mirror the builder's
+// fanin lists exactly, fanout CSR must list each driver's sinks in ascending
+// id with one entry per edge, levels must be longest paths, level buckets
+// must partition the topo order, and every engine that traverses the view
+// must produce results bit-identical to a straight Gate-struct walk.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -49,30 +49,65 @@ std::vector<Netlist> adjacency_corpus(std::uint64_t seed) {
   return v;
 }
 
-// ---- CSR adjacency mirrors Gate::fanin / Gate::fanout ---------------------
+// ---- CSR adjacency and levels against the builder's fanin lists ----------
 class CsrAdjacency : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CsrAdjacency, MatchesGateListsExactly) {
   for (const Netlist& nl : adjacency_corpus(GetParam())) {
     const Topology& t = nl.topology();
     ASSERT_EQ(t.num_gates(), nl.num_gates());
+    // Expected fanout, derived here from the fanin lists: sinks in
+    // ascending id, one entry per edge (a gate reading a driver twice is
+    // listed twice).
+    std::vector<std::vector<GateId>> sinks(nl.num_gates());
+    for (GateId id = 0; id < nl.num_gates(); ++id) {
+      for (GateId f : nl.gate(id).fanin) sinks[f].push_back(id);
+    }
     for (GateId id = 0; id < nl.num_gates(); ++id) {
       const Gate& g = nl.gate(id);
       EXPECT_EQ(t.type(id), g.type) << "gate " << id;
-      EXPECT_EQ(t.level(id), g.level) << "gate " << id;
       // Pin order matters (MUX select, fault pin indices): element-wise.
       const auto fin = t.fanin(id);
       ASSERT_EQ(fin.size(), g.fanin.size()) << "gate " << id;
       EXPECT_TRUE(std::equal(fin.begin(), fin.end(), g.fanin.begin()))
           << "fanin order differs at gate " << id;
       const auto fout = t.fanout(id);
-      ASSERT_EQ(fout.size(), g.fanout.size()) << "gate " << id;
-      EXPECT_TRUE(std::equal(fout.begin(), fout.end(), g.fanout.begin()))
+      ASSERT_EQ(fout.size(), sinks[id].size()) << "gate " << id;
+      EXPECT_TRUE(std::equal(fout.begin(), fout.end(), sinks[id].begin()))
           << "fanout order differs at gate " << id;
       if (!g.fanin.empty()) {
         EXPECT_EQ(t.fanin0(id), g.fanin[0]);
       }
     }
+  }
+}
+
+// level() is the longest path from a source or flop output, recomputed here
+// by relaxing every fanin edge to a fixpoint (no topological order used).
+TEST_P(CsrAdjacency, LevelsAreLongestPaths) {
+  for (const Netlist& nl : adjacency_corpus(GetParam())) {
+    std::vector<std::uint32_t> level(nl.num_gates(), 0);
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (GateId id = 0; id < nl.num_gates(); ++id) {
+        const Gate& g = nl.gate(id);
+        if (is_source(g.type) || is_state_element(g.type)) continue;
+        for (GateId f : g.fanin) {
+          if (level[f] + 1 > level[id]) {
+            level[id] = level[f] + 1;
+            changed = true;
+          }
+        }
+      }
+    }
+    const Topology& t = nl.topology();
+    std::uint32_t num_levels = 0;
+    for (GateId id = 0; id < nl.num_gates(); ++id) {
+      EXPECT_EQ(t.level(id), level[id]) << "gate " << id;
+      num_levels = std::max(num_levels, level[id] + 1);
+    }
+    EXPECT_EQ(t.num_levels(), num_levels);
+    EXPECT_EQ(nl.num_levels(), num_levels);
   }
 }
 
