@@ -5,6 +5,87 @@
 #include "fsim/fault_sim.hpp"
 
 namespace aidft {
+namespace {
+
+// Rejects a fail log whose shape does not match `nl` and `patterns`; the
+// scoring loops index it by pattern block and by the netlist's observe
+// points.
+void require_matching_log(const Netlist& nl,
+                          const std::vector<TestCube>& patterns,
+                          const FailLog& log) {
+  AIDFT_REQUIRE(log.num_patterns == patterns.size(),
+                "fail log does not match pattern set");
+  const std::size_t nops = nl.observe_points().size();
+  AIDFT_REQUIRE(log.num_observe_points == nops,
+                "fail log does not match the netlist's observe points");
+  AIDFT_REQUIRE(log.blocks.size() == (patterns.size() + 63) / 64,
+                "fail log block count does not match pattern set");
+  for (const auto& block : log.blocks) {
+    AIDFT_REQUIRE(block.size() == nops,
+                  "fail log block width does not match observe points");
+  }
+}
+
+// The candidates, in input order, that can predict a failure somewhere in
+// `log`: those inside the union of the combinational fanin cones of the
+// observe points that fail anywhere. A stuck-at effect leaves its site only
+// through combinational fanout, and a scan cell captures rather than
+// propagates, so the walk stops at DFFs (still marking them: a flop's Q
+// stem feeds the cone). A DFF D-pin fault is seen only at its own flop's
+// observe point. Every candidate dropped here has tp == 0 on this log.
+std::vector<Fault> cone_candidates(const Netlist& nl, const FailLog& log,
+                                   const std::vector<Fault>& candidates) {
+  const Topology& t = nl.topology();
+  const std::vector<GateId> points = nl.observe_points();
+  std::vector<std::uint64_t> fails(points.size(), 0);
+  for (const auto& block : log.blocks) {
+    for (std::size_t op = 0; op < points.size(); ++op) fails[op] |= block[op];
+  }
+
+  enum : std::uint8_t { kInCone = 1, kOwnPointFails = 2 };
+  std::vector<std::uint8_t> mark(t.num_gates(), 0);
+  std::vector<GateId> stack;
+  auto visit = [&](GateId g) {
+    if (mark[g] & kInCone) return;
+    mark[g] |= kInCone;
+    stack.push_back(g);
+  };
+  for (std::size_t op = 0; op < points.size(); ++op) {
+    if (fails[op] == 0) continue;
+    if (is_state_element(t.type(points[op]))) mark[points[op]] |= kOwnPointFails;
+    visit(nl.observed_gate(points[op]));
+  }
+  while (!stack.empty()) {
+    const GateId g = stack.back();
+    stack.pop_back();
+    if (is_state_element(t.type(g))) continue;
+    for (GateId f : t.fanin(g)) visit(f);
+  }
+
+  std::vector<Fault> kept;
+  for (const Fault& c : candidates) {
+    AIDFT_REQUIRE(c.gate < t.num_gates() && c.kind == FaultKind::kStuckAt,
+                  "diagnosis candidates are stuck-at faults of the netlist");
+    const bool d_pin = !c.is_stem() && is_state_element(t.type(c.gate));
+    if (mark[c.gate] & (d_pin ? kOwnPointFails : kInCone)) kept.push_back(c);
+  }
+  return kept;
+}
+
+// `diag.candidates_scored` counts the candidates simulated and
+// `diag.candidates_pruned` those the cone filter skipped.
+void record_pruning(obs::Telemetry* telemetry, obs::Span& span,
+                    std::size_t candidates, std::size_t scored) {
+  obs::add(telemetry, "diag.candidates_scored", scored);
+  obs::add(telemetry, "diag.candidates_pruned", candidates - scored);
+  if (span.active()) {
+    span.arg("candidates", candidates);
+    span.arg("scored", scored);
+    span.arg("pruned", candidates - scored);
+  }
+}
+
+}  // namespace
 
 bool FailLog::any_failure() const {
   for (const auto& block : blocks) {
@@ -46,16 +127,14 @@ FailLog simulate_defect(const Netlist& nl, const std::vector<TestCube>& patterns
 DiagnosisResult diagnose(const Netlist& nl, const std::vector<TestCube>& patterns,
                          const FailLog& log, const std::vector<Fault>& candidates,
                          obs::Telemetry* telemetry) {
-  AIDFT_REQUIRE(log.num_patterns == patterns.size(),
-                "fail log does not match pattern set");
+  require_matching_log(nl, patterns, log);
   obs::Span diag_span = obs::span(telemetry, "diag.diagnose", "diag");
-  obs::add(telemetry, "diag.candidates_scored", candidates.size());
+  const std::vector<Fault> kept = cone_candidates(nl, log, candidates);
+  record_pruning(telemetry, diag_span, candidates.size(), kept.size());
   DiagnosisResult result;
   FaultSimulator fsim(nl);
-  std::vector<DiagnosisCandidate> scored(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    scored[i].fault = candidates[i];
-  }
+  std::vector<DiagnosisCandidate> scored(kept.size());
+  for (std::size_t i = 0; i < kept.size(); ++i) scored[i].fault = kept[i];
 
   std::vector<std::uint64_t> op_diffs;
   for (std::size_t base = 0, block = 0; base < patterns.size();
@@ -93,7 +172,6 @@ DiagnosisResult diagnose(const Netlist& nl, const std::vector<TestCube>& pattern
             });
   result.ranked = std::move(scored);
   if (diag_span.active()) {
-    diag_span.arg("candidates", candidates.size());
     diag_span.arg("ranked", result.ranked.size());
     obs::add(telemetry, "fsim.events", fsim.events_simulated());
   }
@@ -121,8 +199,10 @@ MultiDiagnosisResult diagnose_multiplet(const Netlist& nl,
                                         const std::vector<Fault>& candidates,
                                         std::size_t max_defects,
                                         obs::Telemetry* telemetry) {
+  require_matching_log(nl, patterns, log);
   obs::Span diag_span = obs::span(telemetry, "diag.multiplet", "diag");
-  obs::add(telemetry, "diag.candidates_scored", candidates.size());
+  const std::vector<Fault> kept = cone_candidates(nl, log, candidates);
+  record_pruning(telemetry, diag_span, candidates.size(), kept.size());
   MultiDiagnosisResult result;
 
   // Predicted fail sets per candidate (computed once).
@@ -130,14 +210,14 @@ MultiDiagnosisResult diagnose_multiplet(const Netlist& nl,
   const std::size_t nblocks = log.blocks.size();
   const std::size_t nops = log.num_observe_points;
   std::vector<std::vector<std::uint64_t>> predicted(
-      candidates.size(), std::vector<std::uint64_t>(nblocks * nops, 0));
+      kept.size(), std::vector<std::uint64_t>(nblocks * nops, 0));
   {
     std::vector<std::uint64_t> op_diffs;
     for (std::size_t base = 0, b = 0; base < patterns.size(); base += 64, ++b) {
       const std::size_t count = std::min<std::size_t>(64, patterns.size() - base);
       fsim.load_batch(pack_patterns(patterns, base, count));
-      for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-        fsim.detect_mask_detailed(candidates[ci], op_diffs);
+      for (std::size_t ci = 0; ci < kept.size(); ++ci) {
+        fsim.detect_mask_detailed(kept[ci], op_diffs);
         for (std::size_t op = 0; op < nops; ++op) {
           predicted[ci][b * nops + op] = op_diffs[op];
         }
@@ -156,12 +236,12 @@ MultiDiagnosisResult diagnose_multiplet(const Netlist& nl,
     }
   }
 
-  std::vector<bool> used(candidates.size(), false);
+  std::vector<bool> used(kept.size(), false);
   while (result.selected.size() < max_defects) {
     std::size_t best = SIZE_MAX;
     std::int64_t best_score = 0;
     std::uint64_t best_tp = 0, best_fp = 0;
-    for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
+    for (std::size_t ci = 0; ci < kept.size(); ++ci) {
       if (used[ci]) continue;
       std::uint64_t tp = 0, fp = 0;
       for (std::size_t w = 0; w < remaining.size(); ++w) {
@@ -186,7 +266,7 @@ MultiDiagnosisResult diagnose_multiplet(const Netlist& nl,
     if (best == SIZE_MAX) break;
     used[best] = true;
     DiagnosisCandidate chosen;
-    chosen.fault = candidates[best];
+    chosen.fault = kept[best];
     chosen.tp = best_tp;
     chosen.fp = best_fp;
     chosen.score = static_cast<double>(best_score);
@@ -206,7 +286,6 @@ MultiDiagnosisResult diagnose_multiplet(const Netlist& nl,
   result.unexplained = left;
   result.explained = total_events - left;
   if (diag_span.active()) {
-    diag_span.arg("candidates", candidates.size());
     diag_span.arg("selected", result.selected.size());
     obs::add(telemetry, "fsim.events", fsim.events_simulated());
   }

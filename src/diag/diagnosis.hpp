@@ -54,10 +54,16 @@ struct DiagnosisResult {
   std::size_t rank_of(const Fault& fault) const;
 };
 
-/// Ranks `candidates` against the fail log. Candidates whose simulated
-/// behaviour shares no failing pattern with the log are pruned early.
-/// `telemetry` (optional; null = off) gets a `diag.diagnose` span and
-/// `diag.candidates_scored` counter.
+/// Ranks `candidates` against the fail log; only candidates that explain at
+/// least one failure (tp > 0) are ranked. Before any simulation, candidates
+/// outside the union of the combinational fanin cones of the observe points
+/// that fail anywhere in the log are skipped (a DFF D-pin candidate is kept
+/// exactly when its own flop's point fails). They cannot predict an observed
+/// failure, so the ranking equals that of scoring every candidate. Throws
+/// Error when the log's shape does not match `netlist` and `patterns`.
+/// `telemetry` (optional; null = off) gets a `diag.diagnose` span and the
+/// `diag.candidates_scored` (simulated) and `diag.candidates_pruned`
+/// (skipped) counters, which sum to `candidates.size()`.
 DiagnosisResult diagnose(const Netlist& netlist,
                          const std::vector<TestCube>& patterns,
                          const FailLog& log,
@@ -83,6 +89,8 @@ struct MultiDiagnosisResult {
 /// candidate explaining the most still-unexplained failures (rejecting
 /// candidates that mispredict passing events heavily), removes what it
 /// explains, and stops when nothing helps or `max_defects` is reached.
+/// Skips the same candidates, with the same log checks and counters (span
+/// `diag.multiplet`), as diagnose(); none of them could ever be selected.
 MultiDiagnosisResult diagnose_multiplet(const Netlist& netlist,
                                         const std::vector<TestCube>& patterns,
                                         const FailLog& log,

@@ -12,11 +12,11 @@ FaultSimulator::FaultSimulator(const Netlist& netlist)
       buckets_(netlist.num_levels() + 1),
       queued_(netlist.num_gates(), false),
       observed_(netlist.num_gates(), false),
-      op_index_of_gate_(netlist.num_gates()) {
+      op_index_of_gate_(netlist.num_gates()),
+      observe_points_(netlist.observe_points()) {
   topo_ = &netlist.topology();
-  const auto points = netlist.observe_points();
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const GateId og = netlist.observed_gate(points[i]);
+  for (std::size_t i = 0; i < observe_points_.size(); ++i) {
+    const GateId og = netlist.observed_gate(observe_points_[i]);
     observed_[og] = true;
     op_index_of_gate_[og].push_back(static_cast<std::uint32_t>(i));
   }
@@ -51,7 +51,6 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
                                         const std::vector<std::uint64_t>& good,
                                         std::uint64_t lane_mask,
                                         std::vector<std::uint64_t>* op_diffs) {
-  const Netlist& nl = *netlist_;
   const Topology& t = *topo_;
   ++cur_epoch_;
   if (cur_epoch_ == 0) {  // wrapped: invalidate all tags
@@ -80,10 +79,10 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
     const GateId driver = t.fanin(fault.gate)[fault.pin];
     const std::uint64_t diff = (good[driver] ^ stuck_word) & lane_mask;
     if (op_diffs != nullptr && diff != 0) {
-      // Only this flop's own observe point fails.
-      const auto points = nl.observe_points();
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        if (points[i] == fault.gate) (*op_diffs)[i] |= diff;
+      // Only this flop's own observe point fails: the one among the points
+      // observing its D driver whose gate is the flop itself.
+      for (std::uint32_t op : op_index_of_gate_[driver]) {
+        if (observe_points_[op] == fault.gate) (*op_diffs)[op] |= diff;
       }
     }
     return diff;
@@ -278,7 +277,7 @@ std::uint64_t FaultSimulator::detect_mask_detailed(
   AIDFT_REQUIRE(!good_.empty(), "load_batch() before detect_mask_detailed()");
   AIDFT_REQUIRE(fault.kind == FaultKind::kStuckAt,
                 "detailed masks are for stuck-at faults");
-  op_diffs.assign(netlist_->observe_points().size(), 0);
+  op_diffs.assign(observe_points_.size(), 0);
   return propagate(fault, good_, lane_mask_, &op_diffs);
 }
 

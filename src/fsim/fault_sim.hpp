@@ -103,6 +103,7 @@ class FaultSimulator {
   // observed gate -> indices into observe_points() (a gate can be observed
   // by several points, e.g. a net driving a PO marker and a flop D pin).
   std::vector<std::vector<std::uint32_t>> op_index_of_gate_;
+  std::vector<GateId> observe_points_;  // netlist_->observe_points(), cached
 };
 
 }  // namespace aidft

@@ -120,6 +120,34 @@ TEST(FaultSim, DffPinFaultIsCaptureDetected) {
   EXPECT_EQ(fsim.detect_mask(d_sa1), 0b0111ull);
 }
 
+TEST(FaultSim, DffPinDetailedMatchesReference) {
+  // A D-pin fault fails only its own flop's observe point, by exactly the
+  // lanes the reference engine detects.
+  const Netlist nl = circuits::make_mac(4, /*registered=*/true);
+  const auto points = nl.observe_points();
+  Rng rng(8);
+  const auto cubes = random_patterns(nl.combinational_inputs().size(), 64, rng);
+  const PatternBatch batch = pack_patterns(cubes, 0, 64);
+  FaultSimulator fsim(nl);
+  fsim.load_batch(batch);
+  std::size_t flops = 0;
+  std::vector<std::uint64_t> op_diffs;
+  for (std::size_t op = 0; op < points.size(); ++op) {
+    if (nl.type(points[op]) != GateType::kDff) continue;
+    ++flops;
+    for (std::uint8_t v : {0, 1}) {
+      const Fault f{points[op], 0, v, FaultKind::kStuckAt};
+      const std::uint64_t mask = fsim.detect_mask_detailed(f, op_diffs);
+      EXPECT_EQ(mask, fsim.detect_mask_reference(batch, f)) << fault_name(nl, f);
+      ASSERT_EQ(op_diffs.size(), points.size());
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(op_diffs[i], i == op ? mask : 0) << fault_name(nl, f) << " " << i;
+      }
+    }
+  }
+  EXPECT_GT(flops, 0u);
+}
+
 TEST(FaultSim, CampaignCoverageMonotone) {
   const Netlist nl = circuits::make_array_multiplier(5);
   const auto faults = generate_stuck_at_faults(nl);

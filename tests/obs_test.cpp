@@ -13,6 +13,7 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/dft_flow.hpp"
+#include "diag/diagnosis.hpp"
 #include "fault/fault.hpp"
 #include "fsim/campaign.hpp"
 #include "obs/json.hpp"
@@ -274,6 +275,48 @@ TEST(Telemetry, CampaignWithoutSinkMatchesWithSink) {
   }
   EXPECT_GE(shard_spans, 1u);
   EXPECT_EQ(shard_us->count, shard_spans);
+}
+
+TEST(Telemetry, DiagnosisCountersSumToCandidates) {
+  // Scored (simulated) plus pruned (outside every failing cone) is the
+  // whole candidate list, in the counters and on the span.
+  const Netlist nl = circuits::make_mac(4, /*registered=*/true);
+  const auto candidates = collapse_equivalent(nl, generate_stuck_at_faults(nl));
+  Rng rng(6);
+  const auto patterns =
+      random_patterns(nl.combinational_inputs().size(), 96, rng);
+  const FailLog log = simulate_defect(nl, patterns, candidates[7]);
+  ASSERT_TRUE(log.any_failure());
+
+  const auto check = [&](const obs::Telemetry& telemetry,
+                         const std::string& span_name) {
+    const obs::MetricsSnapshot snap = telemetry.metrics.snapshot();
+    const std::uint64_t scored = snap.counter_value("diag.candidates_scored");
+    const std::uint64_t pruned = snap.counter_value("diag.candidates_pruned");
+    EXPECT_EQ(scored + pruned, candidates.size()) << span_name;
+    EXPECT_GT(scored, 0u) << span_name;
+    EXPECT_GT(pruned, 0u) << span_name;
+    const auto events = telemetry.trace.events();
+    const auto span = std::find_if(
+        events.begin(), events.end(),
+        [&](const obs::TraceEvent& e) { return e.name == span_name; });
+    ASSERT_NE(span, events.end()) << span_name;
+    const auto arg = [&](const std::string& key) {
+      for (const auto& [k, v] : span->args) {
+        if (k == key) return v;
+      }
+      return std::string("missing");
+    };
+    EXPECT_EQ(arg("candidates"), std::to_string(candidates.size()));
+    EXPECT_EQ(arg("scored"), std::to_string(scored));
+    EXPECT_EQ(arg("pruned"), std::to_string(pruned));
+  };
+  obs::Telemetry single;
+  diagnose(nl, patterns, log, candidates, &single);
+  check(single, "diag.diagnose");
+  obs::Telemetry multi;
+  diagnose_multiplet(nl, patterns, log, candidates, 4, &multi);
+  check(multi, "diag.multiplet");
 }
 
 // ---- the instrumented flow (ISSUE acceptance shape) -------------------
