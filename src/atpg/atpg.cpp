@@ -95,10 +95,33 @@ AtpgResult generate_tests(const Netlist& nl, const std::vector<Fault>& faults,
   std::uint64_t podem_backtracks = 0;
   std::uint64_t podem_decisions = 0;
   std::uint64_t podem_implications = 0;
-  auto note_podem = [&](const AtpgOutcome& o) {
+  // Engine calls, each timed into its histogram when a sink is attached
+  // (no clock read otherwise).
+  obs::Histogram* podem_us = nullptr;
+  obs::Histogram* sat_us = nullptr;
+  if (options.telemetry != nullptr) {
+    podem_us = &options.telemetry->metrics.histogram("atpg.podem_us");
+    sat_us = &options.telemetry->metrics.histogram("atpg.sat_us");
+  }
+  auto timed = [](obs::Histogram* histogram, auto&& call) {
+    if (histogram == nullptr) return call();
+    const obs::Stopwatch clock;
+    AtpgOutcome o = call();
+    histogram->observe(clock.micros());
+    return o;
+  };
+  auto run_podem = [&](const Fault& f) {
+    ++result.podem_calls;
+    const AtpgOutcome o =
+        timed(podem_us, [&] { return podem.generate(f, podem_opts); });
     podem_backtracks += o.backtracks;
     podem_decisions += o.decisions;
     podem_implications += o.implications;
+    return o;
+  };
+  auto run_sat = [&](const Fault& f) {
+    ++result.sat_calls;
+    return timed(sat_us, [&] { return sat.generate(f, sat_opts); });
   };
 
   TestCube open_cube;   // dynamic-compaction accumulator
@@ -106,9 +129,6 @@ AtpgResult generate_tests(const Netlist& nl, const std::vector<Fault>& faults,
   std::vector<TestCube> pending;  // closed but not yet fault-simulated
 
   auto flush_pending = [&](bool force) {
-    if (open_valid && (force || !pending.empty())) {
-      // close the open cube too when forcing
-    }
     if (force && open_valid) {
       pending.push_back(open_cube);
       open_valid = false;
@@ -138,22 +158,14 @@ AtpgResult generate_tests(const Netlist& nl, const std::vector<Fault>& faults,
     AtpgOutcome outcome;
     switch (options.engine) {
       case AtpgEngine::kPodem:
-        ++result.podem_calls;
-        outcome = podem.generate(faults[i], podem_opts);
-        note_podem(outcome);
+        outcome = run_podem(faults[i]);
         break;
       case AtpgEngine::kSat:
-        ++result.sat_calls;
-        outcome = sat.generate(faults[i], sat_opts);
+        outcome = run_sat(faults[i]);
         break;
       case AtpgEngine::kPodemThenSat:
-        ++result.podem_calls;
-        outcome = podem.generate(faults[i], podem_opts);
-        note_podem(outcome);
-        if (outcome.status == AtpgStatus::kAborted) {
-          ++result.sat_calls;
-          outcome = sat.generate(faults[i], sat_opts);
-        }
+        outcome = run_podem(faults[i]);
+        if (outcome.status == AtpgStatus::kAborted) outcome = run_sat(faults[i]);
         break;
     }
 

@@ -32,7 +32,12 @@ enum class AtpgEngine : std::uint8_t {
 
 struct AtpgOptions {
   std::size_t random_patterns = 256;
-  std::uint64_t podem_backtrack_limit = 10'000;
+  /// PODEM's per-fault budget before the fault goes to SAT (kPodemThenSat)
+  /// or aborts (kPodem). Faults that exhaust it are mostly redundant ones,
+  /// which PODEM can only prove by exhausting its decision tree; the
+  /// cone-scoped SAT miter proves them far faster than more backtracking
+  /// does. EXPERIMENTS.md E2 has the budget sweep behind 100.
+  std::uint64_t podem_backtrack_limit = 100;
   std::int64_t sat_conflict_limit = 200'000;
   AtpgEngine engine = AtpgEngine::kPodemThenSat;
   /// Steer PODEM with SCOAP measures (hardest-to-control objective first in
@@ -47,8 +52,10 @@ struct AtpgOptions {
   /// the deterministic phase's incremental dropping stays serial.
   std::size_t num_threads = 1;
   /// Observability sink: null (default) = off. When set, the pipeline emits
-  /// `atpg.random_phase` / `atpg.deterministic_phase` spans and aggregates
-  /// `podem.*` / `sat.*` counters (flushed per engine call, not per event).
+  /// `atpg.random_phase` / `atpg.deterministic_phase` spans, aggregates
+  /// `podem.*` / `sat.*` counters (flushed per engine call, not per event),
+  /// and observes each engine call's wall time in µs into the
+  /// `atpg.podem_us` / `atpg.sat_us` histograms.
   obs::Telemetry* telemetry = nullptr;
   /// Run control: null (default) = run to completion. When set it is
   /// check()ed once per deterministic-phase fault and inherited by the

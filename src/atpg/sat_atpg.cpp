@@ -4,86 +4,169 @@
 
 #include "sat/cnf.hpp"
 #include "sat/solver.hpp"
+#include "sim/val3.hpp"
 
 namespace aidft {
+namespace {
+
+// Free variables of the full-scan combinational view: PIs and flop outputs.
+bool is_comb_input(GateType t) {
+  return t == GateType::kInput || t == GateType::kDff;
+}
+
+// The part of the netlist a fault can touch.
+struct FaultScope {
+  std::vector<bool> in_cone;     // per gate
+  std::vector<GateId> cone;      // output cone, topological order
+  std::vector<bool> in_support;  // per gate
+  std::vector<GateId> support;   // transitive fanin of the cone, topo order
+};
+
+// A DFF D-pin fault changes only the captured value: its cone is empty and
+// its support is the transitive fanin of the pin's driver `line`.
+FaultScope scope_of(const Topology& topo, const Fault& fault, GateId line,
+                    bool dpin) {
+  const std::size_t n = topo.num_gates();
+  FaultScope s;
+  s.in_cone.assign(n, false);
+  s.in_support.assign(n, false);
+  std::vector<GateId> stack;
+  if (!dpin) {
+    stack.push_back(fault.gate);
+    s.in_cone[fault.gate] = true;
+    while (!stack.empty()) {
+      const GateId g = stack.back();
+      stack.pop_back();
+      for (GateId f : topo.fanout(g)) {
+        if (is_state_element(topo.type(f)) || s.in_cone[f]) continue;
+        s.in_cone[f] = true;
+        stack.push_back(f);
+      }
+    }
+  }
+  for (GateId g : topo.topo_order()) {
+    if (s.in_cone[g]) s.cone.push_back(g);
+  }
+  stack = dpin ? std::vector<GateId>{line} : s.cone;
+  for (GateId g : stack) s.in_support[g] = true;
+  while (!stack.empty()) {
+    const GateId g = stack.back();
+    stack.pop_back();
+    if (is_comb_input(topo.type(g))) continue;
+    for (GateId f : topo.fanin(g)) {
+      if (s.in_support[f]) continue;
+      s.in_support[f] = true;
+      stack.push_back(f);
+    }
+  }
+  for (GateId g : topo.topo_order()) {
+    if (s.in_support[g]) s.support.push_back(g);
+  }
+  return s;
+}
+
+// Turns the care bits of `cube` into X one at a time, first to last, and
+// restores each one without which a 3-valued good/faulty simulation of the
+// support no longer shows a known difference at an observed cone gate (for
+// a D-pin fault: the driver no longer holds the opposite of the stuck
+// value). `cube` must detect the fault on entry.
+void relax_cube(const Topology& topo, const Fault& fault, GateId line,
+                bool dpin, const FaultScope& scope,
+                const std::vector<GateId>& inputs,
+                const std::vector<bool>& observed, TestCube& cube) {
+  const Val3 stuck = fault.stuck_at_one() ? Val3::kOne : Val3::kZero;
+  std::vector<Val3> good(topo.num_gates(), Val3::kX);
+  std::vector<Val3> bad(topo.num_gates(), Val3::kX);
+  auto detects = [&] {
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      if (scope.in_support[inputs[i]]) good[inputs[i]] = cube.bits[i];
+    }
+    for (GateId g : scope.support) {
+      if (is_comb_input(topo.type(g))) continue;
+      const std::span<const GateId> fin = topo.fanin(g);
+      good[g] = eval_gate3(topo.type(g), fin.size(),
+                           [&](std::size_t k) { return good[fin[k]]; });
+    }
+    if (dpin) return good[line] == not3(stuck);
+    for (GateId g : scope.cone) {
+      if (g == fault.gate && fault.is_stem()) {
+        bad[g] = stuck;
+        continue;
+      }
+      const std::span<const GateId> fin = topo.fanin(g);
+      bad[g] = eval_gate3(topo.type(g), fin.size(), [&](std::size_t k) {
+        if (g == fault.gate && k == fault.pin) return stuck;
+        return scope.in_cone[fin[k]] ? bad[fin[k]] : good[fin[k]];
+      });
+    }
+    for (GateId g : scope.cone) {
+      if (observed[g] && is_known(good[g]) && is_known(bad[g]) &&
+          good[g] != bad[g]) {
+        return true;
+      }
+    }
+    return false;
+  };
+  AIDFT_ASSERT(detects(), "SAT ATPG: model does not detect its fault");
+  for (Val3& bit : cube.bits) {
+    if (bit == Val3::kX) continue;
+    const Val3 care = bit;
+    bit = Val3::kX;
+    if (!detects()) bit = care;
+  }
+}
+
+}  // namespace
+
+void flush_sat_stats(obs::Telemetry* t, const SatSolver& solver) {
+  if (t == nullptr) return;
+  const SatSolver::Stats& s = solver.stats();
+  obs::add(t, "sat.solves");
+  obs::add(t, "sat.vars", solver.num_vars());
+  obs::add(t, "sat.clauses", solver.num_added_clauses());
+  obs::add(t, "sat.conflicts", s.conflicts);
+  obs::add(t, "sat.decisions", s.decisions);
+  obs::add(t, "sat.propagations", s.propagations);
+  obs::add(t, "sat.restarts", s.restarts);
+}
 
 SatAtpg::SatAtpg(const Netlist& netlist) : nl_(&netlist) {
   AIDFT_REQUIRE(netlist.finalized(), "SatAtpg requires finalized netlist");
   comb_inputs_ = netlist.combinational_inputs();
+  observed_.assign(netlist.num_gates(), false);
+  for (GateId op : netlist.observe_points()) {
+    observed_[netlist.observed_gate(op)] = true;
+  }
 }
 
 AtpgOutcome SatAtpg::generate(const Fault& fault, const SatAtpgOptions& options) {
   AIDFT_REQUIRE(fault.kind == FaultKind::kStuckAt,
                 "SAT ATPG generates stuck-at tests");
-  const Netlist& nl = *nl_;
+  const Topology& topo = nl_->topology();
+  const bool dpin = !fault.is_stem() && topo.type(fault.gate) == GateType::kDff;
+  const GateId line =
+      fault.is_stem() ? fault.gate : topo.fanin(fault.gate)[fault.pin];
+  const FaultScope scope = scope_of(topo, fault, line, dpin);
   AtpgOutcome out;
-
   SatSolver solver;
-  CircuitCnf good(nl, solver);
 
-  // Solver stats are flushed into the sink after every solve() — one flush
-  // per CDCL run, never per conflict.
-  auto flush_stats = [&]() {
-    if (options.telemetry == nullptr) return;
-    const SatSolver::Stats& s = solver.stats();
-    obs::add(options.telemetry, "sat.solves");
-    obs::add(options.telemetry, "sat.conflicts", s.conflicts);
-    obs::add(options.telemetry, "sat.decisions", s.decisions);
-    obs::add(options.telemetry, "sat.propagations", s.propagations);
-    obs::add(options.telemetry, "sat.restarts", s.restarts);
-  };
-
-  auto finish_model = [&]() {
-    out.status = AtpgStatus::kDetected;
-    out.cube = TestCube(comb_inputs_.size());
-    for (std::size_t i = 0; i < comb_inputs_.size(); ++i) {
-      const Lit l = good.lit(comb_inputs_[i]);
-      const bool v = solver.model_value(l.var()) != l.negated();
-      out.cube.bits[i] = v ? Val3::kOne : Val3::kZero;
-    }
-  };
-
-  const Topology& topo = nl.topology();
-
-  // DFF D-pin faults: captured difference == activation.
-  if (!fault.is_stem() && topo.type(fault.gate) == GateType::kDff) {
-    const GateId driver = topo.fanin(fault.gate)[fault.pin];
-    const Lit want = fault.stuck_at_one() ? ~good.lit(driver) : good.lit(driver);
-    solver.add_unit(want);
-    const SatResult res =
-        solver.solve({}, options.conflict_limit, options.run_control);
-    flush_stats();
-    if (res == SatResult::kSat) {
-      finish_model();
-    } else {
-      out.status = res == SatResult::kUnsat ? AtpgStatus::kUntestable
-                                            : AtpgStatus::kAborted;
-    }
+  bool observable = dpin;  // a D-pin fault is observed at its own flop
+  for (GateId g : scope.cone) observable = observable || observed_[g];
+  if (!observable) {
+    flush_sat_stats(options.telemetry, solver);
+    out.status = AtpgStatus::kUntestable;  // no observable path exists at all
     return out;
   }
 
-  // Fault output cone (difference can only live here).
-  std::vector<bool> in_cone(nl.num_gates(), false);
-  {
-    std::vector<GateId> stack{fault.gate};
-    in_cone[fault.gate] = true;
-    while (!stack.empty()) {
-      const GateId g = stack.back();
-      stack.pop_back();
-      for (GateId s : topo.fanout(g)) {
-        if (is_state_element(topo.type(s))) continue;
-        if (!in_cone[s]) {
-          in_cone[s] = true;
-          stack.push_back(s);
-        }
-      }
-    }
-  }
+  CircuitCnf good(*nl_, solver, scope.in_support);
+  // Activation: the fault line carries the opposite of the stuck value. For
+  // a D-pin fault that alone is detection.
+  const Lit active = good.lit(line);
+  solver.add_unit(fault.stuck_at_one() ? ~active : active);
 
   // Faulty copy of the cone.
-  std::vector<Lit> flit(nl.num_gates(), Lit{});
-  for (GateId id : topo.topo_order()) {
-    if (!in_cone[id]) continue;
+  std::vector<Lit> flit(nl_->num_gates(), Lit{});
+  for (GateId id : scope.cone) {
     const GateType gtype = topo.type(id);
     const std::span<const GateId> gfanin = topo.fanin(id);
     if (id == fault.gate && fault.is_stem()) {
@@ -103,7 +186,7 @@ AtpgOutcome SatAtpg::generate(const Fault& fault, const SatAtpgOptions& options)
         solver.add_unit(fault.stuck_at_one() ? c : ~c);
         fin.push_back(c);
       } else {
-        fin.push_back(in_cone[f] ? flit[f] : good.lit(f));
+        fin.push_back(scope.in_cone[f] ? flit[f] : good.lit(f));
       }
     }
     switch (gtype) {
@@ -123,35 +206,41 @@ AtpgOutcome SatAtpg::generate(const Fault& fault, const SatAtpgOptions& options)
     }
   }
 
-  // Detection: at least one observed gate inside the cone differs.
-  std::vector<Lit> diffs;
-  for (GateId op : nl.observe_points()) {
-    const GateId og = nl.observed_gate(op);
-    if (!in_cone[og]) continue;
-    const Lit d = pos_lit(solver.new_var());
-    // d <-> (good xor faulty)
-    const Lit a = good.lit(og), b = flit[og];
-    solver.add_ternary(~d, a, b);
+  // D-chain: the site differs, and every differing unobserved cone gate
+  // hands the difference to a cone fanout, so the chain ends at an observed
+  // gate that differs.
+  std::vector<Lit> dlit(nl_->num_gates(), Lit{});
+  for (GateId g : scope.cone) dlit[g] = pos_lit(solver.new_var());
+  for (GateId g : scope.cone) {
+    const Lit d = dlit[g], a = good.lit(g), b = flit[g];
+    solver.add_ternary(~d, a, b);  // d -> good != faulty
     solver.add_ternary(~d, ~a, ~b);
-    solver.add_ternary(d, ~a, b);
-    solver.add_ternary(d, a, ~b);
-    diffs.push_back(d);
+    if (observed_[g]) continue;
+    std::vector<Lit> path{~d};  // d -> some cone fanout differs too
+    for (GateId s : topo.fanout(g)) {
+      if (scope.in_cone[s]) path.push_back(dlit[s]);
+    }
+    solver.add_clause(std::move(path));
   }
-  if (diffs.empty()) {
-    out.status = AtpgStatus::kUntestable;  // no observable path exists at all
-    return out;
-  }
-  solver.add_clause(std::move(diffs));
+  if (!dpin) solver.add_unit(dlit[fault.gate]);
 
   const SatResult res =
       solver.solve({}, options.conflict_limit, options.run_control);
-  flush_stats();
-  if (res == SatResult::kSat) {
-    finish_model();
-  } else {
+  flush_sat_stats(options.telemetry, solver);
+  if (res != SatResult::kSat) {
     out.status = res == SatResult::kUnsat ? AtpgStatus::kUntestable
                                           : AtpgStatus::kAborted;
+    return out;
   }
+  out.status = AtpgStatus::kDetected;
+  out.cube = TestCube(comb_inputs_.size());
+  for (std::size_t i = 0; i < comb_inputs_.size(); ++i) {
+    if (!scope.in_support[comb_inputs_[i]]) continue;  // cannot matter: X
+    const Lit l = good.lit(comb_inputs_[i]);
+    out.cube.bits[i] =
+        solver.model_value(l.var()) != l.negated() ? Val3::kOne : Val3::kZero;
+  }
+  relax_cube(topo, fault, line, dpin, scope, comb_inputs_, observed_, out.cube);
   return out;
 }
 

@@ -21,14 +21,7 @@ AtpgOutcome sat_justify(const Netlist& nl, GateId line, Val3 value,
   const Lit l = cnf.lit(line);
   solver.add_unit(value == Val3::kOne ? l : ~l);
   const SatResult res = solver.solve({}, conflict_limit, run_control);
-  if (telemetry != nullptr) {
-    const SatSolver::Stats& s = solver.stats();
-    obs::add(telemetry, "sat.solves");
-    obs::add(telemetry, "sat.conflicts", s.conflicts);
-    obs::add(telemetry, "sat.decisions", s.decisions);
-    obs::add(telemetry, "sat.propagations", s.propagations);
-    obs::add(telemetry, "sat.restarts", s.restarts);
-  }
+  flush_sat_stats(telemetry, solver);
   if (res == SatResult::kUnsat) {
     out.status = AtpgStatus::kUntestable;
     return out;

@@ -100,11 +100,22 @@ void add_gate_clauses(SatSolver& s, GateType type, Lit out,
   }
 }
 
-CircuitCnf::CircuitCnf(const Netlist& nl, SatSolver& solver) {
+CircuitCnf::CircuitCnf(const Netlist& nl, SatSolver& solver,
+                       const std::vector<bool>& only) {
   AIDFT_REQUIRE(nl.finalized(), "CircuitCnf requires finalized netlist");
+  AIDFT_REQUIRE(only.empty() || only.size() == nl.num_gates(),
+                "CircuitCnf: gate filter must cover every gate");
   const Topology& t = nl.topology();
-  lits_.assign(nl.num_gates(), Lit{});
+  Lit unencoded;
+  unencoded.code = kUnencoded;
+  lits_.assign(nl.num_gates(), unencoded);
+  auto fanin_lit = [&](GateId f) {
+    AIDFT_REQUIRE(lits_[f].code != kUnencoded,
+                  "CircuitCnf: gate filter is not fanin-closed");
+    return lits_[f];
+  };
   for (GateId id : t.topo_order()) {
+    if (!only.empty() && !only[id]) continue;
     const GateType type = t.type(id);
     switch (type) {
       case GateType::kInput:
@@ -113,17 +124,17 @@ CircuitCnf::CircuitCnf(const Netlist& nl, SatSolver& solver) {
         break;
       case GateType::kBuf:
       case GateType::kOutput:
-        lits_[id] = lits_[t.fanin0(id)];  // alias, no clauses needed
+        lits_[id] = fanin_lit(t.fanin0(id));  // alias, no clauses needed
         break;
       case GateType::kNot:
-        lits_[id] = ~lits_[t.fanin0(id)];  // alias with sign flip
+        lits_[id] = ~fanin_lit(t.fanin0(id));  // alias with sign flip
         break;
       default: {
         lits_[id] = pos_lit(solver.new_var());
         const std::span<const GateId> fanin = t.fanin(id);
         std::vector<Lit> in;
         in.reserve(fanin.size());
-        for (GateId f : fanin) in.push_back(lits_[f]);
+        for (GateId f : fanin) in.push_back(fanin_lit(f));
         add_gate_clauses(solver, type, lits_[id], in);
         break;
       }

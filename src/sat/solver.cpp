@@ -20,6 +20,7 @@ std::uint32_t SatSolver::new_var() {
 
 bool SatSolver::add_clause(std::vector<Lit> lits) {
   AIDFT_REQUIRE(trail_lim_.empty(), "add_clause only at decision level 0");
+  ++added_clauses_;
   if (root_unsat_) return false;
   // Normalise: sort, dedup, drop clauses with complementary pairs, drop
   // root-false literals, detect root-satisfied clauses.

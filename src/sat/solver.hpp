@@ -52,6 +52,10 @@ class SatSolver {
 
   std::size_t num_vars() const { return assign_.size(); }
 
+  /// Clauses handed to add_clause() so far (units and clauses it simplified
+  /// away included; learnt clauses excluded): the size of the encoding.
+  std::size_t num_added_clauses() const { return added_clauses_; }
+
   /// Adds a clause (disjunction of literals). Empty clause makes the
   /// formula trivially UNSAT. Returns false if the solver is already in an
   /// unsatisfiable root state.
@@ -134,6 +138,7 @@ class SatSolver {
 
   std::vector<std::uint8_t> model_;
   bool root_unsat_ = false;
+  std::size_t added_clauses_ = 0;
   Stats stats_;
 };
 

@@ -373,6 +373,38 @@ TEST(Telemetry, DftFlowEmitsStageSpansAndMetrics) {
   EXPECT_TRUE(obs::json_valid(telemetry.trace.to_chrome_json()));
 }
 
+TEST(Telemetry, AtpgEngineCountersAndHistogramsOnRedundantLogic) {
+  // One block shaped like perfbench's atpg_redundant blocks: PODEM hands
+  // its redundant faults to SAT, so both engines run.
+  const Netlist nl = circuits::make_random_logic(32, 250, 1);
+  obs::Telemetry telemetry;
+  DftFlowOptions options;
+  options.telemetry = &telemetry;
+  options.atpg.random_patterns = 0;
+  options.run_compression = false;
+  options.run_lbist = false;
+  const DftFlowReport report = run_dft_flow(nl, options);
+  const obs::MetricsSnapshot& m = report.metrics;
+
+  const std::uint64_t podem_calls = m.counter_value("podem.calls");
+  const std::uint64_t sat_calls = m.counter_value("sat.calls");
+  ASSERT_GT(podem_calls, 0u);
+  ASSERT_GT(sat_calls, 0u);
+  // One SAT solve per engine call, structurally untestable faults included.
+  EXPECT_EQ(m.counter_value("sat.solves"), sat_calls);
+  EXPECT_GT(m.counter_value("sat.vars"), 0u);
+  EXPECT_GT(m.counter_value("sat.clauses"), 0u);
+  // One histogram observation per engine call.
+  for (const auto& [name, calls] :
+       {std::pair{"atpg.podem_us", podem_calls},
+        std::pair{"atpg.sat_us", sat_calls}}) {
+    const obs::MetricsSnapshot::Entry* h = m.find(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_EQ(h->kind, obs::MetricsSnapshot::Kind::kHistogram) << name;
+    EXPECT_EQ(h->count, calls) << name;
+  }
+}
+
 TEST(Telemetry, EdtSessionSubSpansNestUnderSession) {
   const Netlist nl = circuits::make_mac(4, /*registered=*/true);
   obs::Telemetry telemetry;

@@ -190,6 +190,58 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CnfConsistency,
                          ::testing::Values(21, 22, 23, 24, 25, 26, 27, 28, 29,
                                            30, 31, 32));
 
+TEST(Cnf, GateFilterEncodesOnlyTheSelectedFaninClosedSubset) {
+  const Netlist nl = circuits::make_random_logic(8, 120, 21);
+  const Topology& t = nl.topology();
+  // The transitive fanin of the first output.
+  std::vector<bool> only(nl.num_gates(), false);
+  std::vector<GateId> stack{nl.outputs()[0]};
+  only[stack.back()] = true;
+  while (!stack.empty()) {
+    const GateId g = stack.back();
+    stack.pop_back();
+    for (GateId f : t.fanin(g)) {
+      if (!only[f]) {
+        only[f] = true;
+        stack.push_back(f);
+      }
+    }
+  }
+  SatSolver full_solver, cone_solver;
+  const CircuitCnf full(nl, full_solver);
+  const CircuitCnf cone(nl, cone_solver, only);
+  EXPECT_LT(cone_solver.num_vars(), full_solver.num_vars());
+  EXPECT_LT(cone_solver.num_added_clauses(), full_solver.num_added_clauses());
+  // Every model of the subset matches simulation on the subset.
+  const GateId target = nl.outputs()[0];
+  cone_solver.add_unit(cone.lit(target));
+  if (cone_solver.solve() != SatResult::kSat) return;  // constant-0 output
+  const auto inputs = nl.combinational_inputs();
+  std::vector<TestCube> cube(1, TestCube(inputs.size()));
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    bool v = false;
+    if (only[inputs[i]]) {
+      const Lit l = cone.lit(inputs[i]);
+      v = cone_solver.model_value(l.var()) != l.negated();
+    }
+    cube[0].bits[i] = v ? Val3::kOne : Val3::kZero;
+  }
+  ParallelSimulator sim(nl);
+  sim.simulate(pack_patterns(cube, 0, 1));
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
+    if (!only[g]) continue;
+    const Lit l = cone.lit(g);
+    EXPECT_EQ(cone_solver.model_value(l.var()) != l.negated(),
+              (sim.value(g) & 1) != 0)
+        << "gate " << g;
+  }
+  // A subset that is not fanin-closed is rejected.
+  std::vector<bool> open(nl.num_gates(), false);
+  open[target] = true;
+  SatSolver s;
+  EXPECT_THROW(CircuitCnf(nl, s, open), Error);
+}
+
 TEST(Cnf, AdderCnfComputesSum) {
   // Constrain inputs of a 4-bit adder via units and check the outputs' model.
   const Netlist nl = circuits::make_ripple_adder(4);
