@@ -15,6 +15,8 @@ ChipFlowReport run_chip_flow(const Netlist& core, const ChipFlowOptions& options
   report.core = run_dft_flow(core, options.core_flow);
 
   // Build the SoC and lift the patterns.
+  obs::Telemetry* telemetry = options.core_flow.telemetry;
+  obs::Span build_span = obs::span(telemetry, "chip.soc_build", "flow");
   const aichip::SocNetlist soc =
       aichip::make_replicated_soc(core, options.num_cores);
   report.soc_gates = soc.netlist.logic_gate_count();
@@ -23,19 +25,31 @@ ChipFlowReport run_chip_flow(const Netlist& core, const ChipFlowOptions& options
   for (const TestCube& p : report.core.atpg.patterns) {
     broadcast.push_back(aichip::broadcast_cube(soc, p));
   }
+  if (build_span.active()) {
+    build_span.arg("cores", options.num_cores);
+    build_span.arg("gates", soc.netlist.num_gates());
+  }
+  build_span.end();
 
   // Measure on the real N-core netlist: full SoC fault list.
+  obs::Span faults_span = obs::span(telemetry, "chip.soc_faults", "flow");
   auto soc_faults = generate_stuck_at_faults(soc.netlist);
+  const std::size_t universe = soc_faults.size();
   if (options.core_flow.collapse_faults) {
     soc_faults = collapse_equivalent(soc.netlist, soc_faults);
   }
   report.soc_faults = soc_faults.size();
+  if (faults_span.active()) {
+    faults_span.arg("faults", universe);
+    faults_span.arg("collapsed", soc_faults.size());
+  }
+  faults_span.end();
+
   // The replicated-SoC universe is the biggest campaign in the toolkit —
   // exactly the case the sharded engine exists for.
-  obs::Span soc_span =
-      obs::span(options.core_flow.telemetry, "chip.soc_grade", "flow");
+  obs::Span soc_span = obs::span(telemetry, "chip.soc_grade", "flow");
   CampaignOptions soc_campaign = options.core_flow.campaign;
-  soc_campaign.telemetry = options.core_flow.telemetry;
+  soc_campaign.telemetry = telemetry;
   soc_campaign.run_control = options.core_flow.run_control;
   soc_campaign.checkpoint_path = options.soc_checkpoint_path;
   soc_campaign.resume_from = options.soc_resume_from;

@@ -1,41 +1,45 @@
 #include "fault/fault.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <numeric>
 
 #include "common/rng.hpp"
 
 namespace aidft {
 namespace {
 
-// Key for (gate, pin, value) lookup during collapsing.
-std::uint64_t fault_key(const Fault& f) {
-  return (static_cast<std::uint64_t>(f.gate) << 16) |
-         (static_cast<std::uint64_t>(f.pin) << 8) | f.value;
+constexpr std::uint32_t kAbsent = UINT32_MAX;
+
+// Dense line slot of (gate, pin): gate g owns slot fanin_offset(g) + g for
+// its output stem, then one slot per input pin (see DESIGN.md).
+std::uint32_t line_slot(const Topology& t, GateId gate, std::uint8_t pin) {
+  const std::uint32_t stem = t.fanin_offset(gate) + gate;
+  return pin == kStemPin ? stem : stem + 1 + pin;
 }
 
-// Union-find over fault indices.
-class UnionFind {
- public:
-  explicit UnionFind(std::size_t n) : parent_(n) {
-    for (std::size_t i = 0; i < n; ++i) parent_[i] = i;
+// Index of the first fault at each 2*slot + value (kAbsent where none), the
+// lookup both collapsers share. A later duplicate of a fault is not indexed,
+// so structural rules only ever reach the first occurrence.
+std::vector<std::uint32_t> index_faults(const Netlist& nl,
+                                        const std::vector<Fault>& faults) {
+  const Topology& t = nl.topology();
+  const std::size_t n = nl.num_gates();
+  const std::size_t slots = t.fanin_offset(static_cast<GateId>(n)) + n;
+  AIDFT_REQUIRE(faults.size() < kAbsent && 2 * slots < kAbsent,
+                "fault collapsing: more than 2^32 faults or line slots");
+  std::vector<std::uint32_t> index(2 * slots, kAbsent);
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    const Fault& f = faults[i];
+    AIDFT_REQUIRE(f.gate < n, "fault collapsing: gate out of range");
+    // A pin past the gate's arity would alias the next gate's slots.
+    AIDFT_REQUIRE(f.is_stem() || f.pin < t.fanin_size(f.gate),
+                  "fault collapsing: pin out of range");
+    AIDFT_REQUIRE(f.value <= 1, "fault collapsing: value must be 0 or 1");
+    std::uint32_t& first = index[2 * line_slot(t, f.gate, f.pin) + f.value];
+    if (first == kAbsent) first = static_cast<std::uint32_t>(i);
   }
-  std::size_t find(std::size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void unite(std::size_t a, std::size_t b) {
-    a = find(a);
-    b = find(b);
-    if (a != b) parent_[std::max(a, b)] = std::min(a, b);
-  }
-
- private:
-  std::vector<std::size_t> parent_;
-};
+  return index;
+}
 
 }  // namespace
 
@@ -101,60 +105,54 @@ std::vector<Fault> generate_transition_faults(const Netlist& nl) {
 std::vector<Fault> collapse_equivalent(const Netlist& nl,
                                        const std::vector<Fault>& faults) {
   if (faults.empty()) return {};
-  std::unordered_map<std::uint64_t, std::size_t> index;
-  index.reserve(faults.size() * 2);
-  for (std::size_t i = 0; i < faults.size(); ++i) index.emplace(fault_key(faults[i]), i);
-  UnionFind uf(faults.size());
-
-  // Looks up the fault on the line feeding pin `pin` of gate `id` with value
-  // `v` — either the branch fault or, for fanout-1 drivers, the stem fault.
-  auto line_fault = [&](GateId id, std::uint8_t pin, std::uint8_t v) -> std::size_t {
-    auto [cg, cp] = canonical_line(nl, id, pin);
-    auto it = index.find(fault_key(Fault{cg, cp, v, faults[0].kind}));
-    return it == index.end() ? SIZE_MAX : it->second;
-  };
-  auto stem_fault = [&](GateId id, std::uint8_t v) -> std::size_t {
-    auto it = index.find(fault_key(Fault{id, kStemPin, v, faults[0].kind}));
-    return it == index.end() ? SIZE_MAX : it->second;
-  };
-  auto unite = [&](std::size_t a, std::size_t b) {
-    if (a != SIZE_MAX && b != SIZE_MAX) uf.unite(a, b);
-  };
-
   const Topology& t = nl.topology();
+  const std::vector<std::uint32_t> index = index_faults(nl, faults);
+  // Union-find over fault indices; the root of a class is its lowest index.
+  std::vector<std::uint32_t> parent(faults.size());
+  std::iota(parent.begin(), parent.end(), 0u);
+  auto find = [&](std::uint32_t x) {
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];
+      x = parent[x];
+    }
+    return x;
+  };
+
+  // Unites the fault on the line feeding pin `pin` of gate `id` at value
+  // `in_v` (the branch fault, or the driver's stem fault for fanout-1
+  // drivers) with the stem fault of `id` at value `out_v`.
+  auto unite = [&](GateId id, std::uint8_t pin, std::uint8_t in_v,
+                   std::uint8_t out_v) {
+    const auto [cg, cp] = canonical_line(nl, id, pin);
+    std::uint32_t a = index[2 * line_slot(t, cg, cp) + in_v];
+    std::uint32_t b = index[2 * line_slot(t, id, kStemPin) + out_v];
+    if (a == kAbsent || b == kAbsent) return;
+    a = find(a);
+    b = find(b);
+    if (a != b) parent[std::max(a, b)] = std::min(a, b);
+  };
+
   for (GateId id = 0; id < nl.num_gates(); ++id) {
     const std::size_t arity = t.fanin_size(id);
     switch (t.type(id)) {
       case GateType::kBuf:
         // Same polarity passes through.
-        for (std::uint8_t v : {0, 1}) {
-          unite(line_fault(id, 0, v), stem_fault(id, v));
-        }
+        for (std::uint8_t v : {0, 1}) unite(id, 0, v, v);
         break;
       case GateType::kNot:
-        for (std::uint8_t v : {0, 1}) {
-          unite(line_fault(id, 0, v), stem_fault(id, static_cast<std::uint8_t>(1 - v)));
-        }
+        for (std::uint8_t v : {0, 1}) unite(id, 0, v, 1 - v);
         break;
       case GateType::kAnd:
-        for (std::uint8_t pin = 0; pin < arity; ++pin) {
-          unite(line_fault(id, pin, 0), stem_fault(id, 0));
-        }
+        for (std::uint8_t pin = 0; pin < arity; ++pin) unite(id, pin, 0, 0);
         break;
       case GateType::kNand:
-        for (std::uint8_t pin = 0; pin < arity; ++pin) {
-          unite(line_fault(id, pin, 0), stem_fault(id, 1));
-        }
+        for (std::uint8_t pin = 0; pin < arity; ++pin) unite(id, pin, 0, 1);
         break;
       case GateType::kOr:
-        for (std::uint8_t pin = 0; pin < arity; ++pin) {
-          unite(line_fault(id, pin, 1), stem_fault(id, 1));
-        }
+        for (std::uint8_t pin = 0; pin < arity; ++pin) unite(id, pin, 1, 1);
         break;
       case GateType::kNor:
-        for (std::uint8_t pin = 0; pin < arity; ++pin) {
-          unite(line_fault(id, pin, 1), stem_fault(id, 0));
-        }
+        for (std::uint8_t pin = 0; pin < arity; ++pin) unite(id, pin, 1, 0);
         break;
       default:
         break;  // XOR/XNOR/MUX/DFF/IO: no structural equivalence
@@ -162,13 +160,8 @@ std::vector<Fault> collapse_equivalent(const Netlist& nl,
   }
 
   std::vector<Fault> reps;
-  std::vector<bool> taken(faults.size(), false);
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    const std::size_t root = uf.find(i);
-    if (!taken[root]) {
-      taken[root] = true;
-      reps.push_back(faults[root]);
-    }
+  for (std::uint32_t i = 0; i < faults.size(); ++i) {
+    if (find(i) == i) reps.push_back(faults[i]);
   }
   return reps;
 }
@@ -183,14 +176,13 @@ std::vector<Fault> collapse_dominance(const Netlist& nl,
   // Only applied when every input line's corresponding fault is present in
   // `faults` (otherwise dropping would lose coverage accounting).
   if (faults.empty()) return {};
-  std::unordered_map<std::uint64_t, std::size_t> index;
-  for (std::size_t i = 0; i < faults.size(); ++i) index.emplace(fault_key(faults[i]), i);
+  const Topology& t = nl.topology();
+  const std::vector<std::uint32_t> index = index_faults(nl, faults);
   auto has_line_fault = [&](GateId id, std::uint8_t pin, std::uint8_t v) {
-    auto [cg, cp] = canonical_line(nl, id, pin);
-    return index.count(fault_key(Fault{cg, cp, v, faults[0].kind})) > 0;
+    const auto [cg, cp] = canonical_line(nl, id, pin);
+    return index[2 * line_slot(t, cg, cp) + v] != kAbsent;
   };
 
-  const Topology& t = nl.topology();
   std::vector<bool> drop(faults.size(), false);
   for (GateId id = 0; id < nl.num_gates(); ++id) {
     std::uint8_t in_v = 0, out_v = 0;
@@ -207,8 +199,8 @@ std::vector<Fault> collapse_dominance(const Netlist& nl,
       all_present = has_line_fault(id, pin, in_v);
     }
     if (!all_present) continue;
-    auto it = index.find(fault_key(Fault{id, kStemPin, out_v, faults[0].kind}));
-    if (it != index.end()) drop[it->second] = true;
+    const std::uint32_t out = index[2 * line_slot(t, id, kStemPin) + out_v];
+    if (out != kAbsent) drop[out] = true;
   }
 
   std::vector<Fault> kept;

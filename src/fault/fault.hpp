@@ -57,14 +57,22 @@ std::vector<Fault> generate_transition_faults(const Netlist& netlist);
 
 /// Equivalence collapsing via structural rules (AND in-SA0 ≡ out-SA0, NOT
 /// in-SA0 ≡ out-SA1, BUF pass-through, ...). Returns one representative per
-/// equivalence class, preserving input order of representatives.
+/// equivalence class: its first member in `faults`, in input order. Faults
+/// are looked up by dense line slot (stem and pins of gate g from
+/// Topology::fanin_offset(g) + g; see DESIGN.md), ignoring the fault kind;
+/// only the first occurrence of a (gate, pin, value) joins a class, so a
+/// later duplicate is kept as its own representative. Throws aidft::Error
+/// on a fault whose gate is out of range, whose pin is at or past the
+/// gate's fanin count, or whose value is not 0 or 1.
 std::vector<Fault> collapse_equivalent(const Netlist& netlist,
                                        const std::vector<Fault>& faults);
 
 /// Dominance collapsing on top of equivalence: drops the dominating fault of
 /// each controlling-gate rule (e.g. AND output SA1 is dominated by every
-/// input SA1 and can be removed when at least one input fault remains in the
-/// set). Coverage of the reduced set implies coverage of the dropped faults.
+/// input SA1 and can be removed when every input's fault is in the set).
+/// Coverage of the reduced set implies coverage of the dropped faults. Same
+/// slot lookup, first-occurrence rule and fault checks as
+/// collapse_equivalent(); the kept faults stay in input order.
 std::vector<Fault> collapse_dominance(const Netlist& netlist,
                                       const std::vector<Fault>& faults);
 

@@ -157,7 +157,7 @@ void finalize_result(CampaignResult& r, std::size_t npatterns) {
 struct ShardState {
   std::size_t begin = 0;
   std::size_t end = 0;
-  std::vector<std::size_t> alive;
+  std::vector<std::uint32_t> alive;  // compacted in place per batch
   std::optional<FaultSimulator> fsim;
   std::uint64_t events_flushed = 0;
 };
@@ -175,6 +175,8 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
   r.first_detected_by.assign(faults.size(), -1);
   r.detected_after.assign(patterns.size(), 0);
   if (patterns.empty() || faults.empty()) return r;
+  AIDFT_REQUIRE_CTX(faults.size() <= UINT32_MAX, "run_campaign",
+                    "fault list exceeds 2^32 entries");
 
   validate_patterns(nl, patterns);
   const std::vector<PatternBatch> capture = pack_capture_batches(patterns);
@@ -245,7 +247,9 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
     shards[s].end = (s + 1) * faults.size() / num_threads;
     shards[s].alive.reserve(shards[s].end - shards[s].begin);
     for (std::size_t i = shards[s].begin; i < shards[s].end; ++i) {
-      if (!drops.dropped(i)) shards[s].alive.push_back(i);
+      if (!drops.dropped(i)) {
+        shards[s].alive.push_back(static_cast<std::uint32_t>(i));
+      }
     }
   }
 
@@ -274,7 +278,7 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
       fsim.load_batch(capture[b]);
       if (!launch.empty()) {
         bool shard_needs_launch = false;
-        for (std::size_t i : shard.alive) {
+        for (std::uint32_t i : shard.alive) {
           if (needs_launch(faults[i])) {
             shard_needs_launch = true;
             break;
@@ -283,9 +287,8 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
         if (shard_needs_launch) fsim.load_launch_batch(launch[b]);
       }
 
-      std::vector<std::size_t> still;
-      still.reserve(shard.alive.size());
-      for (std::size_t i : shard.alive) {
+      std::size_t kept = 0;
+      for (std::uint32_t i : shard.alive) {
         const std::uint64_t mask = grade(fsim, faults[i], capture[b]);
         if (mask != 0) {
           if (r.first_detected_by[i] < 0) {
@@ -299,16 +302,16 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
             continue;
           }
         }
-        still.push_back(i);
+        shard.alive[kept++] = i;
       }
-      shard.alive = std::move(still);
+      shard.alive.resize(kept);
     }
     // Shard exhausted the stream: retire the survivors so campaign_done()
     // converges for the other shards. Never on an early stop — survivors
     // still need the unapplied patterns after a resume.
     if (round_end == total_batches &&
         !round_incomplete.load(std::memory_order_relaxed)) {
-      for (std::size_t i : shard.alive) drops.drop(i);
+      for (std::uint32_t i : shard.alive) drops.drop(i);
     }
 
     // Telemetry is flushed once per shard-round — the hot loop above only

@@ -68,7 +68,7 @@ struct CampaignOptions {
   RunControl* run_control = nullptr;
   /// When non-empty, a CampaignCheckpoint (fsim/checkpoint.hpp) is saved
   /// here after every round and once more on an early stop, atomically.
-  std::string checkpoint_path;
+  std::string checkpoint_path = {};
   /// Round granularity: 64-pattern batches per round. Only meaningful when
   /// run control and/or checkpointing is active (otherwise the whole stream
   /// is one round and the hot loop is untouched).
@@ -78,7 +78,7 @@ struct CampaignOptions {
   /// must match the live call; the final CampaignResult is bit-identical to
   /// an uninterrupted run, for every thread count. Throws aidft::Error on a
   /// missing/corrupt/version-mismatched file.
-  std::string resume_from;
+  std::string resume_from = {};
 };
 
 /// Result of grading a pattern set against a fault list.

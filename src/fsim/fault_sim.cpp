@@ -1,6 +1,7 @@
 #include "fsim/fault_sim.hpp"
 
 #include <algorithm>
+#include <span>
 
 namespace aidft {
 
@@ -12,39 +13,40 @@ FaultSimulator::FaultSimulator(const Netlist& netlist)
       buckets_(netlist.num_levels() + 1),
       queued_(netlist.num_gates(), false),
       observed_(netlist.num_gates(), false),
-      op_index_of_gate_(netlist.num_gates()),
+      op_offsets_(netlist.num_gates() + 1, 0),
       observe_points_(netlist.observe_points()) {
   topo_ = &netlist.topology();
-  for (std::size_t i = 0; i < observe_points_.size(); ++i) {
+  op_list_.resize(observe_points_.size());
+  // Counting sort of observe-point indices by observed gate: count, prefix
+  // sum to row ends, then place in reverse so each row ascends.
+  for (GateId op : observe_points_) ++op_offsets_[netlist.observed_gate(op)];
+  for (std::size_t g = 1; g < op_offsets_.size(); ++g) {
+    op_offsets_[g] += op_offsets_[g - 1];
+  }
+  for (std::size_t i = observe_points_.size(); i-- > 0;) {
     const GateId og = netlist.observed_gate(observe_points_[i]);
     observed_[og] = true;
-    op_index_of_gate_[og].push_back(static_cast<std::uint32_t>(i));
+    op_list_[--op_offsets_[og]] = static_cast<std::uint32_t>(i);
   }
 }
 
 void FaultSimulator::load_batch(const PatternBatch& batch) {
   good_sim_.simulate(batch);
-  good_.assign(netlist_->num_gates(), 0);
-  for (GateId id = 0; id < netlist_->num_gates(); ++id) {
-    good_[id] = good_sim_.value(id);
-  }
+  loaded_ = true;
   lane_mask_ = batch.lane_mask();
 }
 
 void FaultSimulator::load_launch_batch(const PatternBatch& batch) {
   ParallelSimulator sim(*netlist_);
   sim.simulate(batch);
-  launch_good_.assign(netlist_->num_gates(), 0);
-  for (GateId id = 0; id < netlist_->num_gates(); ++id) {
-    launch_good_[id] = sim.value(id);
-  }
+  launch_good_ = sim.values();
   launch_lane_mask_ = batch.lane_mask();
 }
 
 std::uint64_t FaultSimulator::line_value(const Fault& f) const {
-  AIDFT_REQUIRE(!good_.empty(), "load_batch() before line_value()");
-  if (f.is_stem()) return good_[f.gate];
-  return good_[topo_->fanin(f.gate)[f.pin]];
+  AIDFT_REQUIRE(loaded_, "load_batch() before line_value()");
+  if (f.is_stem()) return good()[f.gate];
+  return good()[topo_->fanin(f.gate)[f.pin]];
 }
 
 std::uint64_t FaultSimulator::propagate(const Fault& fault,
@@ -68,9 +70,14 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
   const std::uint64_t stuck_word = fault.stuck_at_one() ? ~0ull : 0ull;
   ++events_;  // the injection itself
 
+  // Observe-point indices of observed gate g (its op CSR row).
+  auto ops_of = [&](GateId g) {
+    return std::span<const std::uint32_t>(op_list_.data() + op_offsets_[g],
+                                          op_offsets_[g + 1] - op_offsets_[g]);
+  };
   auto record_diff = [&](GateId og, std::uint64_t diff) {
     if (op_diffs == nullptr) return;
-    for (std::uint32_t op : op_index_of_gate_[og]) (*op_diffs)[op] |= diff;
+    for (std::uint32_t op : ops_of(og)) (*op_diffs)[op] |= diff;
   };
 
   // A DFF D-pin fault corrupts only the captured value, which is observed
@@ -81,7 +88,7 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
     if (op_diffs != nullptr && diff != 0) {
       // Only this flop's own observe point fails: the one among the points
       // observing its D driver whose gate is the flop itself.
-      for (std::uint32_t op : op_index_of_gate_[driver]) {
+      for (std::uint32_t op : ops_of(driver)) {
         if (observe_points_[op] == fault.gate) (*op_diffs)[op] |= diff;
       }
     }
@@ -165,9 +172,9 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
 }
 
 std::uint64_t FaultSimulator::detect_mask(const Fault& fault) {
-  AIDFT_REQUIRE(!good_.empty(), "load_batch() before detect_mask()");
+  AIDFT_REQUIRE(loaded_, "load_batch() before detect_mask()");
   if (fault.kind == FaultKind::kStuckAt) {
-    return propagate(fault, good_, lane_mask_);
+    return propagate(fault, good(), lane_mask_);
   }
   // Transition fault: launch must set the line to the initial value
   // (opposite of the final `value`), capture must detect stuck-at(initial).
@@ -183,12 +190,12 @@ std::uint64_t FaultSimulator::detect_mask(const Fault& fault) {
   Fault as_stuck = fault;
   as_stuck.kind = FaultKind::kStuckAt;
   as_stuck.value = fault.value ? 0 : 1;  // stuck at the *initial* value
-  const std::uint64_t det = propagate(as_stuck, good_, lane_mask_);
+  const std::uint64_t det = propagate(as_stuck, good(), lane_mask_);
   return det & armed & launch_lane_mask_ & lane_mask_;
 }
 
 std::uint64_t FaultSimulator::detect_mask_iddq(const Fault& fault) {
-  AIDFT_REQUIRE(!good_.empty(), "load_batch() before detect_mask_iddq()");
+  AIDFT_REQUIRE(loaded_, "load_batch() before detect_mask_iddq()");
   AIDFT_REQUIRE(fault.kind == FaultKind::kStuckAt,
                 "IDDQ grades stuck-at (pseudo-stuck-at) faults");
   const std::uint64_t stuck_word = fault.stuck_at_one() ? ~0ull : 0ull;
@@ -196,13 +203,14 @@ std::uint64_t FaultSimulator::detect_mask_iddq(const Fault& fault) {
 }
 
 std::uint64_t FaultSimulator::detect_mask_bridging(const BridgingFault& fault) {
-  AIDFT_REQUIRE(!good_.empty(), "load_batch() before detect_mask_bridging()");
+  AIDFT_REQUIRE(loaded_, "load_batch() before detect_mask_bridging()");
   const Netlist& nl = *netlist_;
+  const std::vector<std::uint64_t>& good = good_sim_.values();
   AIDFT_REQUIRE(fault.a < nl.num_gates() && fault.b < nl.num_gates() &&
                     fault.a != fault.b,
                 "bridging fault sites invalid");
-  const std::uint64_t va = good_[fault.a];
-  const std::uint64_t vb = good_[fault.b];
+  const std::uint64_t va = good[fault.a];
+  const std::uint64_t vb = good[fault.b];
   std::uint64_t na = va, nb = vb;
   switch (fault.type) {
     case BridgeType::kWiredAnd: na = nb = va & vb; break;
@@ -217,7 +225,7 @@ std::uint64_t FaultSimulator::detect_mask_bridging(const BridgingFault& fault) {
     cur_epoch_ = 1;
   }
   auto fval = [&](GateId g) -> std::uint64_t {
-    return epoch_[g] == cur_epoch_ ? faulty_[g] : good_[g];
+    return epoch_[g] == cur_epoch_ ? faulty_[g] : good[g];
   };
   auto set_fval = [&](GateId g, std::uint64_t v) {
     faulty_[g] = v;
@@ -263,7 +271,7 @@ std::uint64_t FaultSimulator::detect_mask_bridging(const BridgingFault& fault) {
           [&](std::size_t k) { return fval(fin[k]); });
       if (nv != fval(id)) {
         set_fval(id, nv);
-        if (observed_[id]) detect |= (nv ^ good_[id]) & lane_mask_;
+        if (observed_[id]) detect |= (nv ^ good[id]) & lane_mask_;
         enqueue_fanouts(id);
       }
     }
@@ -274,11 +282,11 @@ std::uint64_t FaultSimulator::detect_mask_bridging(const BridgingFault& fault) {
 
 std::uint64_t FaultSimulator::detect_mask_detailed(
     const Fault& fault, std::vector<std::uint64_t>& op_diffs) {
-  AIDFT_REQUIRE(!good_.empty(), "load_batch() before detect_mask_detailed()");
+  AIDFT_REQUIRE(loaded_, "load_batch() before detect_mask_detailed()");
   AIDFT_REQUIRE(fault.kind == FaultKind::kStuckAt,
                 "detailed masks are for stuck-at faults");
   op_diffs.assign(observe_points_.size(), 0);
-  return propagate(fault, good_, lane_mask_, &op_diffs);
+  return propagate(fault, good(), lane_mask_, &op_diffs);
 }
 
 std::uint64_t FaultSimulator::detect_mask_reference(const PatternBatch& batch,

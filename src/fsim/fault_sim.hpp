@@ -84,10 +84,14 @@ class FaultSimulator {
                           std::uint64_t lane_mask,
                           std::vector<std::uint64_t>* op_diffs = nullptr);
 
+  // Good-machine values of the loaded capture batch, read in place from
+  // good_sim_ (an accessor, not a cached reference: simulators are moved).
+  const std::vector<std::uint64_t>& good() const { return good_sim_.values(); }
+
   const Netlist* netlist_;
   const Topology* topo_ = nullptr;  // compiled view; set in the constructor
-  ParallelSimulator good_sim_;
-  std::vector<std::uint64_t> good_;         // cached good values (capture)
+  ParallelSimulator good_sim_;      // holds the capture batch's good values
+  bool loaded_ = false;             // load_batch() has run
   std::vector<std::uint64_t> launch_good_;  // cached good values (launch)
   std::uint64_t lane_mask_ = 0;
   std::uint64_t launch_lane_mask_ = 0;
@@ -100,9 +104,12 @@ class FaultSimulator {
   std::vector<std::vector<GateId>> buckets_;  // levelized work queue
   std::vector<bool> queued_;
   std::vector<bool> observed_;  // gate feeds a PO marker value or a DFF D pin
-  // observed gate -> indices into observe_points() (a gate can be observed
-  // by several points, e.g. a net driving a PO marker and a flop D pin).
-  std::vector<std::vector<std::uint32_t>> op_index_of_gate_;
+  // Observed gate g -> indices into observe_points(), as CSR rows
+  // op_list_[op_offsets_[g], op_offsets_[g+1]) in ascending index (a gate
+  // can be observed by several points, e.g. a net driving the D pins of
+  // several flops).
+  std::vector<std::uint32_t> op_offsets_;
+  std::vector<std::uint32_t> op_list_;
   std::vector<GateId> observe_points_;  // netlist_->observe_points(), cached
 };
 

@@ -63,6 +63,9 @@ class Topology {
 
   std::span<const GateId> fanin(GateId g) const { return fanin_.row(g); }
   std::size_t fanin_size(GateId g) const { return fanin_.row_size(g); }
+  /// Index of gate g's first fanin edge in the CSR: the number of fanin
+  /// edges of gates 0..g-1. Valid for g in [0, num_gates()].
+  std::uint32_t fanin_offset(GateId g) const { return fanin_.offsets[g]; }
   /// First fanin (D pin of a DFF, driver of a BUF/NOT/OUTPUT).
   GateId fanin0(GateId g) const { return fanin_.edges[fanin_.offsets[g]]; }
 

@@ -69,6 +69,9 @@ class ParallelSimulator {
   /// Word of gate `g` from the last simulate() call.
   std::uint64_t value(GateId g) const { return values_[g]; }
 
+  /// Every gate's word from the last simulate() call, indexed by GateId.
+  const std::vector<std::uint64_t>& values() const { return values_; }
+
   /// Captured D-input word of a DFF (what the flop would load next cycle).
   std::uint64_t next_state(GateId dff) const {
     return values_[netlist_->topology().fanin0(dff)];

@@ -233,6 +233,89 @@ TEST(FaultSim, TransitionCampaignUsesConsecutivePairs) {
   }
 }
 
+TEST(FaultSim, DetailedDiffsReachEveryPointObservingAGate) {
+  // g drives PO marker y and the D pins of flops q1..q3, so three observe
+  // points watch g itself and a fourth watches its marker. A diff on g
+  // lands on all four, while a D-pin fault fails only its own flop's point.
+  Netlist nl;
+  const GateId a = nl.add_input("a");
+  const GateId b = nl.add_input("b");
+  const GateId g = nl.add_gate(GateType::kAnd, {a, b}, "g");
+  const GateId h = nl.add_gate(GateType::kOr, {a, b}, "h");
+  const GateId y = nl.add_output(g, "y");
+  const GateId z = nl.add_output(h, "z");
+  const GateId q1 = nl.add_dff(g, "q1");
+  const GateId q2 = nl.add_dff(g, "q2");
+  const GateId q3 = nl.add_dff(g, "q3");
+  nl.finalize();
+
+  // Lane m applies a = bit 0 and b = bit 1 of m; the flops load 0.
+  std::vector<TestCube> cubes;
+  for (int m = 0; m < 4; ++m) {
+    TestCube c(nl.combinational_inputs().size());
+    c.constant_fill(Val3::kZero);
+    c.bits[0] = (m & 1) ? Val3::kOne : Val3::kZero;
+    c.bits[1] = (m & 2) ? Val3::kOne : Val3::kZero;
+    cubes.push_back(c);
+  }
+  FaultSimulator fsim(nl);
+  fsim.load_batch(pack_patterns(cubes, 0, cubes.size()));
+
+  const std::vector<GateId> points = nl.observe_points();
+  using PointDiffs = std::vector<std::pair<GateId, std::uint64_t>>;
+  auto expect_diffs = [&](const Fault& f, const PointDiffs& want) {
+    std::vector<std::uint64_t> diffs;
+    std::uint64_t any = 0;
+    for (const auto& [point, word] : want) any |= word;
+    EXPECT_EQ(fsim.detect_mask_detailed(f, diffs), any) << fault_name(nl, f);
+    ASSERT_EQ(diffs.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      std::uint64_t expected = 0;
+      for (const auto& [point, word] : want) {
+        if (point == points[i]) expected = word;
+      }
+      EXPECT_EQ(diffs[i], expected)
+          << fault_name(nl, f) << " at " << nl.name_of(points[i]);
+    }
+  };
+  const std::uint64_t ab = 0b1000, a_or_b = 0b1110;
+  expect_diffs(Fault{g, kStemPin, 0, FaultKind::kStuckAt},
+               {{y, ab}, {q1, ab}, {q2, ab}, {q3, ab}});
+  expect_diffs(Fault{h, kStemPin, 0, FaultKind::kStuckAt}, {{z, a_or_b}});
+  expect_diffs(Fault{q1, 0, 1, FaultKind::kStuckAt}, {{q1, 0b0111}});
+  expect_diffs(Fault{q3, 0, 1, FaultKind::kStuckAt}, {{q3, 0b0111}});
+  expect_diffs(Fault{y, kStemPin, 1, FaultKind::kStuckAt}, {{y, 0b0111}});
+}
+
+TEST(FaultSim, MovedSimulatorGradesIdentically) {
+  // The good-machine values live in the simulator's own ParallelSimulator;
+  // moving the simulator after load_batch() (as campaign shards held in
+  // std::optional or a growing vector are) must not change a single mask.
+  const Netlist nl = circuits::make_mac(4, /*registered=*/true);
+  const auto faults = generate_stuck_at_faults(nl);
+  Rng rng(5);
+  const auto cubes = random_patterns(nl.combinational_inputs().size(), 64, rng);
+  const PatternBatch batch = pack_patterns(cubes, 0, 64);
+  FaultSimulator fixed(nl);
+  fixed.load_batch(batch);
+
+  std::vector<FaultSimulator> sims;
+  sims.emplace_back(nl);
+  sims.front().load_batch(batch);
+  for (int i = 0; i < 8; ++i) sims.emplace_back(nl);  // reallocates: moves
+  FaultSimulator moved = std::move(sims.front());
+  sims.clear();
+
+  std::vector<std::uint64_t> want, got;
+  for (const Fault& f : faults) {
+    EXPECT_EQ(moved.detect_mask(f), fixed.detect_mask(f)) << fault_name(nl, f);
+    EXPECT_EQ(moved.detect_mask_detailed(f, got),
+              fixed.detect_mask_detailed(f, want));
+    EXPECT_EQ(got, want) << fault_name(nl, f);
+    EXPECT_EQ(moved.line_value(f), fixed.line_value(f)) << fault_name(nl, f);
+  }
+}
+
 TEST(FaultSim, EmptyInputsAreHandled) {
   const Netlist nl = circuits::make_c17();
   const auto faults = generate_stuck_at_faults(nl);

@@ -1,6 +1,6 @@
 // Observability subsystem: metrics exactness under threads, trace export
 // round-trip, the disabled-telemetry no-op contract, and the instrumented
-// DFT flow end to end.
+// DFT and chip flows end to end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,9 +9,12 @@
 #include <string>
 #include <vector>
 
+#include "aichip/soc.hpp"
+#include "aichip/systolic.hpp"
 #include "bench_circuits/generators.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/chip_flow.hpp"
 #include "core/dft_flow.hpp"
 #include "diag/diagnosis.hpp"
 #include "fault/fault.hpp"
@@ -434,6 +437,45 @@ TEST(Telemetry, EdtSessionSubSpansNestUnderSession) {
         << name;
     previous_start = it->start_us;
   }
+}
+
+TEST(Telemetry, ChipFlowSpansSocBuildFaultsAndGradeInOrder) {
+  aichip::SystolicConfig cfg;
+  cfg.rows = cfg.cols = 1;
+  cfg.width = 3;
+  const Netlist core = aichip::make_systolic_array(cfg);
+  obs::Telemetry telemetry;
+  ChipFlowOptions options;
+  options.num_cores = 3;
+  options.core_flow.telemetry = &telemetry;
+  options.core_flow.run_lbist = false;
+  options.core_flow.run_compression = false;
+  const ChipFlowReport report = run_chip_flow(core, options);
+
+  std::vector<obs::TraceEvent> chip;
+  for (const auto& e : telemetry.trace.events()) {
+    if (e.name.rfind("chip.", 0) == 0) chip.push_back(e);
+  }
+  ASSERT_EQ(chip.size(), 3u);
+  EXPECT_EQ(chip[0].name, "chip.soc_build");
+  EXPECT_EQ(chip[1].name, "chip.soc_faults");
+  EXPECT_EQ(chip[2].name, "chip.soc_grade");
+  for (std::size_t i = 0; i + 1 < chip.size(); ++i) {
+    EXPECT_LE(chip[i].start_us + chip[i].dur_us, chip[i + 1].start_us)
+        << chip[i].name << " overlaps " << chip[i + 1].name;
+  }
+
+  auto arg = [](const obs::TraceEvent& e, const std::string& key) {
+    for (const auto& [k, v] : e.args) {
+      if (k == key) return v;
+    }
+    return std::string("<missing>");
+  };
+  const aichip::SocNetlist soc = aichip::make_replicated_soc(core, 3);
+  EXPECT_EQ(arg(chip[1], "faults"),
+            std::to_string(generate_stuck_at_faults(soc.netlist).size()));
+  EXPECT_EQ(arg(chip[1], "collapsed"), std::to_string(report.soc_faults));
+  EXPECT_EQ(arg(chip[2], "faults"), std::to_string(report.soc_faults));
 }
 
 TEST(Telemetry, DftFlowWithoutSinkStillTimesStages) {
