@@ -10,13 +10,20 @@
 //                     fastest everywhere;
 //   campaign/tN     — the unified run_campaign() engine with N worker
 //                     threads, sweeping N in {1,2,4,8}: reports patterns/sec
-//                     and the wall-clock speedup vs its own serial (t1) run.
+//                     and the wall-clock speedup vs its own serial (t1) run;
+//   soc_campaign/N/tT — run_campaign() on N broadcast copies of a 2x2
+//                     systolic core (the signoff SoC grade, out of cache) at
+//                     T workers: seconds per campaign, gates evaluated
+//                     (fsim.events) and early-exited faults.
 // Throughput counter: fault-pattern grades per second.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <map>
 
+#include "aichip/soc.hpp"
+#include "aichip/systolic.hpp"
+#include "atpg/atpg.hpp"
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "fsim/campaign.hpp"
@@ -161,6 +168,66 @@ void e3_campaign_instrumented(benchmark::State& state, const std::string& name) 
   bench::emit_metrics(state, telemetry.metrics.snapshot());
 }
 
+// ATPG patterns of the 2x2 systolic core (4-bit operands), built once.
+struct SocCore {
+  Netlist nl;
+  std::vector<TestCube> patterns;
+};
+
+const SocCore& soc_core() {
+  static const SocCore c = [] {
+    aichip::SystolicConfig cfg;
+    cfg.rows = cfg.cols = 2;
+    cfg.width = 4;
+    SocCore core{aichip::make_systolic_array(cfg), {}};
+    core.patterns =
+        generate_tests(core.nl,
+                       collapse_equivalent(core.nl,
+                                           generate_stuck_at_faults(core.nl)))
+            .patterns;
+    return core;
+  }();
+  return c;
+}
+
+void e3_soc_campaign(benchmark::State& state, std::size_t cores,
+                     std::size_t threads) {
+  const SocCore& core = soc_core();
+  const aichip::SocNetlist soc = aichip::make_replicated_soc(core.nl, cores);
+  const auto faults =
+      collapse_equivalent(soc.netlist, generate_stuck_at_faults(soc.netlist));
+  std::vector<TestCube> broadcast;
+  for (const TestCube& p : core.patterns) {
+    broadcast.push_back(aichip::broadcast_cube(soc, p));
+  }
+  double total_sec = 0.0;
+  double coverage = 0.0;
+  obs::MetricsSnapshot last;
+  for (auto _ : state) {
+    obs::Telemetry telemetry;
+    const auto t0 = std::chrono::steady_clock::now();
+    const CampaignResult r = run_campaign(
+        soc.netlist, faults, broadcast,
+        {.num_threads = threads, .telemetry = &telemetry});
+    total_sec += std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+    coverage = r.coverage();
+    last = telemetry.metrics.snapshot();
+    benchmark::DoNotOptimize(r.detected);
+  }
+  state.counters["cores"] = static_cast<double>(cores);
+  state.counters["threads"] = static_cast<double>(threads);
+  state.counters["faults"] = static_cast<double>(faults.size());
+  state.counters["coverage_pct"] = 100.0 * coverage;
+  state.counters["seconds"] =
+      total_sec / static_cast<double>(state.iterations());
+  state.counters["fsim.events"] =
+      static_cast<double>(last.counter_value("fsim.events"));
+  state.counters["fsim.early_exits"] =
+      static_cast<double>(last.counter_value("fsim.early_exits"));
+}
+
 void register_all() {
   for (const char* name : {"mul8", "mul12", "alu8", "mac8reg", "cla16"}) {
     aidft::bench::reg(
@@ -192,6 +259,18 @@ void register_all() {
         std::string("E3/campaign_instrumented/") + name,
         [name](benchmark::State& s) { e3_campaign_instrumented(s, name); })
         ->Unit(benchmark::kMillisecond);
+  }
+  for (std::size_t cores : {256, 1024}) {
+    for (std::size_t threads : {1, 4}) {
+      aidft::bench::reg(
+          "E3/soc_campaign/" + std::to_string(cores) + "/t" +
+              std::to_string(threads),
+          [cores, threads](benchmark::State& s) {
+            e3_soc_campaign(s, cores, threads);
+          })
+          ->Unit(benchmark::kMillisecond)
+          ->UseRealTime();
+    }
   }
 }
 

@@ -20,6 +20,7 @@ SocNetlist make_replicated_soc(const Netlist& core, std::size_t n) {
   soc.num_instances = n;
   soc.core_pis = core.inputs().size();
   soc.core_ffs = core.dffs().size();
+  soc.netlist.reserve(n * core.num_gates());
 
   for (std::size_t inst = 0; inst < n; ++inst) {
     const std::vector<GateId> map = clone_gates(
@@ -45,6 +46,9 @@ SocNetlist make_replicated_soc_with_compare(const Netlist& core, std::size_t n) 
   soc.num_instances = n;
   soc.core_pis = core.inputs().size();
   soc.core_ffs = core.dffs().size();
+  // Instances drop their output markers but gain compare trees; the
+  // replicated core size is close enough to avoid regrowth.
+  soc.netlist.reserve(n * core.num_gates());
 
   // Per instance: the gates driving each primary-output marker. The
   // markers themselves are NOT cloned — on-chip compare replaces direct

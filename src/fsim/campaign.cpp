@@ -10,8 +10,9 @@
 //
 // Cross-shard dropping: a shared atomic drop bitmap records every fault that
 // needs no further simulation (detected drop_limit times, or its owner
-// exhausted the pattern stream). Workers consult the campaign-wide remaining
-// count between batches and stop streaming as soon as it hits zero.
+// exhausted the pattern stream). Workers settle their drops into the
+// campaign-wide remaining count once per batch, consult it between batches
+// and stop streaming as soon as it hits zero.
 //
 // Run control and checkpointing: when a RunControl and/or checkpoint path is
 // configured, the batch stream is cut into rounds of
@@ -39,18 +40,32 @@ namespace aidft {
 namespace {
 
 // Shared cross-shard drop state: bit f set = fault f needs no further
-// simulation. fetch_or keeps the remaining-count exact even if two workers
-// ever raced on the same fault (single-owner sharding today, but the map
-// stays correct under future work-stealing shards).
+// simulation. mark() sets the bit and reports whether it was newly set;
+// workers count their new marks and settle() them into the remaining count
+// once per batch, so the contended counter sees one update per shard-batch
+// rather than one per dropped fault. fetch_or keeps the count exact even if
+// two workers ever raced on the same fault (single-owner sharding today, but
+// the map stays correct under future work-stealing shards).
+//
+// Deferring the count changes no decision: campaign_done() is read by a
+// worker only between batches while its shard still has alive (unmarked)
+// faults, which keep remaining_ > 0 either way, and by the orchestrator only
+// after the round barrier, when every shard has settled.
 class DropMap {
  public:
   explicit DropMap(std::size_t n) : words_((n + 63) / 64), remaining_(n) {}
 
-  void drop(std::size_t i) {
+  bool mark(std::size_t i) {
     const std::uint64_t bit = 1ull << (i & 63);
     const std::uint64_t prev =
         words_[i >> 6].fetch_or(bit, std::memory_order_relaxed);
-    if ((prev & bit) == 0) remaining_.fetch_sub(1, std::memory_order_relaxed);
+    return (prev & bit) == 0;
+  }
+
+  void settle(std::size_t newly_marked) {
+    if (newly_marked != 0) {
+      remaining_.fetch_sub(newly_marked, std::memory_order_relaxed);
+    }
   }
 
   bool dropped(std::size_t i) const {
@@ -160,6 +175,7 @@ struct ShardState {
   std::vector<std::uint32_t> alive;  // compacted in place per batch
   std::optional<FaultSimulator> fsim;
   std::uint64_t events_flushed = 0;
+  std::uint64_t early_exits_flushed = 0;
 };
 
 // The sharded engine, shared by both fault models. `grade` maps
@@ -288,6 +304,7 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
       }
 
       std::size_t kept = 0;
+      std::size_t newly_marked = 0;
       for (std::uint32_t i : shard.alive) {
         const std::uint64_t mask = grade(fsim, faults[i], capture[b]);
         if (mask != 0) {
@@ -297,7 +314,7 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
           }
           hits[i] += static_cast<std::uint64_t>(__builtin_popcountll(mask));
           if (options.drop_limit != 0 && hits[i] >= options.drop_limit) {
-            drops.drop(i);
+            newly_marked += drops.mark(i);
             ++dropped_here;
             continue;
           }
@@ -305,13 +322,16 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
         shard.alive[kept++] = i;
       }
       shard.alive.resize(kept);
+      drops.settle(newly_marked);
     }
     // Shard exhausted the stream: retire the survivors so campaign_done()
     // converges for the other shards. Never on an early stop — survivors
     // still need the unapplied patterns after a resume.
     if (round_end == total_batches &&
         !round_incomplete.load(std::memory_order_relaxed)) {
-      for (std::uint32_t i : shard.alive) drops.drop(i);
+      std::size_t newly_marked = 0;
+      for (std::uint32_t i : shard.alive) newly_marked += drops.mark(i);
+      drops.settle(newly_marked);
     }
 
     // Telemetry is flushed once per shard-round — the hot loop above only
@@ -319,9 +339,13 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
     if (telemetry != nullptr) {
       const std::uint64_t events =
           shard.fsim ? shard.fsim->events_simulated() : 0;
+      const std::uint64_t early_exits =
+          shard.fsim ? shard.fsim->early_exits() : 0;
       obs::add(telemetry, "campaign.batches", batches_run);
       obs::add(telemetry, "campaign.faults_dropped", dropped_here);
       obs::add(telemetry, "fsim.events", events - shard.events_flushed);
+      obs::add(telemetry, "fsim.early_exits",
+               early_exits - shard.early_exits_flushed);
       obs::observe(telemetry, "campaign.shard_us", shard_clock.micros());
       shard_span.arg("shard", s);
       shard_span.arg("faults", shard.end - shard.begin);
@@ -329,6 +353,7 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
       shard_span.arg("dropped", dropped_here);
       shard_span.arg("fsim_events", events - shard.events_flushed);
       shard.events_flushed = events;
+      shard.early_exits_flushed = early_exits;
     }
   };
 

@@ -96,45 +96,55 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
   }
 
   std::uint64_t detect = 0;
+  // Levels [lo, hi] hold queued gates; the levelized loop visits only them.
+  std::uint32_t lo = UINT32_MAX;
+  std::uint32_t hi = 0;
 
   auto enqueue_fanouts = [&](GateId g) {
     for (GateId s : t.fanout(g)) {
       if (is_state_element(t.type(s))) continue;  // captured, not propagated
       if (!queued_[s]) {
         queued_[s] = true;
-        buckets_[t.level(s)].push_back(s);
+        const std::uint32_t lvl = t.level(s);
+        buckets_[lvl].push_back(s);
+        lo = std::min(lo, lvl);
+        hi = std::max(hi, lvl);
       }
     }
   };
 
   // --- inject -------------------------------------------------------------
+  // `active`: the lanes on which the fault site differs from the good
+  // machine. Every other lane of the faulty machine equals the good one, so
+  // detect ⊆ active throughout; once they are equal, no later event can
+  // change the mask and a mask-only caller (op_diffs == nullptr) stops.
+  std::uint64_t active = 0;
   if (fault.is_stem()) {
-    const std::uint64_t diff = (good[fault.gate] ^ stuck_word) & lane_mask;
-    if (diff == 0) return 0;
+    active = (good[fault.gate] ^ stuck_word) & lane_mask;
+    if (active == 0) return 0;
     set_fval(fault.gate, stuck_word);
-    if (observed_[fault.gate]) {
-      detect |= diff;
-      record_diff(fault.gate, diff);
-    }
-    enqueue_fanouts(fault.gate);
   } else {
     const std::span<const GateId> fin = t.fanin(fault.gate);
     const std::uint64_t nv = eval_gate_words(
         t.type(fault.gate), fin.size(), [&](std::size_t i) {
           return i == fault.pin ? stuck_word : good[fin[i]];
         });
-    const std::uint64_t diff = (nv ^ good[fault.gate]) & lane_mask;
-    if (diff == 0) return 0;
+    active = (nv ^ good[fault.gate]) & lane_mask;
+    if (active == 0) return 0;
     set_fval(fault.gate, nv);
-    if (observed_[fault.gate]) {
-      detect |= diff;
-      record_diff(fault.gate, diff);
-    }
-    enqueue_fanouts(fault.gate);
   }
+  if (observed_[fault.gate]) {
+    detect = active;
+    record_diff(fault.gate, active);
+    if (op_diffs == nullptr) {
+      ++early_exits_;
+      return detect;
+    }
+  }
+  enqueue_fanouts(fault.gate);
 
   // --- levelized forward propagation ---------------------------------------
-  for (std::uint32_t lvl = 0; lvl < buckets_.size(); ++lvl) {
+  for (std::uint32_t lvl = lo; lvl <= hi; ++lvl) {
     auto& bucket = buckets_[lvl];
     for (std::size_t i = 0; i < bucket.size(); ++i) {
       const GateId id = bucket[i];
@@ -167,8 +177,18 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
       }
     }
     bucket.clear();
+    if (op_diffs == nullptr && detect == active && lvl < hi) {
+      // Mask final: drop the queued work of the skipped levels so the next
+      // call starts with empty buckets and a clear queued_ bitmap.
+      for (std::uint32_t skip = lvl + 1; skip <= hi; ++skip) {
+        for (GateId id : buckets_[skip]) queued_[id] = false;
+        buckets_[skip].clear();
+      }
+      ++early_exits_;
+      break;
+    }
   }
-  return detect & lane_mask;
+  return detect;
 }
 
 std::uint64_t FaultSimulator::detect_mask(const Fault& fault) {

@@ -8,7 +8,9 @@
 //    simulation per 64-pattern batch, then per-fault event-driven forward
 //    propagation of only the differing cone, with an epoch trick so no
 //    per-fault state reset is needed. This is the engine every campaign
-//    (ATPG dropping, BIST grading, diagnosis) runs on.
+//    (ATPG dropping, BIST grading, diagnosis) runs on. Mask-only grading
+//    stops as soon as every lane the fault activates is detected (the mask
+//    cannot grow further); detailed grading propagates the full cone.
 //
 // Transition-delay faults are graded on pattern *pairs* (launch, capture):
 // the launch vector must set the line to the transition's initial value and
@@ -71,10 +73,17 @@ class FaultSimulator {
   std::uint64_t line_value(const Fault& fault) const;
 
   /// Lifetime count of faulty-machine events this simulator processed (fault
-  /// injections plus event-driven gate evaluations). A plain member tally —
-  /// campaign workers own a private simulator and flush it into the
-  /// `fsim.events` counter at shard end, keeping the hot loop atomic-free.
+  /// injections plus event-driven gate evaluations, i.e. gates evaluated).
+  /// Mask-only grading (detect_mask) stops once the mask is final, so it
+  /// evaluates fewer gates than detect_mask_detailed for the same fault. A
+  /// plain member tally — campaign workers own a private simulator and flush
+  /// it into the `fsim.events` counter at shard end, keeping the hot loop
+  /// atomic-free.
   std::uint64_t events_simulated() const { return events_; }
+
+  /// Lifetime count of detect_mask() propagations that stopped early because
+  /// the mask was final (flushed as `fsim.early_exits`, like events).
+  std::uint64_t early_exits() const { return early_exits_; }
 
   const Netlist& netlist() const { return *netlist_; }
 
@@ -100,6 +109,7 @@ class FaultSimulator {
   std::vector<std::uint64_t> faulty_;
   std::vector<std::uint32_t> epoch_;
   std::uint64_t events_ = 0;
+  std::uint64_t early_exits_ = 0;
   std::uint32_t cur_epoch_ = 0;
   std::vector<std::vector<GateId>> buckets_;  // levelized work queue
   std::vector<bool> queued_;

@@ -15,7 +15,10 @@
 //
 // Naming convention (see DESIGN.md "Observability"): dotted lowercase
 // `<module>.<noun>`, e.g. `podem.backtracks`, `sat.conflicts`,
-// `fsim.events`, `campaign.faults_dropped`.
+// `fsim.events`, `campaign.faults_dropped`. `fsim.events` counts gates
+// evaluated by fault propagation (injections included); mask-only grading
+// stops once a fault's mask is final, so it counts fewer than detailed
+// grading of the same faults (`fsim.early_exits` counts those stops).
 #pragma once
 
 #include <atomic>

@@ -58,6 +58,44 @@ TEST_P(CampaignDeterminism, StuckAtBitIdenticalAcrossThreadsAndOracle) {
   }
 }
 
+TEST_P(CampaignDeterminism, DropLimitThreeBitIdenticalAcrossThreads) {
+  // With drop_limit = 3 a fault stays alive across batches until its third
+  // detecting lane, so drops land in every batch of every shard and each
+  // shard settles its drop count once per batch.
+  const std::uint64_t seed = GetParam();
+  const Netlist nl = circuits::make_random_logic(10, 250, seed);
+  const auto faults = generate_stuck_at_faults(nl);
+  Rng rng(seed * 19 + 5);
+  const auto patterns =
+      random_patterns(nl.combinational_inputs().size(), 256, rng);
+
+  obs::Telemetry serial_tel;
+  const CampaignResult serial = run_campaign(
+      nl, faults, patterns, {.drop_limit = 3, .telemetry = &serial_tel});
+  const CampaignResult oracle = run_campaign(
+      nl, faults, patterns,
+      {.engine = CampaignEngine::kReference, .drop_limit = 3});
+  expect_identical(serial, oracle, "drop_limit=3 ppsfp vs reference");
+  const CampaignResult full =
+      run_campaign(nl, faults, patterns, {.drop_limit = 0});
+  expect_identical(serial, full, "drop_limit=3 vs no dropping");
+  const std::uint64_t serial_dropped =
+      serial_tel.metrics.snapshot().counter_value("campaign.faults_dropped");
+  EXPECT_GT(serial_dropped, 0u);
+  EXPECT_LE(serial_dropped, serial.detected);
+
+  for (std::size_t t : kThreadCounts) {
+    obs::Telemetry tel;
+    const CampaignResult threaded = run_campaign(
+        nl, faults, patterns,
+        {.num_threads = t, .drop_limit = 3, .telemetry = &tel});
+    expect_identical(serial, threaded, "drop_limit=3 t=" + std::to_string(t));
+    EXPECT_EQ(tel.metrics.snapshot().counter_value("campaign.faults_dropped"),
+              serial_dropped)
+        << "t=" << t;
+  }
+}
+
 TEST_P(CampaignDeterminism, TransitionBitIdenticalAcrossThreads) {
   const std::uint64_t seed = GetParam();
   const Netlist nl = circuits::make_random_logic(10, 250, seed);

@@ -9,6 +9,51 @@
 namespace aidft {
 namespace {
 
+// detect_mask must equal the oracle on partial batches too: `lane_mask` is
+// then not all ones, and the early exit compares the mask against the
+// activated lanes within it.
+void expect_partial_batches_agree(const Netlist& nl, std::uint64_t seed) {
+  const auto faults = generate_stuck_at_faults(nl);
+  Rng rng(seed);
+  const auto cubes = random_patterns(nl.combinational_inputs().size(), 64, rng);
+  for (std::size_t count : {1, 37, 63}) {
+    const PatternBatch batch = pack_patterns(cubes, 0, count);
+    FaultSimulator fsim(nl);
+    fsim.load_batch(batch);
+    for (const Fault& f : faults) {
+      EXPECT_EQ(fsim.detect_mask(f), fsim.detect_mask_reference(batch, f))
+          << fault_name(nl, f) << " with " << count << " patterns";
+    }
+  }
+}
+
+// The mask-only path may stop early; the detailed path never does, and the
+// union of its per-observe-point diffs is by definition the detect mask.
+void expect_mask_is_or_of_detailed_diffs(const Netlist& nl,
+                                         std::uint64_t seed) {
+  const auto faults = generate_stuck_at_faults(nl);
+  Rng rng(seed);
+  const auto cubes = random_patterns(nl.combinational_inputs().size(), 64, rng);
+  FaultSimulator fsim(nl);
+  fsim.load_batch(pack_patterns(cubes, 0, 64));
+  std::vector<std::uint64_t> diffs;
+  for (const Fault& f : faults) {
+    const std::uint64_t detailed = fsim.detect_mask_detailed(f, diffs);
+    std::uint64_t any = 0;
+    for (std::uint64_t d : diffs) any |= d;
+    EXPECT_EQ(detailed, any) << fault_name(nl, f);
+    EXPECT_EQ(fsim.detect_mask(f), any) << fault_name(nl, f);
+  }
+}
+
+Netlist suite_circuit(const std::string& which) {
+  Netlist nl;
+  for (auto& nc : circuits::standard_suite()) {
+    if (which == nc.name) nl = std::move(nc.netlist);
+  }
+  return nl;
+}
+
 // The fundamental engine property: PPSFP must agree with full-resimulation
 // on every fault and every pattern, over randomly structured circuits.
 class PpsfpVsReference : public ::testing::TestWithParam<std::uint64_t> {};
@@ -29,6 +74,49 @@ TEST_P(PpsfpVsReference, AgreeOnRandomLogic) {
   }
 }
 
+TEST_P(PpsfpVsReference, AgreeOnPartialBatches) {
+  const std::uint64_t seed = GetParam();
+  expect_partial_batches_agree(circuits::make_random_logic(10, 250, seed),
+                               seed * 29 + 3);
+}
+
+TEST_P(PpsfpVsReference, DetectMaskIsOrOfDetailedDiffs) {
+  const std::uint64_t seed = GetParam();
+  expect_mask_is_or_of_detailed_diffs(
+      circuits::make_random_logic(10, 250, seed), seed * 41 + 5);
+}
+
+TEST_P(PpsfpVsReference, ReusedSimulatorMatchesFreshInEitherOrder) {
+  // An early exit leaves queued work behind; it must be cleared so the next
+  // fault starts clean. Grading the list forward and then reversed on one
+  // simulator puts every fault after a different predecessor, and each
+  // mask must equal what a fresh simulator computes for that fault alone.
+  const std::uint64_t seed = GetParam();
+  const Netlist nl = circuits::make_random_logic(10, 250, seed);
+  const auto faults = generate_stuck_at_faults(nl);
+  Rng rng(seed * 23 + 9);
+  const auto cubes = random_patterns(nl.combinational_inputs().size(), 64, rng);
+  const PatternBatch batch = pack_patterns(cubes, 0, 64);
+
+  std::vector<std::uint64_t> fresh(faults.size());
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    FaultSimulator one(nl);
+    one.load_batch(batch);
+    fresh[i] = one.detect_mask(faults[i]);
+  }
+  FaultSimulator reused(nl);
+  reused.load_batch(batch);
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    EXPECT_EQ(reused.detect_mask(faults[i]), fresh[i])
+        << "forward " << fault_name(nl, faults[i]);
+  }
+  for (std::size_t i = faults.size(); i-- > 0;) {
+    EXPECT_EQ(reused.detect_mask(faults[i]), fresh[i])
+        << "reversed " << fault_name(nl, faults[i]);
+  }
+  EXPECT_GT(reused.early_exits(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PpsfpVsReference,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
                                            12, 13, 14, 15, 16));
@@ -37,12 +125,8 @@ class PpsfpVsReferenceStructured
     : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(PpsfpVsReferenceStructured, AgreeOnSuiteCircuit) {
-  Netlist nl;
-  const std::string which = GetParam();
-  for (auto& nc : circuits::standard_suite()) {
-    if (which == nc.name) nl = std::move(nc.netlist);
-  }
-  ASSERT_TRUE(nl.finalized()) << "unknown circuit " << which;
+  const Netlist nl = suite_circuit(GetParam());
+  ASSERT_TRUE(nl.finalized()) << "unknown circuit " << GetParam();
   const auto faults = generate_stuck_at_faults(nl);
   Rng rng(5);
   const auto cubes = random_patterns(nl.combinational_inputs().size(), 64, rng);
@@ -53,6 +137,18 @@ TEST_P(PpsfpVsReferenceStructured, AgreeOnSuiteCircuit) {
     EXPECT_EQ(fsim.detect_mask(f), fsim.detect_mask_reference(batch, f))
         << fault_name(nl, f);
   }
+}
+
+TEST_P(PpsfpVsReferenceStructured, AgreeOnPartialBatches) {
+  const Netlist nl = suite_circuit(GetParam());
+  ASSERT_TRUE(nl.finalized()) << "unknown circuit " << GetParam();
+  expect_partial_batches_agree(nl, 13);
+}
+
+TEST_P(PpsfpVsReferenceStructured, DetectMaskIsOrOfDetailedDiffs) {
+  const Netlist nl = suite_circuit(GetParam());
+  ASSERT_TRUE(nl.finalized()) << "unknown circuit " << GetParam();
+  expect_mask_is_or_of_detailed_diffs(nl, 17);
 }
 
 INSTANTIATE_TEST_SUITE_P(Circuits, PpsfpVsReferenceStructured,
@@ -216,6 +312,99 @@ TEST(FaultSim, TransitionNeedsLaunchTransition) {
   fsim.load_batch(batch_of({0, 0}));  // capture can't propagate SA0 on a=0
   fsim.load_launch_batch(batch_of({0, 0}));
   EXPECT_EQ(fsim.detect_mask(str), 0ull);
+}
+
+TEST(FaultSim, EarlyExitAtInjectionOnObservedFanoutGate) {
+  // g = AND(a, b) drives the D pin of flop q (so g itself is observed) and
+  // fans out to h = OR(g, c) -> output z. A stuck-at on g is detected at q
+  // on every lane it activates, so mask-only grading stops at injection;
+  // the detailed path still propagates to z.
+  Netlist nl;
+  const GateId a = nl.add_input("a");
+  const GateId b = nl.add_input("b");
+  const GateId c = nl.add_input("c");
+  const GateId g = nl.add_gate(GateType::kAnd, {a, b}, "g");
+  const GateId h = nl.add_gate(GateType::kOr, {g, c}, "h");
+  const GateId z = nl.add_output(h, "z");
+  const GateId q = nl.add_dff(g, "q");
+  nl.finalize();
+
+  // Lane m applies a, b, c = bits 0, 1, 2 of m; the flop loads 0.
+  std::vector<TestCube> cubes;
+  for (int m = 0; m < 8; ++m) {
+    TestCube cube(nl.combinational_inputs().size());
+    cube.constant_fill(Val3::kZero);
+    for (std::size_t i = 0; i < 3; ++i) {
+      cube.bits[i] = (m >> i) & 1 ? Val3::kOne : Val3::kZero;
+    }
+    cubes.push_back(cube);
+  }
+  const PatternBatch batch = pack_patterns(cubes, 0, cubes.size());
+  FaultSimulator fsim(nl);
+  fsim.load_batch(batch);
+
+  const Fault g_sa0{g, kStemPin, 0, FaultKind::kStuckAt};
+  const std::uint64_t ab = 0b1000'1000;  // a = b = 1
+  const std::uint64_t events_before = fsim.events_simulated();
+  EXPECT_EQ(fsim.detect_mask(g_sa0), ab);
+  EXPECT_EQ(fsim.events_simulated() - events_before, 1u);  // injection only
+  EXPECT_EQ(fsim.early_exits(), 1u);
+
+  // Later faults start clean: nothing queued by g_sa0 was left behind.
+  for (const Fault& f : generate_stuck_at_faults(nl)) {
+    EXPECT_EQ(fsim.detect_mask(f), fsim.detect_mask_reference(batch, f))
+        << fault_name(nl, f);
+  }
+
+  std::vector<std::uint64_t> diffs;
+  EXPECT_EQ(fsim.detect_mask_detailed(g_sa0, diffs), ab);
+  const std::vector<GateId> points = nl.observe_points();
+  ASSERT_EQ(diffs.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    // z = g | c fails only where c = 0.
+    const std::uint64_t want = points[i] == q   ? ab
+                               : points[i] == z ? 0b0000'1000ull
+                                                : 0;
+    EXPECT_EQ(diffs[i], want) << nl.name_of(points[i]);
+  }
+}
+
+TEST(FaultSim, TransitionEarlyExitKeepsLaunchArming) {
+  // TransitionNeedsLaunchTransition's expectations on a site that is
+  // observed and also fans out: y = BUF(a) drives flop q's D pin and
+  // n = NOT(y) -> output o, so the stuck-at call exits at injection.
+  Netlist nl;
+  const GateId a = nl.add_input("a");
+  const GateId y = nl.add_gate(GateType::kBuf, {a}, "y");
+  const GateId n = nl.add_gate(GateType::kNot, {y}, "n");
+  nl.add_output(n, "o");
+  nl.add_dff(y, "q");
+  nl.finalize();
+  FaultSimulator fsim(nl);
+  auto batch_of = [&](std::initializer_list<int> bits) {
+    std::vector<TestCube> cubes;
+    for (int b : bits) {
+      TestCube c(nl.combinational_inputs().size());
+      c.constant_fill(Val3::kZero);
+      c.bits[0] = b ? Val3::kOne : Val3::kZero;
+      cubes.push_back(c);
+    }
+    return pack_patterns(cubes, 0, cubes.size());
+  };
+  const Fault str{y, kStemPin, 1, FaultKind::kTransition};  // slow-to-rise
+  // Capture lane must have a=1 (propagating SA0) AND launch lane a=0.
+  fsim.load_batch(batch_of({1, 1}));
+  fsim.load_launch_batch(batch_of({0, 1}));
+  EXPECT_EQ(fsim.detect_mask(str), 0b01ull);  // lane1 launch=1: not armed
+  EXPECT_EQ(fsim.early_exits(), 1u);
+  fsim.load_launch_batch(batch_of({0, 0}));
+  EXPECT_EQ(fsim.detect_mask(str), 0b11ull);
+  fsim.load_batch(batch_of({0, 0}));  // capture can't propagate SA0 on a=0
+  fsim.load_launch_batch(batch_of({0, 0}));
+  EXPECT_EQ(fsim.detect_mask(str), 0ull);
+  const Fault stf{y, kStemPin, 0, FaultKind::kTransition};  // slow-to-fall
+  fsim.load_launch_batch(batch_of({1, 0}));
+  EXPECT_EQ(fsim.detect_mask(stf), 0b01ull);  // lane1 launch=0: not armed
 }
 
 TEST(FaultSim, TransitionCampaignUsesConsecutivePairs) {

@@ -363,7 +363,7 @@ TEST(Telemetry, DftFlowEmitsStageSpansAndMetrics) {
   EXPECT_GE(report.metrics.counter_count(), 10u);
   for (const char* name :
        {"podem.calls", "podem.backtracks", "podem.implications", "sat.calls",
-        "fsim.events", "campaign.runs", "campaign.faults",
+        "fsim.events", "fsim.early_exits", "campaign.runs", "campaign.faults",
         "campaign.faults_detected", "lbist.sessions", "lbist.patterns"}) {
     EXPECT_NE(report.metrics.find(name), nullptr) << name;
   }
