@@ -3,7 +3,14 @@
 // proof on a real N-core netlist that broadcast patterns cover the full SoC
 // fault list at core coverage. Expected shape: broadcast is flat in N while
 // the alternatives grow linearly — the tutorial's headline argument.
+// E7/soc_build times building and freeing the N-core netlist alone and
+// gauges what it holds per gate.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <fstream>
+#include <optional>
 
 #include "bench_util.hpp"
 
@@ -84,6 +91,45 @@ void e7_measured_coverage(benchmark::State& state, std::size_t num_cores) {
   state.counters["core_cov_pct"] = 100.0 * core_cov;
 }
 
+double current_rss_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  double pages_total = 0, pages_resident = 0;
+  statm >> pages_total >> pages_resident;
+  return pages_resident * static_cast<double>(sysconf(_SC_PAGESIZE));
+}
+
+// Build and release of the N-core SoC netlist. RSS growth counts pages the
+// build first touches, so it is meaningful only for the first rung a
+// process runs (run one rung per process: --benchmark_filter).
+void e7_soc_build(benchmark::State& state, std::size_t num_cores) {
+  using Clock = std::chrono::steady_clock;
+  auto seconds_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
+  const E7Core& c = core();
+  double build_s = 0, release_s = 0, topology_bytes = 0, rss_growth = 0,
+         gates = 0;
+  for (auto _ : state) {
+    std::optional<aichip::SocNetlist> soc;
+    const double rss_before = current_rss_bytes();
+    auto t0 = Clock::now();
+    soc.emplace(aichip::make_replicated_soc(c.nl, num_cores));
+    build_s = seconds_since(t0);
+    rss_growth = current_rss_bytes() - rss_before;
+    gates = static_cast<double>(soc->netlist.num_gates());
+    topology_bytes = static_cast<double>(soc->netlist.topology().bytes());
+    t0 = Clock::now();
+    soc.reset();
+    release_s = seconds_since(t0);
+  }
+  state.counters["cores"] = static_cast<double>(num_cores);
+  state.counters["gates"] = gates;
+  state.counters["build_s"] = build_s;
+  state.counters["release_s"] = release_s;
+  state.counters["topology_bytes_per_gate"] = topology_bytes / gates;
+  state.counters["rss_bytes_per_gate"] = rss_growth / gates;
+}
+
 void register_all() {
   for (std::size_t n : {1, 2, 4, 8, 16, 32, 64}) {
     aidft::bench::reg(
@@ -94,6 +140,12 @@ void register_all() {
     aidft::bench::reg(
         "E7/measured_broadcast_coverage/cores" + std::to_string(n),
         [n](benchmark::State& s) { e7_measured_coverage(s, n); })
+        ->Unit(benchmark::kMillisecond)
+        ->Iterations(1);
+  }
+  for (std::size_t n : {256, 1024, 4096}) {
+    aidft::bench::reg("E7/soc_build/" + std::to_string(n),
+                      [n](benchmark::State& s) { e7_soc_build(s, n); })
         ->Unit(benchmark::kMillisecond)
         ->Iterations(1);
   }

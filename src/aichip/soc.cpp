@@ -13,28 +13,13 @@ std::size_t SocNetlist::comb_index(std::size_t inst, std::size_t k) const {
 }
 
 SocNetlist make_replicated_soc(const Netlist& core, std::size_t n) {
-  AIDFT_REQUIRE(core.finalized(), "core must be finalized");
-  AIDFT_REQUIRE(n >= 1, "need at least one instance");
   SocNetlist soc;
-  soc.netlist.set_name(core.name() + "_x" + std::to_string(n));
+  // Instance-major tiling keeps every instance's PIs and flops contiguous
+  // and in core order, which is what comb_index() assumes.
+  soc.netlist = Netlist::replicate(core, n);
   soc.num_instances = n;
   soc.core_pis = core.inputs().size();
   soc.core_ffs = core.dffs().size();
-  soc.netlist.reserve(n * core.num_gates());
-
-  for (std::size_t inst = 0; inst < n; ++inst) {
-    const std::vector<GateId> map = clone_gates(
-        soc.netlist, core, "u" + std::to_string(inst) + "_");
-    clone_fanins(soc.netlist, core, map, map);
-  }
-  soc.netlist.finalize();
-
-  // The comb_index() arithmetic relies on instance-major add order for PIs
-  // and flops; verify it held.
-  AIDFT_ASSERT(soc.netlist.inputs().size() == n * soc.core_pis,
-               "SoC PI count mismatch");
-  AIDFT_ASSERT(soc.netlist.dffs().size() == n * soc.core_ffs,
-               "SoC flop count mismatch");
   return soc;
 }
 
@@ -61,7 +46,7 @@ SocNetlist make_replicated_soc_with_compare(const Netlist& core, std::size_t n) 
     std::vector<GateId> map(core.num_gates(), kNoGate);
     for (GateId id = 0; id < core.num_gates(); ++id) {
       if (t.type(id) == GateType::kOutput) continue;
-      const std::string& name = core.name_of(id);
+      const std::string name = core.name_of(id);
       map[id] = soc.netlist.add_gate(t.type(id),
                                      name.empty() ? "" : prefix + name);
     }

@@ -35,8 +35,8 @@ struct SocNetlist {
   std::size_t comb_index(std::size_t inst, std::size_t k) const;
 };
 
-/// Clones `core` N times (names prefixed u<i>_), each instance with its own
-/// primary inputs and outputs.
+/// `core` replicated N times (Netlist::replicate: names prefixed u<i>_),
+/// each instance with its own primary inputs and outputs.
 SocNetlist make_replicated_soc(const Netlist& core, std::size_t n);
 
 /// Like make_replicated_soc, plus on-chip response compare: each instance

@@ -28,6 +28,8 @@ ChipFlowReport run_chip_flow(const Netlist& core, const ChipFlowOptions& options
   if (build_span.active()) {
     build_span.arg("cores", options.num_cores);
     build_span.arg("gates", soc.netlist.num_gates());
+    build_span.arg("bytes", soc.netlist.topology().bytes() +
+                                soc.netlist.name_bytes());
   }
   build_span.end();
 

@@ -313,9 +313,11 @@ std::uint64_t FaultSimulator::detect_mask_reference(const PatternBatch& batch,
                                                     const Fault& fault) {
   AIDFT_REQUIRE(fault.kind == FaultKind::kStuckAt,
                 "reference engine grades stuck-at faults only");
-  // The oracle deliberately traverses the builder-phase Gate structs, not
-  // the compiled Topology, so tests comparing it against the PPSFP engine
-  // exercise two independent adjacency representations.
+  // The oracle deliberately traverses Netlist::gate() views, not the
+  // compiled Topology, so on a built netlist tests comparing it against the
+  // PPSFP engine exercise two independent adjacency representations (the
+  // views read the builder records). A replica has no records, so there the
+  // views read its Topology.
   const Netlist& nl = *netlist_;
   // Good machine.
   ParallelSimulator good(nl);

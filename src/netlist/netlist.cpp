@@ -23,21 +23,19 @@ std::string_view to_string(GateType type) {
 }
 
 void Netlist::reserve(std::size_t ngates) {
-  gates_.reserve(ngates);
+  records_.reserve(ngates);
   names_.reserve(ngates);
 }
 
 GateId Netlist::add_gate(GateType type, std::string name) {
   AIDFT_REQUIRE(!finalized_, "cannot add gates after finalize()");
-  const GateId id = static_cast<GateId>(gates_.size());
-  Gate g;
-  g.type = type;
+  const GateId id = static_cast<GateId>(records_.size());
   if (!name.empty()) {
     auto [it, inserted] = by_name_.emplace(name, id);
     AIDFT_REQUIRE(inserted, "duplicate gate name: " + name);
   }
   names_.push_back(std::move(name));
-  gates_.push_back(std::move(g));
+  records_.push_back(Record{type, {}});
   switch (type) {
     case GateType::kInput: inputs_.push_back(id); break;
     case GateType::kOutput: outputs_.push_back(id); break;
@@ -78,13 +76,13 @@ GateId Netlist::add_dff(GateId d_input, std::string name) {
 
 void Netlist::connect(GateId driver, GateId sink) {
   AIDFT_REQUIRE(!finalized_, "cannot connect after finalize()");
-  AIDFT_REQUIRE(driver < gates_.size() && sink < gates_.size(),
+  AIDFT_REQUIRE(driver < records_.size() && sink < records_.size(),
                 "connect: gate id out of range");
-  gates_[sink].fanin.push_back(driver);
+  records_[sink].fanin.push_back(driver);
 }
 
 void Netlist::check_arity(GateId id) const {
-  const Gate& g = gates_[id];
+  const Record& g = records_[id];
   const std::size_t n = g.fanin.size();
   auto fail = [&](const char* need) {
     throw Error("gate " + std::to_string(id) + " (" +
@@ -117,8 +115,8 @@ void Netlist::check_arity(GateId id) const {
       break;
   }
   for (GateId f : g.fanin) {
-    if (f >= gates_.size()) fail("valid");
-    if (gates_[f].type == GateType::kOutput) {
+    if (f >= records_.size()) fail("valid");
+    if (records_[f].type == GateType::kOutput) {
       throw Error("gate " + std::to_string(id) +
                   " uses an OUTPUT marker as fanin");
     }
@@ -127,9 +125,46 @@ void Netlist::check_arity(GateId id) const {
 
 void Netlist::finalize() {
   AIDFT_REQUIRE(!finalized_, "finalize() called twice");
-  for (GateId id = 0; id < gates_.size(); ++id) check_arity(id);
+  for (GateId id = 0; id < records_.size(); ++id) check_arity(id);
   topo_view_ = Topology::build(*this);
   finalized_ = true;
+}
+
+Netlist Netlist::replicate(const Netlist& core, std::size_t n) {
+  AIDFT_REQUIRE(core.finalized(), "core must be finalized");
+  AIDFT_REQUIRE(n >= 1, "need at least one instance");
+  // Tiling the Topology first also runs the 32-bit overflow checks before
+  // anything SoC-sized is allocated. Arity and acyclicity hold per
+  // instance, so they hold for the disjoint union: no re-validation.
+  Netlist r(core.name() + "_x" + std::to_string(n));
+  r.topo_view_ = Topology::replicate(core.topology(), n);
+  r.replicas_ = n;
+  r.finalized_ = true;
+
+  const std::size_t g = core.num_gates();
+  r.names_.reserve(g);
+  for (GateId id = 0; id < g; ++id) {
+    r.names_.push_back(core.name_of(id));
+    if (!r.names_.back().empty()) r.by_name_.emplace(r.names_.back(), id);
+  }
+  auto tile = [&](const std::vector<GateId>& ids, std::vector<GateId>& out) {
+    out.reserve(n * ids.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      for (GateId id : ids) out.push_back(static_cast<GateId>(i * g + id));
+    }
+  };
+  tile(core.inputs_, r.inputs_);
+  tile(core.outputs_, r.outputs_);
+  tile(core.dffs_, r.dffs_);
+  return r;
+}
+
+std::string Netlist::name_of(GateId id) const {
+  AIDFT_DBG_ASSERT(id < num_gates(), "gate id out of range");
+  if (replicas_ == 0) return names_[id];
+  const std::string& core_name = names_[id % names_.size()];
+  if (core_name.empty()) return {};
+  return "u" + std::to_string(id / names_.size()) + "_" + core_name;
 }
 
 std::vector<GateId> Netlist::combinational_inputs() const {
@@ -145,23 +180,56 @@ std::vector<GateId> Netlist::observe_points() const {
 }
 
 GateId Netlist::find(const std::string& name) const {
-  auto it = by_name_.find(name);
-  return it == by_name_.end() ? kNoGate : it->second;
+  if (replicas_ == 0) {
+    auto it = by_name_.find(name);
+    return it == by_name_.end() ? kNoGate : it->second;
+  }
+  // "u<i>_<core name>": the first '_' ends the instance number, so every
+  // replica name parses to exactly one (instance, core gate) pair.
+  const std::size_t sep = name.find('_');
+  if (sep == std::string::npos || sep < 2 || name[0] != 'u') return kNoGate;
+  if (name[1] == '0' && sep > 2) return kNoGate;  // leading zero
+  std::size_t inst = 0;
+  for (std::size_t k = 1; k < sep; ++k) {
+    if (name[k] < '0' || name[k] > '9') return kNoGate;
+    inst = inst * 10 + static_cast<std::size_t>(name[k] - '0');
+    if (inst >= replicas_) return kNoGate;  // also bounds inst
+  }
+  auto it = by_name_.find(name.substr(sep + 1));
+  if (it == by_name_.end()) return kNoGate;
+  return static_cast<GateId>(inst * names_.size() + it->second);
 }
 
 std::size_t Netlist::logic_gate_count() const {
   std::size_t n = 0;
-  for (const Gate& g : gates_) {
-    if (g.type != GateType::kInput && g.type != GateType::kOutput) ++n;
+  for (GateId id = 0; id < num_gates(); ++id) {
+    const GateType t = type(id);
+    if (t != GateType::kInput && t != GateType::kOutput) ++n;
   }
   return n;
+}
+
+std::size_t Netlist::name_bytes() const {
+  const std::size_t sso = std::string().capacity();
+  auto heap = [sso](const std::string& s) {
+    return s.capacity() > sso ? s.capacity() + 1 : 0;
+  };
+  std::size_t bytes = names_.capacity() * sizeof(std::string);
+  for (const std::string& s : names_) bytes += heap(s);
+  bytes += by_name_.bucket_count() * sizeof(void*);
+  for (const auto& [key, id] : by_name_) {
+    // Node: next pointer, cached hash, key/value pair.
+    bytes += 2 * sizeof(void*) + sizeof(std::pair<const std::string, GateId>) +
+             heap(key);
+  }
+  return bytes;
 }
 
 std::vector<GateId> clone_gates(Netlist& dst, const Netlist& src,
                                 const std::string& prefix) {
   std::vector<GateId> map(src.num_gates());
   for (GateId id = 0; id < src.num_gates(); ++id) {
-    const std::string& name = src.name_of(id);
+    const std::string name = src.name_of(id);
     map[id] = dst.add_gate(src.type(id), name.empty() ? "" : prefix + name);
   }
   return map;

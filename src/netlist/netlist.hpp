@@ -9,8 +9,11 @@
 // and order, and the structure every analysis engine (simulation, ATPG,
 // fault sim, SCOAP, ...) traverses. Gate names live in a side table.
 //
-// Rewrites (SoC replication, wrappers, scan and test-point insertion) build
-// a new netlist from a finalized one with clone_gates() + clone_fanins().
+// Rewrites (wrappers, scan and test-point insertion) build a new netlist
+// from a finalized one with clone_gates() + clone_fanins(). Plain SoC
+// replication skips the builder: Netlist::replicate() tiles the core's
+// compiled Topology and composes instance names on demand, so a replica has
+// no builder records at all; gate() reads whichever the netlist has.
 //
 // Sequential handling: a DFF's value is its Q output; its single fanin is D.
 // For full-scan test generation the combinational view treats every DFF
@@ -31,11 +34,12 @@
 
 namespace aidft {
 
-/// Builder-phase gate record. After finalize(), read structure through
+/// Read-only view of one gate: its type and fanin list in pin order. Valid
+/// while its Netlist lives and is not modified. Hot engines traverse
 /// topology() instead.
 struct Gate {
   GateType type = GateType::kBuf;
-  std::vector<GateId> fanin;
+  std::span<const GateId> fanin;
 };
 
 class Netlist {
@@ -73,24 +77,39 @@ class Netlist {
 
   bool finalized() const { return finalized_; }
 
+  /// `n` instances of the finalized `core`, tiled instance-major: instance
+  /// i's copy of core gate g is gate i * core.num_gates() + g, and the
+  /// input/output/flop lists follow the same order. Returns a finalized
+  /// netlist named "<core>_x<n>" whose Topology is Topology::replicate() of
+  /// the core's and whose names are composed on demand as "u<i>_" + core
+  /// name (an unnamed core gate stays unnamed). Throws Error when the
+  /// replica's gate ids or edge offsets would not fit 32 bits.
+  static Netlist replicate(const Netlist& core, std::size_t n);
+
   // ---- structure access --------------------------------------------------
 
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
 
-  std::size_t num_gates() const { return gates_.size(); }
-  const Gate& gate(GateId id) const {
-    AIDFT_DBG_ASSERT(id < gates_.size(), "gate id out of range");
-    return gates_[id];
+  std::size_t num_gates() const {
+    return finalized_ ? topo_view_.num_gates() : records_.size();
   }
-  GateType type(GateId id) const { return gate(id).type; }
+  /// View of gate `id`: the builder record when the netlist has one (every
+  /// netlist except a replica), the compiled Topology otherwise.
+  Gate gate(GateId id) const {
+    AIDFT_DBG_ASSERT(id < num_gates(), "gate id out of range");
+    if (replicas_ != 0) return {topo_view_.type(id), topo_view_.fanin(id)};
+    return {records_[id].type, records_[id].fanin};
+  }
+  GateType type(GateId id) const {
+    AIDFT_DBG_ASSERT(id < num_gates(), "gate id out of range");
+    return finalized_ ? topo_view_.type(id) : records_[id].type;
+  }
 
   /// Name of gate `id` (empty when auto-named). Side table, not a Gate
-  /// member: only reporting paths pay for name storage locality.
-  const std::string& name_of(GateId id) const {
-    AIDFT_DBG_ASSERT(id < names_.size(), "gate id out of range");
-    return names_[id];
-  }
+  /// member: only reporting paths pay for name storage locality. By value:
+  /// a replica composes it from the core's table.
+  std::string name_of(GateId id) const;
 
   const std::vector<GateId>& inputs() const { return inputs_; }
   const std::vector<GateId>& outputs() const { return outputs_; }
@@ -130,24 +149,39 @@ class Netlist {
     return t.type(g) == GateType::kDff ? t.fanin0(g) : g;
   }
 
-  /// Looks up a gate by name; returns kNoGate if absent.
+  /// Looks up a gate by name; returns kNoGate if absent. On a replica the
+  /// name must be "u<i>_<core name>" with i in canonical decimal (no
+  /// leading zero) below the instance count.
   GateId find(const std::string& name) const;
 
   /// Count of gates excluding kInput/kOutput markers (a conventional
   /// "gate count" for reporting).
   std::size_t logic_gate_count() const;
 
+  /// Heap footprint of the name side table and its lookup index (the hash
+  /// index is estimated from its bucket and node counts).
+  std::size_t name_bytes() const;
+
  private:
+  // Builder-phase gate record.
+  struct Record {
+    GateType type = GateType::kBuf;
+    std::vector<GateId> fanin;
+  };
+
   void check_arity(GateId id) const;
 
   std::string name_;
-  std::vector<Gate> gates_;
-  std::vector<std::string> names_;  // parallel to gates_; "" = auto-named
+  std::vector<Record> records_;     // empty on a replica
+  // Parallel to records_, or on a replica one core instance's table;
+  // "" = auto-named.
+  std::vector<std::string> names_;
   std::vector<GateId> inputs_;
   std::vector<GateId> outputs_;
   std::vector<GateId> dffs_;
-  std::unordered_map<std::string, GateId> by_name_;
-  Topology topo_view_;  // compiled by finalize()
+  std::unordered_map<std::string, GateId> by_name_;  // over names_
+  Topology topo_view_;  // compiled by finalize() or tiled by replicate()
+  std::size_t replicas_ = 0;  // instance count of a replica, else 0
   bool finalized_ = false;
 };
 

@@ -111,6 +111,61 @@ Topology Topology::build(const Netlist& netlist) {
   return t;
 }
 
+Topology Topology::replicate(const Topology& core, std::size_t n) {
+  const std::size_t g = core.num_gates();
+  // Ids run to n*g - 1 and must stay below kNoGate; offsets run to n*E.
+  auto fits = [n](std::size_t per_copy, std::size_t limit) {
+    return per_copy == 0 || n <= limit / per_copy;
+  };
+  AIDFT_REQUIRE(fits(g, kNoGate) &&
+                    fits(core.fanin_.edges.size(), UINT32_MAX) &&
+                    fits(core.fanout_.edges.size(), UINT32_MAX),
+                "replicating " + std::to_string(g) + " gates x " +
+                    std::to_string(n) +
+                    " overflows 32-bit gate ids or edge offsets");
+
+  auto tile_csr = [&](const Csr& c) {
+    const std::size_t edges = c.edges.size();
+    Csr out;
+    out.offsets.reserve(n * g + 1);
+    out.edges.reserve(n * edges);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto gate_base = static_cast<GateId>(i * g);
+      const auto edge_base = static_cast<std::uint32_t>(i * edges);
+      for (std::size_t k = 0; k < g; ++k) {
+        out.offsets.push_back(edge_base + c.offsets[k]);
+      }
+      for (GateId e : c.edges) out.edges.push_back(gate_base + e);
+    }
+    out.offsets.push_back(static_cast<std::uint32_t>(n * edges));
+    return out;
+  };
+
+  Topology t;
+  t.types_.reserve(n * g);
+  t.levels_.reserve(n * g);
+  for (std::size_t i = 0; i < n; ++i) {
+    t.types_.insert(t.types_.end(), core.types_.begin(), core.types_.end());
+    t.levels_.insert(t.levels_.end(), core.levels_.begin(),
+                     core.levels_.end());
+  }
+  t.fanin_ = tile_csr(core.fanin_);
+  t.fanout_ = tile_csr(core.fanout_);
+  t.num_levels_ = core.num_levels_;
+  t.topo_.reserve(n * g);
+  t.level_begin_.reserve(core.level_begin_.size());
+  for (std::uint32_t lvl = 0; lvl < core.num_levels_; ++lvl) {
+    t.level_begin_.push_back(static_cast<std::uint32_t>(t.topo_.size()));
+    const std::span<const GateId> bucket = core.level_gates(lvl);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto gate_base = static_cast<GateId>(i * g);
+      for (GateId id : bucket) t.topo_.push_back(gate_base + id);
+    }
+  }
+  t.level_begin_.push_back(static_cast<std::uint32_t>(t.topo_.size()));
+  return t;
+}
+
 std::size_t Topology::bytes() const {
   auto csr_bytes = [](const Csr& c) {
     return c.offsets.capacity() * sizeof(std::uint32_t) +

@@ -18,7 +18,7 @@
 // Invalidation: a Netlist is frozen by finalize() (add_gate/connect throw
 // afterwards), so the compiled view can never go stale; it lives exactly as
 // long as its Netlist. Engines cache `const Topology&` at construction and
-// never touch Gate objects after finalize().
+// never go through Netlist::gate() views after finalize().
 #pragma once
 
 #include <cstdint>
@@ -56,6 +56,15 @@ class Topology {
   /// CSR; a DFF is a source and its D edge is not a dependency). Throws
   /// Error when some gate cannot be ordered (a combinational cycle).
   static Topology build(const Netlist& netlist);
+
+  /// The view build() would compile for `n` disjoint copies of the netlist
+  /// behind `core`, copy i's gate g having id i * core.num_gates() + g:
+  /// types, levels and both CSRs tiled with id and edge offsets, and level
+  /// L's bucket the core's bucket repeated copy by copy (FIFO Kahn over
+  /// disjoint copies seeded in id order yields exactly that). Throws Error
+  /// before allocating when the gate ids or edge offsets would overflow
+  /// 32 bits.
+  static Topology replicate(const Topology& core, std::size_t n);
 
   std::size_t num_gates() const { return types_.size(); }
   GateType type(GateId g) const { return types_[g]; }

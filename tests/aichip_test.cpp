@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "aichip/soc.hpp"
 #include "aichip/test_time.hpp"
 #include "bench_circuits/generators.hpp"
@@ -11,6 +13,7 @@
 #include "fsim/campaign.hpp"
 #include "fsim/fault_sim.hpp"
 #include "sim/event_sim.hpp"
+#include "test_util.hpp"
 
 namespace aidft {
 namespace {
@@ -116,6 +119,108 @@ TEST(Soc, ReplicationArithmetic) {
   EXPECT_EQ(soc.netlist.dffs().size(), 3 * core.dffs().size());
   EXPECT_EQ(soc.netlist.outputs().size(), 3 * core.outputs().size());
   EXPECT_EQ(soc.netlist.logic_gate_count(), 3 * core.logic_gate_count());
+}
+
+// Netlist::replicate against the gate-by-gate rebuild it replaced: every
+// name, gate view, lookup and list of the replica must match the oracle.
+void expect_replica_matches_oracle(const Netlist& core, std::size_t n) {
+  SCOPED_TRACE(core.name() + " x" + std::to_string(n));
+  const aichip::SocNetlist soc = aichip::make_replicated_soc(core, n);
+  const Netlist oracle = test::cloned_replica(core, n);
+  const Netlist& nl = soc.netlist;
+  ASSERT_TRUE(nl.finalized());
+  EXPECT_EQ(nl.name(), oracle.name());
+  ASSERT_EQ(nl.num_gates(), oracle.num_gates());
+  for (GateId id = 0; id < nl.num_gates(); ++id) {
+    const std::string name = nl.name_of(id);
+    ASSERT_EQ(name, oracle.name_of(id)) << "gate " << id;
+    ASSERT_EQ(nl.type(id), oracle.type(id)) << "gate " << id;
+    const Gate got = nl.gate(id);
+    const Gate want = oracle.gate(id);
+    ASSERT_EQ(got.type, want.type) << "gate " << id;
+    ASSERT_TRUE(std::ranges::equal(got.fanin, want.fanin)) << "gate " << id;
+    ASSERT_EQ(nl.find(name), oracle.find(name)) << "'" << name << "'";
+    if (!name.empty()) {
+      ASSERT_EQ(nl.find(name), id);
+    }
+  }
+  EXPECT_EQ(nl.inputs(), oracle.inputs());
+  EXPECT_EQ(nl.outputs(), oracle.outputs());
+  EXPECT_EQ(nl.dffs(), oracle.dffs());
+  EXPECT_EQ(nl.logic_gate_count(), oracle.logic_gate_count());
+  EXPECT_EQ(nl.topo_order(), oracle.topo_order());
+
+  // comb_index addresses instance inst's copy of core input k.
+  const auto core_in = core.combinational_inputs();
+  const auto soc_in = nl.combinational_inputs();
+  ASSERT_EQ(soc_in, oracle.combinational_inputs());
+  for (std::size_t inst = 0; inst < n; ++inst) {
+    for (std::size_t k = 0; k < core_in.size(); ++k) {
+      EXPECT_EQ(soc_in[soc.comb_index(inst, k)],
+                inst * core.num_gates() + core_in[k]);
+    }
+  }
+
+  // Names that are not canonical "u<i>_<core name>" must miss, as they do
+  // in the oracle.
+  std::string x;
+  for (GateId id = 0; id < core.num_gates() && x.empty(); ++id) {
+    x = core.name_of(id);
+  }
+  ASSERT_FALSE(x.empty());
+  for (const std::string& probe :
+       {"u0_" + x, "u" + std::to_string(n - 1) + "_" + x, "u01_" + x,
+        "u00_" + x, "u" + std::to_string(n) + "_" + x, "u_" + x, "u" + x,
+        "u" + std::string(25, '9') + "_" + x, "u1x_" + x, "_" + x, x,
+        std::string("u0_"), std::string("u"), std::string()}) {
+    EXPECT_EQ(nl.find(probe), oracle.find(probe)) << "'" << probe << "'";
+  }
+}
+
+TEST(Soc, ReplicaMatchesClonedNetlist) {
+  const std::vector<Netlist> cores = [] {
+    std::vector<Netlist> v;
+    v.push_back(aichip::make_systolic_array({}));
+    v.push_back(circuits::make_mac(4, true));
+    v.push_back(circuits::make_counter(8));
+    v.push_back(circuits::make_random_logic(12, 400, 5));
+    return v;
+  }();
+  for (const Netlist& core : cores) {
+    for (std::size_t n : {1, 2, 3, 7}) expect_replica_matches_oracle(core, n);
+  }
+}
+
+// A replica of a replica composes both prefixes: u0_u1_x.
+TEST(Soc, ReplicaOfReplicaMatchesClonedNetlist) {
+  const Netlist core = circuits::make_mac(4, true);
+  const auto inner = aichip::make_replicated_soc(core, 2);
+  expect_replica_matches_oracle(inner.netlist, 3);
+  const auto outer = aichip::make_replicated_soc(inner.netlist, 3);
+  const std::string x = core.name_of(core.inputs()[0]);
+  const GateId g = outer.netlist.find("u2_u1_" + x);
+  ASSERT_NE(g, kNoGate);
+  EXPECT_EQ(g, 2 * inner.netlist.num_gates() + core.num_gates() +
+                   core.inputs()[0]);
+  EXPECT_EQ(outer.netlist.name_of(g), "u2_u1_" + x);
+  EXPECT_EQ(outer.netlist.find("u1_u2_" + x), kNoGate);
+}
+
+// Gate ids and CSR edge offsets are 32-bit: a replication past either
+// limit is refused before anything SoC-sized is allocated.
+TEST(Soc, ReplicationOverflowThrows) {
+  const Netlist core = circuits::make_mac(4, true);
+  const std::size_t g = core.num_gates();
+  const std::size_t e = core.topology().fanin_offset(static_cast<GateId>(g));
+  // One instance too many for the gate ids (the last id must stay below
+  // kNoGate).
+  EXPECT_THROW(aichip::make_replicated_soc(core, kNoGate / g + 1), Error);
+  // Ids fit, fanin edge offsets do not.
+  const std::size_t n = kNoGate / g;
+  ASSERT_GT(e, g);
+  ASSERT_GT(n * e, std::size_t{UINT32_MAX});
+  EXPECT_THROW(aichip::make_replicated_soc(core, n), Error);
+  EXPECT_THROW(Topology::replicate(core.topology(), n), Error);
 }
 
 TEST(Soc, BroadcastCubeReplicatesBits) {

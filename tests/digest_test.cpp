@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string_view>
 
 #include "aichip/soc.hpp"
 #include "aichip/wrapper.hpp"
@@ -37,7 +36,7 @@ std::uint64_t digest(const Netlist& nl) {
   h.u32(static_cast<std::uint32_t>(nl.num_gates()));
   for (GateId id = 0; id < nl.num_gates(); ++id) {
     h.u32(static_cast<std::uint32_t>(nl.type(id)));
-    const std::string_view name = nl.name_of(id);
+    const std::string name = nl.name_of(id);
     h.u32(static_cast<std::uint32_t>(name.size()));
     h.bytes(name.data(), name.size());
     const auto& fanin = nl.gate(id).fanin;

@@ -472,6 +472,11 @@ TEST(Telemetry, ChipFlowSpansSocBuildFaultsAndGradeInOrder) {
     return std::string("<missing>");
   };
   const aichip::SocNetlist soc = aichip::make_replicated_soc(core, 3);
+  // The build span gauges what the SoC netlist holds on the heap.
+  const std::size_t soc_bytes =
+      soc.netlist.topology().bytes() + soc.netlist.name_bytes();
+  EXPECT_GT(soc_bytes, 0u);
+  EXPECT_EQ(arg(chip[0], "bytes"), std::to_string(soc_bytes));
   EXPECT_EQ(arg(chip[1], "faults"),
             std::to_string(generate_stuck_at_faults(soc.netlist).size()));
   EXPECT_EQ(arg(chip[1], "collapsed"), std::to_string(report.soc_faults));

@@ -71,6 +71,22 @@ inline bool read_output_bit(const ParallelSimulator& sim, const std::string& nam
   return (sim.value(g) >> lane) & 1;
 }
 
+/// `n` copies of the finalized `core` rebuilt gate by gate through the
+/// builder (clone_gates + clone_fanins, names prefixed u<i>_) and then
+/// finalized: the independent oracle for Netlist::replicate and
+/// Topology::replicate.
+inline Netlist cloned_replica(const Netlist& core, std::size_t n) {
+  Netlist soc(core.name() + "_x" + std::to_string(n));
+  soc.reserve(n * core.num_gates());
+  for (std::size_t inst = 0; inst < n; ++inst) {
+    const std::vector<GateId> map =
+        clone_gates(soc, core, "u" + std::to_string(inst) + "_");
+    clone_fanins(soc, core, map, map);
+  }
+  soc.finalize();
+  return soc;
+}
+
 /// All 2^n cubes over n inputs (n must be small).
 inline std::vector<TestCube> exhaustive_patterns(std::size_t ninputs) {
   AIDFT_REQUIRE(ninputs <= 20, "exhaustive_patterns: too many inputs");

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "aichip/systolic.hpp"
 #include "atpg/podem.hpp"
 #include "bench_circuits/generators.hpp"
 #include "common/rng.hpp"
@@ -14,6 +15,7 @@
 #include "fsim/fault_sim.hpp"
 #include "netlist/scoap.hpp"
 #include "sim/parallel_sim.hpp"
+#include "test_util.hpp"
 
 namespace aidft {
 namespace {
@@ -284,6 +286,43 @@ TEST(NetlistBuilder, NameOfReturnsSideTableEntries) {
   EXPECT_EQ(nl.name_of(x), "x");
   EXPECT_TRUE(nl.name_of(anon).empty());
   EXPECT_EQ(nl.find("x"), x);
+}
+
+// ---- replication ------------------------------------------------------------
+
+// Topology::replicate tiles the core's compiled view; Topology::build of the
+// same replica rebuilt gate by gate must compute exactly the same arrays.
+TEST(Topology, ReplicateMatchesBuild) {
+  std::vector<circuits::NamedCircuit> cores = circuits::standard_suite();
+  cores.push_back({"systolic2x2", aichip::make_systolic_array({})});
+  cores.push_back({"mac8r", circuits::make_mac(8, true)});
+  cores.push_back({"counter8", circuits::make_counter(8)});
+  cores.push_back({"rand12_400", circuits::make_random_logic(12, 400, 5)});
+  Netlist empty("empty");
+  empty.finalize();
+  cores.push_back({"empty", std::move(empty)});
+  for (const auto& nc : cores) {
+    for (std::size_t n : {1, 2, 3, 7}) {
+      SCOPED_TRACE(std::string(nc.name) + " x" + std::to_string(n));
+      const Netlist oracle = test::cloned_replica(nc.netlist, n);
+      const Topology& want = oracle.topology();
+      const Topology got = Topology::replicate(nc.netlist.topology(), n);
+      ASSERT_EQ(got.num_gates(), want.num_gates());
+      for (GateId id = 0; id < want.num_gates(); ++id) {
+        ASSERT_EQ(got.type(id), want.type(id)) << "gate " << id;
+        ASSERT_EQ(got.level(id), want.level(id)) << "gate " << id;
+        ASSERT_EQ(got.fanin_offset(id), want.fanin_offset(id)) << "gate " << id;
+        ASSERT_TRUE(std::ranges::equal(got.fanin(id), want.fanin(id)))
+            << "fanin of gate " << id;
+        ASSERT_TRUE(std::ranges::equal(got.fanout(id), want.fanout(id)))
+            << "fanout of gate " << id;
+      }
+      EXPECT_EQ(got.topo_order(), want.topo_order());
+      EXPECT_EQ(got.level_begin(), want.level_begin());
+      EXPECT_EQ(got.num_levels(), want.num_levels());
+      EXPECT_EQ(got.bytes(), want.bytes());
+    }
+  }
 }
 
 TEST(TopologyView, RequiresFinalize) {
