@@ -1,36 +1,29 @@
 #include "atpg/atpg.hpp"
 
-#include <algorithm>
-
-#include "fsim/campaign.hpp"
-#include "fsim/fault_sim.hpp"
 #include "netlist/scoap.hpp"
 
 namespace aidft {
-namespace {
 
-// Applies `patterns` (fully specified) to the still-undetected faults with
-// dropping; flips status to kDetected and returns how many fell.
-std::size_t drop_detected(FaultSimulator& fsim, const std::vector<Fault>& faults,
-                          std::vector<FaultStatus>& status,
-                          const std::vector<TestCube>& patterns) {
-  if (patterns.empty()) return 0;
-  std::size_t dropped = 0;
-  for (std::size_t base = 0; base < patterns.size(); base += 64) {
-    const std::size_t count = std::min<std::size_t>(64, patterns.size() - base);
-    fsim.load_batch(pack_patterns(patterns, base, count));
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      if (status[i] != FaultStatus::kUndetected) continue;
-      if (fsim.detect_mask(faults[i]) != 0) {
-        status[i] = FaultStatus::kDetected;
-        ++dropped;
-      }
+void grade_statuses(const Netlist& nl, const std::vector<Fault>& faults,
+                    std::vector<FaultStatus>& status,
+                    const std::vector<TestCube>& patterns,
+                    const CampaignOptions& options, bool recheck_detected) {
+  if (patterns.empty()) return;
+  std::vector<std::size_t> graded;
+  std::vector<Fault> targets;
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    if (status[i] == FaultStatus::kUndetected ||
+        (recheck_detected && status[i] == FaultStatus::kDetected)) {
+      graded.push_back(i);
+      targets.push_back(faults[i]);
     }
   }
-  return dropped;
+  const CampaignResult r = run_campaign(nl, targets, patterns, options);
+  for (std::size_t k = 0; k < targets.size(); ++k) {
+    status[graded[k]] = r.first_detected_by[k] >= 0 ? FaultStatus::kDetected
+                                                    : FaultStatus::kUndetected;
+  }
 }
-
-}  // namespace
 
 AtpgResult generate_tests(const Netlist& nl, const std::vector<Fault>& faults,
                           const AtpgOptions& options) {
@@ -44,7 +37,6 @@ AtpgResult generate_tests(const Netlist& nl, const std::vector<Fault>& faults,
   AtpgResult result;
   result.status.assign(faults.size(), FaultStatus::kUndetected);
   Rng rng(options.seed);
-  FaultSimulator fsim(nl);
   const std::size_t width = nl.combinational_inputs().size();
 
   // ---- Phase 1: random patterns with dropping --------------------------
@@ -136,7 +128,8 @@ AtpgResult generate_tests(const Netlist& nl, const std::vector<Fault>& faults,
     if (pending.empty()) return;
     for (const auto& p : pending) result.cubes.push_back(p);
     fill_cubes(pending, options.x_fill, rng);
-    drop_detected(fsim, faults, result.status, pending);
+    grade_statuses(nl, faults, result.status, pending,
+                   {.telemetry = options.telemetry});
     for (auto& p : pending) result.patterns.push_back(std::move(p));
     pending.clear();
   };

@@ -19,6 +19,7 @@
 #include "atpg/podem.hpp"
 #include "atpg/sat_atpg.hpp"
 #include "fault/fault.hpp"
+#include "fsim/campaign.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/telemetry.hpp"
 
@@ -106,5 +107,15 @@ struct AtpgResult {
 /// Runs the full pipeline for stuck-at `faults` on a finalized netlist.
 AtpgResult generate_tests(const Netlist& netlist, const std::vector<Fault>& faults,
                           const AtpgOptions& options = {});
+
+/// Grades fully specified `patterns` through run_campaign() against the
+/// faults whose status is kUndetected (or kDetected, when `recheck_detected`)
+/// and sets each of them to kDetected or kUndetected by the result; a no-op
+/// for empty `patterns`. The fault dropping of both ATPG pipelines.
+void grade_statuses(const Netlist& netlist, const std::vector<Fault>& faults,
+                    std::vector<FaultStatus>& status,
+                    const std::vector<TestCube>& patterns,
+                    const CampaignOptions& options,
+                    bool recheck_detected = false);
 
 }  // namespace aidft

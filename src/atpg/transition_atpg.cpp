@@ -2,8 +2,6 @@
 
 #include "atpg/sat_atpg.hpp"
 #include "common/rng.hpp"
-#include "fsim/campaign.hpp"
-#include "fsim/fault_sim.hpp"
 #include "netlist/scoap.hpp"
 #include "sat/cnf.hpp"
 
@@ -80,31 +78,14 @@ TransitionAtpgResult generate_transition_tests(
 
   // Grades the accumulated pattern list against all not-yet-detected faults
   // (pairs form at consecutive indices; our interleaving guarantees each
-  // generated (V1,V2) sits at (2k, 2k+1)).
+  // generated (V1,V2) sits at (2k, 2k+1)). Inheriting run control here is
+  // safe: an early stop only *misses* incidental detections (more
+  // deterministic work later), it never records a false one.
   auto drop_detected = [&] {
-    if (result.patterns.empty()) return;
-    std::vector<Fault> alive;
-    std::vector<std::size_t> alive_idx;
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      if (result.status[i] == FaultStatus::kUndetected) {
-        alive.push_back(faults[i]);
-        alive_idx.push_back(i);
-      }
-    }
-    if (alive.empty()) return;
-    // Inheriting run control here is safe: an early stop only *misses*
-    // incidental detections (more deterministic work later), it never
-    // records a false one.
-    const CampaignResult r =
-        run_campaign(nl, alive, result.patterns,
-                     {.num_threads = options.num_threads,
-                      .telemetry = options.telemetry,
-                      .run_control = options.run_control});
-    for (std::size_t k = 0; k < alive.size(); ++k) {
-      if (r.first_detected_by[k] >= 0) {
-        result.status[alive_idx[k]] = FaultStatus::kDetected;
-      }
-    }
+    grade_statuses(nl, faults, result.status, result.patterns,
+                   {.num_threads = options.num_threads,
+                    .telemetry = options.telemetry,
+                    .run_control = options.run_control});
   };
 
   std::size_t since_drop = 0;
@@ -174,28 +155,10 @@ TransitionAtpgResult generate_transition_tests(
   // pattern set actually detects. Deliberately NOT run-controlled — its cost
   // is proportional to the pairs actually emitted, and skipping it could
   // leave a provisional kDetected that the pattern set does not back up.
-  {
-    std::vector<std::size_t> undecided;
-    std::vector<Fault> regrade;
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      if (result.status[i] == FaultStatus::kDetected ||
-          result.status[i] == FaultStatus::kUndetected) {
-        regrade.push_back(faults[i]);
-        undecided.push_back(i);
-      }
-    }
-    if (!regrade.empty() && !result.patterns.empty()) {
-      const CampaignResult r =
-          run_campaign(nl, regrade, result.patterns,
-                       {.num_threads = options.num_threads,
-                        .telemetry = options.telemetry});
-      for (std::size_t k = 0; k < regrade.size(); ++k) {
-        result.status[undecided[k]] = r.first_detected_by[k] >= 0
-                                          ? FaultStatus::kDetected
-                                          : FaultStatus::kUndetected;
-      }
-    }
-  }
+  grade_statuses(nl, faults, result.status, result.patterns,
+                 {.num_threads = options.num_threads,
+                  .telemetry = options.telemetry},
+                 /*recheck_detected=*/true);
 
   for (FaultStatus s : result.status) {
     if (s == FaultStatus::kDetected) ++result.detected;

@@ -4,8 +4,8 @@
 
 #include "common/rng.hpp"
 #include "fsim/campaign.hpp"
-#include "fsim/fault_sim.hpp"
 #include "netlist/scoap.hpp"
+#include "sim/parallel_sim.hpp"
 
 namespace aidft {
 
@@ -54,6 +54,52 @@ TestCube Prpg::next_pattern() {
   return cube;
 }
 
+namespace {
+
+// The session's stimulus: config.patterns PRPG patterns.
+std::vector<TestCube> session_patterns(const Netlist& nl,
+                                       const LbistConfig& config) {
+  Prpg prpg(config, nl.combinational_inputs().size());
+  std::vector<TestCube> patterns;
+  patterns.reserve(config.patterns);
+  for (std::size_t i = 0; i < config.patterns; ++i) {
+    patterns.push_back(prpg.next_pattern());
+  }
+  return patterns;
+}
+
+// Shifts the session's responses into `misr`: the good machine's XOR
+// `diffs` (one word per observe point per batch; empty = fault-free).
+// Polls `rc` once per batch; returns why it stopped, kNone when complete.
+StopReason compact_responses(const Netlist& nl,
+                             const std::vector<TestCube>& patterns,
+                             const std::vector<std::uint64_t>& diffs,
+                             RunControl* rc, Misr& misr) {
+  ParallelSimulator sim(nl);
+  const std::size_t nops = nl.observe_points().size();
+  std::vector<bool> response(nops);
+  for (std::size_t base = 0; base < patterns.size(); base += 64) {
+    if (rc != nullptr) {
+      const StopReason stop = rc->poll();
+      if (stop != StopReason::kNone) return stop;
+    }
+    const std::size_t count = std::min<std::size_t>(64, patterns.size() - base);
+    sim.simulate(pack_patterns(patterns, base, count));
+    const auto words = sim.observed_response();
+    const std::uint64_t* diff =
+        diffs.empty() ? nullptr : diffs.data() + base / 64 * nops;
+    for (std::size_t lane = 0; lane < count; ++lane) {
+      for (std::size_t i = 0; i < nops; ++i) {
+        response[i] = ((words[i] ^ (diff ? diff[i] : 0)) >> lane) & 1;
+      }
+      misr.shift_in(response);
+    }
+  }
+  return StopReason::kNone;
+}
+
+}  // namespace
+
 LbistResult run_lbist(const Netlist& nl, const std::vector<Fault>& faults,
                       const LbistConfig& config) {
   AIDFT_REQUIRE_CTX(nl.finalized(), "run_lbist",
@@ -67,14 +113,7 @@ LbistResult run_lbist(const Netlist& nl, const std::vector<Fault>& faults,
   obs::add(config.telemetry, "lbist.sessions");
   obs::add(config.telemetry, "lbist.patterns", config.patterns);
 
-  const std::size_t width = nl.combinational_inputs().size();
-  Prpg prpg(config, width);
-  std::vector<TestCube> patterns;
-  patterns.reserve(config.patterns);
-  for (std::size_t i = 0; i < config.patterns; ++i) {
-    patterns.push_back(prpg.next_pattern());
-  }
-
+  const std::vector<TestCube> patterns = session_patterns(nl, config);
   const CampaignResult campaign =
       run_campaign(nl, faults, patterns,
                    {.num_threads = config.num_threads,
@@ -135,65 +174,30 @@ LbistResult run_lbist(const Netlist& nl, const std::vector<Fault>& faults,
   // partial signature is worthless (it will never match a full session), so
   // on an early stop the loop aborts and golden_signature stays empty.
   if (result.outcome != StageOutcome::kCompleted) return result;
-  RunControl* rc = config.run_control;
   Misr misr(config.misr_bits);
-  ParallelSimulator sim(nl);
-  const auto observe = nl.observe_points();
-  std::vector<bool> response(observe.size());
-  for (std::size_t base = 0; base < patterns.size(); base += 64) {
-    if (rc != nullptr) {
-      const StopReason stop = rc->poll();
-      if (stop != StopReason::kNone) {
-        result.outcome = outcome_from(stop);
-        return result;
-      }
-    }
-    const std::size_t count = std::min<std::size_t>(64, patterns.size() - base);
-    sim.simulate(pack_patterns(patterns, base, count));
-    const auto words = sim.observed_response();
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      for (std::size_t i = 0; i < observe.size(); ++i) {
-        response[i] = (words[i] >> lane) & 1;
-      }
-      misr.shift_in(response);
-    }
-  }
-  result.golden_signature = misr.signature();
+  const StopReason stop =
+      compact_responses(nl, patterns, {}, config.run_control, misr);
+  result.outcome = outcome_from(stop);
+  if (stop == StopReason::kNone) result.golden_signature = misr.signature();
   return result;
 }
 
 std::vector<std::uint64_t> faulty_signature(const Netlist& nl, const Fault& fault,
                                             const LbistConfig& config) {
-  const std::size_t width = nl.combinational_inputs().size();
-  Prpg prpg(config, width);
-  std::vector<TestCube> patterns;
-  patterns.reserve(config.patterns);
-  for (std::size_t i = 0; i < config.patterns; ++i) {
-    patterns.push_back(prpg.next_pattern());
-  }
-
+  const std::vector<TestCube> patterns = session_patterns(nl, config);
+  // The defect's per-batch observe-point diffs, zero where it hides.
+  const std::size_t nops = nl.observe_points().size();
+  std::vector<std::uint64_t> diffs((patterns.size() + 63) / 64 * nops, 0);
+  run_campaign(nl, std::span<const Fault>(&fault, 1), patterns,
+               {.drop_limit = 0, .telemetry = config.telemetry},
+               [&](std::size_t, std::size_t batch, std::uint64_t,
+                   std::span<const std::uint64_t> op_diffs) {
+                 std::copy(op_diffs.begin(), op_diffs.end(),
+                           diffs.begin() + batch * nops);
+                 return false;
+               });
   Misr misr(config.misr_bits);
-  FaultSimulator fsim(nl);
-  const auto observe = nl.observe_points();
-  std::vector<bool> response(observe.size());
-  std::vector<std::uint64_t> op_diffs;
-  for (std::size_t base = 0; base < patterns.size(); base += 64) {
-    const std::size_t count = std::min<std::size_t>(64, patterns.size() - base);
-    fsim.load_batch(pack_patterns(patterns, base, count));
-    fsim.detect_mask_detailed(fault, op_diffs);
-    // Faulty response = good response XOR diff.
-    ParallelSimulator sim(nl);
-    sim.simulate(pack_patterns(patterns, base, count));
-    const auto words = sim.observed_response();
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      for (std::size_t i = 0; i < observe.size(); ++i) {
-        const bool good = (words[i] >> lane) & 1;
-        const bool diff = (op_diffs[i] >> lane) & 1;
-        response[i] = good ^ diff;
-      }
-      misr.shift_in(response);
-    }
-  }
+  compact_responses(nl, patterns, diffs, nullptr, misr);
   return misr.signature();
 }
 

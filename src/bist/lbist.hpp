@@ -35,7 +35,7 @@ struct LbistConfig {
   bool predict_resistance = true;
   /// Observability sink: null (default) = off. Emits a `lbist.session` span
   /// plus `lbist.sessions` / `lbist.patterns` counters; the coverage
-  /// campaign inherits the same sink.
+  /// campaign and faulty_signature()'s campaign inherit the same sink.
   obs::Telemetry* telemetry = nullptr;
   /// Run control: null (default) = run to completion. When set, the coverage
   /// campaign inherits it and the signature loop polls per 64-pattern batch.

@@ -4,7 +4,6 @@
 
 #include "common/rng.hpp"
 #include "fsim/campaign.hpp"
-#include "fsim/fault_sim.hpp"
 
 namespace aidft {
 
@@ -122,7 +121,6 @@ CompressedSessionResult run_compressed_session(
   // Grade: ideal observation + compacted observation with fault dropping.
   obs::Span grade_span =
       obs::span(config.telemetry, "edt.grade_compacted", "compress");
-  FaultSimulator fsim(nl);
   const auto observe = nl.observe_points();
   // Unload layout, built once. POs are directly visible; the flop at
   // position p of chain c leaves in unload cycle len(c) - 1 - p, so
@@ -141,51 +139,30 @@ CompressedSessionResult run_compressed_session(
     unload[(plan.chains[c].cells.size() - 1 - p) * chains + c] = i;
   }
 
-  std::vector<bool> ideal_done(faults.size(), false);
-  std::vector<bool> compact_done(faults.size(), false);
-  std::vector<std::uint64_t> op_diffs;
   std::vector<std::uint64_t> cycle_diffs(chains);
-  // Live lanes in which a fault shows through the compactor: a PO fails, or
-  // some unload cycle leaves odd parity in some compactor group.
-  const auto compacted_lanes = [&](std::uint64_t live) {
-    std::uint64_t lanes = 0;
-    for (const std::uint32_t oi : po_index) lanes |= op_diffs[oi];
-    for (std::size_t cycle = 0; cycle < max_len && (lanes & live) == 0;
-         ++cycle) {
-      const std::uint32_t* row = unload.data() + cycle * chains;
-      for (std::size_t c = 0; c < chains; ++c) {
-        cycle_diffs[c] = row[c] == kNoCell ? 0 : op_diffs[row[c]];
-      }
-      lanes |= compactor.visible_lanes(cycle_diffs);
-    }
-    return lanes & live;
-  };
-
-  for (std::size_t base = 0; base < result.delivered.size(); base += 64) {
-    if (rc != nullptr) {
-      const StopReason stop = rc->poll();
-      if (stop != StopReason::kNone) {
-        result.outcome = outcome_from(stop);
-        break;
-      }
-    }
-    const std::size_t count =
-        std::min<std::size_t>(64, result.delivered.size() - base);
-    const std::uint64_t live = count == 64 ? ~0ull : (1ull << count) - 1;
-    fsim.load_batch(pack_patterns(result.delivered, base, count));
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      if (ideal_done[fi] && compact_done[fi]) continue;
-      const std::uint64_t mask = fsim.detect_mask_detailed(faults[fi], op_diffs);
-      if (mask == 0) continue;
-      if (!ideal_done[fi]) {
-        ideal_done[fi] = true;
-        ++result.detected_ideal;
-      }
-      if (!compact_done[fi] && compacted_lanes(live) != 0) {
-        compact_done[fi] = true;
-        ++result.detected_compacted;
-      }
-    }
+  // Every detection is an ideal one. A fault is graded on until it also
+  // shows through the compactor in a (live) lane: a PO fails, or some unload
+  // cycle leaves odd parity in some compactor group.
+  const CampaignResult graded = run_campaign(
+      nl, faults, result.delivered,
+      {.drop_limit = 0, .telemetry = config.telemetry, .run_control = rc},
+      [&](std::size_t, std::size_t, std::uint64_t,
+          std::span<const std::uint64_t> op_diffs) {
+        std::uint64_t lanes = 0;
+        for (const std::uint32_t oi : po_index) lanes |= op_diffs[oi];
+        for (std::size_t cycle = 0; cycle < max_len && lanes == 0; ++cycle) {
+          const std::uint32_t* row = unload.data() + cycle * chains;
+          for (std::size_t c = 0; c < chains; ++c) {
+            cycle_diffs[c] = row[c] == kNoCell ? 0 : op_diffs[row[c]];
+          }
+          lanes |= compactor.visible_lanes(cycle_diffs);
+        }
+        result.detected_compacted += lanes != 0;
+        return lanes != 0;
+      });
+  result.detected_ideal = graded.detected;
+  if (graded.outcome != StageOutcome::kCompleted) {
+    result.outcome = graded.outcome;
   }
   return result;
 }

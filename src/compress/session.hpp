@@ -29,13 +29,12 @@ struct CompressedSessionConfig {
   /// Observability sink: null (default) = off. Emits an `edt.session` span
   /// holding `edt.encode`, `edt.grade_baseline` and `edt.grade_compacted`,
   /// plus `edt.encode_attempts` / `edt.encode_failures` / `edt.cubes_encoded`
-  /// counters; the baseline campaign inherits the same sink.
+  /// counters; both grading campaigns inherit the same sink.
   obs::Telemetry* telemetry = nullptr;
   /// Run control: null (default) = run to completion. When set, the encode
-  /// loop check()s every 16 cubes, the baseline campaign inherits it and the
-  /// compacted-grading loop polls per 64-pattern batch. On expiry/cancel the
-  /// session returns the patterns delivered and detections recorded so far
-  /// (outcome != kCompleted).
+  /// loop check()s every 16 cubes and both grading campaigns inherit it. On
+  /// expiry/cancel the session returns the patterns delivered and detections
+  /// recorded so far (outcome != kCompleted).
   RunControl* run_control = nullptr;
 };
 

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "fsim/campaign.hpp"
-#include "fsim/fault_sim.hpp"
 
 namespace aidft {
 

@@ -1,8 +1,9 @@
 #include "diag/diagnosis.hpp"
 
 #include <algorithm>
+#include <bit>
 
-#include "fsim/fault_sim.hpp"
+#include "fsim/campaign.hpp"
 
 namespace aidft {
 namespace {
@@ -108,20 +109,7 @@ std::size_t FailLog::failing_pattern_count() const {
 
 FailLog simulate_defect(const Netlist& nl, const std::vector<TestCube>& patterns,
                         const Fault& defect) {
-  AIDFT_REQUIRE(defect.kind == FaultKind::kStuckAt,
-                "diagnosis handles stuck-at defects");
-  FailLog log;
-  log.num_patterns = patterns.size();
-  log.num_observe_points = nl.observe_points().size();
-  FaultSimulator fsim(nl);
-  std::vector<std::uint64_t> op_diffs;
-  for (std::size_t base = 0; base < patterns.size(); base += 64) {
-    const std::size_t count = std::min<std::size_t>(64, patterns.size() - base);
-    fsim.load_batch(pack_patterns(patterns, base, count));
-    fsim.detect_mask_detailed(defect, op_diffs);
-    log.blocks.push_back(op_diffs);
-  }
-  return log;
+  return simulate_defects(nl, patterns, {defect});
 }
 
 DiagnosisResult diagnose(const Netlist& nl, const std::vector<TestCube>& patterns,
@@ -132,27 +120,26 @@ DiagnosisResult diagnose(const Netlist& nl, const std::vector<TestCube>& pattern
   const std::vector<Fault> kept = cone_candidates(nl, log, candidates);
   record_pruning(telemetry, diag_span, candidates.size(), kept.size());
   DiagnosisResult result;
-  FaultSimulator fsim(nl);
   std::vector<DiagnosisCandidate> scored(kept.size());
   for (std::size_t i = 0; i < kept.size(); ++i) scored[i].fault = kept[i];
 
-  std::vector<std::uint64_t> op_diffs;
-  for (std::size_t base = 0, block = 0; base < patterns.size();
-       base += 64, ++block) {
-    const std::size_t count = std::min<std::size_t>(64, patterns.size() - base);
-    fsim.load_batch(pack_patterns(patterns, base, count));
-    const auto& observed = log.blocks[block];
-    for (auto& cand : scored) {
-      fsim.detect_mask_detailed(cand.fault, op_diffs);
-      for (std::size_t op = 0; op < op_diffs.size(); ++op) {
-        const std::uint64_t pred = op_diffs[op];
-        const std::uint64_t obs = observed[op];
-        cand.tp += static_cast<std::uint64_t>(__builtin_popcountll(pred & obs));
-        cand.fp += static_cast<std::uint64_t>(__builtin_popcountll(pred & ~obs));
-        cand.fn += static_cast<std::uint64_t>(__builtin_popcountll(~pred & obs));
-      }
-    }
+  // TP and FP accrue over the batches a candidate fails in. FN needs no
+  // simulation: pred & obs and ~pred & obs partition obs, so FN = |log| - TP.
+  run_campaign(nl, kept, patterns, {.drop_limit = 0, .telemetry = telemetry},
+               [&](std::size_t ci, std::size_t batch, std::uint64_t,
+                   std::span<const std::uint64_t> pred) {
+                 const auto& obs = log.blocks[batch];
+                 for (std::size_t op = 0; op < pred.size(); ++op) {
+                   scored[ci].tp += std::popcount(pred[op] & obs[op]);
+                   scored[ci].fp += std::popcount(pred[op] & ~obs[op]);
+                 }
+                 return false;
+               });
+  std::uint64_t log_failures = 0;
+  for (const auto& block : log.blocks) {
+    for (std::uint64_t w : block) log_failures += std::popcount(w);
   }
+  for (auto& cand : scored) cand.fn = log_failures - cand.tp;
 
   for (auto& cand : scored) {
     cand.score = static_cast<double>(cand.tp) -
@@ -171,25 +158,31 @@ DiagnosisResult diagnose(const Netlist& nl, const std::vector<TestCube>& pattern
               return a.fault.value < b.fault.value;
             });
   result.ranked = std::move(scored);
-  if (diag_span.active()) {
-    diag_span.arg("ranked", result.ranked.size());
-    obs::add(telemetry, "fsim.events", fsim.events_simulated());
-  }
+  if (diag_span.active()) diag_span.arg("ranked", result.ranked.size());
   return result;
 }
 
 FailLog simulate_defects(const Netlist& nl, const std::vector<TestCube>& patterns,
                          const std::vector<Fault>& defects) {
   AIDFT_REQUIRE(!defects.empty(), "need at least one defect");
-  FailLog log = simulate_defect(nl, patterns, defects[0]);
-  for (std::size_t d = 1; d < defects.size(); ++d) {
-    const FailLog more = simulate_defect(nl, patterns, defects[d]);
-    for (std::size_t b = 0; b < log.blocks.size(); ++b) {
-      for (std::size_t op = 0; op < log.blocks[b].size(); ++op) {
-        log.blocks[b][op] |= more.blocks[b][op];
-      }
-    }
+  for (const Fault& d : defects) {
+    AIDFT_REQUIRE(d.kind == FaultKind::kStuckAt,
+                  "diagnosis handles stuck-at defects");
   }
+  FailLog log;
+  log.num_patterns = patterns.size();
+  log.num_observe_points = nl.observe_points().size();
+  log.blocks.assign((patterns.size() + 63) / 64,
+                    std::vector<std::uint64_t>(log.num_observe_points, 0));
+  // The defects' failures superpose: union their diffs per batch.
+  run_campaign(nl, defects, patterns, {.drop_limit = 0},
+               [&](std::size_t, std::size_t batch, std::uint64_t,
+                   std::span<const std::uint64_t> op_diffs) {
+                 for (std::size_t op = 0; op < op_diffs.size(); ++op) {
+                   log.blocks[batch][op] |= op_diffs[op];
+                 }
+                 return false;
+               });
   return log;
 }
 
@@ -206,24 +199,17 @@ MultiDiagnosisResult diagnose_multiplet(const Netlist& nl,
   MultiDiagnosisResult result;
 
   // Predicted fail sets per candidate (computed once).
-  FaultSimulator fsim(nl);
   const std::size_t nblocks = log.blocks.size();
   const std::size_t nops = log.num_observe_points;
   std::vector<std::vector<std::uint64_t>> predicted(
       kept.size(), std::vector<std::uint64_t>(nblocks * nops, 0));
-  {
-    std::vector<std::uint64_t> op_diffs;
-    for (std::size_t base = 0, b = 0; base < patterns.size(); base += 64, ++b) {
-      const std::size_t count = std::min<std::size_t>(64, patterns.size() - base);
-      fsim.load_batch(pack_patterns(patterns, base, count));
-      for (std::size_t ci = 0; ci < kept.size(); ++ci) {
-        fsim.detect_mask_detailed(kept[ci], op_diffs);
-        for (std::size_t op = 0; op < nops; ++op) {
-          predicted[ci][b * nops + op] = op_diffs[op];
-        }
-      }
-    }
-  }
+  run_campaign(nl, kept, patterns, {.drop_limit = 0, .telemetry = telemetry},
+               [&](std::size_t ci, std::size_t batch, std::uint64_t,
+                   std::span<const std::uint64_t> op_diffs) {
+                 std::copy(op_diffs.begin(), op_diffs.end(),
+                           predicted[ci].begin() + batch * nops);
+                 return false;
+               });
 
   // Remaining unexplained failures.
   std::vector<std::uint64_t> remaining(nblocks * nops, 0);
@@ -285,10 +271,7 @@ MultiDiagnosisResult diagnose_multiplet(const Netlist& nl,
   }
   result.unexplained = left;
   result.explained = total_events - left;
-  if (diag_span.active()) {
-    diag_span.arg("selected", result.selected.size());
-    obs::add(telemetry, "fsim.events", fsim.events_simulated());
-  }
+  if (diag_span.active()) diag_span.arg("selected", result.selected.size());
   return result;
 }
 

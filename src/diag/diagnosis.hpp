@@ -21,7 +21,7 @@
 namespace aidft {
 
 /// Per-pattern failing observe points, packed as one word per observe point
-/// per 64-pattern block — the same layout FaultSimulator produces.
+/// per 64-pattern block — the op_diffs layout of a detailed campaign hook.
 struct FailLog {
   std::size_t num_patterns = 0;
   std::size_t num_observe_points = 0;

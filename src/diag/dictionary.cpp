@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "fsim/fault_sim.hpp"
+#include "fsim/campaign.hpp"
 
 namespace aidft {
 
@@ -13,14 +13,11 @@ FaultDictionary::FaultDictionary(const Netlist& nl,
       words_per_sig_((patterns.size() + 63) / 64),
       signatures_(faults.size(),
                   std::vector<std::uint64_t>((patterns.size() + 63) / 64, 0)) {
-  FaultSimulator fsim(nl);
-  for (std::size_t base = 0, w = 0; base < patterns.size(); base += 64, ++w) {
-    const std::size_t count = std::min<std::size_t>(64, patterns.size() - base);
-    fsim.load_batch(pack_patterns(patterns, base, count));
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      signatures_[fi][w] = fsim.detect_mask(faults[fi]);
-    }
-  }
+  run_campaign(nl, faults, patterns, {.drop_limit = 0},
+               [&](std::size_t fault, std::size_t batch, std::uint64_t mask) {
+                 signatures_[fault][batch] = mask;
+                 return false;
+               });
 }
 
 std::vector<std::uint64_t> FaultDictionary::signature_of(const FailLog& log) {

@@ -174,18 +174,21 @@ struct ShardState {
   std::size_t end = 0;
   std::vector<std::uint32_t> alive;  // compacted in place per batch
   std::optional<FaultSimulator> fsim;
+  std::vector<std::uint64_t> op_diffs;  // filled by detailed grading only
   std::uint64_t events_flushed = 0;
   std::uint64_t early_exits_flushed = 0;
 };
 
 // The sharded engine, shared by both fault models. `grade` maps
-// (FaultSimulator&, fault, capture_batch) to a detect mask; `needs_launch`
-// says whether a fault requires the launch batch (transition faults).
+// (FaultSimulator&, op_diffs, fault, capture_batch) to a detect mask;
+// `needs_launch` says whether a fault requires the launch batch (transition
+// faults); `on_detect`, when set, runs on every nonzero mask.
 template <typename FaultT, typename Grade, typename NeedsLaunch>
 CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
                            const std::vector<TestCube>& patterns,
                            const CampaignOptions& options, Grade&& grade,
-                           NeedsLaunch&& needs_launch) {
+                           NeedsLaunch&& needs_launch,
+                           const DetailedDetectHook* on_detect = nullptr) {
   CampaignResult r;
   r.total_faults = faults.size();
   r.first_detected_by.assign(faults.size(), -1);
@@ -306,14 +309,17 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
       std::size_t kept = 0;
       std::size_t newly_marked = 0;
       for (std::uint32_t i : shard.alive) {
-        const std::uint64_t mask = grade(fsim, faults[i], capture[b]);
+        const std::uint64_t mask =
+            grade(fsim, shard.op_diffs, faults[i], capture[b]);
         if (mask != 0) {
           if (r.first_detected_by[i] < 0) {
             r.first_detected_by[i] = static_cast<std::int64_t>(
                 b * 64 + static_cast<std::size_t>(__builtin_ctzll(mask)));
           }
           hits[i] += static_cast<std::uint64_t>(__builtin_popcountll(mask));
-          if (options.drop_limit != 0 && hits[i] >= options.drop_limit) {
+          if ((on_detect != nullptr &&
+               (*on_detect)(i, b, mask, shard.op_diffs)) ||
+              (options.drop_limit != 0 && hits[i] >= options.drop_limit)) {
             newly_marked += drops.mark(i);
             ++dropped_here;
             continue;
@@ -423,29 +429,62 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
   return r;
 }
 
+// Stuck-at / transition grading with an optional detection hook; `detailed`
+// (stuck-at, PPSFP) fills the op_diffs the hook reads.
+CampaignResult run_faults(const Netlist& netlist, std::span<const Fault> faults,
+                          const std::vector<TestCube>& patterns,
+                          const CampaignOptions& options, bool detailed,
+                          const DetailedDetectHook* on_detect) {
+  AIDFT_REQUIRE_CTX(on_detect == nullptr || (options.checkpoint_path.empty() &&
+                                             options.resume_from.empty()),
+                    "run_campaign",
+                    "a detection hook cannot checkpoint or resume: its state "
+                    "is not in the checkpoint");
+  const bool reference = options.engine == CampaignEngine::kReference;
+  AIDFT_REQUIRE_CTX(!(detailed && reference), "run_campaign",
+                    "detailed detection hooks need the PPSFP engine");
+  for (const Fault& f : faults) {
+    AIDFT_REQUIRE_CTX(!(reference || detailed) || f.kind == FaultKind::kStuckAt,
+                      "run_campaign",
+                      "reference and detailed grading need stuck-at faults");
+  }
+  return run_sharded(
+      netlist, faults, patterns, options,
+      [&](FaultSimulator& fsim, std::vector<std::uint64_t>& op_diffs,
+          const Fault& f, const PatternBatch& batch) {
+        if (detailed) return fsim.detect_mask_detailed(f, op_diffs);
+        return reference ? fsim.detect_mask_reference(batch, f)
+                         : fsim.detect_mask(f);
+      },
+      [](const Fault& f) { return f.kind == FaultKind::kTransition; },
+      on_detect);
+}
+
 }  // namespace
 
 CampaignResult run_campaign(const Netlist& netlist, std::span<const Fault> faults,
                             const std::vector<TestCube>& patterns,
                             const CampaignOptions& options) {
-  if (options.engine == CampaignEngine::kReference) {
-    for (const Fault& f : faults) {
-      AIDFT_REQUIRE_CTX(f.kind == FaultKind::kStuckAt, "run_campaign",
-                        "reference engine grades stuck-at faults only");
-    }
-    return run_sharded(
-        netlist, faults, patterns, options,
-        [](FaultSimulator& fsim, const Fault& f, const PatternBatch& batch) {
-          return fsim.detect_mask_reference(batch, f);
-        },
-        [](const Fault&) { return false; });
-  }
-  return run_sharded(
-      netlist, faults, patterns, options,
-      [](FaultSimulator& fsim, const Fault& f, const PatternBatch&) {
-        return fsim.detect_mask(f);
-      },
-      [](const Fault& f) { return f.kind == FaultKind::kTransition; });
+  return run_faults(netlist, faults, patterns, options, false, nullptr);
+}
+
+CampaignResult run_campaign(const Netlist& netlist, std::span<const Fault> faults,
+                            const std::vector<TestCube>& patterns,
+                            const CampaignOptions& options,
+                            const DetectHook& on_detect) {
+  const DetailedDetectHook mask_only =
+      [&](std::size_t fault, std::size_t batch, std::uint64_t mask,
+          std::span<const std::uint64_t>) {
+        return on_detect(fault, batch, mask);
+      };
+  return run_faults(netlist, faults, patterns, options, false, &mask_only);
+}
+
+CampaignResult run_campaign(const Netlist& netlist, std::span<const Fault> faults,
+                            const std::vector<TestCube>& patterns,
+                            const CampaignOptions& options,
+                            const DetailedDetectHook& on_detect) {
+  return run_faults(netlist, faults, patterns, options, true, &on_detect);
 }
 
 CampaignResult run_campaign(const Netlist& netlist,
@@ -456,9 +495,9 @@ CampaignResult run_campaign(const Netlist& netlist,
                     "bridging campaigns have no reference engine");
   return run_sharded(
       netlist, faults, patterns, options,
-      [](FaultSimulator& fsim, const BridgingFault& f, const PatternBatch&) {
-        return fsim.detect_mask_bridging(f);
-      },
+      [](FaultSimulator& fsim, std::vector<std::uint64_t>&,
+         const BridgingFault& f,
+         const PatternBatch&) { return fsim.detect_mask_bridging(f); },
       [](const BridgingFault&) { return false; });
 }
 

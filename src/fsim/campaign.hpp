@@ -1,10 +1,11 @@
 // The unified fault-campaign API.
 //
-// Every pattern-grading loop in the toolkit — ATPG random-phase dropping,
-// EDT/LBIST grading, transition-pair grading, bridging campaigns — is one
-// call: run_campaign(netlist, faults, patterns, options). Options select the
-// engine (PPSFP or the full-resimulation reference oracle), the number of
-// worker threads, and the fault-dropping policy.
+// Every pattern-grading loop in the toolkit — ATPG dropping, EDT/LBIST
+// grading, transition and bridging campaigns, the fault dictionary and
+// diagnosis — is one call: run_campaign(netlist, faults, patterns, options),
+// plus a detection hook when the caller needs more than first detections.
+// Options select the engine (PPSFP or the full-resimulation reference
+// oracle), the number of worker threads, and the fault-dropping policy.
 //
 // Parallelism and determinism contract:
 //  * The fault list is sharded into contiguous blocks, one per worker; each
@@ -26,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -111,11 +113,38 @@ struct CampaignResult {
 /// Grades fully specified `patterns` against stuck-at / transition `faults`.
 /// Stuck-at faults are graded per pattern; transition faults on consecutive
 /// pattern pairs (launch = i-1, capture = i; pattern 0 cannot detect them).
-/// CampaignEngine::kReference requires a pure stuck-at fault list.
+/// CampaignEngine::kReference requires a pure stuck-at fault list. Throws
+/// aidft::Error when a pattern holds an X or has the wrong width.
 CampaignResult run_campaign(const Netlist& netlist,
                             std::span<const Fault> faults,
                             const std::vector<TestCube>& patterns,
                             const CampaignOptions& options = {});
+
+/// Detection hooks (DESIGN.md "Detection hooks") run once per (fault, batch)
+/// with `mask != 0` (bit p = pattern 64*batch + p; `fault` indexes
+/// `faults`); returning true drops the fault, on top of drop_limit. Calls
+/// for one fault come from one thread, in batch order; calls for different
+/// faults may run concurrently. Hook state is not checkpointed, so a hook
+/// with checkpoint_path or resume_from throws aidft::Error. A DetectHook
+/// gets mask-only grading (it stops once the mask is final); a
+/// DetailedDetectHook also gets one diff word per observe point (stuck-at
+/// faults and the PPSFP engine only).
+using DetectHook = std::function<bool(std::size_t fault, std::size_t batch,
+                                      std::uint64_t mask)>;
+using DetailedDetectHook = std::function<bool(
+    std::size_t fault, std::size_t batch, std::uint64_t mask,
+    std::span<const std::uint64_t> op_diffs)>;
+
+CampaignResult run_campaign(const Netlist& netlist,
+                            std::span<const Fault> faults,
+                            const std::vector<TestCube>& patterns,
+                            const CampaignOptions& options,
+                            const DetectHook& on_detect);
+CampaignResult run_campaign(const Netlist& netlist,
+                            std::span<const Fault> faults,
+                            const std::vector<TestCube>& patterns,
+                            const CampaignOptions& options,
+                            const DetailedDetectHook& on_detect);
 
 /// Grades a pattern set against bridging faults (PPSFP engine only). The
 /// CampaignResult indexes follow `faults` order.

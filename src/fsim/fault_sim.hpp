@@ -85,8 +85,6 @@ class FaultSimulator {
   /// the mask was final (flushed as `fsim.early_exits`, like events).
   std::uint64_t early_exits() const { return early_exits_; }
 
-  const Netlist& netlist() const { return *netlist_; }
-
  private:
   std::uint64_t propagate(const Fault& fault,
                           const std::vector<std::uint64_t>& good,

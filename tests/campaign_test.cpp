@@ -9,9 +9,11 @@
 #include <atomic>
 
 #include "bench_circuits/generators.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "fault/fault.hpp"
+#include "test_util.hpp"
 
 namespace aidft {
 namespace {
@@ -198,6 +200,136 @@ TEST(Campaign, EmptyInputsAreHandled) {
                    {.num_threads = 4});
   EXPECT_EQ(r1.total_faults, 0u);
   EXPECT_EQ(r1.coverage(), 1.0);
+}
+
+// ---- detection hooks ---------------------------------------------------
+
+// One hook call: (batch, mask, op_diffs); op_diffs stays empty for the
+// mask-only hook.
+struct HookCall {
+  std::size_t batch = 0;
+  std::uint64_t mask = 0;
+  std::vector<std::uint64_t> diffs;
+  friend bool operator==(const HookCall&, const HookCall&) = default;
+};
+
+// The calls the serial-loop oracle predicts for each fault: one per batch
+// with a nonzero mask, in batch order.
+std::vector<std::vector<HookCall>> oracle_calls(
+    const Netlist& nl, const std::vector<TestCube>& patterns,
+    const std::vector<Fault>& faults, bool with_diffs) {
+  const std::size_t nops = nl.observe_points().size();
+  const auto predicted = test::predict_all(nl, patterns, faults);
+  std::vector<std::vector<HookCall>> calls(faults.size());
+  for (std::size_t f = 0; f < faults.size(); ++f) {
+    for (std::size_t b = 0; b * 64 < patterns.size(); ++b) {
+      HookCall call{b, 0, {}};
+      const auto first = predicted[f].begin() +
+                         static_cast<std::ptrdiff_t>(b * nops);
+      for (std::size_t op = 0; op < nops; ++op) call.mask |= first[op];
+      if (call.mask == 0) continue;
+      if (with_diffs) {
+        call.diffs.assign(first, first + static_cast<std::ptrdiff_t>(nops));
+      }
+      calls[f].push_back(std::move(call));
+    }
+  }
+  return calls;
+}
+
+TEST(CampaignHook, BothKindsSeeExactlyTheOracleCalls) {
+  for (const auto& nc : circuits::standard_suite()) {
+    const Netlist& nl = nc.netlist;
+    const auto faults = generate_stuck_at_faults(nl);
+    Rng rng(41);
+    // Three batches, the last one partial.
+    const auto patterns =
+        random_patterns(nl.combinational_inputs().size(), 150, rng);
+    const auto want_masks = oracle_calls(nl, patterns, faults, false);
+    const auto want_diffs = oracle_calls(nl, patterns, faults, true);
+    const CampaignResult plain =
+        run_campaign(nl, faults, patterns, {.drop_limit = 0});
+
+    for (std::size_t t : kThreadCounts) {
+      const std::string label =
+          std::string(nc.name) + " t=" + std::to_string(t);
+      // Each fault's list is written by the one worker that owns it.
+      std::vector<std::vector<HookCall>> masks(faults.size());
+      const CampaignResult with_masks = run_campaign(
+          nl, faults, patterns, {.num_threads = t, .drop_limit = 0},
+          [&](std::size_t f, std::size_t b, std::uint64_t mask) {
+            masks[f].push_back({b, mask, {}});
+            return false;
+          });
+      EXPECT_EQ(masks, want_masks) << label;
+      expect_identical(plain, with_masks, label + " mask hook");
+
+      std::vector<std::vector<HookCall>> diffs(faults.size());
+      const CampaignResult with_diffs = run_campaign(
+          nl, faults, patterns, {.num_threads = t, .drop_limit = 0},
+          [&](std::size_t f, std::size_t b, std::uint64_t mask,
+              std::span<const std::uint64_t> op_diffs) {
+            diffs[f].push_back(
+                {b, mask, {op_diffs.begin(), op_diffs.end()}});
+            return false;
+          });
+      EXPECT_EQ(diffs, want_diffs) << label;
+      expect_identical(plain, with_diffs, label + " detailed hook");
+    }
+  }
+}
+
+TEST(CampaignHook, ReturningTrueEndsTheFaultsCalls) {
+  // Even faults are dropped on their first call, odd ones on their second:
+  // neither gets a call after the one that returned true.
+  const Netlist nl = circuits::make_alu(8);
+  const auto faults = generate_stuck_at_faults(nl);
+  Rng rng(8);
+  const auto patterns =
+      random_patterns(nl.combinational_inputs().size(), 600, rng);
+  const auto want = oracle_calls(nl, patterns, faults, false);
+  for (std::size_t t : {std::size_t{1}, std::size_t{4}}) {
+    std::vector<std::size_t> calls(faults.size(), 0);
+    run_campaign(nl, faults, patterns, {.num_threads = t, .drop_limit = 0},
+                 [&](std::size_t f, std::size_t, std::uint64_t) {
+                   return ++calls[f] == 1 + f % 2;
+                 });
+    std::size_t dropped_late = 0;
+    for (std::size_t f = 0; f < faults.size(); ++f) {
+      EXPECT_EQ(calls[f], std::min(want[f].size(), 1 + f % 2))
+          << "fault " << f << " t=" << t;
+      dropped_late += f % 2 == 1 && want[f].size() > 2;
+    }
+    EXPECT_GT(dropped_late, 0u) << "some odd fault outlives its second call";
+  }
+}
+
+TEST(CampaignHook, RejectsCheckpointResumeAndUnsupportedGrading) {
+  const Netlist nl = circuits::make_c17();
+  const auto faults = generate_stuck_at_faults(nl);
+  Rng rng(4);
+  const auto patterns =
+      random_patterns(nl.combinational_inputs().size(), 32, rng);
+  const auto mask_hook = [](std::size_t, std::size_t, std::uint64_t) {
+    return false;
+  };
+  const auto diff_hook = [](std::size_t, std::size_t, std::uint64_t,
+                            std::span<const std::uint64_t>) { return false; };
+  for (const CampaignOptions& opts :
+       {CampaignOptions{.checkpoint_path = "hook.ckpt"},
+        CampaignOptions{.resume_from = "hook.ckpt"}}) {
+    EXPECT_THROW(run_campaign(nl, faults, patterns, opts, mask_hook), Error);
+    EXPECT_THROW(run_campaign(nl, faults, patterns, opts, diff_hook), Error);
+  }
+  EXPECT_THROW(run_campaign(nl, faults, patterns,
+                            {.engine = CampaignEngine::kReference}, diff_hook),
+               Error);
+  EXPECT_THROW(run_campaign(nl, generate_transition_faults(nl), patterns, {},
+                            diff_hook),
+               Error);
+  EXPECT_NO_THROW(run_campaign(nl, faults, patterns,
+                               {.engine = CampaignEngine::kReference},
+                               mask_hook));
 }
 
 // ---- the worker pool underneath ---------------------------------------

@@ -13,6 +13,7 @@
 #include "fault/bridging.hpp"
 #include "fault/fault.hpp"
 #include "fsim/fault_sim.hpp"
+#include "test_util.hpp"
 
 namespace aidft {
 namespace {
@@ -187,31 +188,33 @@ TEST(Diagnosis, RejectsMismatchedFailLog) {
   EXPECT_NO_THROW(diagnose_multiplet(nl, patterns, good, candidates));
 }
 
-// ---- exactness of the structural cone filter ---------------------------
-
-// Oracle: every candidate's predicted fail words, block-major like
-// FailLog::blocks, from fault-simulating it against every pattern block.
-std::vector<std::vector<std::uint64_t>> predict_all(
-    const Netlist& nl, const std::vector<TestCube>& patterns,
-    const std::vector<Fault>& candidates) {
-  const std::size_t nops = nl.observe_points().size();
-  const std::size_t nblocks = (patterns.size() + 63) / 64;
-  std::vector<std::vector<std::uint64_t>> predicted(
-      candidates.size(), std::vector<std::uint64_t>(nblocks * nops, 0));
-  FaultSimulator fsim(nl);
-  std::vector<std::uint64_t> op_diffs;
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    const std::size_t base = 64 * b;
-    fsim.load_batch(pack_patterns(
-        patterns, base, std::min<std::size_t>(64, patterns.size() - base)));
-    for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-      fsim.detect_mask_detailed(candidates[ci], op_diffs);
-      std::copy(op_diffs.begin(), op_diffs.end(),
-                predicted[ci].begin() + static_cast<std::ptrdiff_t>(b * nops));
-    }
-  }
-  return predicted;
+// An X in a pattern is rejected, never graded as if it were a 0.
+std::vector<TestCube> with_one_x(std::vector<TestCube> patterns) {
+  patterns[70].bits[2] = Val3::kX;
+  return patterns;
 }
+
+TEST(FailLog, SimulateDefectRejectsAnUnspecifiedBit) {
+  const Netlist nl = circuits::make_c17();
+  Rng rng(4);
+  const auto patterns = random_patterns(5, 100, rng);
+  const Fault defect{nl.find("G11"), kStemPin, 1, FaultKind::kStuckAt};
+  EXPECT_NO_THROW(simulate_defect(nl, patterns, defect));
+  EXPECT_THROW(simulate_defect(nl, with_one_x(patterns), defect), Error);
+}
+
+TEST(Diagnosis, RejectsAnUnspecifiedPatternBit) {
+  const Netlist nl = circuits::make_c17();
+  Rng rng(4);
+  const auto patterns = random_patterns(5, 100, rng);
+  const auto candidates = generate_stuck_at_faults(nl);
+  const Fault defect{nl.find("G11"), kStemPin, 1, FaultKind::kStuckAt};
+  const FailLog log = simulate_defect(nl, patterns, defect);
+  ASSERT_TRUE(log.any_failure());
+  EXPECT_THROW(diagnose(nl, with_one_x(patterns), log, candidates), Error);
+}
+
+// ---- exactness of the structural cone filter ---------------------------
 
 std::uint64_t popcount(std::uint64_t w) {
   return static_cast<std::uint64_t>(__builtin_popcountll(w));
@@ -382,7 +385,7 @@ void expect_cone_prune_matches_oracle(const std::string& which,
   // Three blocks, the last one partial.
   const auto patterns =
       random_patterns(nl.combinational_inputs().size(), 150, rng);
-  const auto predicted = predict_all(nl, patterns, candidates);
+  const auto predicted = test::predict_all(nl, patterns, candidates);
 
   std::vector<std::pair<std::string, FailLog>> logs;
   for (std::size_t d = 0; d < candidates.size(); d += candidates.size() / 6) {

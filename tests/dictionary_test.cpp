@@ -88,6 +88,16 @@ TEST(Dictionary, StorageScalesWithFaultsTimesPatterns) {
   EXPECT_EQ(d128.storage_bits(), faults.size() * 128);
 }
 
+TEST(Dictionary, RejectsAnUnspecifiedPatternBit) {
+  // An X in a pattern is rejected, never graded as if it were a 0.
+  const Netlist nl = circuits::make_alu(4);
+  const auto faults = generate_stuck_at_faults(nl);
+  Rng rng(3);
+  auto patterns = random_patterns(nl.combinational_inputs().size(), 100, rng);
+  patterns[70].bits[2] = Val3::kX;
+  EXPECT_THROW(FaultDictionary(nl, faults, patterns), Error);
+}
+
 TEST(Dictionary, RejectsWrongSignatureWidth) {
   const Netlist nl = circuits::make_c17();
   const auto faults = generate_stuck_at_faults(nl);

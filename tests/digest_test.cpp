@@ -5,14 +5,29 @@
 // (SoC replication, compare trees, core wrapper, scan insertion, test
 // points) shows up as a changed value. The constants are the values of the
 // reference implementation; a refactor of the IR must reproduce them.
+//
+// The FlowDigest suite does the same for the grading flows: FNV-1a over what
+// stuck-at and transition ATPG, the EDT session, LBIST, the fault dictionary
+// and diagnosis produce on three circuits, so a refactor of the fault-grading
+// engine must reproduce every pattern, count, signature and ranking bit for
+// bit.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 
 #include "aichip/soc.hpp"
+#include "aichip/systolic.hpp"
 #include "aichip/wrapper.hpp"
+#include "atpg/atpg.hpp"
+#include "atpg/transition_atpg.hpp"
 #include "bench_circuits/generators.hpp"
+#include "bist/lbist.hpp"
 #include "bist/test_points.hpp"
+#include "common/rng.hpp"
+#include "compress/session.hpp"
+#include "diag/diagnosis.hpp"
+#include "diag/dictionary.hpp"
 #include "scan/scan.hpp"
 
 namespace aidft {
@@ -25,6 +40,11 @@ class Fnv1a {
     for (std::size_t i = 0; i < n; ++i) h_ = (h_ ^ b[i]) * 0x100000001b3ull;
   }
   void u32(std::uint32_t v) { bytes(&v, sizeof v); }
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+  void words(const std::vector<std::uint64_t>& w) {
+    u64(w.size());
+    for (std::uint64_t v : w) u64(v);
+  }
   std::uint64_t value() const { return h_; }
 
  private:
@@ -91,6 +111,208 @@ TEST(StructuralDigest, TestPoints) {
   plan.observe = {logic[0], logic[1]};
   plan.control = {{logic[2], true}, {logic[3], false}};
   EXPECT_EQ(digest(apply_test_points(nl, plan)), 0xcc0264d57aa28704ull);
+}
+
+
+// ---- grading flows ------------------------------------------------------
+
+void hash_cubes(Fnv1a& h, const std::vector<TestCube>& cubes) {
+  h.u64(cubes.size());
+  for (const TestCube& c : cubes) {
+    h.u64(c.size());
+    for (Val3 v : c.bits) h.u32(static_cast<std::uint32_t>(v));
+  }
+}
+
+void hash_fault(Fnv1a& h, const Fault& f) {
+  h.u32(f.gate);
+  h.u32(f.pin);
+  h.u32(f.value);
+}
+
+void hash_log(Fnv1a& h, const FailLog& log) {
+  h.u64(log.num_patterns);
+  h.u64(log.num_observe_points);
+  h.u64(log.blocks.size());
+  for (const auto& block : log.blocks) h.words(block);
+}
+
+void hash_candidate(Fnv1a& h, const DiagnosisCandidate& c) {
+  hash_fault(h, c.fault);
+  h.u64(c.tp);
+  h.u64(c.fp);
+  h.u64(c.fn);
+  std::uint64_t score = 0;
+  std::memcpy(&score, &c.score, sizeof score);
+  h.u64(score);
+}
+
+// One digest circuit with its collapsed fault list, its ATPG result, and
+// the ATPG patterns topped up with random ones past one 64-pattern batch
+// (the last one partial) for the dictionary and diagnosis. Built once per
+// test binary.
+struct Flow {
+  Netlist nl;
+  std::vector<Fault> faults;
+  AtpgResult atpg;
+  std::vector<TestCube> patterns;
+};
+
+const Flow& flow(std::size_t which) {
+  static const std::vector<Flow> flows = [] {
+    std::vector<Netlist> nets;
+    nets.push_back(circuits::make_mac(8, true));
+    nets.push_back(circuits::make_random_logic(12, 400, 5));
+    nets.push_back(aichip::make_systolic_array({.rows = 2, .cols = 2}));
+    std::vector<Flow> out;
+    for (Netlist& nl : nets) {
+      Flow f{std::move(nl), {}, {}, {}};
+      f.faults = collapse_equivalent(f.nl, generate_stuck_at_faults(f.nl));
+      // Few random patterns: most faults go through PODEM/SAT and the
+      // pending-cube fault dropping.
+      f.atpg = generate_tests(f.nl, f.faults, {.random_patterns = 8});
+      Rng rng(0xD16E57);
+      f.patterns = f.atpg.patterns;
+      for (TestCube& p :
+           random_patterns(f.nl.combinational_inputs().size(), 48, rng)) {
+        f.patterns.push_back(std::move(p));
+      }
+      out.push_back(std::move(f));
+    }
+    return out;
+  }();
+  return flows[which];
+}
+
+constexpr std::size_t kFlows = 3;
+
+// Defects for the fail-log digests: ATPG-detected faults spread over the
+// fault list.
+std::vector<Fault> digest_defects(const Flow& f, std::size_t count) {
+  std::vector<Fault> defects;
+  const std::size_t stride = std::max<std::size_t>(1, f.faults.size() / count);
+  for (std::size_t i = 0; i < f.faults.size() && defects.size() < count;
+       i += stride) {
+    if (f.atpg.status[i] == FaultStatus::kDetected) {
+      defects.push_back(f.faults[i]);
+    }
+  }
+  return defects;
+}
+
+TEST(FlowDigest, GenerateTests) {
+  const std::uint64_t expected[kFlows] = {
+      0xb0b08138034c7b0cull, 0xdb63d8b1d2c3465full, 0x386bcfcf3ed6b23cull};
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    const Flow& f = flow(i);
+    Fnv1a h;
+    hash_cubes(h, f.atpg.patterns);
+    hash_cubes(h, f.atpg.cubes);
+    for (FaultStatus s : f.atpg.status) h.u32(static_cast<std::uint32_t>(s));
+    EXPECT_EQ(h.value(), expected[i]) << "flow " << i;
+  }
+}
+
+TEST(FlowDigest, TransitionTests) {
+  const std::uint64_t expected[kFlows] = {
+      0xae69cea38edfaf67ull, 0x08d2c5c1c5786460ull, 0xde2137640f091195ull};
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    const Flow& f = flow(i);
+    const TransitionAtpgResult r =
+        generate_transition_tests(f.nl, generate_transition_faults(f.nl));
+    Fnv1a h;
+    hash_cubes(h, r.patterns);
+    for (FaultStatus s : r.status) h.u32(static_cast<std::uint32_t>(s));
+    EXPECT_EQ(h.value(), expected[i]) << "flow " << i;
+  }
+}
+
+TEST(FlowDigest, CompressedSession) {
+  const std::uint64_t expected[kFlows] = {
+      0x9b56b128e75f5f1cull, 0xeb815aa127cd49b4ull, 0x73aa8719a03c812aull};
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    const Flow& f = flow(i);
+    // The cube set offered twice: two grading batches, the last partial.
+    std::vector<TestCube> cubes = f.atpg.cubes;
+    cubes.insert(cubes.end(), f.atpg.cubes.begin(), f.atpg.cubes.end());
+    const CompressedSessionResult r = run_compressed_session(
+        f.nl, plan_scan_chains(f.nl, 4), f.faults, cubes, {});
+    Fnv1a h;
+    h.u64(r.detected_ideal);
+    h.u64(r.detected_compacted);
+    h.u64(r.detected_baseline);
+    hash_cubes(h, r.delivered);
+    EXPECT_EQ(h.value(), expected[i]) << "flow " << i;
+  }
+}
+
+TEST(FlowDigest, Lbist) {
+  const std::uint64_t expected[kFlows] = {
+      0x6f26cbf9a2c7ace2ull, 0xcf7c6fc7b92281adull, 0x7b2f6f8352fb8ffeull};
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    const Flow& f = flow(i);
+    const LbistConfig config{.patterns = 500};  // last batch partial
+    const LbistResult r = run_lbist(f.nl, f.faults, config);
+    Fnv1a h;
+    h.u64(r.detected);
+    h.words(r.golden_signature);
+    for (std::size_t k = 0; k < 16; ++k) {
+      h.words(
+          faulty_signature(f.nl, f.faults[k * f.faults.size() / 16], config));
+    }
+    EXPECT_EQ(h.value(), expected[i]) << "flow " << i;
+  }
+}
+
+TEST(FlowDigest, Dictionary) {
+  // Every dictionary signature enters each match() distance, so the
+  // distances of the whole fault list to a few probe signatures pin them.
+  const std::uint64_t expected[kFlows] = {
+      0x0b7d567b7019e384ull, 0x8ffe1a4be8df133full, 0x611d9846219ed5ecull};
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    const Flow& f = flow(i);
+    const FaultDictionary dict(f.nl, f.faults, f.patterns);
+    std::vector<std::vector<std::uint64_t>> probes(
+        1, std::vector<std::uint64_t>((f.patterns.size() + 63) / 64, 0));
+    for (const Fault& d : digest_defects(f, 4)) {
+      probes.push_back(FaultDictionary::signature_of(
+          simulate_defect(f.nl, f.patterns, d)));
+    }
+    Fnv1a h;
+    for (const auto& probe : probes) {
+      for (const auto& m : dict.match(probe, dict.num_faults())) {
+        h.u64(m.fault_index);
+        h.u64(m.hamming);
+      }
+    }
+    EXPECT_EQ(h.value(), expected[i]) << "flow " << i;
+  }
+}
+
+TEST(FlowDigest, Diagnosis) {
+  const std::uint64_t expected[kFlows] = {
+      0xae26e65a2f52d225ull, 0x63470581a3ed56c0ull, 0xdeb71fa6158dba7full};
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    const Flow& f = flow(i);
+    const std::vector<TestCube>& patterns = f.patterns;
+    const std::vector<Fault> defects = digest_defects(f, 4);
+    Fnv1a h;
+    for (const Fault& d : defects) {
+      const FailLog log = simulate_defect(f.nl, patterns, d);
+      hash_log(h, log);
+      for (const auto& c : diagnose(f.nl, patterns, log, f.faults).ranked) {
+        hash_candidate(h, c);
+      }
+    }
+    const FailLog multi = simulate_defects(f.nl, patterns, defects);
+    hash_log(h, multi);
+    const MultiDiagnosisResult m =
+        diagnose_multiplet(f.nl, patterns, multi, f.faults);
+    for (const auto& c : m.selected) hash_candidate(h, c);
+    h.u64(m.explained);
+    h.u64(m.unexplained);
+    EXPECT_EQ(h.value(), expected[i]) << "flow " << i;
+  }
 }
 
 }  // namespace

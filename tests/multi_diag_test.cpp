@@ -37,6 +37,18 @@ TEST(MultiDiag, RecoversADoubleDefect) {
   EXPECT_EQ(repro.blocks, log.blocks);
 }
 
+TEST(MultiDiag, RejectsAnUnspecifiedPatternBit) {
+  // An X in a pattern is rejected, never graded as if it were a 0.
+  const Netlist nl = circuits::make_array_multiplier(4);
+  const auto candidates = generate_stuck_at_faults(nl);
+  Rng rng(13);
+  auto patterns = random_patterns(nl.combinational_inputs().size(), 100, rng);
+  const FailLog log = simulate_defects(nl, patterns, {candidates[10]});
+  ASSERT_TRUE(log.any_failure());
+  patterns[70].bits[2] = Val3::kX;
+  EXPECT_THROW(diagnose_multiplet(nl, patterns, log, candidates), Error);
+}
+
 TEST(MultiDiag, SingleDefectNeedsSingleCandidate) {
   const Netlist nl = circuits::make_alu(4);
   const auto candidates = generate_stuck_at_faults(nl);

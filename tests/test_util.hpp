@@ -1,10 +1,13 @@
 // Shared helpers for the aidft test suite.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "fault/fault.hpp"
+#include "fsim/fault_sim.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/parallel_sim.hpp"
 #include "sim/pattern.hpp"
@@ -100,6 +103,31 @@ inline std::vector<TestCube> exhaustive_patterns(std::size_t ninputs) {
     v.push_back(std::move(c));
   }
   return v;
+}
+
+/// The serial-loop grading oracle: every candidate's predicted fail words
+/// (one per observe point per 64-pattern block, block-major), from one
+/// FaultSimulator loading each block and grading every candidate on it.
+inline std::vector<std::vector<std::uint64_t>> predict_all(
+    const Netlist& nl, const std::vector<TestCube>& patterns,
+    const std::vector<Fault>& candidates) {
+  const std::size_t nops = nl.observe_points().size();
+  const std::size_t nblocks = (patterns.size() + 63) / 64;
+  std::vector<std::vector<std::uint64_t>> predicted(
+      candidates.size(), std::vector<std::uint64_t>(nblocks * nops, 0));
+  FaultSimulator fsim(nl);
+  std::vector<std::uint64_t> op_diffs;
+  for (std::size_t b = 0; b < nblocks; ++b) {
+    const std::size_t base = 64 * b;
+    fsim.load_batch(pack_patterns(
+        patterns, base, std::min<std::size_t>(64, patterns.size() - base)));
+    for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
+      fsim.detect_mask_detailed(candidates[ci], op_diffs);
+      std::copy(op_diffs.begin(), op_diffs.end(),
+                predicted[ci].begin() + static_cast<std::ptrdiff_t>(b * nops));
+    }
+  }
+  return predicted;
 }
 
 }  // namespace aidft::test
