@@ -87,6 +87,7 @@ AtpgResult generate_tests(const Netlist& nl, const std::vector<Fault>& faults,
   std::uint64_t podem_backtracks = 0;
   std::uint64_t podem_decisions = 0;
   std::uint64_t podem_implications = 0;
+  std::uint64_t podem_events = 0;
   // Engine calls, each timed into its histogram when a sink is attached
   // (no clock read otherwise).
   obs::Histogram* podem_us = nullptr;
@@ -109,6 +110,7 @@ AtpgResult generate_tests(const Netlist& nl, const std::vector<Fault>& faults,
     podem_backtracks += o.backtracks;
     podem_decisions += o.decisions;
     podem_implications += o.implications;
+    podem_events += o.events;
     return o;
   };
   auto run_sat = [&](const Fault& f) {
@@ -203,6 +205,7 @@ AtpgResult generate_tests(const Netlist& nl, const std::vector<Fault>& faults,
     obs::add(options.telemetry, "podem.backtracks", podem_backtracks);
     obs::add(options.telemetry, "podem.decisions", podem_decisions);
     obs::add(options.telemetry, "podem.implications", podem_implications);
+    obs::add(options.telemetry, "podem.events", podem_events);
     obs::add(options.telemetry, "sat.calls", result.sat_calls);
     obs::add(options.telemetry, "atpg.patterns", result.patterns.size());
     phase_span.arg("podem_calls", result.podem_calls);

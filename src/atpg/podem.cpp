@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 namespace aidft {
 namespace {
@@ -31,7 +32,7 @@ Val3 noncontrolling(GateType t) {
 }  // namespace
 
 Podem::Podem(const Netlist& netlist, const ScoapResult* scoap)
-    : nl_(&netlist), scoap_(scoap) {
+    : nl_(&netlist), scoap_(scoap), scope_(netlist.topology()) {
   AIDFT_REQUIRE(netlist.finalized(), "Podem requires finalized netlist");
   topo_ = &netlist.topology();
   comb_inputs_ = netlist.combinational_inputs();
@@ -41,88 +42,99 @@ Podem::Podem(const Netlist& netlist, const ScoapResult* scoap)
   }
   observed_flag_.assign(netlist.num_gates(), false);
   for (GateId op : netlist.observe_points()) {
-    observe_gates_.push_back(netlist.observed_gate(op));
-    observed_flag_[observe_gates_.back()] = true;
+    observed_flag_[netlist.observed_gate(op)] = true;
   }
   assignment_.assign(comb_inputs_.size(), Val3::kX);
   good_.assign(netlist.num_gates(), Val3::kX);
   faulty_.assign(netlist.num_gates(), Val3::kX);
-  in_cone_.assign(netlist.num_gates(), false);
+  buckets_.resize(topo_->num_levels() + 1);
+  queued_.assign(netlist.num_gates(), 0);
+  visit_.assign(netlist.num_gates(), 0);
 }
 
-GateId Podem::fault_line(const Fault& f) const {
-  return f.is_stem() ? f.gate : topo_->fanin(f.gate)[f.pin];
+void Podem::assign(std::size_t idx, Val3 v) {
+  assignment_[idx] = v;
+  touched_.push_back(idx);
 }
 
-void Podem::compute_cone(const Fault& fault) {
-  std::fill(in_cone_.begin(), in_cone_.end(), false);
-  cone_topo_.clear();
+bool Podem::evaluate(GateId g) {
+  ++events_;
   const Topology& t = *topo_;
-  // A DFF D-pin fault only affects the captured value — nothing propagates
-  // through combinational logic this cycle, so the cone is empty.
-  if (!fault.is_stem() && t.type(fault.gate) == GateType::kDff) return;
-
-  std::vector<GateId> stack{fault.gate};
-  in_cone_[fault.gate] = true;
-  while (!stack.empty()) {
-    const GateId g = stack.back();
-    stack.pop_back();
-    for (GateId s : t.fanout(g)) {
-      if (is_state_element(t.type(s))) continue;  // stops at capture
-      if (!in_cone_[s]) {
-        in_cone_[s] = true;
-        stack.push_back(s);
-      }
+  const GateType type = t.type(g);
+  const std::span<const GateId> fin = t.fanin(g);
+  const bool source = type == GateType::kInput || type == GateType::kDff;
+  const Val3 good =
+      source ? assignment_[input_index_[g]]
+             : eval_gate3(type, fin.size(),
+                          [&](std::size_t k) { return good_[fin[k]]; });
+  Val3 faulty = good;
+  if (scope_.in_cone(g)) {
+    if (g == fault_.gate) {
+      faulty = fault_.is_stem()
+                   ? stuck_
+                   : eval_gate3(type, fin.size(), [&](std::size_t k) {
+                       return k == fault_.pin ? stuck_ : faulty_[fin[k]];
+                     });
+    } else if (!source) {
+      faulty = eval_gate3(type, fin.size(),
+                          [&](std::size_t k) { return faulty_[fin[k]]; });
     }
   }
-  for (GateId g : t.topo_order()) {
-    if (in_cone_[g]) cone_topo_.push_back(g);
-  }
+  const bool changed = good != good_[g] || faulty != faulty_[g];
+  good_[g] = good;
+  faulty_[g] = faulty;
+  return changed;
 }
 
-void Podem::imply(const Fault& fault) {
+void Podem::imply_all() {
+  ++implications_;
+  touched_.clear();
+  for (GateId g : scope_.support()) evaluate(g);
+}
+
+void Podem::imply() {
   ++implications_;
   const Topology& t = *topo_;
-  // Good machine: full 3-valued pass.
-  for (std::size_t i = 0; i < comb_inputs_.size(); ++i) {
-    good_[comb_inputs_[i]] = assignment_[i];
-  }
-  for (GateId id : t.topo_order()) {
-    const GateType type = t.type(id);
-    if (type == GateType::kInput || type == GateType::kDff) continue;
-    const std::span<const GateId> fin = t.fanin(id);
-    good_[id] = eval_gate3(type, fin.size(),
-                           [&](std::size_t k) { return good_[fin[k]]; });
-  }
-  // Faulty machine: only the cone differs.
-  faulty_ = good_;
-  const Val3 stuck = bool_to_val(fault.stuck_at_one());
-  for (GateId id : cone_topo_) {
-    const GateType type = t.type(id);
-    const std::span<const GateId> fin = t.fanin(id);
-    if (id == fault.gate) {
-      if (fault.is_stem()) {
-        faulty_[id] = stuck;
-      } else {
-        faulty_[id] = eval_gate3(type, fin.size(), [&](std::size_t k) {
-          return k == fault.pin ? stuck : faulty_[fin[k]];
-        });
+  // Levels [lo, hi] hold queued gates; the levelized loop visits only them.
+  std::uint32_t lo = std::numeric_limits<std::uint32_t>::max();
+  std::uint32_t hi = 0;
+  auto enqueue_fanouts = [&](GateId g) {
+    for (GateId s : t.fanout(g)) {
+      // A D pin is captured, not propagated; nothing outside the support
+      // is ever read.
+      if (queued_[s] || !scope_.in_support(s) || is_state_element(t.type(s))) {
+        continue;
       }
-      continue;
+      queued_[s] = 1;
+      const std::uint32_t lvl = t.level(s);
+      buckets_[lvl].push_back(s);
+      lo = std::min(lo, lvl);
+      hi = std::max(hi, lvl);
     }
-    if (type == GateType::kInput || type == GateType::kDff) continue;
-    faulty_[id] = eval_gate3(type, fin.size(),
-                             [&](std::size_t k) { return faulty_[fin[k]]; });
+  };
+  for (std::size_t idx : touched_) {
+    const GateId g = comb_inputs_[idx];
+    if (scope_.in_support(g) && evaluate(g)) enqueue_fanouts(g);
+  }
+  touched_.clear();
+  for (std::uint32_t lvl = lo; lvl <= hi; ++lvl) {
+    std::vector<GateId>& bucket = buckets_[lvl];
+    for (std::size_t i = 0; i < bucket.size(); ++i) {
+      const GateId g = bucket[i];
+      queued_[g] = 0;
+      if (evaluate(g)) enqueue_fanouts(g);
+    }
+    bucket.clear();
   }
 }
 
-bool Podem::fault_activated(const Fault& fault) const {
-  const Val3 line = good_[fault_line(fault)];
-  return is_known(line) && line != bool_to_val(fault.stuck_at_one());
+bool Podem::fault_activated() const {
+  const Val3 line = good_[scope_.line()];
+  return is_known(line) && line != stuck_;
 }
 
 bool Podem::detected() const {
-  for (GateId og : observe_gates_) {
+  for (GateId og : cone_observed_) {
     if (both_known_diff(good_[og], faulty_[og])) return true;
   }
   return false;
@@ -130,38 +142,41 @@ bool Podem::detected() const {
 
 bool Podem::x_path_exists() const {
   // From every D-frontier gate, search forward through cone gates whose
-  // output is not yet both-known toward an observe gate.
+  // output is not yet both-known toward an observe gate. A gate is visited
+  // in this call when its mark equals the call's epoch.
   if (dfrontier_.empty()) return false;
-  std::vector<bool> visited(nl_->num_gates(), false);
-  std::vector<GateId> stack = dfrontier_;
-  for (GateId g : stack) visited[g] = true;
+  if (++visit_epoch_ == 0) {
+    std::fill(visit_.begin(), visit_.end(), 0);
+    visit_epoch_ = 1;
+  }
+  stack_ = dfrontier_;
+  for (GateId g : stack_) visit_[g] = visit_epoch_;
   auto is_open = [&](GateId g) {
-    return in_cone_[g] && (!is_known(good_[g]) || !is_known(faulty_[g]));
+    return scope_.in_cone(g) && (!is_known(good_[g]) || !is_known(faulty_[g]));
   };
-  while (!stack.empty()) {
-    const GateId g = stack.back();
-    stack.pop_back();
+  while (!stack_.empty()) {
+    const GateId g = stack_.back();
+    stack_.pop_back();
     if (observed_flag_[g]) return true;
     for (GateId s : topo_->fanout(g)) {
       if (is_state_element(topo_->type(s))) {
         // Fault effect reaching a D pin is captured and observed.
         return true;
       }
-      if (!visited[s] && is_open(s)) {
-        visited[s] = true;
-        stack.push_back(s);
+      if (visit_[s] != visit_epoch_ && is_open(s)) {
+        visit_[s] = visit_epoch_;
+        stack_.push_back(s);
       }
     }
   }
   return false;
 }
 
-bool Podem::pick_objective(const Fault& fault, GateId& obj_gate,
-                           Val3& obj_val) const {
-  const GateId line = fault_line(fault);
+bool Podem::pick_objective(GateId& obj_gate, Val3& obj_val) const {
+  const GateId line = scope_.line();
   if (!is_known(good_[line])) {
     obj_gate = line;
-    obj_val = bool_to_val(!fault.stuck_at_one());
+    obj_val = not3(stuck_);
     return true;
   }
   // Advance the D-frontier: pick the frontier gate with the best (lowest)
@@ -350,38 +365,32 @@ void apply_constraints(const Netlist& nl,
 }
 }  // namespace
 
+AtpgOutcome Podem::finish(AtpgOutcome out, AtpgStatus status) const {
+  out.status = status;
+  if (status == AtpgStatus::kDetected) {
+    out.cube = TestCube(comb_inputs_.size());
+    out.cube.bits = assignment_;
+  }
+  out.implications = implications_;
+  out.events = events_;
+  return out;
+}
+
 AtpgOutcome Podem::justify(GateId line, Val3 value, const PodemOptions& options) {
   AIDFT_REQUIRE(line < nl_->num_gates(), "justify: gate out of range");
   AIDFT_REQUIRE(is_known(value), "justify: value must be 0 or 1");
   AtpgOutcome out;
   implications_ = 0;
+  events_ = 0;
+  // Good machine only: the line's fanin is the support, the cone is empty.
+  scope_.build_line(line);
   apply_constraints(*nl_, input_index_, options, assignment_);
-
-  // Good-machine-only implication (no fault, empty cone).
-  const Topology& t = *topo_;
-  auto imply_good = [&] {
-    ++implications_;
-    for (std::size_t i = 0; i < comb_inputs_.size(); ++i) {
-      good_[comb_inputs_[i]] = assignment_[i];
-    }
-    for (GateId id : t.topo_order()) {
-      const GateType type = t.type(id);
-      if (type == GateType::kInput || type == GateType::kDff) continue;
-      const std::span<const GateId> fin = t.fanin(id);
-      good_[id] = eval_gate3(type, fin.size(),
-                             [&](std::size_t k) { return good_[fin[k]]; });
-    }
-  };
-  imply_good();
+  imply_all();
 
   std::vector<Decision> decisions;
   for (;;) {
     if (good_[line] == value) {
-      out.status = AtpgStatus::kDetected;
-      out.cube = TestCube(comb_inputs_.size());
-      out.cube.bits = assignment_;
-      out.implications = implications_;
-      return out;
+      return finish(std::move(out), AtpgStatus::kDetected);
     }
     if (is_known(good_[line])) {
       // Wrong value under this assignment: backtrack.
@@ -391,72 +400,67 @@ AtpgOutcome Podem::justify(GateId line, Val3 value, const PodemOptions& options)
                    "justify backtrace failed");
       decisions.push_back(Decision{idx, false});
       ++out.decisions;
-      assignment_[idx] = val;
-      imply_good();
+      assign(idx, val);
+      imply();
       continue;
     }
     for (;;) {
       if (decisions.empty()) {
-        out.status = AtpgStatus::kUntestable;
-        out.implications = implications_;
-        return out;
+        return finish(std::move(out), AtpgStatus::kUntestable);
       }
       Decision& d = decisions.back();
       if (d.flipped) {
-        assignment_[d.input_idx] = Val3::kX;
+        assign(d.input_idx, Val3::kX);
         decisions.pop_back();
         continue;
       }
       d.flipped = true;
-      assignment_[d.input_idx] = not3(assignment_[d.input_idx]);
+      assign(d.input_idx, not3(assignment_[d.input_idx]));
       ++out.backtracks;
       break;
     }
     if (out.backtracks > options.backtrack_limit ||
         (options.run_control != nullptr && (out.backtracks & 255) == 0 &&
          options.run_control->poll() != StopReason::kNone)) {
-      out.status = AtpgStatus::kAborted;
-      out.implications = implications_;
-      return out;
+      return finish(std::move(out), AtpgStatus::kAborted);
     }
-    imply_good();
+    imply();
   }
 }
 
 AtpgOutcome Podem::generate(const Fault& fault, const PodemOptions& options) {
   AIDFT_REQUIRE(fault.kind == FaultKind::kStuckAt,
                 "PODEM generates stuck-at tests (map transition faults first)");
+  scope_.build(fault);
+  fault_ = fault;
+  stuck_ = bool_to_val(fault.stuck_at_one());
+  cone_observed_.clear();
+  for (GateId g : scope_.cone()) {
+    if (observed_flag_[g]) cone_observed_.push_back(g);
+  }
   AtpgOutcome out;
   implications_ = 0;
-  compute_cone(fault);
+  events_ = 0;
   apply_constraints(*nl_, input_index_, options, assignment_);
-  imply(fault);
+  imply_all();
 
   // A DFF D-pin fault is detected by mere activation (captured directly).
-  const bool capture_only =
-      !fault.is_stem() && topo_->type(fault.gate) == GateType::kDff;
+  const bool capture_only = scope_.dpin();
 
   std::vector<Decision> decisions;
   for (;;) {
-    const bool is_detected = capture_only ? fault_activated(fault) : detected();
-    if (is_detected) {
-      out.status = AtpgStatus::kDetected;
-      out.cube = TestCube(comb_inputs_.size());
-      out.cube.bits = assignment_;
-      out.implications = implications_;
-      return out;
-    }
+    const bool is_detected = capture_only ? fault_activated() : detected();
+    if (is_detected) return finish(std::move(out), AtpgStatus::kDetected);
 
     // Feasibility of the current partial assignment.
     bool feasible = true;
-    const Val3 line_val = good_[fault_line(fault)];
-    const Val3 stuck = bool_to_val(fault.stuck_at_one());
-    if (is_known(line_val) && line_val == stuck) {
+    const Val3 line_val = good_[scope_.line()];
+    if (is_known(line_val) && line_val == stuck_) {
       feasible = false;  // can never activate under this assignment
-    } else if (!capture_only && fault_activated(fault)) {
+    } else if (!capture_only && fault_activated()) {
       // Build D-frontier and check an X-path remains.
       dfrontier_.clear();
-      for (GateId g : cone_topo_) {
+      for (GateId g : scope_.cone()) {
         if (both_known_diff(good_[g], faulty_[g])) continue;
         if (is_known(good_[g]) && is_known(faulty_[g])) continue;  // masked
         // A branch-fault site creates the difference *inside* the gate (the
@@ -479,7 +483,7 @@ AtpgOutcome Podem::generate(const Fault& fault, const PodemOptions& options) {
     GateId obj_gate = kNoGate;
     Val3 obj_val = Val3::kX;
     if (feasible) {
-      feasible = pick_objective(fault, obj_gate, obj_val);
+      feasible = pick_objective(obj_gate, obj_val);
     }
 
     if (feasible) {
@@ -487,37 +491,33 @@ AtpgOutcome Podem::generate(const Fault& fault, const PodemOptions& options) {
       AIDFT_ASSERT(idx != kNpos, "backtrace failed to find an input");
       decisions.push_back(Decision{idx, false});
       ++out.decisions;
-      assignment_[idx] = val;
-      imply(fault);
+      assign(idx, val);
+      imply();
       continue;
     }
 
     // Dead end: flip the most recent unflipped decision.
     for (;;) {
       if (decisions.empty()) {
-        out.status = AtpgStatus::kUntestable;
-        out.implications = implications_;
-        return out;
+        return finish(std::move(out), AtpgStatus::kUntestable);
       }
       Decision& d = decisions.back();
       if (d.flipped) {
-        assignment_[d.input_idx] = Val3::kX;
+        assign(d.input_idx, Val3::kX);
         decisions.pop_back();
         continue;
       }
       d.flipped = true;
-      assignment_[d.input_idx] = not3(assignment_[d.input_idx]);
+      assign(d.input_idx, not3(assignment_[d.input_idx]));
       ++out.backtracks;
       break;
     }
     if (out.backtracks > options.backtrack_limit ||
         (options.run_control != nullptr && (out.backtracks & 255) == 0 &&
          options.run_control->poll() != StopReason::kNone)) {
-      out.status = AtpgStatus::kAborted;
-      out.implications = implications_;
-      return out;
+      return finish(std::move(out), AtpgStatus::kAborted);
     }
-    imply(fault);
+    imply();
   }
 }
 

@@ -8,11 +8,23 @@
 // an observe point. Completeness: objectives only steer the search; the
 // decision tree enumerates input assignments, so exhausting it proves the
 // fault untestable, and exceeding the backtrack budget yields kAborted.
+//
+// Implication is event-driven and scoped to the fault (FaultScope): every
+// value the search reads lies in the fault's support, the transitive fanin
+// of its output cone. Each search starts with one levelized pass over the
+// support; after that, each input whose assignment changed (a decision, a
+// flip, or a pop back to X) is an event, propagated level by level through
+// support gates only, and stopped at a gate whose good and faulty values
+// both stay put. The faulty machine is evaluated only on the cone; outside
+// it the faulty value is the good one. An undo is just another event, so no
+// trail is kept. Line justification runs the same engine over the fanin of
+// the justified line, with an empty cone.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "atpg/fault_scope.hpp"
 #include "common/run_control.hpp"
 #include "fault/fault.hpp"
 #include "netlist/netlist.hpp"
@@ -33,6 +45,8 @@ struct AtpgOutcome {
   std::uint64_t backtracks = 0;
   std::uint64_t decisions = 0;
   std::uint64_t implications = 0;
+  /// Gate evaluations performed by implication (PODEM only).
+  std::uint64_t events = 0;
 };
 
 struct PodemOptions {
@@ -69,15 +83,22 @@ class Podem {
     bool flipped;           // both phases tried?
   };
 
-  void compute_cone(const Fault& fault);
-  void imply(const Fault& fault);
-  bool fault_activated(const Fault& fault) const;
-  GateId fault_line(const Fault& fault) const;
+  /// Sets comb input `idx` to `v`; the next imply() propagates the change.
+  void assign(std::size_t idx, Val3 v);
+  /// Levelized pass over the whole support: the start of a search.
+  void imply_all();
+  /// Propagates the inputs assigned since the last implication.
+  void imply();
+  /// Re-evaluates gate `g`'s good and faulty values; true if either changed.
+  bool evaluate(GateId g);
+  bool fault_activated() const;
   bool detected() const;
   /// True if some D-frontier gate still has an X-path to an observe point.
   bool x_path_exists() const;
   /// Chooses the next objective; returns false if none (dead end).
-  bool pick_objective(const Fault& fault, GateId& obj_gate, Val3& obj_val) const;
+  bool pick_objective(GateId& obj_gate, Val3& obj_val) const;
+  /// Closes a search: `status`, the cube when detected, and the effort.
+  AtpgOutcome finish(AtpgOutcome out, AtpgStatus status) const;
   /// Walks an objective back to an unassigned input; returns (input index,
   /// value to assign).
   std::pair<std::size_t, Val3> backtrace(GateId gate, Val3 val) const;
@@ -87,15 +108,23 @@ class Podem {
   const ScoapResult* scoap_;
   std::vector<GateId> comb_inputs_;
   std::vector<std::size_t> input_index_;  // GateId -> comb input idx (or npos)
-  std::vector<GateId> observe_gates_;     // observed_gate() of each point
   std::vector<bool> observed_flag_;       // per gate: is an observe gate
   std::vector<Val3> assignment_;          // per comb input
-  std::vector<Val3> good_;
-  std::vector<Val3> faulty_;
-  std::vector<bool> in_cone_;
-  std::vector<GateId> cone_topo_;  // cone gates in topological order
+  std::vector<Val3> good_;    // valid on the support
+  std::vector<Val3> faulty_;  // valid on the support; == good_ off the cone
+  FaultScope scope_;
+  Fault fault_;  // the fault under search (ignored while the cone is empty)
+  Val3 stuck_ = Val3::kX;
+  std::vector<GateId> cone_observed_;  // observe gates inside the cone
+  std::vector<std::size_t> touched_;   // inputs assigned since last imply
+  std::vector<std::vector<GateId>> buckets_;  // levelized event queue
+  std::vector<std::uint8_t> queued_;          // per gate: in a bucket
   mutable std::vector<GateId> dfrontier_;  // scratch
+  mutable std::vector<GateId> stack_;      // scratch for x_path_exists
+  mutable std::vector<std::uint32_t> visit_;  // x_path_exists marks
+  mutable std::uint32_t visit_epoch_ = 0;
   std::uint64_t implications_ = 0;
+  std::uint64_t events_ = 0;
 };
 
 }  // namespace aidft

@@ -9,86 +9,32 @@
 namespace aidft {
 namespace {
 
-// Free variables of the full-scan combinational view: PIs and flop outputs.
-bool is_comb_input(GateType t) {
-  return t == GateType::kInput || t == GateType::kDff;
-}
-
-// The part of the netlist a fault can touch.
-struct FaultScope {
-  std::vector<bool> in_cone;     // per gate
-  std::vector<GateId> cone;      // output cone, topological order
-  std::vector<bool> in_support;  // per gate
-  std::vector<GateId> support;   // transitive fanin of the cone, topo order
-};
-
-// A DFF D-pin fault changes only the captured value: its cone is empty and
-// its support is the transitive fanin of the pin's driver `line`.
-FaultScope scope_of(const Topology& topo, const Fault& fault, GateId line,
-                    bool dpin) {
-  const std::size_t n = topo.num_gates();
-  FaultScope s;
-  s.in_cone.assign(n, false);
-  s.in_support.assign(n, false);
-  std::vector<GateId> stack;
-  if (!dpin) {
-    stack.push_back(fault.gate);
-    s.in_cone[fault.gate] = true;
-    while (!stack.empty()) {
-      const GateId g = stack.back();
-      stack.pop_back();
-      for (GateId f : topo.fanout(g)) {
-        if (is_state_element(topo.type(f)) || s.in_cone[f]) continue;
-        s.in_cone[f] = true;
-        stack.push_back(f);
-      }
-    }
-  }
-  for (GateId g : topo.topo_order()) {
-    if (s.in_cone[g]) s.cone.push_back(g);
-  }
-  stack = dpin ? std::vector<GateId>{line} : s.cone;
-  for (GateId g : stack) s.in_support[g] = true;
-  while (!stack.empty()) {
-    const GateId g = stack.back();
-    stack.pop_back();
-    if (is_comb_input(topo.type(g))) continue;
-    for (GateId f : topo.fanin(g)) {
-      if (s.in_support[f]) continue;
-      s.in_support[f] = true;
-      stack.push_back(f);
-    }
-  }
-  for (GateId g : topo.topo_order()) {
-    if (s.in_support[g]) s.support.push_back(g);
-  }
-  return s;
-}
-
 // Turns the care bits of `cube` into X one at a time, first to last, and
 // restores each one without which a 3-valued good/faulty simulation of the
 // support no longer shows a known difference at an observed cone gate (for
 // a D-pin fault: the driver no longer holds the opposite of the stuck
 // value). `cube` must detect the fault on entry.
-void relax_cube(const Topology& topo, const Fault& fault, GateId line,
-                bool dpin, const FaultScope& scope,
-                const std::vector<GateId>& inputs,
+void relax_cube(const Topology& topo, const Fault& fault,
+                const FaultScope& scope, const std::vector<GateId>& inputs,
                 const std::vector<bool>& observed, TestCube& cube) {
+  const GateId line = scope.line();
   const Val3 stuck = fault.stuck_at_one() ? Val3::kOne : Val3::kZero;
   std::vector<Val3> good(topo.num_gates(), Val3::kX);
   std::vector<Val3> bad(topo.num_gates(), Val3::kX);
   auto detects = [&] {
     for (std::size_t i = 0; i < inputs.size(); ++i) {
-      if (scope.in_support[inputs[i]]) good[inputs[i]] = cube.bits[i];
+      if (scope.in_support(inputs[i])) good[inputs[i]] = cube.bits[i];
     }
-    for (GateId g : scope.support) {
-      if (is_comb_input(topo.type(g))) continue;
+    for (GateId g : scope.support()) {
+      if (topo.type(g) == GateType::kInput || topo.type(g) == GateType::kDff) {
+        continue;
+      }
       const std::span<const GateId> fin = topo.fanin(g);
       good[g] = eval_gate3(topo.type(g), fin.size(),
                            [&](std::size_t k) { return good[fin[k]]; });
     }
-    if (dpin) return good[line] == not3(stuck);
-    for (GateId g : scope.cone) {
+    if (scope.dpin()) return good[line] == not3(stuck);
+    for (GateId g : scope.cone()) {
       if (g == fault.gate && fault.is_stem()) {
         bad[g] = stuck;
         continue;
@@ -96,10 +42,10 @@ void relax_cube(const Topology& topo, const Fault& fault, GateId line,
       const std::span<const GateId> fin = topo.fanin(g);
       bad[g] = eval_gate3(topo.type(g), fin.size(), [&](std::size_t k) {
         if (g == fault.gate && k == fault.pin) return stuck;
-        return scope.in_cone[fin[k]] ? bad[fin[k]] : good[fin[k]];
+        return scope.in_cone(fin[k]) ? bad[fin[k]] : good[fin[k]];
       });
     }
-    for (GateId g : scope.cone) {
+    for (GateId g : scope.cone()) {
       if (observed[g] && is_known(good[g]) && is_known(bad[g]) &&
           good[g] != bad[g]) {
         return true;
@@ -130,7 +76,8 @@ void flush_sat_stats(obs::Telemetry* t, const SatSolver& solver) {
   obs::add(t, "sat.restarts", s.restarts);
 }
 
-SatAtpg::SatAtpg(const Netlist& netlist) : nl_(&netlist) {
+SatAtpg::SatAtpg(const Netlist& netlist)
+    : nl_(&netlist), scope_(netlist.topology()) {
   AIDFT_REQUIRE(netlist.finalized(), "SatAtpg requires finalized netlist");
   comb_inputs_ = netlist.combinational_inputs();
   observed_.assign(netlist.num_gates(), false);
@@ -143,22 +90,22 @@ AtpgOutcome SatAtpg::generate(const Fault& fault, const SatAtpgOptions& options)
   AIDFT_REQUIRE(fault.kind == FaultKind::kStuckAt,
                 "SAT ATPG generates stuck-at tests");
   const Topology& topo = nl_->topology();
-  const bool dpin = !fault.is_stem() && topo.type(fault.gate) == GateType::kDff;
-  const GateId line =
-      fault.is_stem() ? fault.gate : topo.fanin(fault.gate)[fault.pin];
-  const FaultScope scope = scope_of(topo, fault, line, dpin);
+  scope_.build(fault);
+  const FaultScope& scope = scope_;
+  const bool dpin = scope.dpin();
+  const GateId line = scope.line();
   AtpgOutcome out;
   SatSolver solver;
 
   bool observable = dpin;  // a D-pin fault is observed at its own flop
-  for (GateId g : scope.cone) observable = observable || observed_[g];
+  for (GateId g : scope.cone()) observable = observable || observed_[g];
   if (!observable) {
     flush_sat_stats(options.telemetry, solver);
     out.status = AtpgStatus::kUntestable;  // no observable path exists at all
     return out;
   }
 
-  CircuitCnf good(*nl_, solver, scope.in_support);
+  CircuitCnf good(*nl_, solver, scope.support_mask());
   // Activation: the fault line carries the opposite of the stuck value. For
   // a D-pin fault that alone is detection.
   const Lit active = good.lit(line);
@@ -166,7 +113,7 @@ AtpgOutcome SatAtpg::generate(const Fault& fault, const SatAtpgOptions& options)
 
   // Faulty copy of the cone.
   std::vector<Lit> flit(nl_->num_gates(), Lit{});
-  for (GateId id : scope.cone) {
+  for (GateId id : scope.cone()) {
     const GateType gtype = topo.type(id);
     const std::span<const GateId> gfanin = topo.fanin(id);
     if (id == fault.gate && fault.is_stem()) {
@@ -186,7 +133,7 @@ AtpgOutcome SatAtpg::generate(const Fault& fault, const SatAtpgOptions& options)
         solver.add_unit(fault.stuck_at_one() ? c : ~c);
         fin.push_back(c);
       } else {
-        fin.push_back(scope.in_cone[f] ? flit[f] : good.lit(f));
+        fin.push_back(scope.in_cone(f) ? flit[f] : good.lit(f));
       }
     }
     switch (gtype) {
@@ -210,15 +157,15 @@ AtpgOutcome SatAtpg::generate(const Fault& fault, const SatAtpgOptions& options)
   // hands the difference to a cone fanout, so the chain ends at an observed
   // gate that differs.
   std::vector<Lit> dlit(nl_->num_gates(), Lit{});
-  for (GateId g : scope.cone) dlit[g] = pos_lit(solver.new_var());
-  for (GateId g : scope.cone) {
+  for (GateId g : scope.cone()) dlit[g] = pos_lit(solver.new_var());
+  for (GateId g : scope.cone()) {
     const Lit d = dlit[g], a = good.lit(g), b = flit[g];
     solver.add_ternary(~d, a, b);  // d -> good != faulty
     solver.add_ternary(~d, ~a, ~b);
     if (observed_[g]) continue;
     std::vector<Lit> path{~d};  // d -> some cone fanout differs too
     for (GateId s : topo.fanout(g)) {
-      if (scope.in_cone[s]) path.push_back(dlit[s]);
+      if (scope.in_cone(s)) path.push_back(dlit[s]);
     }
     solver.add_clause(std::move(path));
   }
@@ -235,12 +182,12 @@ AtpgOutcome SatAtpg::generate(const Fault& fault, const SatAtpgOptions& options)
   out.status = AtpgStatus::kDetected;
   out.cube = TestCube(comb_inputs_.size());
   for (std::size_t i = 0; i < comb_inputs_.size(); ++i) {
-    if (!scope.in_support[comb_inputs_[i]]) continue;  // cannot matter: X
+    if (!scope.in_support(comb_inputs_[i])) continue;  // cannot matter: X
     const Lit l = good.lit(comb_inputs_[i]);
     out.cube.bits[i] =
         solver.model_value(l.var()) != l.negated() ? Val3::kOne : Val3::kZero;
   }
-  relax_cube(topo, fault, line, dpin, scope, comb_inputs_, observed_, out.cube);
+  relax_cube(topo, fault, scope, comb_inputs_, observed_, out.cube);
   return out;
 }
 

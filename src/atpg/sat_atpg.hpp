@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "atpg/fault_scope.hpp"
 #include "atpg/podem.hpp"  // AtpgOutcome/AtpgStatus
 #include "fault/fault.hpp"
 #include "netlist/netlist.hpp"
@@ -66,6 +67,7 @@ class SatAtpg {
 
  private:
   const Netlist* nl_;
+  FaultScope scope_;  // rebuilt per call
   std::vector<GateId> comb_inputs_;
   std::vector<bool> observed_;  // per gate: observed_gate() of an observe point
 };

@@ -47,9 +47,13 @@ TransitionAtpgResult generate_transition_tests(
     const TransitionAtpgOptions& options) {
   AIDFT_REQUIRE_CTX(nl.finalized(), "generate_transition_tests",
                     "requires a finalized netlist");
+  const Topology& topo = nl.topology();
   for (const Fault& f : faults) {
     AIDFT_REQUIRE_CTX(f.kind == FaultKind::kTransition,
                       "generate_transition_tests", "takes transition faults");
+    AIDFT_REQUIRE_CTX(f.gate < topo.num_gates() &&
+                          (f.is_stem() || f.pin < topo.fanin_size(f.gate)),
+                      "generate_transition_tests", "fault out of range");
   }
   TransitionAtpgResult result;
   result.status.assign(faults.size(), FaultStatus::kUndetected);
@@ -69,11 +73,13 @@ TransitionAtpgResult generate_transition_tests(
   std::uint64_t podem_backtracks = 0;
   std::uint64_t podem_decisions = 0;
   std::uint64_t podem_implications = 0;
+  std::uint64_t podem_events = 0;
   auto note_podem = [&](const AtpgOutcome& o) {
     ++podem_calls;
     podem_backtracks += o.backtracks;
     podem_decisions += o.decisions;
     podem_implications += o.implications;
+    podem_events += o.events;
   };
 
   // Grades the accumulated pattern list against all not-yet-detected faults
@@ -99,8 +105,7 @@ TransitionAtpgResult generate_transition_tests(
       }
     }
     const Fault& f = faults[i];
-    const GateId line =
-        f.is_stem() ? f.gate : nl.topology().fanin(f.gate)[f.pin];
+    const GateId line = f.is_stem() ? f.gate : topo.fanin(f.gate)[f.pin];
     // Initial value the launch vector must establish: the opposite of the
     // transition's final value. The late line then behaves as stuck-at-init
     // during capture.
@@ -171,6 +176,7 @@ TransitionAtpgResult generate_transition_tests(
     obs::add(options.telemetry, "podem.backtracks", podem_backtracks);
     obs::add(options.telemetry, "podem.decisions", podem_decisions);
     obs::add(options.telemetry, "podem.implications", podem_implications);
+    obs::add(options.telemetry, "podem.events", podem_events);
     phase_span.arg("pairs", result.patterns.size() / 2);
     phase_span.arg("detected", result.detected);
   }

@@ -3,10 +3,11 @@
 // On netlists with at most 14 combinational inputs, simulating all 2^n input
 // vectors yields the exact set of detectable collapsed stuck-at faults. Every
 // engine is held to that set: PODEM without a backtrack limit, the SAT miter
-// without a conflict limit, and the default PODEM->SAT pipeline. SAT cubes
-// are also checked with their X bits left in place: a 3-valued good/faulty
-// simulation must show a known difference at an observe point, so every
-// completion of the cube is a test.
+// without a conflict limit, and the default PODEM->SAT pipeline. PODEM and
+// SAT cubes are also checked with their X bits left in place: the
+// whole-circuit 3-valued good/faulty pass (test::full_pass_3v) must show a
+// known difference at an observe point, so every completion of the cube is a
+// test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +18,6 @@
 #include "atpg/atpg.hpp"
 #include "bench_circuits/generators.hpp"
 #include "fsim/fault_sim.hpp"
-#include "sim/val3.hpp"
 #include "test_util.hpp"
 
 namespace aidft {
@@ -87,47 +87,6 @@ std::vector<bool> exhaustive_detectable(const Netlist& nl,
   return detectable;
 }
 
-// 3-valued good/faulty simulation of `cube` with its X bits kept: true when
-// some observe point shows a known difference, i.e. every completion of the
-// cube detects `fault`.
-bool cube_detects_3v(const Netlist& nl, const TestCube& cube,
-                     const Fault& fault) {
-  const Topology& t = nl.topology();
-  const std::vector<GateId> inputs = nl.combinational_inputs();
-  const Val3 stuck = fault.stuck_at_one() ? Val3::kOne : Val3::kZero;
-  auto is_source = [&](GateId g) {
-    return t.type(g) == GateType::kInput || t.type(g) == GateType::kDff;
-  };
-  std::vector<Val3> good(nl.num_gates(), Val3::kX);
-  for (std::size_t i = 0; i < inputs.size(); ++i) good[inputs[i]] = cube.bits[i];
-  for (GateId g : t.topo_order()) {
-    if (is_source(g)) continue;
-    const std::span<const GateId> fin = t.fanin(g);
-    good[g] = eval_gate3(t.type(g), fin.size(),
-                         [&](std::size_t k) { return good[fin[k]]; });
-  }
-  std::vector<Val3> bad = good;
-  for (GateId g : t.topo_order()) {
-    if (g == fault.gate && fault.is_stem()) {
-      bad[g] = stuck;
-      continue;
-    }
-    if (is_source(g)) continue;  // a DFF D-pin fault only changes the capture
-    const std::span<const GateId> fin = t.fanin(g);
-    bad[g] = eval_gate3(t.type(g), fin.size(), [&](std::size_t k) {
-      return g == fault.gate && k == fault.pin ? stuck : bad[fin[k]];
-    });
-  }
-  for (GateId op : nl.observe_points()) {
-    const GateId og = nl.observed_gate(op);
-    const bool dpin_fault = op == fault.gate && !fault.is_stem();
-    const Val3 g = good[og];
-    const Val3 b = dpin_fault ? stuck : bad[og];
-    if (is_known(g) && is_known(b) && g != b) return true;
-  }
-  return false;
-}
-
 class AtpgOracle : public ::testing::TestWithParam<std::string> {
  protected:
   void SetUp() override {
@@ -147,17 +106,23 @@ class AtpgOracle : public ::testing::TestWithParam<std::string> {
 };
 
 TEST_P(AtpgOracle, UnlimitedPodemDetectsExactlyTheDetectableSet) {
+  // Under both guidance heuristics (SCOAP and levels): each search path
+  // differs, and every cube must detect with its X bits in place.
   const ScoapResult scoap = compute_scoap(nl_);
-  Podem podem(nl_, &scoap);
   PodemOptions opts;
   opts.backtrack_limit = std::numeric_limits<std::uint64_t>::max();
-  for (std::size_t i = 0; i < faults_.size(); ++i) {
-    const AtpgOutcome out = podem.generate(faults_[i], opts);
-    ASSERT_EQ(out.status, expected(detectable_[i]))
-        << fault_name(nl_, faults_[i]);
-    if (out.status == AtpgStatus::kDetected) {
-      EXPECT_TRUE(cube_detects_3v(nl_, out.cube, faults_[i]))
-          << fault_name(nl_, faults_[i]) << " cube " << out.cube.to_string();
+  for (const ScoapResult* guidance :
+       {&scoap, static_cast<const ScoapResult*>(nullptr)}) {
+    Podem podem(nl_, guidance);
+    for (std::size_t i = 0; i < faults_.size(); ++i) {
+      const AtpgOutcome out = podem.generate(faults_[i], opts);
+      ASSERT_EQ(out.status, expected(detectable_[i]))
+          << fault_name(nl_, faults_[i]) << (guidance ? " (scoap)" : " (levels)");
+      if (out.status == AtpgStatus::kDetected) {
+        EXPECT_TRUE(test::cube_detects_3v(nl_, out.cube, faults_[i]))
+            << fault_name(nl_, faults_[i]) << " cube " << out.cube.to_string()
+            << (guidance ? " (scoap)" : " (levels)");
+      }
     }
   }
 }
@@ -172,7 +137,7 @@ TEST_P(AtpgOracle, SatIsUnsatExactlyOnTheUndetectableSet) {
         << fault_name(nl_, faults_[i]);
     if (out.status == AtpgStatus::kDetected) {
       // X bits included: the cube must hold for every completion.
-      EXPECT_TRUE(cube_detects_3v(nl_, out.cube, faults_[i]))
+      EXPECT_TRUE(test::cube_detects_3v(nl_, out.cube, faults_[i]))
           << fault_name(nl_, faults_[i]) << " cube " << out.cube.to_string();
     }
   }

@@ -153,6 +153,38 @@ TEST(Podem, CubesLeaveDontCares) {
   EXPECT_LT(out.cube.care_count(), out.cube.size());
 }
 
+// A fault of another (larger) netlist: its gate, or its pin, is out of
+// range here. The engines must reject it rather than index past their
+// per-gate tables, and stay usable afterwards.
+std::vector<Fault> foreign_faults(const Netlist& nl) {
+  const auto n = static_cast<GateId>(nl.num_gates());
+  const GateId t1 = nl.find("t_ab");  // a 2-input AND
+  return {Fault{n, kStemPin, 0, FaultKind::kStuckAt},
+          Fault{t1, 2, 1, FaultKind::kStuckAt}};
+}
+
+TEST(Podem, RejectsOutOfRangeFault) {
+  const Netlist nl = circuits::make_redundant();
+  Podem podem(nl);
+  for (const Fault& f : foreign_faults(nl)) {
+    EXPECT_THROW(podem.generate(f), Error) << f.gate << "." << int{f.pin};
+  }
+  const GateId t1 = nl.find("t_ab");
+  EXPECT_EQ(podem.generate(Fault{t1, kStemPin, 0, FaultKind::kStuckAt}).status,
+            AtpgStatus::kDetected);
+}
+
+TEST(SatAtpg, RejectsOutOfRangeFault) {
+  const Netlist nl = circuits::make_redundant();
+  SatAtpg sat(nl);
+  for (const Fault& f : foreign_faults(nl)) {
+    EXPECT_THROW(sat.generate(f), Error) << f.gate << "." << int{f.pin};
+  }
+  const GateId t1 = nl.find("t_ab");
+  EXPECT_EQ(sat.generate(Fault{t1, kStemPin, 0, FaultKind::kStuckAt}).status,
+            AtpgStatus::kDetected);
+}
+
 TEST(GenerateTests, FullPipelineReachesFullTestCoverage) {
   for (const char* which : {"c17", "rca8", "mul4", "alu8", "cmp8"}) {
     Netlist nl;

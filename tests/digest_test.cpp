@@ -11,6 +11,11 @@
 // and diagnosis produce on three circuits, so a refactor of the fault-grading
 // engine must reproduce every pattern, count, signature and ranking bit for
 // bit.
+//
+// The PodemDigest suite pins PODEM's search itself: FNV-1a over the status,
+// cube, decision, backtrack and implication counts of every call, so a
+// rewrite of PODEM's implication must reproduce the same search step for
+// step.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,6 +31,7 @@
 #include "bist/test_points.hpp"
 #include "common/rng.hpp"
 #include "compress/session.hpp"
+#include "netlist/scoap.hpp"
 #include "diag/diagnosis.hpp"
 #include "diag/dictionary.hpp"
 #include "scan/scan.hpp"
@@ -313,6 +319,83 @@ TEST(FlowDigest, Diagnosis) {
     h.u64(m.unexplained);
     EXPECT_EQ(h.value(), expected[i]) << "flow " << i;
   }
+}
+
+// ---- PODEM search ---------------------------------------------------------
+
+void hash_outcome(Fnv1a& h, const AtpgOutcome& o) {
+  h.u32(static_cast<std::uint32_t>(o.status));
+  h.u64(o.cube.size());
+  for (Val3 v : o.cube.bits) h.u32(static_cast<std::uint32_t>(v));
+  h.u64(o.decisions);
+  h.u64(o.backtracks);
+  h.u64(o.implications);
+}
+
+// Podem::generate over every collapsed fault of `nl` at `options`.
+std::uint64_t podem_digest(const Netlist& nl, const PodemOptions& options) {
+  const ScoapResult scoap = compute_scoap(nl);
+  Podem podem(nl, &scoap);
+  Fnv1a h;
+  for (const Fault& f : collapse_equivalent(nl, generate_stuck_at_faults(nl))) {
+    hash_outcome(h, podem.generate(f, options));
+  }
+  return h.value();
+}
+
+PodemOptions with_budget(std::uint64_t backtrack_limit) {
+  PodemOptions o;
+  o.backtrack_limit = backtrack_limit;
+  return o;
+}
+
+TEST(PodemDigest, StandardSuite) {
+  const std::uint64_t expected[2] = {0xa3df14dacfe7820eull,
+                                     0xa3df14dacfe7820eull};
+  const std::uint64_t budgets[2] = {100, PodemOptions{}.backtrack_limit};
+  for (std::size_t b = 0; b < 2; ++b) {
+    Fnv1a h;
+    for (const auto& nc : circuits::standard_suite()) {
+      h.u64(podem_digest(nc.netlist, with_budget(budgets[b])));
+    }
+    EXPECT_EQ(h.value(), expected[b]) << "budget " << budgets[b];
+  }
+}
+
+TEST(PodemDigest, RandomLogic) {
+  const std::uint64_t expected[2] = {0x44dbf7b93547eacdull,
+                                     0x286b393dd8efc5c7ull};
+  const std::uint64_t budgets[2] = {100, PodemOptions{}.backtrack_limit};
+  const Netlist nl = circuits::make_random_logic(32, 500, 1);
+  for (std::size_t b = 0; b < 2; ++b) {
+    EXPECT_EQ(podem_digest(nl, with_budget(budgets[b])), expected[b])
+        << "budget " << budgets[b];
+  }
+}
+
+TEST(PodemDigest, PinConstrained) {
+  // The first four inputs held at 0, 1, 0, 1: part of the fault list
+  // becomes untestable in this mode.
+  const Netlist nl = circuits::make_alu(8);
+  const std::vector<GateId> inputs = nl.combinational_inputs();
+  PodemOptions o = with_budget(100);
+  for (std::size_t i = 0; i < 4; ++i) {
+    o.constraints.emplace_back(inputs[i], i % 2 ? Val3::kOne : Val3::kZero);
+  }
+  EXPECT_EQ(podem_digest(nl, o), 0xad85772bc3adf316ull);
+}
+
+TEST(PodemDigest, Justify) {
+  const Netlist nl = circuits::make_random_logic(12, 400, 5);
+  const ScoapResult scoap = compute_scoap(nl);
+  Podem podem(nl, &scoap);
+  Fnv1a h;
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
+    for (Val3 v : {Val3::kZero, Val3::kOne}) {
+      hash_outcome(h, podem.justify(g, v));
+    }
+  }
+  EXPECT_EQ(h.value(), 0x4068db6e3b03319cull);
 }
 
 }  // namespace

@@ -380,13 +380,16 @@ TEST(Telemetry, AtpgEngineCountersAndHistogramsOnRedundantLogic) {
   // One block shaped like perfbench's atpg_redundant blocks: PODEM hands
   // its redundant faults to SAT, so both engines run.
   const Netlist nl = circuits::make_random_logic(32, 250, 1);
-  obs::Telemetry telemetry;
-  DftFlowOptions options;
-  options.telemetry = &telemetry;
-  options.atpg.random_patterns = 0;
-  options.run_compression = false;
-  options.run_lbist = false;
-  const DftFlowReport report = run_dft_flow(nl, options);
+  auto run = [&] {
+    obs::Telemetry telemetry;
+    DftFlowOptions options;
+    options.telemetry = &telemetry;
+    options.atpg.random_patterns = 0;
+    options.run_compression = false;
+    options.run_lbist = false;
+    return run_dft_flow(nl, options);
+  };
+  const DftFlowReport report = run();
   const obs::MetricsSnapshot& m = report.metrics;
 
   const std::uint64_t podem_calls = m.counter_value("podem.calls");
@@ -406,6 +409,10 @@ TEST(Telemetry, AtpgEngineCountersAndHistogramsOnRedundantLogic) {
     EXPECT_EQ(h->kind, obs::MetricsSnapshot::Kind::kHistogram) << name;
     EXPECT_EQ(h->count, calls) << name;
   }
+  // Gate evaluations by PODEM implication: a deterministic effort count.
+  const std::uint64_t events = m.counter_value("podem.events");
+  EXPECT_GT(events, 0u);
+  EXPECT_EQ(run().metrics.counter_value("podem.events"), events);
 }
 
 TEST(Telemetry, EdtSessionSubSpansNestUnderSession) {

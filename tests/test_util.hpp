@@ -11,6 +11,7 @@
 #include "netlist/netlist.hpp"
 #include "sim/parallel_sim.hpp"
 #include "sim/pattern.hpp"
+#include "sim/val3.hpp"
 
 namespace aidft::test {
 
@@ -128,6 +129,61 @@ inline std::vector<std::vector<std::uint64_t>> predict_all(
     }
   }
   return predicted;
+}
+
+/// The whole-circuit 3-valued good/faulty pass: every gate's good value
+/// under the combinational-input values `bits` (X allowed), and its value
+/// with `fault` (stuck-at) injected. The reference for the fault-scoped,
+/// event-driven implication the ATPG engines run. A DFF D-pin fault changes
+/// only the captured value, so it leaves `faulty` equal to `good`.
+inline void full_pass_3v(const Netlist& nl, const std::vector<Val3>& bits,
+                         const Fault& fault, std::vector<Val3>& good,
+                         std::vector<Val3>& faulty) {
+  const Topology& t = nl.topology();
+  const std::vector<GateId> inputs = nl.combinational_inputs();
+  const Val3 stuck = fault.stuck_at_one() ? Val3::kOne : Val3::kZero;
+  auto is_free = [&](GateId g) {
+    return t.type(g) == GateType::kInput || t.type(g) == GateType::kDff;
+  };
+  good.assign(nl.num_gates(), Val3::kX);
+  for (std::size_t i = 0; i < inputs.size(); ++i) good[inputs[i]] = bits[i];
+  for (GateId g : t.topo_order()) {
+    if (is_free(g)) continue;
+    const std::span<const GateId> fin = t.fanin(g);
+    good[g] = eval_gate3(t.type(g), fin.size(),
+                         [&](std::size_t k) { return good[fin[k]]; });
+  }
+  faulty = good;
+  for (GateId g : t.topo_order()) {
+    if (g == fault.gate && fault.is_stem()) {
+      faulty[g] = stuck;
+      continue;
+    }
+    if (is_free(g)) continue;
+    const std::span<const GateId> fin = t.fanin(g);
+    faulty[g] = eval_gate3(t.type(g), fin.size(), [&](std::size_t k) {
+      return g == fault.gate && k == fault.pin ? stuck : faulty[fin[k]];
+    });
+  }
+}
+
+/// True when the full pass over `cube`, X bits kept, shows a known
+/// good/faulty difference at an observe point (for a DFF D-pin fault: the
+/// pin's driver holds the opposite of the stuck value), i.e. every
+/// completion of the cube detects `fault`.
+inline bool cube_detects_3v(const Netlist& nl, const TestCube& cube,
+                            const Fault& fault) {
+  std::vector<Val3> good, faulty;
+  full_pass_3v(nl, cube.bits, fault, good, faulty);
+  const Val3 stuck = fault.stuck_at_one() ? Val3::kOne : Val3::kZero;
+  for (GateId op : nl.observe_points()) {
+    const GateId og = nl.observed_gate(op);
+    const bool dpin_fault = op == fault.gate && !fault.is_stem();
+    const Val3 g = good[og];
+    const Val3 b = dpin_fault ? stuck : faulty[og];
+    if (is_known(g) && is_known(b) && g != b) return true;
+  }
+  return false;
 }
 
 }  // namespace aidft::test

@@ -107,6 +107,22 @@ TEST(TransitionAtpg, ConstantLineIsUntestable) {
   EXPECT_EQ(r.detected, 0u);
 }
 
+TEST(TransitionAtpg, RejectsOutOfRangeFault) {
+  // A gate past the netlist, and a pin past a gate's arity.
+  const Netlist nl = circuits::make_ripple_adder(4);
+  const auto n = static_cast<GateId>(nl.num_gates());
+  GateId two_input = kNoGate;
+  for (GateId g = 0; g < nl.num_gates() && two_input == kNoGate; ++g) {
+    if (nl.gate(g).fanin.size() == 2) two_input = g;
+  }
+  ASSERT_NE(two_input, kNoGate);
+  for (const Fault& f : {Fault{n, kStemPin, 1, FaultKind::kTransition},
+                         Fault{two_input, 2, 0, FaultKind::kTransition}}) {
+    EXPECT_THROW(generate_transition_tests(nl, {f}), Error)
+        << f.gate << "." << int{f.pin};
+  }
+}
+
 TEST(TransitionAtpg, BeatsRandomPairsOnRpResistantLogic) {
   const Netlist nl = circuits::make_rp_resistant(2, 12);
   const auto faults = generate_transition_faults(nl);
