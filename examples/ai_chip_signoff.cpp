@@ -41,9 +41,11 @@ void print_usage(std::FILE* out, const char* prog) {
                "\n"
                "  num_cores       number of replicated accelerator cores "
                "(default 8)\n"
-               "  --json          print the core-flow report as JSON, "
-               "including the DRC\n"
-               "                  findings, after the text table\n"
+               "  --json          print the chip report as JSON (the "
+               "core-flow report with\n"
+               "                  its DRC findings, plus SoC coverage and "
+               "test time) after\n"
+               "                  the text table\n"
                "  --trace <file>  attach a telemetry sink and write a "
                "Chrome-trace JSON of\n"
                "                  the whole flow; open it at "
@@ -181,7 +183,7 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", report.to_string().c_str());
   if (report.core.drc_aborted) {
-    if (emit_json) std::printf("%s\n", report.core.to_json().c_str());
+    if (emit_json) std::printf("%s\n", report.to_json().c_str());
     return 1;
   }
 
@@ -193,7 +195,7 @@ int main(int argc, char** argv) {
               speedup);
 
   if (emit_json) {
-    std::printf("%s\n", report.core.to_json().c_str());
+    std::printf("%s\n", report.to_json().c_str());
   }
   if (!trace_path.empty()) {
     if (!telemetry.trace.write_chrome_json(trace_path)) {

@@ -101,4 +101,28 @@ TestCube broadcast_cube(const SocNetlist& soc, const TestCube& core_cube) {
   return out;
 }
 
+std::vector<Fault> lift_faults(const SocNetlist& soc,
+                               std::span<const Fault> core_faults) {
+  const std::size_t n = soc.num_instances;
+  AIDFT_REQUIRE(n >= 1 && soc.netlist.replicas() == n,
+                "lift_faults needs a make_replicated_soc() SoC");
+  const std::size_t g = soc.netlist.num_gates() / n;
+  for (const Fault& f : core_faults) {
+    AIDFT_REQUIRE(f.gate < g, "lift_faults: core fault on gate " +
+                                  std::to_string(f.gate) +
+                                  " outside the core's " + std::to_string(g) +
+                                  " gates");
+  }
+  std::vector<Fault> out;
+  out.reserve(n * core_faults.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto base = static_cast<GateId>(i * g);
+    for (Fault f : core_faults) {
+      f.gate += base;
+      out.push_back(f);
+    }
+  }
+  return out;
+}
+
 }  // namespace aidft::aichip

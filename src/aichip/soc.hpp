@@ -4,14 +4,17 @@
 // exploits that: generate patterns for ONE core, then broadcast the same
 // stimulus to every instance in parallel and compare/compact responses
 // per instance. make_replicated_soc() builds the N-instance netlist;
-// broadcast_cube() lifts a core-level pattern to the SoC; coverage of the
-// broadcast set over the whole-SoC fault list equals the core's coverage —
-// the property benchmark E7 and the tests verify.
+// broadcast_cube() lifts a core-level pattern to the SoC and lift_faults()
+// a core-level fault list; coverage of the broadcast set over the whole-SoC
+// fault list equals the core's coverage — the property benchmark E7 and the
+// tests verify by fault-simulating the SoC netlist.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/pattern.hpp"
 
@@ -50,5 +53,16 @@ SocNetlist make_replicated_soc_with_compare(const Netlist& core, std::size_t n);
 /// Lifts a core-level cube to the SoC by giving every instance the same
 /// values (the broadcast-scan stimulus).
 TestCube broadcast_cube(const SocNetlist& soc, const TestCube& core_cube);
+
+/// Lifts a core-level fault list to a make_replicated_soc() SoC, instance
+/// by instance: core fault (g, pin, v) becomes (g + i * G, pin, v) for
+/// instance i, G the core's gate count. Instances are disjoint and the SoC
+/// is tiled instance-major, so lifting the core's universe yields the SoC's
+/// universe and lifting the core's collapsed list yields the SoC's
+/// collapsed list, each with the same faults in the same order. Throws
+/// Error on a SoC with compare logic (not a replica) or a core fault
+/// outside the core.
+std::vector<Fault> lift_faults(const SocNetlist& soc,
+                               std::span<const Fault> core_faults);
 
 }  // namespace aidft::aichip

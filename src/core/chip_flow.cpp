@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "fsim/campaign.hpp"
+#include "obs/json.hpp"
 
 namespace aidft {
 
@@ -32,17 +33,21 @@ ChipFlowReport run_chip_flow(const Netlist& core, const ChipFlowOptions& options
   }
   build_span.end();
 
-  // Measure on the real N-core netlist: full SoC fault list.
+  // The full SoC fault list, lifted from the core's: no equivalence class
+  // crosses instances, so this is the SoC's own (collapsed) list, in the
+  // same order, at the core's enumeration cost.
   obs::Span faults_span = obs::span(telemetry, "chip.soc_faults", "flow");
-  auto soc_faults = generate_stuck_at_faults(soc.netlist);
-  const std::size_t universe = soc_faults.size();
+  std::vector<Fault> core_faults = generate_stuck_at_faults(core);
+  const std::size_t universe = core_faults.size() * options.num_cores;
   if (options.core_flow.collapse_faults) {
-    soc_faults = collapse_equivalent(soc.netlist, soc_faults);
+    core_faults = collapse_equivalent(core, core_faults);
   }
+  const std::vector<Fault> soc_faults = aichip::lift_faults(soc, core_faults);
   report.soc_faults = soc_faults.size();
   if (faults_span.active()) {
     faults_span.arg("faults", universe);
     faults_span.arg("collapsed", soc_faults.size());
+    faults_span.arg("bytes", soc_faults.capacity() * sizeof(Fault));
   }
   faults_span.end();
 
@@ -96,6 +101,23 @@ std::string ChipFlowReport::to_string() const {
      << sequential_cycles << " | identical-core broadcast " << broadcast_cycles
      << "\n";
   return ss.str();
+}
+
+std::string ChipFlowReport::to_json() const {
+  obs::JsonWriter w;
+  w.begin_object();
+  // DftFlowReport::to_json emits a complete JSON object, spliced verbatim.
+  w.key("core").raw(core.to_json());
+  w.field("soc_gates", soc_gates);
+  w.field("soc_faults", soc_faults);
+  w.field("soc_detected", soc_detected);
+  w.field("broadcast_coverage", broadcast_coverage());
+  w.field("soc_grade_outcome", aidft::to_string(soc_grade_outcome));
+  w.field("flat_cycles", flat_cycles);
+  w.field("sequential_cycles", sequential_cycles);
+  w.field("broadcast_cycles", broadcast_cycles);
+  w.end_object();
+  return std::move(w).take();
 }
 
 }  // namespace aidft

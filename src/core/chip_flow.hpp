@@ -6,6 +6,13 @@
 // the core's coverage. Also tabulates flat / sequential / broadcast test
 // time so the tutorial's "test one core, broadcast to all" argument is a
 // measured number, not a slide claim.
+//
+// The SoC pays core-sized costs only where that is exact: its fault list is
+// the core's (collapsed) list lifted instance by instance
+// (aichip::lift_faults), and the campaign simulates one tile of the
+// broadcast good machine (ParallelSimulator::simulate). Every SoC fault is
+// still propagated over the real SoC topology, so the SoC coverage stays a
+// measurement rather than "core coverage x N".
 #pragma once
 
 #include <string>
@@ -46,6 +53,11 @@ struct ChipFlowReport {
   std::size_t broadcast_cycles = 0;
 
   std::string to_string() const;
+
+  /// Machine-readable report: the core report under "core" (see
+  /// DftFlowReport::to_json) plus the SoC fields and cycle counts above,
+  /// under their member names.
+  std::string to_json() const;
 };
 
 ChipFlowReport run_chip_flow(const Netlist& core, const ChipFlowOptions& options);

@@ -105,10 +105,11 @@ void validate_patterns(const Netlist& nl, const std::vector<TestCube>& patterns)
   for (const auto& p : patterns) {
     AIDFT_REQUIRE_CTX(p.size() == width, "run_campaign",
                       "pattern width mismatch");
-    for (Val3 v : p.bits) {
-      AIDFT_REQUIRE_CTX(v != Val3::kX, "run_campaign",
-                        "campaign patterns must be fully specified");
-    }
+    // OR-reduction: no per-bit branch, one check per cube.
+    bool any_x = false;
+    for (Val3 v : p.bits) any_x |= v == Val3::kX;
+    AIDFT_REQUIRE_CTX(!any_x, "run_campaign",
+                      "campaign patterns must be fully specified");
   }
 }
 
@@ -182,12 +183,13 @@ struct ShardState {
 // The sharded engine, shared by both fault models. `grade` maps
 // (FaultSimulator&, op_diffs, fault, capture_batch) to a detect mask;
 // `needs_launch` says whether a fault requires the launch batch (transition
-// faults); `on_detect`, when set, runs on every nonzero mask.
+// faults) and `any_launch` whether any fault of the list does; `on_detect`,
+// when set, runs on every nonzero mask.
 template <typename FaultT, typename Grade, typename NeedsLaunch>
 CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
                            const std::vector<TestCube>& patterns,
                            const CampaignOptions& options, Grade&& grade,
-                           NeedsLaunch&& needs_launch,
+                           NeedsLaunch&& needs_launch, bool any_launch,
                            const DetailedDetectHook* on_detect = nullptr) {
   CampaignResult r;
   r.total_faults = faults.size();
@@ -199,8 +201,6 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
 
   validate_patterns(nl, patterns);
   const std::vector<PatternBatch> capture = pack_capture_batches(patterns);
-  bool any_launch = false;
-  for (const FaultT& f : faults) any_launch = any_launch || needs_launch(f);
   const std::vector<PatternBatch> launch =
       any_launch ? pack_launch_batches(patterns) : std::vector<PatternBatch>{};
 
@@ -443,10 +443,29 @@ CampaignResult run_faults(const Netlist& netlist, std::span<const Fault> faults,
   const bool reference = options.engine == CampaignEngine::kReference;
   AIDFT_REQUIRE_CTX(!(detailed && reference), "run_campaign",
                     "detailed detection hooks need the PPSFP engine");
-  for (const Fault& f : faults) {
+  // One pass over the faults: sites inside the netlist, kinds the engine
+  // grades, and whether any fault needs launch batches.
+  const auto needs_launch = [](const Fault& f) {
+    return f.kind == FaultKind::kTransition;
+  };
+  const Topology& t = netlist.topology();
+  bool any_launch = false;
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    const Fault& f = faults[i];
+    AIDFT_REQUIRE_CTX(f.gate < t.num_gates(), "run_campaign",
+                      "fault " + std::to_string(i) + " sits on gate " +
+                          std::to_string(f.gate) + ", outside the netlist's " +
+                          std::to_string(t.num_gates()) + " gates");
+    AIDFT_REQUIRE_CTX(f.is_stem() || f.pin < t.fanin_size(f.gate),
+                      "run_campaign",
+                      "fault " + std::to_string(i) + " sits on pin " +
+                          std::to_string(f.pin) + " of gate " +
+                          std::to_string(f.gate) + ", which has " +
+                          std::to_string(t.fanin_size(f.gate)) + " fanins");
     AIDFT_REQUIRE_CTX(!(reference || detailed) || f.kind == FaultKind::kStuckAt,
                       "run_campaign",
                       "reference and detailed grading need stuck-at faults");
+    any_launch = any_launch || needs_launch(f);
   }
   return run_sharded(
       netlist, faults, patterns, options,
@@ -456,8 +475,7 @@ CampaignResult run_faults(const Netlist& netlist, std::span<const Fault> faults,
         return reference ? fsim.detect_mask_reference(batch, f)
                          : fsim.detect_mask(f);
       },
-      [](const Fault& f) { return f.kind == FaultKind::kTransition; },
-      on_detect);
+      needs_launch, any_launch, on_detect);
 }
 
 }  // namespace
@@ -498,7 +516,7 @@ CampaignResult run_campaign(const Netlist& netlist,
       [](FaultSimulator& fsim, std::vector<std::uint64_t>&,
          const BridgingFault& f,
          const PatternBatch&) { return fsim.detect_mask_bridging(f); },
-      [](const BridgingFault&) { return false; });
+      [](const BridgingFault&) { return false; }, false);
 }
 
 }  // namespace aidft

@@ -114,7 +114,9 @@ struct CampaignResult {
 /// Stuck-at faults are graded per pattern; transition faults on consecutive
 /// pattern pairs (launch = i-1, capture = i; pattern 0 cannot detect them).
 /// CampaignEngine::kReference requires a pure stuck-at fault list. Throws
-/// aidft::Error when a pattern holds an X or has the wrong width.
+/// aidft::Error when a pattern holds an X or has the wrong width, or when a
+/// fault's site is not in `netlist` (a gate past num_gates(), or a branch
+/// pin at or past its gate's fanin count).
 CampaignResult run_campaign(const Netlist& netlist,
                             std::span<const Fault> faults,
                             const std::vector<TestCube>& patterns,

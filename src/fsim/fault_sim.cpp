@@ -8,10 +8,7 @@ namespace aidft {
 FaultSimulator::FaultSimulator(const Netlist& netlist)
     : netlist_(&netlist),
       good_sim_(netlist),
-      faulty_(netlist.num_gates(), 0),
-      epoch_(netlist.num_gates(), 0),
       buckets_(netlist.num_levels() + 1),
-      queued_(netlist.num_gates(), false),
       observed_(netlist.num_gates(), false),
       op_offsets_(netlist.num_gates() + 1, 0),
       observe_points_(netlist.observe_points()) {
@@ -30,41 +27,56 @@ FaultSimulator::FaultSimulator(const Netlist& netlist)
   }
 }
 
-void FaultSimulator::load_batch(const PatternBatch& batch) {
-  good_sim_.simulate(batch);
-  loaded_ = true;
-  lane_mask_ = batch.lane_mask();
+void FaultSimulator::reserve_scratch(std::size_t gates) {
+  if (faulty_.size() >= gates) return;
+  faulty_.resize(gates, 0);
+  epoch_.resize(gates, 0);
+  queued_.resize(gates, false);
 }
 
-void FaultSimulator::load_launch_batch(const PatternBatch& batch) {
-  ParallelSimulator sim(*netlist_);
-  sim.simulate(batch);
-  launch_good_ = sim.values();
-  launch_lane_mask_ = batch.lane_mask();
-}
-
-std::uint64_t FaultSimulator::line_value(const Fault& f) const {
-  AIDFT_REQUIRE(loaded_, "load_batch() before line_value()");
-  if (f.is_stem()) return good()[f.gate];
-  return good()[topo_->fanin(f.gate)[f.pin]];
-}
-
-std::uint64_t FaultSimulator::propagate(const Fault& fault,
-                                        const std::vector<std::uint64_t>& good,
-                                        std::uint64_t lane_mask,
-                                        std::vector<std::uint64_t>* op_diffs) {
-  const Topology& t = *topo_;
+void FaultSimulator::next_epoch() {
   ++cur_epoch_;
   if (cur_epoch_ == 0) {  // wrapped: invalidate all tags
     std::fill(epoch_.begin(), epoch_.end(), 0);
     cur_epoch_ = 1;
   }
+}
+
+void FaultSimulator::load_batch(const PatternBatch& batch) {
+  good_sim_.simulate(batch);
+  loaded_ = true;
+  lane_mask_ = batch.lane_mask();
+  reserve_scratch(good_sim_.tile());
+}
+
+void FaultSimulator::load_launch_batch(const PatternBatch& batch) {
+  if (!launch_sim_) launch_sim_.emplace(*netlist_);
+  launch_sim_->simulate(batch);
+  launch_lane_mask_ = batch.lane_mask();
+}
+
+std::uint64_t FaultSimulator::line_value(const Fault& f) const {
+  AIDFT_REQUIRE(loaded_, "load_batch() before line_value()");
+  return good_sim_.value(f.is_stem() ? f.gate : topo_->fanin(f.gate)[f.pin]);
+}
+
+std::uint64_t FaultSimulator::propagate(const Fault& fault,
+                                        std::vector<std::uint64_t>* op_diffs) {
+  const Topology& t = *topo_;
+  const std::vector<std::uint64_t>& good = good_sim_.values();
+  const std::uint64_t lane_mask = lane_mask_;
+  // Every gate this fault reaches lies in its own instance, which starts at
+  // `base`: good values and scratch are indexed relative to it (base is 0
+  // when the tile is the whole netlist).
+  const GateId base = good_sim_.tile_base(fault.gate);
+  next_epoch();
+  auto good_at = [&](GateId g) { return good[g - base]; };
   auto fval = [&](GateId g) -> std::uint64_t {
-    return epoch_[g] == cur_epoch_ ? faulty_[g] : good[g];
+    return epoch_[g - base] == cur_epoch_ ? faulty_[g - base] : good[g - base];
   };
   auto set_fval = [&](GateId g, std::uint64_t v) {
-    faulty_[g] = v;
-    epoch_[g] = cur_epoch_;
+    faulty_[g - base] = v;
+    epoch_[g - base] = cur_epoch_;
   };
 
   const std::uint64_t stuck_word = fault.stuck_at_one() ? ~0ull : 0ull;
@@ -84,7 +96,7 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
   // directly at scan-out: activation is detection, nothing propagates.
   if (!fault.is_stem() && t.type(fault.gate) == GateType::kDff) {
     const GateId driver = t.fanin(fault.gate)[fault.pin];
-    const std::uint64_t diff = (good[driver] ^ stuck_word) & lane_mask;
+    const std::uint64_t diff = (good_at(driver) ^ stuck_word) & lane_mask;
     if (op_diffs != nullptr && diff != 0) {
       // Only this flop's own observe point fails: the one among the points
       // observing its D driver whose gate is the flop itself.
@@ -103,8 +115,8 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
   auto enqueue_fanouts = [&](GateId g) {
     for (GateId s : t.fanout(g)) {
       if (is_state_element(t.type(s))) continue;  // captured, not propagated
-      if (!queued_[s]) {
-        queued_[s] = true;
+      if (!queued_[s - base]) {
+        queued_[s - base] = true;
         const std::uint32_t lvl = t.level(s);
         buckets_[lvl].push_back(s);
         lo = std::min(lo, lvl);
@@ -120,16 +132,16 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
   // change the mask and a mask-only caller (op_diffs == nullptr) stops.
   std::uint64_t active = 0;
   if (fault.is_stem()) {
-    active = (good[fault.gate] ^ stuck_word) & lane_mask;
+    active = (good_at(fault.gate) ^ stuck_word) & lane_mask;
     if (active == 0) return 0;
     set_fval(fault.gate, stuck_word);
   } else {
     const std::span<const GateId> fin = t.fanin(fault.gate);
     const std::uint64_t nv = eval_gate_words(
         t.type(fault.gate), fin.size(), [&](std::size_t i) {
-          return i == fault.pin ? stuck_word : good[fin[i]];
+          return i == fault.pin ? stuck_word : good_at(fin[i]);
         });
-    active = (nv ^ good[fault.gate]) & lane_mask;
+    active = (nv ^ good_at(fault.gate)) & lane_mask;
     if (active == 0) return 0;
     set_fval(fault.gate, nv);
   }
@@ -148,7 +160,7 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
     auto& bucket = buckets_[lvl];
     for (std::size_t i = 0; i < bucket.size(); ++i) {
       const GateId id = bucket[i];
-      queued_[id] = false;
+      queued_[id - base] = false;
       ++events_;
       const GateType type = t.type(id);
       const std::span<const GateId> fin = t.fanin(id);
@@ -169,7 +181,7 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
       if (nv != fval(id)) {
         set_fval(id, nv);
         if (observed_[id]) {
-          const std::uint64_t d = (nv ^ good[id]) & lane_mask;
+          const std::uint64_t d = (nv ^ good_at(id)) & lane_mask;
           detect |= d;
           record_diff(id, d);
         }
@@ -181,7 +193,7 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
       // Mask final: drop the queued work of the skipped levels so the next
       // call starts with empty buckets and a clear queued_ bitmap.
       for (std::uint32_t skip = lvl + 1; skip <= hi; ++skip) {
-        for (GateId id : buckets_[skip]) queued_[id] = false;
+        for (GateId id : buckets_[skip]) queued_[id - base] = false;
         buckets_[skip].clear();
       }
       ++early_exits_;
@@ -193,24 +205,22 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
 
 std::uint64_t FaultSimulator::detect_mask(const Fault& fault) {
   AIDFT_REQUIRE(loaded_, "load_batch() before detect_mask()");
-  if (fault.kind == FaultKind::kStuckAt) {
-    return propagate(fault, good(), lane_mask_);
-  }
+  if (fault.kind == FaultKind::kStuckAt) return propagate(fault);
   // Transition fault: launch must set the line to the initial value
   // (opposite of the final `value`), capture must detect stuck-at(initial).
-  AIDFT_REQUIRE(!launch_good_.empty(),
+  AIDFT_REQUIRE(launch_sim_.has_value(),
                 "load_launch_batch() before transition detect_mask()");
   const GateId line_gate = fault.is_stem()
                                ? fault.gate
                                : topo_->fanin(fault.gate)[fault.pin];
-  const std::uint64_t init_word = launch_good_[line_gate];
+  const std::uint64_t init_word = launch_sim_->value(line_gate);
   // slow-to-rise (value==1): needs launch value 0; fault behaves as SA0.
   const std::uint64_t armed =
       fault.stuck_at_one() ? ~init_word : init_word;  // lanes with init value
   Fault as_stuck = fault;
   as_stuck.kind = FaultKind::kStuckAt;
   as_stuck.value = fault.value ? 0 : 1;  // stuck at the *initial* value
-  const std::uint64_t det = propagate(as_stuck, good(), lane_mask_);
+  const std::uint64_t det = propagate(as_stuck);
   return det & armed & launch_lane_mask_ & lane_mask_;
 }
 
@@ -225,12 +235,15 @@ std::uint64_t FaultSimulator::detect_mask_iddq(const Fault& fault) {
 std::uint64_t FaultSimulator::detect_mask_bridging(const BridgingFault& fault) {
   AIDFT_REQUIRE(loaded_, "load_batch() before detect_mask_bridging()");
   const Netlist& nl = *netlist_;
-  const std::vector<std::uint64_t>& good = good_sim_.values();
   AIDFT_REQUIRE(fault.a < nl.num_gates() && fault.b < nl.num_gates() &&
                     fault.a != fault.b,
                 "bridging fault sites invalid");
-  const std::uint64_t va = good[fault.a];
-  const std::uint64_t vb = good[fault.b];
+  // The two nets may sit in different instances, so the scratch keeps
+  // whole-netlist indexing; good values still come through the tile.
+  reserve_scratch(nl.num_gates());
+  const ParallelSimulator& good = good_sim_;
+  const std::uint64_t va = good.value(fault.a);
+  const std::uint64_t vb = good.value(fault.b);
   std::uint64_t na = va, nb = vb;
   switch (fault.type) {
     case BridgeType::kWiredAnd: na = nb = va & vb; break;
@@ -239,13 +252,9 @@ std::uint64_t FaultSimulator::detect_mask_bridging(const BridgingFault& fault) {
     case BridgeType::kBDominatesA: na = vb; break;
   }
 
-  ++cur_epoch_;
-  if (cur_epoch_ == 0) {
-    std::fill(epoch_.begin(), epoch_.end(), 0);
-    cur_epoch_ = 1;
-  }
+  next_epoch();
   auto fval = [&](GateId g) -> std::uint64_t {
-    return epoch_[g] == cur_epoch_ ? faulty_[g] : good[g];
+    return epoch_[g] == cur_epoch_ ? faulty_[g] : good.value(g);
   };
   auto set_fval = [&](GateId g, std::uint64_t v) {
     faulty_[g] = v;
@@ -291,7 +300,7 @@ std::uint64_t FaultSimulator::detect_mask_bridging(const BridgingFault& fault) {
           [&](std::size_t k) { return fval(fin[k]); });
       if (nv != fval(id)) {
         set_fval(id, nv);
-        if (observed_[id]) detect |= (nv ^ good[id]) & lane_mask_;
+        if (observed_[id]) detect |= (nv ^ good.value(id)) & lane_mask_;
         enqueue_fanouts(id);
       }
     }
@@ -306,7 +315,7 @@ std::uint64_t FaultSimulator::detect_mask_detailed(
   AIDFT_REQUIRE(fault.kind == FaultKind::kStuckAt,
                 "detailed masks are for stuck-at faults");
   op_diffs.assign(observe_points_.size(), 0);
-  return propagate(fault, good(), lane_mask_, &op_diffs);
+  return propagate(fault, &op_diffs);
 }
 
 std::uint64_t FaultSimulator::detect_mask_reference(const PatternBatch& batch,

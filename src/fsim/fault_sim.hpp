@@ -12,12 +12,19 @@
 //    stops as soon as every lane the fault activates is detected (the mask
 //    cannot grow further); detailed grading propagates the full cone.
 //
+// On a replicated SoC under broadcast stimulus the good machine is one
+// tile, instance 0 (see ParallelSimulator::simulate): PPSFP reads a fault's
+// good values at `g - base`, `base` being its instance's first gate, and
+// sizes its per-fault scratch to the tile, while faulty propagation still
+// walks the real SoC topology from the real fault site.
+//
 // Transition-delay faults are graded on pattern *pairs* (launch, capture):
 // the launch vector must set the line to the transition's initial value and
 // the capture vector must detect the corresponding stuck-at.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "fault/bridging.hpp"
@@ -86,24 +93,30 @@ class FaultSimulator {
   std::uint64_t early_exits() const { return early_exits_; }
 
  private:
+  // Stuck-at propagation of `fault` over the loaded capture batch.
   std::uint64_t propagate(const Fault& fault,
-                          const std::vector<std::uint64_t>& good,
-                          std::uint64_t lane_mask,
                           std::vector<std::uint64_t>* op_diffs = nullptr);
-
-  // Good-machine values of the loaded capture batch, read in place from
-  // good_sim_ (an accessor, not a cached reference: simulators are moved).
-  const std::vector<std::uint64_t>& good() const { return good_sim_.values(); }
+  // Grows the propagation scratch to cover `gates` gates.
+  void reserve_scratch(std::size_t gates);
+  // Starts a fresh faulty machine (retags every scratch entry on wrap).
+  void next_epoch();
 
   const Netlist* netlist_;
   const Topology* topo_ = nullptr;  // compiled view; set in the constructor
-  ParallelSimulator good_sim_;      // holds the capture batch's good values
+  // Holds the capture batch's good values for its tile (read in place, not
+  // through a cached reference: simulators are moved).
+  ParallelSimulator good_sim_;
   bool loaded_ = false;             // load_batch() has run
-  std::vector<std::uint64_t> launch_good_;  // cached good values (launch)
+  // The launch batch's good machine, with its own tile: a launch batch can
+  // be broadcast when its capture batch is not, or the reverse.
+  std::optional<ParallelSimulator> launch_sim_;
   std::uint64_t lane_mask_ = 0;
   std::uint64_t launch_lane_mask_ = 0;
 
-  // Per-fault propagation scratch (epoch-tagged faulty values).
+  // Per-fault propagation scratch (epoch-tagged faulty values), allocated
+  // on the first load and sized to the tile: a stuck-at fault indexes it
+  // relative to its instance's first gate. Bridging grows it to the whole
+  // netlist, because its two nets may sit in different instances.
   std::vector<std::uint64_t> faulty_;
   std::vector<std::uint32_t> epoch_;
   std::uint64_t events_ = 0;

@@ -86,6 +86,10 @@ class Netlist {
   /// replica's gate ids or edge offsets would not fit 32 bits.
   static Netlist replicate(const Netlist& core, std::size_t n);
 
+  /// Instance count `n` of a netlist made by replicate(), 0 for any other:
+  /// instance i then holds gates [i * G, (i + 1) * G), G = num_gates() / n.
+  std::size_t replicas() const { return replicas_; }
+
   // ---- structure access --------------------------------------------------
 
   const std::string& name() const { return name_; }

@@ -64,17 +64,33 @@ class ParallelSimulator {
   /// (PIs, then DFF pseudo-inputs). After the call every gate's word is
   /// available via value(); DFF gates hold their *loaded* (pseudo-input)
   /// value, and their captured next-state is next_state().
+  ///
+  /// On a replica (Netlist::replicate) whose batch gives every instance
+  /// instance 0's input and scan words — checked word by word, O(width) —
+  /// only instance 0 is simulated: every other instance is a disjoint copy
+  /// under the same stimulus, so its words provably equal instance 0's.
   void simulate(const PatternBatch& batch);
 
-  /// Word of gate `g` from the last simulate() call.
-  std::uint64_t value(GateId g) const { return values_[g]; }
+  /// Gates the last simulate() evaluated, [0, tile()): the core's gate
+  /// count after a broadcast batch on a replica, num_gates() otherwise.
+  std::size_t tile() const { return tile_; }
 
-  /// Every gate's word from the last simulate() call, indexed by GateId.
+  /// First gate of the tile-sized block holding `g`: gate g's word is the
+  /// tile's word of g - tile_base(g).
+  GateId tile_base(GateId g) const {
+    return g < tile_ ? 0 : static_cast<GateId>(g - g % tile_);
+  }
+
+  /// Word of gate `g` from the last simulate() call.
+  std::uint64_t value(GateId g) const { return values_[g - tile_base(g)]; }
+
+  /// The tile's words from the last simulate() call: gate g reads
+  /// values()[g - tile_base(g)].
   const std::vector<std::uint64_t>& values() const { return values_; }
 
   /// Captured D-input word of a DFF (what the flop would load next cycle).
   std::uint64_t next_state(GateId dff) const {
-    return values_[netlist_->topology().fanin0(dff)];
+    return value(netlist_->topology().fanin0(dff));
   }
 
   /// Observed response: words at observe_points() in order (POs then DFFs'
@@ -84,10 +100,14 @@ class ParallelSimulator {
   const Netlist& netlist() const { return *netlist_; }
 
  private:
+  bool broadcast(const PatternBatch& batch) const;
+
   const Netlist* netlist_;
   const Topology* topo_ = nullptr;  // compiled view; set in the constructor
   std::vector<GateId> comb_inputs_;
-  std::vector<std::uint64_t> values_;
+  std::size_t tile_ = 0;
+  std::vector<std::uint32_t> instance_level_size_;  // replicas only
+  std::vector<std::uint64_t> values_;  // the tile's words, sized by simulate()
 };
 
 }  // namespace aidft

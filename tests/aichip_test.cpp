@@ -8,11 +8,13 @@
 #include "aichip/test_time.hpp"
 #include "bench_circuits/generators.hpp"
 #include "common/rng.hpp"
+#include "fault/bridging.hpp"
 #include "fault/fault.hpp"
 #include "atpg/atpg.hpp"
 #include "fsim/campaign.hpp"
 #include "fsim/fault_sim.hpp"
 #include "sim/event_sim.hpp"
+#include "sim/parallel_sim.hpp"
 #include "test_util.hpp"
 
 namespace aidft {
@@ -261,6 +263,227 @@ TEST(Soc, BroadcastCoverageEqualsCoreCoverage) {
       run_campaign(soc.netlist, soc_faults, broadcast);
   EXPECT_EQ(soc_r.detected, 4 * core_r.detected);
   EXPECT_DOUBLE_EQ(soc_r.coverage(), core_r.coverage());
+}
+
+// ---- lifted fault lists --------------------------------------------------
+
+// The lift is the SoC's own enumeration and collapse, fault for fault and
+// in order: no equivalence class crosses instances, and both lists are
+// instance-major.
+TEST(LiftFaults, EqualsTheSocsOwnListsInOrder) {
+  std::vector<circuits::NamedCircuit> cores = circuits::standard_suite();
+  cores.push_back({"systolic2x2", aichip::make_systolic_array({})});
+  for (const auto& [name, core] : cores) {
+    const auto core_universe = generate_stuck_at_faults(core);
+    const auto core_collapsed = collapse_equivalent(core, core_universe);
+    for (std::size_t n : {1, 2, 3, 7}) {
+      SCOPED_TRACE(std::string(name) + " x" + std::to_string(n));
+      const auto soc = aichip::make_replicated_soc(core, n);
+      const auto soc_universe = generate_stuck_at_faults(soc.netlist);
+      EXPECT_EQ(aichip::lift_faults(soc, core_universe), soc_universe);
+      EXPECT_EQ(aichip::lift_faults(soc, core_collapsed),
+                collapse_equivalent(soc.netlist, soc_universe));
+    }
+  }
+}
+
+TEST(LiftFaults, RejectsCompareSocsAndForeignFaults) {
+  const Netlist core = circuits::make_mac(3, true);
+  const auto faults = generate_stuck_at_faults(core);
+  EXPECT_THROW(aichip::lift_faults(
+                   aichip::make_replicated_soc_with_compare(core, 2), faults),
+               Error);
+  const Fault foreign{static_cast<GateId>(core.num_gates()), kStemPin, 0};
+  EXPECT_THROW(aichip::lift_faults(aichip::make_replicated_soc(core, 2),
+                                   std::vector<Fault>{foreign}),
+               Error);
+}
+
+// ---- the tiled good machine against its whole-netlist oracle -------------
+
+// 212 broadcast patterns over four batches, the last partly full, except
+// that pattern 127 gives instance n-1 scan cells of its own (its primary
+// inputs when the core has no flops) and pattern 191 does the same for
+// instance 1's primary inputs. Capture batch b holds patterns [64b, 64b+63]
+// and launch batch b [64b-1, 64b+62], so capture/launch batches 0 are
+// broadcast/broadcast, 1 not/broadcast, 2 not/not and 3 broadcast/not.
+std::vector<TestCube> tile_patterns(const aichip::SocNetlist& soc,
+                                    std::uint64_t seed) {
+  Rng rng(seed);
+  const std::size_t width = soc.core_pis + soc.core_ffs;
+  std::vector<TestCube> v;
+  for (const TestCube& c : random_patterns(width, 212, rng)) {
+    v.push_back(aichip::broadcast_cube(soc, c));
+  }
+  auto own_values = [&](std::size_t p, std::size_t inst, std::size_t first,
+                        std::size_t last) {
+    for (std::size_t k = first; k < last; ++k) {
+      v[p].bits[soc.comb_index(inst, k)] =
+          rng.next_bool() ? Val3::kOne : Val3::kZero;
+    }
+  };
+  const std::size_t far = soc.num_instances - 1;
+  if (soc.core_ffs > 0) {
+    own_values(127, far, soc.core_pis, width);
+  } else {
+    own_values(127, far, 0, soc.core_pis);
+  }
+  own_values(191, std::min<std::size_t>(1, far), 0, soc.core_pis);
+  return v;
+}
+
+// Same-level bridges inside instances (sampled) plus, per level, bridges
+// from instance 0 to instance n-1: one between the two copies of a gate,
+// whose nets agree under broadcast stimulus, and two between different
+// gates.
+std::vector<BridgingFault> tile_bridges(const aichip::SocNetlist& soc) {
+  const Netlist& nl = soc.netlist;
+  std::vector<BridgingFault> v = sample_bridging_faults(
+      nl, 60, 9,
+      {BridgeType::kWiredAnd, BridgeType::kWiredOr, BridgeType::kADominatesB,
+       BridgeType::kBDominatesA});
+  const std::size_t g = nl.num_gates() / soc.num_instances;
+  const auto far = static_cast<GateId>((soc.num_instances - 1) * g);
+  if (far == 0) return v;
+  const Topology& t = nl.topology();
+  for (std::uint32_t lvl = 1; lvl < t.num_levels(); ++lvl) {
+    std::vector<GateId> logic;
+    for (GateId id : t.level_gates(lvl)) {
+      if (id < g && t.type(id) != GateType::kOutput) logic.push_back(id);
+    }
+    if (logic.empty()) continue;
+    v.push_back({logic[0], far + logic[0], BridgeType::kWiredAnd});
+    if (logic.size() > 1) {
+      v.push_back({logic[0], far + logic[1], BridgeType::kADominatesB});
+      v.push_back({far + logic[1], logic[0], BridgeType::kWiredOr});
+    }
+  }
+  return v;
+}
+
+// One detection-hook call: (batch, mask, op_diffs); op_diffs stays empty
+// for the mask-only hook.
+struct HookCall {
+  std::size_t batch = 0;
+  std::uint64_t mask = 0;
+  std::vector<std::uint64_t> diffs;
+  friend bool operator==(const HookCall&, const HookCall&) = default;
+};
+using HookCalls = std::vector<std::vector<HookCall>>;  // per fault
+
+// Runs `faults` with a recording hook: with drop_limit 0 every fault's
+// mask (and diffs) on every batch is compared, not just first detections.
+// Each fault's calls are recorded by the one worker that owns it.
+std::pair<CampaignResult, HookCalls> run_recorded(
+    const Netlist& nl, const std::vector<Fault>& faults,
+    const std::vector<TestCube>& patterns, const CampaignOptions& o,
+    bool detailed) {
+  HookCalls calls(faults.size());
+  if (detailed) {
+    const CampaignResult r = run_campaign(
+        nl, faults, patterns, o,
+        [&](std::size_t f, std::size_t b, std::uint64_t mask,
+            std::span<const std::uint64_t> op_diffs) {
+          calls[f].push_back({b, mask, {op_diffs.begin(), op_diffs.end()}});
+          return false;
+        });
+    return {r, std::move(calls)};
+  }
+  const CampaignResult r =
+      run_campaign(nl, faults, patterns, o,
+                   [&](std::size_t f, std::size_t b, std::uint64_t mask) {
+                     calls[f].push_back({b, mask, {}});
+                     return false;
+                   });
+  return {r, std::move(calls)};
+}
+
+void expect_same_result(const CampaignResult& got, const CampaignResult& want,
+                        const std::string& label) {
+  EXPECT_EQ(got.first_detected_by, want.first_detected_by) << label;
+  EXPECT_EQ(got.detected_after, want.detected_after) << label;
+  EXPECT_EQ(got.detected, want.detected) << label;
+}
+
+// Grades a replica (tiled good machine on broadcast batches) and its
+// gate-by-gate clone (no replica tiling: always the whole netlist) with
+// every campaign kind; every result and every recorded mask and diff must
+// agree.
+void expect_tile_matches_clone(const Netlist& core, std::size_t n) {
+  const aichip::SocNetlist soc = aichip::make_replicated_soc(core, n);
+  const Netlist clone = test::cloned_replica(core, n);
+  ASSERT_EQ(clone.replicas(), 0u);
+  const auto patterns = tile_patterns(soc, 17 + n);
+  const auto stuck = generate_stuck_at_faults(soc.netlist);
+  const auto transition = generate_transition_faults(soc.netlist);
+  const auto bridges = tile_bridges(soc);
+  for (std::size_t t : {1, 4}) {
+    for (std::size_t drop : {0, 1}) {
+      const std::string label = core.name() + " x" + std::to_string(n) +
+                                " t=" + std::to_string(t) +
+                                " drop=" + std::to_string(drop);
+      const CampaignOptions o{.num_threads = t, .drop_limit = drop};
+      expect_same_result(run_campaign(soc.netlist, stuck, patterns, o),
+                         run_campaign(clone, stuck, patterns, o),
+                         label + " stuck-at");
+      expect_same_result(run_campaign(soc.netlist, bridges, patterns, o),
+                         run_campaign(clone, bridges, patterns, o),
+                         label + " bridging");
+      for (const bool detailed : {false, true}) {
+        const auto [tiled, tiled_calls] =
+            run_recorded(soc.netlist, stuck, patterns, o, detailed);
+        const auto [whole, whole_calls] =
+            run_recorded(clone, stuck, patterns, o, detailed);
+        const std::string kind = detailed ? " detailed" : " mask hook";
+        expect_same_result(tiled, whole, label + kind);
+        EXPECT_EQ(tiled_calls, whole_calls) << label << kind;
+      }
+      const auto [tiled, tiled_calls] =
+          run_recorded(soc.netlist, transition, patterns, o, false);
+      const auto [whole, whole_calls] =
+          run_recorded(clone, transition, patterns, o, false);
+      expect_same_result(tiled, whole, label + " transition");
+      EXPECT_EQ(tiled_calls, whole_calls) << label << " transition";
+    }
+  }
+}
+
+TEST(TiledGoodMachine, ReplicaGradesLikeItsClone) {
+  const std::vector<Netlist> cores = [] {
+    std::vector<Netlist> v;
+    v.push_back(circuits::make_mac(3, true));
+    v.push_back(circuits::make_random_logic(8, 120, 3));
+    return v;
+  }();
+  for (const Netlist& core : cores) {
+    for (std::size_t n : {1, 2, 3, 7}) expect_tile_matches_clone(core, n);
+  }
+}
+
+// The good machine is one tile exactly when a replica's batch is broadcast,
+// and every gate reads its instance-0 copy's word through value().
+TEST(TiledGoodMachine, TileIsInstanceZeroOnBroadcastBatchesOnly) {
+  const Netlist core = circuits::make_mac(3, true);
+  const aichip::SocNetlist soc = aichip::make_replicated_soc(core, 3);
+  const Netlist clone = test::cloned_replica(core, 3);
+  const auto patterns = tile_patterns(soc, 5);
+  ParallelSimulator tiled(soc.netlist);
+  ParallelSimulator whole(clone);
+  for (std::size_t b = 0; b * 64 < patterns.size(); ++b) {
+    const PatternBatch batch = pack_patterns(
+        patterns, b * 64, std::min<std::size_t>(64, patterns.size() - b * 64));
+    tiled.simulate(batch);
+    whole.simulate(batch);
+    const bool broadcast = b == 0 || b == 3;
+    EXPECT_EQ(tiled.tile(), broadcast ? core.num_gates()
+                                      : soc.netlist.num_gates())
+        << "batch " << b;
+    EXPECT_EQ(whole.tile(), clone.num_gates());
+    for (GateId g = 0; g < clone.num_gates(); ++g) {
+      ASSERT_EQ(tiled.value(g), whole.value(g)) << "batch " << b << " gate " << g;
+    }
+    EXPECT_EQ(tiled.observed_response(), whole.observed_response());
+  }
 }
 
 TEST(TestTime, BroadcastFlatInCoreCount) {

@@ -202,6 +202,81 @@ TEST(Campaign, EmptyInputsAreHandled) {
   EXPECT_EQ(r1.coverage(), 1.0);
 }
 
+// ---- fault sites outside the netlist ------------------------------------
+
+// Faults of another netlist, each appended to a valid list: a gate past the
+// end, and a branch pin past an INPUT gate's (empty) fanin list.
+std::vector<std::vector<Fault>> foreign_fault_lists(const Netlist& nl,
+                                                    FaultKind kind) {
+  const Fault valid{nl.inputs()[0], kStemPin, 0, kind};
+  return {{valid, Fault{static_cast<GateId>(nl.num_gates() + 1000), kStemPin,
+                        0, kind}},
+          {valid, Fault{nl.inputs()[0], 7, 1, kind}}};
+}
+
+// `grade` must throw aidft::Error naming run_campaign and the bad fault.
+template <typename Grade>
+void expect_rejects_fault_1(Grade&& grade) {
+  try {
+    grade();
+    ADD_FAILURE() << "out-of-range fault accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("run_campaign: fault 1 ", 0), 0u)
+        << e.what();
+  }
+}
+
+struct RangeCase {
+  Netlist nl = circuits::make_random_logic(8, 50, 1);
+  std::vector<TestCube> patterns = [this] {
+    Rng rng(3);
+    return random_patterns(nl.combinational_inputs().size(), 32, rng);
+  }();
+};
+
+TEST(CampaignFaultRange, PlainRejectsForeignSites) {
+  const RangeCase c;
+  for (const auto& faults : foreign_fault_lists(c.nl, FaultKind::kStuckAt)) {
+    for (std::size_t t : {1, 4}) {
+      expect_rejects_fault_1([&] {
+        run_campaign(c.nl, faults, c.patterns, {.num_threads = t});
+      });
+    }
+  }
+}
+
+TEST(CampaignFaultRange, DetectHookRejectsForeignSites) {
+  const RangeCase c;
+  for (const auto& faults : foreign_fault_lists(c.nl, FaultKind::kStuckAt)) {
+    expect_rejects_fault_1([&] {
+      run_campaign(c.nl, faults, c.patterns, {},
+                   [](std::size_t, std::size_t, std::uint64_t) {
+                     return false;
+                   });
+    });
+  }
+}
+
+TEST(CampaignFaultRange, DetailedDetectHookRejectsForeignSites) {
+  const RangeCase c;
+  for (const auto& faults : foreign_fault_lists(c.nl, FaultKind::kStuckAt)) {
+    expect_rejects_fault_1([&] {
+      run_campaign(c.nl, faults, c.patterns, {},
+                   [](std::size_t, std::size_t, std::uint64_t,
+                      std::span<const std::uint64_t>) { return false; });
+    });
+  }
+}
+
+TEST(CampaignFaultRange, TransitionRejectsForeignSites) {
+  const RangeCase c;
+  for (const auto& faults :
+       foreign_fault_lists(c.nl, FaultKind::kTransition)) {
+    expect_rejects_fault_1(
+        [&] { run_campaign(c.nl, faults, c.patterns, {.num_threads = 4}); });
+  }
+}
+
 // ---- detection hooks ---------------------------------------------------
 
 // One hook call: (batch, mask, op_diffs); op_diffs stays empty for the

@@ -5,6 +5,7 @@
 #include "aichip/systolic.hpp"
 #include "bench_circuits/generators.hpp"
 #include "core/chip_flow.hpp"
+#include "obs/json.hpp"
 
 namespace aidft {
 namespace {
@@ -87,6 +88,29 @@ TEST(ChipFlow, BroadcastCoversSocAtCoreCoverage) {
   EXPECT_LT(report.broadcast_cycles, report.sequential_cycles);
   EXPECT_LT(report.broadcast_cycles, report.flat_cycles);
   EXPECT_NE(report.to_string().find("broadcast"), std::string::npos);
+}
+
+TEST(ChipFlow, ReportJsonNestsCoreAndSocFields) {
+  aichip::SystolicConfig cfg;
+  cfg.rows = cfg.cols = 1;
+  cfg.width = 3;
+  const Netlist core = aichip::make_systolic_array(cfg);
+  ChipFlowOptions opts;
+  opts.num_cores = 2;
+  opts.core_flow.run_lbist = false;
+  opts.core_flow.run_compression = false;
+  const ChipFlowReport report = run_chip_flow(core, opts);
+  const std::string json = report.to_json();
+  EXPECT_TRUE(obs::json_valid(json)) << json;
+  EXPECT_EQ(json.rfind("{\"core\":" + report.core.to_json() + ",", 0), 0u);
+  for (const std::string key :
+       {"soc_gates", "soc_faults", "soc_detected", "broadcast_coverage",
+        "soc_grade_outcome", "flat_cycles", "sequential_cycles",
+        "broadcast_cycles"}) {
+    EXPECT_NE(json.find("\"" + key + "\":"), std::string::npos) << key;
+  }
+  EXPECT_NE(json.find("\"soc_faults\":" + std::to_string(report.soc_faults)),
+            std::string::npos);
 }
 
 }  // namespace

@@ -487,6 +487,9 @@ TEST(Telemetry, ChipFlowSpansSocBuildFaultsAndGradeInOrder) {
   EXPECT_EQ(arg(chip[1], "faults"),
             std::to_string(generate_stuck_at_faults(soc.netlist).size()));
   EXPECT_EQ(arg(chip[1], "collapsed"), std::to_string(report.soc_faults));
+  // The faults span gauges the lifted fault list's heap bytes.
+  EXPECT_EQ(arg(chip[1], "bytes"),
+            std::to_string(report.soc_faults * sizeof(Fault)));
   EXPECT_EQ(arg(chip[2], "faults"), std::to_string(report.soc_faults));
 }
 
