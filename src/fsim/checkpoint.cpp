@@ -138,6 +138,20 @@ CampaignCheckpoint load_campaign_checkpoint(const std::string& path) {
   r.raw(&stored, sizeof stored);
   AIDFT_REQUIRE(stored == expected,
                 "checkpoint: " + path + " failed checksum (corrupt file)");
+  // A well-formed checksum does not make the state consistent: a detecting
+  // pattern indexes the pattern stream, and a drop bit past the last fault
+  // would retire a fault that does not exist.
+  for (std::int64_t v : ckpt.first_detected_by) {
+    AIDFT_REQUIRE(v >= -1 && v < static_cast<std::int64_t>(ckpt.total_patterns),
+                  "checkpoint: " + path + " records a detecting pattern " +
+                      std::to_string(v) + " outside the " +
+                      std::to_string(ckpt.total_patterns) + "-pattern stream");
+  }
+  if (ckpt.total_faults % 64 != 0) {
+    AIDFT_REQUIRE((ckpt.dropped.back() >> (ckpt.total_faults % 64)) == 0,
+                  "checkpoint: " + path + " drops faults past its " +
+                      std::to_string(ckpt.total_faults) + " faults");
+  }
   return ckpt;
 }
 

@@ -59,7 +59,9 @@ void save_campaign_checkpoint(const CampaignCheckpoint& ckpt,
 
 /// Loads a checkpoint saved by save_campaign_checkpoint(). Throws
 /// aidft::Error on a missing file, bad magic, unknown version, truncation,
-/// or checksum mismatch — never returns a partially filled checkpoint.
+/// checksum mismatch, a first_detected_by entry outside [-1,
+/// total_patterns), or a dropped bit at or past total_faults — never
+/// returns a partially filled or inconsistent checkpoint.
 CampaignCheckpoint load_campaign_checkpoint(const std::string& path);
 
 }  // namespace aidft

@@ -322,48 +322,50 @@ std::uint64_t FaultSimulator::detect_mask_reference(const PatternBatch& batch,
                                                     const Fault& fault) {
   AIDFT_REQUIRE(fault.kind == FaultKind::kStuckAt,
                 "reference engine grades stuck-at faults only");
-  // The oracle deliberately traverses Netlist::gate() views, not the
-  // compiled Topology, so on a built netlist tests comparing it against the
-  // PPSFP engine exercise two independent adjacency representations (the
-  // views read the builder records). A replica has no records, so there the
-  // views read its Topology.
   const Netlist& nl = *netlist_;
-  // Good machine.
-  ParallelSimulator good(nl);
-  good.simulate(batch);
-  if (!fault.is_stem() && nl.type(fault.gate) == GateType::kDff) {
-    const GateId driver = nl.gate(fault.gate).fanin[fault.pin];
-    const std::uint64_t stuck = fault.stuck_at_one() ? ~0ull : 0ull;
-    return (good.value(driver) ^ stuck) & batch.lane_mask();
-  }
-  // Faulty machine: full sweep with the site overridden.
-  const std::uint64_t stuck_word = fault.stuck_at_one() ? ~0ull : 0ull;
-  std::vector<std::uint64_t> fv(nl.num_gates(), 0);
-  const auto comb_inputs = nl.combinational_inputs();
+  const std::vector<GateId> comb_inputs = nl.combinational_inputs();
+  AIDFT_REQUIRE(batch.words.size() == comb_inputs.size(),
+                "batch width != combinational input count");
+  std::vector<std::uint64_t> good(nl.num_gates(), 0);
   for (std::size_t i = 0; i < comb_inputs.size(); ++i) {
-    fv[comb_inputs[i]] = batch.words[i];
+    good[comb_inputs[i]] = batch.words[i];
   }
-  for (GateId id : nl.topo_order()) {
-    const Gate& g = nl.gate(id);
-    if (is_source(g.type) || is_state_element(g.type)) {
-      if (g.type == GateType::kConst1) fv[id] = ~0ull;
-      if (g.type == GateType::kConst0) fv[id] = 0;
-    } else if (!fault.is_stem() && id == fault.gate) {
-      fv[id] = eval_gate_words(g.type, g.fanin.size(), [&](std::size_t k) {
-        return k == fault.pin ? stuck_word : fv[g.fanin[k]];
-      });
-    } else {
-      fv[id] = eval_gate_words(g.type, g.fanin.size(),
-                               [&](std::size_t k) { return fv[g.fanin[k]]; });
-    }
-    if (fault.is_stem() && id == fault.gate) fv[id] = stuck_word;
+  std::vector<std::uint64_t> faulty = good;
+  full_sweep(nl, good, nullptr);
+  const std::uint64_t stuck_word = fault.stuck_at_one() ? ~0ull : 0ull;
+  if (!fault.is_stem() && nl.type(fault.gate) == GateType::kDff) {
+    const GateId driver = topo_->fanin(fault.gate)[fault.pin];
+    return (good[driver] ^ stuck_word) & batch.lane_mask();
   }
+  full_sweep(nl, faulty, &fault);
   std::uint64_t detect = 0;
-  for (GateId op : nl.observe_points()) {
+  for (GateId op : observe_points_) {
     const GateId og = nl.observed_gate(op);
-    detect |= good.value(og) ^ fv[og];
+    detect |= good[og] ^ faulty[og];
   }
   return detect & batch.lane_mask();
+}
+
+void full_sweep(const Netlist& nl, std::vector<std::uint64_t>& values,
+                const Fault* fault) {
+  const Topology& t = nl.topology();
+  const std::uint64_t stuck_word =
+      (fault != nullptr && fault->stuck_at_one()) ? ~0ull : 0ull;
+  for (GateId id : t.topo_order()) {
+    const GateType type = t.type(id);
+    const bool site = fault != nullptr && id == fault->gate;
+    const bool pin_site = site && !fault->is_stem();
+    if (is_source(type) || is_state_element(type)) {
+      if (type == GateType::kConst1) values[id] = ~0ull;
+      if (type == GateType::kConst0) values[id] = 0;
+    } else {
+      const std::span<const GateId> fin = t.fanin(id);
+      values[id] = eval_gate_words(type, fin.size(), [&](std::size_t k) {
+        return pin_site && k == fault->pin ? stuck_word : values[fin[k]];
+      });
+    }
+    if (site && fault->is_stem()) values[id] = stuck_word;
+  }
 }
 
 }  // namespace aidft

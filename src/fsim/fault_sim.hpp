@@ -1,9 +1,11 @@
 // Fault simulation engines.
 //
 // Two engines over the same fault model:
-//  * reference: full-circuit resimulation with the fault injected — simple,
-//    obviously correct, used as the oracle in tests and the "serial"
-//    baseline in benchmark E3;
+//  * reference: two full sweeps (full_sweep below) per call, the good
+//    machine and the machine with the fault injected — simple, obviously
+//    correct, and sharing only the per-gate word evaluator with the
+//    levelized, tiled good machine (ParallelSimulator) and with PPSFP. It is
+//    the oracle in tests and the "serial" baseline in benchmark E3;
 //  * PPSFP (parallel-pattern single-fault propagation): one good-machine
 //    simulation per 64-pattern batch, then per-fault event-driven forward
 //    propagation of only the differing cone, with an epoch trick so no
@@ -33,6 +35,16 @@
 #include "sim/parallel_sim.hpp"
 
 namespace aidft {
+
+/// One full sweep of the netlist in topological order over 64-lane words,
+/// with the stuck-at `fault` injected (null: the good machine). On entry
+/// `values` (one word per gate) holds the primary-input and DFF words; on
+/// exit every other gate's word is evaluated and constants hold theirs. A
+/// stem fault forces its gate's word, also on an input or flop; a pin fault
+/// forces that pin of its gate, except on a DFF, where it corrupts only the
+/// capture and the sweep leaves it alone.
+void full_sweep(const Netlist& netlist, std::vector<std::uint64_t>& values,
+                const Fault* fault);
 
 class FaultSimulator {
  public:

@@ -1,45 +1,8 @@
 #include "fsim/seq_fsim.hpp"
 
-#include "sim/parallel_sim.hpp"
+#include "fsim/fault_sim.hpp"
 
 namespace aidft {
-namespace {
-
-// One combinational evaluation: values[] holds PI words and DFF state on
-// entry; on exit every gate is evaluated. `fault` may be null.
-void comb_eval(const Netlist& nl, std::vector<std::uint64_t>& values,
-               const Fault* fault) {
-  const Topology& t = nl.topology();
-  const std::uint64_t stuck_word =
-      (fault != nullptr && fault->stuck_at_one()) ? ~0ull : 0ull;
-  for (GateId id : t.topo_order()) {
-    const GateType type = t.type(id);
-    if (is_source(type) || is_state_element(type)) {
-      if (type == GateType::kConst1) values[id] = ~0ull;
-      if (type == GateType::kConst0) values[id] = 0;
-      // A stem fault on a state element or input overrides its value.
-      if (fault != nullptr && fault->is_stem() && id == fault->gate) {
-        values[id] = stuck_word;
-      }
-      continue;
-    }
-    const std::span<const GateId> fin = t.fanin(id);
-    if (fault != nullptr && !fault->is_stem() && id == fault->gate) {
-      values[id] = eval_gate_words(type, fin.size(), [&](std::size_t k) {
-        return k == fault->pin ? stuck_word : values[fin[k]];
-      });
-    } else {
-      values[id] = eval_gate_words(
-          type, fin.size(),
-          [&](std::size_t k) { return values[fin[k]]; });
-    }
-    if (fault != nullptr && fault->is_stem() && id == fault->gate) {
-      values[id] = stuck_word;
-    }
-  }
-}
-
-}  // namespace
 
 InputSequence random_sequence(const Netlist& nl, std::size_t cycles, Rng& rng) {
   InputSequence seq;
@@ -90,7 +53,7 @@ SeqCampaignResult run_functional_campaign(const Netlist& nl,
       for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
         values[nl.inputs()[i]] = sequence.stimulus[t][i];
       }
-      comb_eval(nl, values, nullptr);
+      full_sweep(nl, values, nullptr);
       for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
         good_po[t][o] = values[nl.outputs()[o]];
       }
@@ -107,7 +70,7 @@ SeqCampaignResult run_functional_campaign(const Netlist& nl,
       for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
         values[nl.inputs()[i]] = sequence.stimulus[t][i];
       }
-      comb_eval(nl, values, &f);
+      full_sweep(nl, values, &f);
       bool diff = false;
       for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
         if (values[nl.outputs()[o]] != good_po[t][o]) {
@@ -120,7 +83,7 @@ SeqCampaignResult run_functional_campaign(const Netlist& nl,
         ++result.detected;
         break;
       }
-      // Next state (fault on a flop's Q was already applied in comb_eval;
+      // Next state (fault on a flop's Q was already applied in full_sweep;
       // re-apply after capture so it persists).
       capture(values);
       if (f.is_stem() && nl.type(f.gate) == GateType::kDff) {

@@ -8,10 +8,10 @@
 // sequential test generation is hopeless at scale and why scan exists.
 // Benchmark E15 quantifies that argument against this engine.
 //
-// Engine: 64 independent input sequences run bit-parallel; the faulty
-// machine is a full per-cycle resimulation with the fault injected and its
-// own state (cheap enough for the design sizes this motivational experiment
-// uses).
+// Engine: 64 independent input sequences run bit-parallel; each cycle of
+// the good machine and of each faulty machine (fault injected, own state)
+// is one full_sweep from fsim/fault_sim.hpp (cheap enough for the design
+// sizes this motivational experiment uses).
 #pragma once
 
 #include <cstdint>

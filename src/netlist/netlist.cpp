@@ -128,6 +128,7 @@ void Netlist::finalize() {
   for (GateId id = 0; id < records_.size(); ++id) check_arity(id);
   topo_view_ = Topology::build(*this);
   finalized_ = true;
+  std::vector<Record>().swap(records_);
 }
 
 Netlist Netlist::replicate(const Netlist& core, std::size_t n) {

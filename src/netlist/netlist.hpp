@@ -2,18 +2,18 @@
 //
 // A Netlist is a DAG of gates plus DFF state elements, and lives in two
 // phases. Phase 1 (builder): it is built incrementally (add_* then connect)
-// on per-gate Gate records that hold only a type and a fanin list. Phase 2
-// (compiled): `finalize()` validates the structure, freezes the netlist and
+// on per-gate records that hold only a type and a fanin list. Phase 2
+// (compiled): `finalize()` validates the structure, freezes the netlist,
 // compiles the Topology view (CSR fanin/fanout, flat type and level arrays,
-// topological order, per-level buckets) — the only home of fanout, levels
-// and order, and the structure every analysis engine (simulation, ATPG,
-// fault sim, SCOAP, ...) traverses. Gate names live in a side table.
+// topological order, per-level buckets) and frees the records; the Topology
+// is then its one structural form, which gate() and every analysis engine
+// (simulation, ATPG, fault sim, SCOAP, ...) read. Names live in a side table.
 //
 // Rewrites (wrappers, scan and test-point insertion) build a new netlist
 // from a finalized one with clone_gates() + clone_fanins(). Plain SoC
 // replication skips the builder: Netlist::replicate() tiles the core's
-// compiled Topology and composes instance names on demand, so a replica has
-// no builder records at all; gate() reads whichever the netlist has.
+// compiled Topology and composes instance names on demand, so a replica is
+// just another finalized netlist whose names come from the core's table.
 //
 // Sequential handling: a DFF's value is its Q output; its single fanin is D.
 // For full-scan test generation the combinational view treats every DFF
@@ -70,9 +70,9 @@ class Netlist {
   /// Appends `driver` to `sink`'s fanin list. Only valid before finalize().
   void connect(GateId driver, GateId sink);
 
-  /// Validates structure and compiles the Topology view (fanout, levels,
-  /// topological order). Throws Error on malformed structure (wrong arity,
-  /// cycles through combinational logic, dangling fanin).
+  /// Validates structure, compiles the Topology view and frees the builder
+  /// records. Throws Error on malformed structure (wrong arity, cycles
+  /// through combinational logic, dangling fanin).
   void finalize();
 
   bool finalized() const { return finalized_; }
@@ -98,11 +98,11 @@ class Netlist {
   std::size_t num_gates() const {
     return finalized_ ? topo_view_.num_gates() : records_.size();
   }
-  /// View of gate `id`: the builder record when the netlist has one (every
-  /// netlist except a replica), the compiled Topology otherwise.
+  /// View of gate `id`: the compiled Topology once finalized, the builder
+  /// record before.
   Gate gate(GateId id) const {
     AIDFT_DBG_ASSERT(id < num_gates(), "gate id out of range");
-    if (replicas_ != 0) return {topo_view_.type(id), topo_view_.fanin(id)};
+    if (finalized_) return {topo_view_.type(id), topo_view_.fanin(id)};
     return {records_[id].type, records_[id].fanin};
   }
   GateType type(GateId id) const {
@@ -121,7 +121,7 @@ class Netlist {
 
   /// Compiled flat view (CSR adjacency, flat types/levels, level buckets).
   /// Valid after finalize(); hot engines cache this reference and traverse
-  /// it instead of the Gate structs.
+  /// it instead of Gate views.
   const Topology& topology() const {
     AIDFT_REQUIRE(finalized_, "topology requires finalize()");
     return topo_view_;
@@ -176,8 +176,8 @@ class Netlist {
   void check_arity(GateId id) const;
 
   std::string name_;
-  std::vector<Record> records_;     // empty on a replica
-  // Parallel to records_, or on a replica one core instance's table;
+  std::vector<Record> records_;  // builder phase only; freed by finalize()
+  // One entry per gate, or on a replica one core instance's table;
   // "" = auto-named.
   std::vector<std::string> names_;
   std::vector<GateId> inputs_;

@@ -1,12 +1,12 @@
-// Compiled structure-of-arrays view of a finalized Netlist: the only home
-// of fanout, levels and topological order.
+// Compiled structure-of-arrays form of a finalized Netlist: its only
+// structural form once finalize() has run.
 //
 // The builder-side IR keeps just each gate's type and fanin list, which is
 // convenient to grow incrementally but is an allocation-fragmented pointer
 // chase — exactly what the innermost loops of every hot engine (good-machine
 // simulation, PPSFP fault propagation, SCOAP, PODEM implication) traverse
-// millions of times. Topology is the flat view Netlist::finalize() compiles
-// once:
+// millions of times. Topology is the flat form Netlist::finalize() compiles
+// once, before it frees the builder records:
 //
 //  * CSR fanin adjacency (edge order identical to Gate::fanin: pin order)
 //    and CSR fanout adjacency (sinks in ascending id, one entry per edge),
@@ -17,8 +17,8 @@
 //
 // Invalidation: a Netlist is frozen by finalize() (add_gate/connect throw
 // afterwards), so the compiled view can never go stale; it lives exactly as
-// long as its Netlist. Engines cache `const Topology&` at construction and
-// never go through Netlist::gate() views after finalize().
+// long as its Netlist. Netlist::gate() views of a finalized netlist read
+// it; hot engines cache `const Topology&` at construction instead.
 #pragma once
 
 #include <cstdint>

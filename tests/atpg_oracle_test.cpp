@@ -7,7 +7,9 @@
 // SAT cubes are also checked with their X bits left in place: the
 // whole-circuit 3-valued good/faulty pass (test::full_pass_3v) must show a
 // known difference at an observe point, so every completion of the cube is a
-// test.
+// test. Over the same corpus and the same 2^n vectors, the PPSFP engine must
+// agree with the reference engine's full sweeps batch by batch, and a
+// campaign at 1 and at 4 threads with the reference campaign.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 
 #include "atpg/atpg.hpp"
 #include "bench_circuits/generators.hpp"
+#include "fsim/campaign.hpp"
 #include "fsim/fault_sim.hpp"
 #include "test_util.hpp"
 
@@ -154,6 +157,56 @@ TEST_P(AtpgOracle, DefaultPipelineMarksExactlyTheUndetectableSetUntestable) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Circuits, AtpgOracle,
+                         ::testing::ValuesIn(oracle_case_names()),
+                         [](const auto& info) { return info.param; });
+
+// PPSFP against the reference engine on every collapsed fault and every
+// 64-vector batch of the exhaustive set: the two share the compiled
+// Topology and the per-gate word evaluator, but no traversal.
+class ExhaustiveAgreement : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    nl_ = oracle_circuit(GetParam());
+    ASSERT_LE(nl_.combinational_inputs().size(), kMaxInputs);
+    faults_ = collapse_equivalent(nl_, generate_stuck_at_faults(nl_));
+    all_ = test::exhaustive_patterns(nl_.combinational_inputs().size());
+  }
+
+  Netlist nl_;
+  std::vector<Fault> faults_;
+  std::vector<TestCube> all_;
+};
+
+TEST_P(ExhaustiveAgreement, PpsfpMatchesReferenceOnEveryBatch) {
+  FaultSimulator fsim(nl_);
+  for (std::size_t base = 0; base < all_.size(); base += 64) {
+    const PatternBatch batch = pack_patterns(
+        all_, base, std::min<std::size_t>(64, all_.size() - base));
+    fsim.load_batch(batch);
+    for (const Fault& f : faults_) {
+      ASSERT_EQ(fsim.detect_mask(f), fsim.detect_mask_reference(batch, f))
+          << fault_name(nl_, f) << " batch " << base / 64;
+    }
+  }
+}
+
+TEST_P(ExhaustiveAgreement, CampaignMatchesReferenceAtOneAndFourThreads) {
+  CampaignOptions reference;
+  reference.engine = CampaignEngine::kReference;
+  reference.drop_limit = 0;
+  const CampaignResult want = run_campaign(nl_, faults_, all_, reference);
+  for (std::size_t threads : {1, 4}) {
+    CampaignOptions options;
+    options.drop_limit = 0;
+    options.num_threads = threads;
+    const CampaignResult got = run_campaign(nl_, faults_, all_, options);
+    EXPECT_EQ(got.first_detected_by, want.first_detected_by)
+        << threads << " threads";
+    EXPECT_EQ(got.detected, want.detected) << threads << " threads";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Circuits, ExhaustiveAgreement,
                          ::testing::ValuesIn(oracle_case_names()),
                          [](const auto& info) { return info.param; });
 

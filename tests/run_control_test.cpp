@@ -342,25 +342,45 @@ TEST(CampaignRunControl, AsyncCancelCheckpointStillResumesBitIdentical) {
 
 TEST(CampaignRunControl, ResumeRejectsMismatchedGeometry) {
   const Netlist nl = circuits::make_random_logic(8, 120, 5);
-  const auto faults = generate_stuck_at_faults(nl);
+  auto faults = generate_stuck_at_faults(nl);
+  // Keep padding bits in the last dropped word for the past-the-end case.
+  if (faults.size() % 64 == 0) faults.pop_back();
   Rng rng(42);
   const auto patterns =
       random_patterns(nl.combinational_inputs().size(), 128, rng);
 
   const std::string path = tmp_path("runctl_geometry.ckpt");
-  CampaignCheckpoint ckpt;
-  ckpt.drop_limit = 1;
-  ckpt.total_faults = faults.size() + 1;  // wrong universe
-  ckpt.total_patterns = patterns.size();
-  ckpt.batches_done = 0;
-  ckpt.first_detected_by.assign(faults.size() + 1, -1);
-  ckpt.hits.assign(faults.size() + 1, 0);
-  ckpt.dropped.assign((faults.size() + 1 + 63) / 64, 0);
-  save_campaign_checkpoint(ckpt, path);
+  // A fresh checkpoint of `nfaults` faults under the live drop_limit.
+  auto blank = [&](std::size_t nfaults) {
+    CampaignCheckpoint ckpt;
+    ckpt.drop_limit = 1;
+    ckpt.total_faults = nfaults;
+    ckpt.total_patterns = patterns.size();
+    ckpt.batches_done = 0;
+    ckpt.first_detected_by.assign(nfaults, -1);
+    ckpt.hits.assign(nfaults, 0);
+    ckpt.dropped.assign((nfaults + 63) / 64, 0);
+    return ckpt;
+  };
+  auto resume = [&](const CampaignCheckpoint& ckpt) {
+    save_campaign_checkpoint(ckpt, path);
+    CampaignOptions options;
+    options.resume_from = path;
+    return run_campaign(nl, faults, patterns, options);
+  };
 
-  CampaignOptions resume;
-  resume.resume_from = path;
-  EXPECT_THROW(run_campaign(nl, faults, patterns, resume), Error);
+  EXPECT_NO_THROW(resume(blank(faults.size())));
+  EXPECT_THROW(resume(blank(faults.size() + 1)), Error)  // wrong universe
+      << "fault count";
+  CampaignCheckpoint late = blank(faults.size());
+  late.first_detected_by[0] = 1000000;  // past the 128-pattern stream
+  EXPECT_THROW(resume(late), Error) << "detecting pattern out of range";
+  CampaignCheckpoint early = blank(faults.size());
+  early.first_detected_by[0] = -2;
+  EXPECT_THROW(resume(early), Error) << "detecting pattern below -1";
+  CampaignCheckpoint ghost = blank(faults.size());
+  ghost.dropped.back() |= 1ull << (faults.size() % 64);  // fault `size()`
+  EXPECT_THROW(resume(ghost), Error) << "dropped bit past total_faults";
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@
 #include "common/rng.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/parallel_sim.hpp"
-#include "sim/val3_sim.hpp"
 #include "test_util.hpp"
 
 namespace aidft {
@@ -280,6 +279,14 @@ TEST(EventSim, ShiftRegisterDelaysInput) {
   }
 }
 
+// Every gate's 3-valued good-machine value under the combinational-input
+// values `bits`: the good half of test::full_pass_3v (a fault on no gate).
+std::vector<Val3> good_3v(const Netlist& nl, const std::vector<Val3>& bits) {
+  std::vector<Val3> good, faulty;
+  test::full_pass_3v(nl, bits, Fault{}, good, faulty);
+  return good;
+}
+
 TEST(Val3Sim, XPropagatesOnlyWhereUndetermined) {
   // y = a AND b: a=0 forces y=0 even with b=X; a=X leaves y=X unless b=0.
   Netlist nl;
@@ -288,14 +295,8 @@ TEST(Val3Sim, XPropagatesOnlyWhereUndetermined) {
   const GateId y = nl.add_gate(GateType::kAnd, {a, b}, "y");
   nl.add_output(y, "yo");
   nl.finalize();
-  Val3Simulator sim(nl);
-  TestCube cube(2);
-  cube.bits = {Val3::kZero, Val3::kX};
-  sim.simulate(cube);
-  EXPECT_EQ(sim.value(y), Val3::kZero);
-  cube.bits = {Val3::kX, Val3::kOne};
-  sim.simulate(cube);
-  EXPECT_EQ(sim.value(y), Val3::kX);
+  EXPECT_EQ(good_3v(nl, {Val3::kZero, Val3::kX})[y], Val3::kZero);
+  EXPECT_EQ(good_3v(nl, {Val3::kX, Val3::kOne})[y], Val3::kX);
 }
 
 TEST(Val3Sim, MuxSelectXAgreementRule) {
@@ -306,29 +307,23 @@ TEST(Val3Sim, MuxSelectXAgreementRule) {
   const GateId y = nl.add_gate(GateType::kMux, {s, d0, d1}, "y");
   nl.add_output(y, "yo");
   nl.finalize();
-  Val3Simulator sim(nl);
-  TestCube cube(3);
-  cube.bits = {Val3::kX, Val3::kOne, Val3::kOne};
-  sim.simulate(cube);
-  EXPECT_EQ(sim.value(y), Val3::kOne);  // both data agree
-  cube.bits = {Val3::kX, Val3::kZero, Val3::kOne};
-  sim.simulate(cube);
-  EXPECT_EQ(sim.value(y), Val3::kX);
+  // Both data agree.
+  EXPECT_EQ(good_3v(nl, {Val3::kX, Val3::kOne, Val3::kOne})[y], Val3::kOne);
+  EXPECT_EQ(good_3v(nl, {Val3::kX, Val3::kZero, Val3::kOne})[y], Val3::kX);
 }
 
 TEST(Val3Sim, FullySpecifiedMatchesParallelSim) {
   for (std::uint64_t seed = 10; seed < 13; ++seed) {
     const Netlist nl = circuits::make_random_logic(10, 200, seed);
-    Val3Simulator v3(nl);
     ParallelSimulator ps(nl);
     Rng rng(seed);
     const auto cubes = random_patterns(nl.combinational_inputs().size(), 8, rng);
     ps.simulate(pack_patterns(cubes, 0, 8));
     for (std::size_t p = 0; p < 8; ++p) {
-      v3.simulate(cubes[p]);
+      const std::vector<Val3> v3 = good_3v(nl, cubes[p].bits);
       for (GateId id = 0; id < nl.num_gates(); ++id) {
         if (is_state_element(nl.type(id))) continue;
-        const Val3 v = v3.value(id);
+        const Val3 v = v3[id];
         ASSERT_NE(v, Val3::kX);
         EXPECT_EQ(v == Val3::kOne, ((ps.value(id) >> p) & 1) != 0) << "gate " << id;
       }

@@ -1,8 +1,9 @@
 // Tests of the compiled Topology view: fanin CSR must mirror the builder's
-// fanin lists exactly, fanout CSR must list each driver's sinks in ascending
-// id with one entry per edge, levels must be longest paths, level buckets
-// must partition the topo order, and every engine that traverses the view
-// must produce results bit-identical to a straight Gate-struct walk.
+// fanin lists exactly (snapshotted before finalize() frees them), fanout CSR
+// must list each driver's sinks in ascending id with one entry per edge,
+// levels must be longest paths, level buckets must partition the topo order,
+// and the levelized good machine and PPSFP must be bit-identical to the
+// reference engine's full sweeps (full_sweep).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,28 +21,6 @@
 namespace aidft {
 namespace {
 
-// Gate-struct reference simulator: the pre-Topology traversal, kept here as
-// the independent oracle for the bit-identity contract.
-std::vector<std::uint64_t> gatewalk_simulate(const Netlist& nl,
-                                             const PatternBatch& batch) {
-  std::vector<std::uint64_t> values(nl.num_gates(), 0);
-  const auto comb_inputs = nl.combinational_inputs();
-  for (std::size_t i = 0; i < comb_inputs.size(); ++i) {
-    values[comb_inputs[i]] = batch.words[i];
-  }
-  for (GateId id : nl.topo_order()) {
-    const Gate& g = nl.gate(id);
-    if (is_source(g.type) || is_state_element(g.type)) {
-      if (g.type == GateType::kConst0) values[id] = 0;
-      if (g.type == GateType::kConst1) values[id] = ~0ull;
-      continue;
-    }
-    values[id] = eval_gate_words(g.type, g.fanin.size(),
-                                 [&](std::size_t i) { return values[g.fanin[i]]; });
-  }
-  return values;
-}
-
 std::vector<Netlist> adjacency_corpus(std::uint64_t seed) {
   std::vector<Netlist> v;
   v.push_back(circuits::make_random_logic(8, 120, seed));
@@ -55,30 +34,42 @@ std::vector<Netlist> adjacency_corpus(std::uint64_t seed) {
 class CsrAdjacency : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CsrAdjacency, MatchesGateListsExactly) {
-  for (const Netlist& nl : adjacency_corpus(GetParam())) {
+  for (const Netlist& src : adjacency_corpus(GetParam())) {
+    // Rebuild the netlist through the builder and snapshot its records
+    // while gate() still reads them: finalize() frees them.
+    Netlist nl(src.name());
+    const std::vector<GateId> map = clone_gates(nl, src, "");
+    clone_fanins(nl, src, map, map);
+    std::vector<GateType> types(nl.num_gates());
+    std::vector<std::vector<GateId>> fanins(nl.num_gates());
+    for (GateId id = 0; id < nl.num_gates(); ++id) {
+      const Gate g = nl.gate(id);
+      types[id] = g.type;
+      fanins[id].assign(g.fanin.begin(), g.fanin.end());
+    }
+    nl.finalize();
     const Topology& t = nl.topology();
-    ASSERT_EQ(t.num_gates(), nl.num_gates());
+    ASSERT_EQ(t.num_gates(), fanins.size());
     // Expected fanout, derived here from the fanin lists: sinks in
     // ascending id, one entry per edge (a gate reading a driver twice is
     // listed twice).
-    std::vector<std::vector<GateId>> sinks(nl.num_gates());
-    for (GateId id = 0; id < nl.num_gates(); ++id) {
-      for (GateId f : nl.gate(id).fanin) sinks[f].push_back(id);
+    std::vector<std::vector<GateId>> sinks(fanins.size());
+    for (GateId id = 0; id < fanins.size(); ++id) {
+      for (GateId f : fanins[id]) sinks[f].push_back(id);
     }
-    for (GateId id = 0; id < nl.num_gates(); ++id) {
-      const Gate& g = nl.gate(id);
-      EXPECT_EQ(t.type(id), g.type) << "gate " << id;
+    for (GateId id = 0; id < fanins.size(); ++id) {
+      EXPECT_EQ(t.type(id), types[id]) << "gate " << id;
       // Pin order matters (MUX select, fault pin indices): element-wise.
       const auto fin = t.fanin(id);
-      ASSERT_EQ(fin.size(), g.fanin.size()) << "gate " << id;
-      EXPECT_TRUE(std::equal(fin.begin(), fin.end(), g.fanin.begin()))
+      ASSERT_EQ(fin.size(), fanins[id].size()) << "gate " << id;
+      EXPECT_TRUE(std::equal(fin.begin(), fin.end(), fanins[id].begin()))
           << "fanin order differs at gate " << id;
       const auto fout = t.fanout(id);
       ASSERT_EQ(fout.size(), sinks[id].size()) << "gate " << id;
       EXPECT_TRUE(std::equal(fout.begin(), fout.end(), sinks[id].begin()))
           << "fanout order differs at gate " << id;
-      if (!g.fanin.empty()) {
-        EXPECT_EQ(t.fanin0(id), g.fanin[0]);
+      if (!fanins[id].empty()) {
+        EXPECT_EQ(t.fanin0(id), fanins[id][0]);
       }
     }
   }
@@ -138,7 +129,7 @@ TEST_P(CsrAdjacency, LevelBucketsPartitionTopoOrder) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CsrAdjacency,
                          ::testing::Values(11, 12, 13, 14, 15, 16, 17, 18));
 
-// ---- engines over the view are bit-identical to a Gate-struct walk --------
+// ---- engines over the view are bit-identical to the reference sweep ------
 
 TEST(TopologyBitIdentity, GoodMachineSimMatchesGatewalkOnSuite) {
   for (const auto& nc : circuits::standard_suite()) {
@@ -149,7 +140,12 @@ TEST(TopologyBitIdentity, GoodMachineSimMatchesGatewalkOnSuite) {
     const PatternBatch batch = pack_patterns(cubes, 0, 64);
     ParallelSimulator sim(nl);
     sim.simulate(batch);
-    const auto ref = gatewalk_simulate(nl, batch);
+    std::vector<std::uint64_t> ref(nl.num_gates(), 0);
+    const auto comb_inputs = nl.combinational_inputs();
+    for (std::size_t i = 0; i < comb_inputs.size(); ++i) {
+      ref[comb_inputs[i]] = batch.words[i];
+    }
+    full_sweep(nl, ref, nullptr);
     for (GateId g = 0; g < nl.num_gates(); ++g) {
       ASSERT_EQ(sim.value(g), ref[g]) << nc.name << " gate " << g;
     }
@@ -195,14 +191,13 @@ TEST(TopologyBitIdentity, PodemCubesVerifiedByReferenceOracleOnSuite) {
       const PatternBatch batch = pack_patterns(one, 0, 1);
       EXPECT_NE(fsim.detect_mask_reference(batch, faults[i]) & 1ull, 0ull)
           << nc.name << " cube for " << fault_name(nl, faults[i])
-          << " does not detect per the Gate-struct oracle";
+          << " does not detect per the reference oracle";
     }
   }
 }
 
 // SCOAP runs over the Topology view; re-verify its controllability
-// recurrences directly against the Gate-struct adjacency (the two
-// representations must describe the same circuit).
+// recurrences gate by gate through the Gate views.
 TEST(TopologyBitIdentity, ScoapRecurrencesHoldOverGateStructs) {
   for (const auto& nc : circuits::standard_suite()) {
     const Netlist& nl = nc.netlist;
@@ -276,6 +271,19 @@ TEST(NetlistBuilder, ReserveDoesNotChangeBehaviour) {
   EXPECT_EQ(a.num_gates(), b.num_gates());
   EXPECT_EQ(a.topo_order(), b.topo_order());
   EXPECT_EQ(b.name_of(2), "z");
+}
+
+// finalize() frees the builder records: a finalized netlist's Gate views
+// are rows of its Topology.
+TEST(NetlistBuilder, FinalizedGateViewsReadTheTopology) {
+  const Netlist nl = circuits::make_random_logic(8, 120, 3);
+  const Topology& t = nl.topology();
+  for (GateId id = 0; id < nl.num_gates(); ++id) {
+    const Gate g = nl.gate(id);
+    EXPECT_EQ(g.type, t.type(id)) << "gate " << id;
+    EXPECT_EQ(g.fanin.data(), t.fanin(id).data()) << "gate " << id;
+    EXPECT_EQ(g.fanin.size(), t.fanin_size(id)) << "gate " << id;
+  }
 }
 
 TEST(NetlistBuilder, NameOfReturnsSideTableEntries) {
