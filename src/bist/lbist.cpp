@@ -191,9 +191,10 @@ std::vector<std::uint64_t> faulty_signature(const Netlist& nl, const Fault& faul
   run_campaign(nl, std::span<const Fault>(&fault, 1), patterns,
                {.drop_limit = 0, .telemetry = config.telemetry},
                [&](std::size_t, std::size_t batch, std::uint64_t,
-                   std::span<const std::uint64_t> op_diffs) {
-                 std::copy(op_diffs.begin(), op_diffs.end(),
-                           diffs.begin() + batch * nops);
+                   std::span<const OpDiff> op_diffs) {
+                 for (const OpDiff& d : op_diffs) {
+                   diffs[batch * nops + d.op] = d.word;
+                 }
                  return false;
                });
   Misr misr(config.misr_bits);

@@ -140,6 +140,9 @@ CompressedSessionResult run_compressed_session(
   }
 
   std::vector<std::uint64_t> cycle_diffs(chains);
+  // One diff word per observe point, all zeros between hook calls: the
+  // hook scatters a fault's pairs in, folds, then zeroes only what it wrote.
+  std::vector<std::uint64_t> op_words(observe.size(), 0);
   // Every detection is an ideal one. A fault is graded on until it also
   // shows through the compactor in a (live) lane: a PO fails, or some unload
   // cycle leaves odd parity in some compactor group.
@@ -147,16 +150,18 @@ CompressedSessionResult run_compressed_session(
       nl, faults, result.delivered,
       {.drop_limit = 0, .telemetry = config.telemetry, .run_control = rc},
       [&](std::size_t, std::size_t, std::uint64_t,
-          std::span<const std::uint64_t> op_diffs) {
+          std::span<const OpDiff> op_diffs) {
+        for (const OpDiff& d : op_diffs) op_words[d.op] = d.word;
         std::uint64_t lanes = 0;
-        for (const std::uint32_t oi : po_index) lanes |= op_diffs[oi];
+        for (const std::uint32_t oi : po_index) lanes |= op_words[oi];
         for (std::size_t cycle = 0; cycle < max_len && lanes == 0; ++cycle) {
           const std::uint32_t* row = unload.data() + cycle * chains;
           for (std::size_t c = 0; c < chains; ++c) {
-            cycle_diffs[c] = row[c] == kNoCell ? 0 : op_diffs[row[c]];
+            cycle_diffs[c] = row[c] == kNoCell ? 0 : op_words[row[c]];
           }
           lanes |= compactor.visible_lanes(cycle_diffs);
         }
+        for (const OpDiff& d : op_diffs) op_words[d.op] = 0;
         result.detected_compacted += lanes != 0;
         return lanes != 0;
       });

@@ -123,15 +123,16 @@ DiagnosisResult diagnose(const Netlist& nl, const std::vector<TestCube>& pattern
   std::vector<DiagnosisCandidate> scored(kept.size());
   for (std::size_t i = 0; i < kept.size(); ++i) scored[i].fault = kept[i];
 
-  // TP and FP accrue over the batches a candidate fails in. FN needs no
-  // simulation: pred & obs and ~pred & obs partition obs, so FN = |log| - TP.
+  // TP and FP accrue over the points a candidate reaches: a point it does
+  // not reach predicts no failure. FN needs no simulation: pred & obs and
+  // ~pred & obs partition obs, so FN = |log| - TP.
   run_campaign(nl, kept, patterns, {.drop_limit = 0, .telemetry = telemetry},
                [&](std::size_t ci, std::size_t batch, std::uint64_t,
-                   std::span<const std::uint64_t> pred) {
+                   std::span<const OpDiff> pred) {
                  const auto& obs = log.blocks[batch];
-                 for (std::size_t op = 0; op < pred.size(); ++op) {
-                   scored[ci].tp += std::popcount(pred[op] & obs[op]);
-                   scored[ci].fp += std::popcount(pred[op] & ~obs[op]);
+                 for (const OpDiff& d : pred) {
+                   scored[ci].tp += std::popcount(d.word & obs[d.op]);
+                   scored[ci].fp += std::popcount(d.word & ~obs[d.op]);
                  }
                  return false;
                });
@@ -177,9 +178,9 @@ FailLog simulate_defects(const Netlist& nl, const std::vector<TestCube>& pattern
   // The defects' failures superpose: union their diffs per batch.
   run_campaign(nl, defects, patterns, {.drop_limit = 0},
                [&](std::size_t, std::size_t batch, std::uint64_t,
-                   std::span<const std::uint64_t> op_diffs) {
-                 for (std::size_t op = 0; op < op_diffs.size(); ++op) {
-                   log.blocks[batch][op] |= op_diffs[op];
+                   std::span<const OpDiff> op_diffs) {
+                 for (const OpDiff& d : op_diffs) {
+                   log.blocks[batch][d.op] |= d.word;
                  }
                  return false;
                });
@@ -198,16 +199,28 @@ MultiDiagnosisResult diagnose_multiplet(const Netlist& nl,
   record_pruning(telemetry, diag_span, candidates.size(), kept.size());
   MultiDiagnosisResult result;
 
-  // Predicted fail sets per candidate (computed once).
+  // Each candidate's predicted failures, kept sparse: one (log word, fail
+  // word) pair per point it reaches per batch, where log word b * nops + op
+  // flattens the log's blocks. Its mispredictions are measured against the
+  // FULL observed log (a second defect may already explain an event this
+  // one also predicts), so they are fixed here, once.
   const std::size_t nblocks = log.blocks.size();
   const std::size_t nops = log.num_observe_points;
-  std::vector<std::vector<std::uint64_t>> predicted(
-      kept.size(), std::vector<std::uint64_t>(nblocks * nops, 0));
+  struct Predicted {
+    std::vector<std::pair<std::size_t, std::uint64_t>> fails;
+    std::uint64_t fp = 0;
+  };
+  std::vector<Predicted> predicted(kept.size());
   run_campaign(nl, kept, patterns, {.drop_limit = 0, .telemetry = telemetry},
                [&](std::size_t ci, std::size_t batch, std::uint64_t,
-                   std::span<const std::uint64_t> op_diffs) {
-                 std::copy(op_diffs.begin(), op_diffs.end(),
-                           predicted[ci].begin() + batch * nops);
+                   std::span<const OpDiff> op_diffs) {
+                 const auto& obs = log.blocks[batch];
+                 for (const OpDiff& d : op_diffs) {
+                   predicted[ci].fails.emplace_back(batch * nops + d.op,
+                                                    d.word);
+                   predicted[ci].fp += static_cast<std::uint64_t>(
+                       std::popcount(d.word & ~obs[d.op]));
+                 }
                  return false;
                });
 
@@ -222,31 +235,25 @@ MultiDiagnosisResult diagnose_multiplet(const Netlist& nl,
     }
   }
 
+  // Greedy cover: each pass costs the points the unused candidates reach.
   std::vector<bool> used(kept.size(), false);
-  while (result.selected.size() < max_defects) {
+  std::uint64_t left = total_events;
+  while (result.selected.size() < max_defects && left != 0) {
     std::size_t best = SIZE_MAX;
     std::int64_t best_score = 0;
-    std::uint64_t best_tp = 0, best_fp = 0;
+    std::uint64_t best_tp = 0;
     for (std::size_t ci = 0; ci < kept.size(); ++ci) {
       if (used[ci]) continue;
-      std::uint64_t tp = 0, fp = 0;
-      for (std::size_t w = 0; w < remaining.size(); ++w) {
-        tp += static_cast<std::uint64_t>(
-            __builtin_popcountll(predicted[ci][w] & remaining[w]));
-        // Mispredictions measured against the FULL observed log (a second
-        // defect may already explain an event this one also predicts).
-        const std::uint64_t observed =
-            log.blocks[w / nops][w % nops];
-        fp += static_cast<std::uint64_t>(
-            __builtin_popcountll(predicted[ci][w] & ~observed));
+      std::uint64_t tp = 0;
+      for (const auto& [w, word] : predicted[ci].fails) {
+        tp += static_cast<std::uint64_t>(std::popcount(word & remaining[w]));
       }
-      const std::int64_t score =
-          static_cast<std::int64_t>(2 * tp) - static_cast<std::int64_t>(fp);
+      const std::int64_t score = static_cast<std::int64_t>(2 * tp) -
+                                 static_cast<std::int64_t>(predicted[ci].fp);
       if (tp > 0 && score > best_score) {
         best_score = score;
         best = ci;
         best_tp = tp;
-        best_fp = fp;
       }
     }
     if (best == SIZE_MAX) break;
@@ -254,21 +261,13 @@ MultiDiagnosisResult diagnose_multiplet(const Netlist& nl,
     DiagnosisCandidate chosen;
     chosen.fault = kept[best];
     chosen.tp = best_tp;
-    chosen.fp = best_fp;
+    chosen.fp = predicted[best].fp;
     chosen.score = static_cast<double>(best_score);
     result.selected.push_back(chosen);
-    for (std::size_t w = 0; w < remaining.size(); ++w) {
-      remaining[w] &= ~predicted[best][w];
-    }
-    bool any = false;
-    for (std::uint64_t w : remaining) any |= (w != 0);
-    if (!any) break;
+    for (const auto& [w, word] : predicted[best].fails) remaining[w] &= ~word;
+    left -= best_tp;
   }
 
-  std::uint64_t left = 0;
-  for (std::uint64_t w : remaining) {
-    left += static_cast<std::uint64_t>(__builtin_popcountll(w));
-  }
   result.unexplained = left;
   result.explained = total_events - left;
   if (diag_span.active()) diag_span.arg("selected", result.selected.size());

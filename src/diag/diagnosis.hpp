@@ -21,7 +21,8 @@
 namespace aidft {
 
 /// Per-pattern failing observe points, packed as one word per observe point
-/// per 64-pattern block — the op_diffs layout of a detailed campaign hook.
+/// per 64-pattern block: a detailed campaign hook's (point, word) pairs
+/// scattered by point, zero where nothing fails.
 struct FailLog {
   std::size_t num_patterns = 0;
   std::size_t num_observe_points = 0;

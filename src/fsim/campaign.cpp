@@ -175,7 +175,8 @@ struct ShardState {
   std::size_t end = 0;
   std::vector<std::uint32_t> alive;  // compacted in place per batch
   std::optional<FaultSimulator> fsim;
-  std::vector<std::uint64_t> op_diffs;  // filled by detailed grading only
+  std::vector<OpDiff> op_diffs;  // filled by detailed grading only
+  std::uint64_t op_diffs_handed = 0;  // pairs passed to the hook, unflushed
   std::uint64_t events_flushed = 0;
   std::uint64_t early_exits_flushed = 0;
 };
@@ -184,7 +185,8 @@ struct ShardState {
 // (FaultSimulator&, op_diffs, fault, capture_batch) to a detect mask;
 // `needs_launch` says whether a fault requires the launch batch (transition
 // faults) and `any_launch` whether any fault of the list does; `on_detect`,
-// when set, runs on every nonzero mask.
+// when set, runs on every nonzero mask. The reference engine builds its own
+// good machine per fault, so under it no batch is loaded.
 template <typename FaultT, typename Grade, typename NeedsLaunch>
 CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
                            const std::vector<TestCube>& patterns,
@@ -294,7 +296,9 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
       }
       ++batches_run;
       FaultSimulator& fsim = *shard.fsim;
-      fsim.load_batch(capture[b]);
+      if (options.engine != CampaignEngine::kReference) {
+        fsim.load_batch(capture[b]);
+      }
       if (!launch.empty()) {
         bool shard_needs_launch = false;
         for (std::uint32_t i : shard.alive) {
@@ -317,6 +321,7 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
                 b * 64 + static_cast<std::size_t>(__builtin_ctzll(mask)));
           }
           hits[i] += static_cast<std::uint64_t>(__builtin_popcountll(mask));
+          shard.op_diffs_handed += shard.op_diffs.size();
           if ((on_detect != nullptr &&
                (*on_detect)(i, b, mask, shard.op_diffs)) ||
               (options.drop_limit != 0 && hits[i] >= options.drop_limit)) {
@@ -352,6 +357,8 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
       obs::add(telemetry, "fsim.events", events - shard.events_flushed);
       obs::add(telemetry, "fsim.early_exits",
                early_exits - shard.early_exits_flushed);
+      obs::add(telemetry, "fsim.op_diffs", shard.op_diffs_handed);
+      shard.op_diffs_handed = 0;
       obs::observe(telemetry, "campaign.shard_us", shard_clock.micros());
       shard_span.arg("shard", s);
       shard_span.arg("faults", shard.end - shard.begin);
@@ -469,7 +476,7 @@ CampaignResult run_faults(const Netlist& netlist, std::span<const Fault> faults,
   }
   return run_sharded(
       netlist, faults, patterns, options,
-      [&](FaultSimulator& fsim, std::vector<std::uint64_t>& op_diffs,
+      [&](FaultSimulator& fsim, std::vector<OpDiff>& op_diffs,
           const Fault& f, const PatternBatch& batch) {
         if (detailed) return fsim.detect_mask_detailed(f, op_diffs);
         return reference ? fsim.detect_mask_reference(batch, f)
@@ -492,7 +499,7 @@ CampaignResult run_campaign(const Netlist& netlist, std::span<const Fault> fault
                             const DetectHook& on_detect) {
   const DetailedDetectHook mask_only =
       [&](std::size_t fault, std::size_t batch, std::uint64_t mask,
-          std::span<const std::uint64_t>) {
+          std::span<const OpDiff>) {
         return on_detect(fault, batch, mask);
       };
   return run_faults(netlist, faults, patterns, options, false, &mask_only);
@@ -513,7 +520,7 @@ CampaignResult run_campaign(const Netlist& netlist,
                     "bridging campaigns have no reference engine");
   return run_sharded(
       netlist, faults, patterns, options,
-      [](FaultSimulator& fsim, std::vector<std::uint64_t>&,
+      [](FaultSimulator& fsim, std::vector<OpDiff>&,
          const BridgingFault& f,
          const PatternBatch&) { return fsim.detect_mask_bridging(f); },
       [](const BridgingFault&) { return false; }, false);

@@ -35,6 +35,7 @@
 #include "common/run_control.hpp"
 #include "fault/bridging.hpp"
 #include "fault/fault.hpp"
+#include "fsim/fault_sim.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/pattern.hpp"
@@ -58,7 +59,7 @@ struct CampaignOptions {
   /// Observability sink (see obs/telemetry.hpp): null (the default) turns
   /// telemetry off at near-zero cost. When set, the campaign emits one
   /// `campaign.shard` span per worker (thread imbalance is visible on the
-  /// trace timeline) plus `campaign.*` / `fsim.events` counters.
+  /// trace timeline) plus `campaign.*` / `fsim.*` counters.
   obs::Telemetry* telemetry = nullptr;
   /// Run control (see common/run_control.hpp): null (the default) runs to
   /// completion. When set, the campaign is restructured into rounds of
@@ -129,13 +130,17 @@ CampaignResult run_campaign(const Netlist& netlist,
 /// faults may run concurrently. Hook state is not checkpointed, so a hook
 /// with checkpoint_path or resume_from throws aidft::Error. A DetectHook
 /// gets mask-only grading (it stops once the mask is final); a
-/// DetailedDetectHook also gets one diff word per observe point (stuck-at
-/// faults and the PPSFP engine only).
+/// DetailedDetectHook also gets the observe points the fault reached in the
+/// batch (stuck-at faults and the PPSFP engine only): one (point, word) pair
+/// per failing point, each point at most once, nonzero words over live lanes
+/// only, in propagation order rather than index order. A point not listed
+/// does not fail, so a hook that walks the pairs costs what the fault
+/// reaches, not the observe-point count. The span is valid for the call.
 using DetectHook = std::function<bool(std::size_t fault, std::size_t batch,
                                       std::uint64_t mask)>;
 using DetailedDetectHook = std::function<bool(
     std::size_t fault, std::size_t batch, std::uint64_t mask,
-    std::span<const std::uint64_t> op_diffs)>;
+    std::span<const OpDiff> op_diffs)>;
 
 CampaignResult run_campaign(const Netlist& netlist,
                             std::span<const Fault> faults,

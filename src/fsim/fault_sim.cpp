@@ -61,7 +61,7 @@ std::uint64_t FaultSimulator::line_value(const Fault& f) const {
 }
 
 std::uint64_t FaultSimulator::propagate(const Fault& fault,
-                                        std::vector<std::uint64_t>* op_diffs) {
+                                        std::vector<OpDiff>* op_diffs) {
   const Topology& t = *topo_;
   const std::vector<std::uint64_t>& good = good_sim_.values();
   const std::uint64_t lane_mask = lane_mask_;
@@ -87,9 +87,12 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
     return std::span<const std::uint32_t>(op_list_.data() + op_offsets_[g],
                                           op_offsets_[g + 1] - op_offsets_[g]);
   };
+  // Each gate is evaluated at most once per propagation and CSR rows are
+  // disjoint, so every point is appended at most once; a gate that changed
+  // on dead lanes only has a zero diff and appends nothing.
   auto record_diff = [&](GateId og, std::uint64_t diff) {
-    if (op_diffs == nullptr) return;
-    for (std::uint32_t op : ops_of(og)) (*op_diffs)[op] |= diff;
+    if (op_diffs == nullptr || diff == 0) return;
+    for (std::uint32_t op : ops_of(og)) op_diffs->push_back({op, diff});
   };
 
   // A DFF D-pin fault corrupts only the captured value, which is observed
@@ -101,7 +104,7 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
       // Only this flop's own observe point fails: the one among the points
       // observing its D driver whose gate is the flop itself.
       for (std::uint32_t op : ops_of(driver)) {
-        if (observe_points_[op] == fault.gate) (*op_diffs)[op] |= diff;
+        if (observe_points_[op] == fault.gate) op_diffs->push_back({op, diff});
       }
     }
     return diff;
@@ -310,11 +313,11 @@ std::uint64_t FaultSimulator::detect_mask_bridging(const BridgingFault& fault) {
 }
 
 std::uint64_t FaultSimulator::detect_mask_detailed(
-    const Fault& fault, std::vector<std::uint64_t>& op_diffs) {
+    const Fault& fault, std::vector<OpDiff>& op_diffs) {
   AIDFT_REQUIRE(loaded_, "load_batch() before detect_mask_detailed()");
   AIDFT_REQUIRE(fault.kind == FaultKind::kStuckAt,
                 "detailed masks are for stuck-at faults");
-  op_diffs.assign(observe_points_.size(), 0);
+  op_diffs.clear();
   return propagate(fault, &op_diffs);
 }
 

@@ -12,7 +12,9 @@
 //    per-fault state reset is needed. This is the engine every campaign
 //    (ATPG dropping, BIST grading, diagnosis) runs on. Mask-only grading
 //    stops as soon as every lane the fault activates is detected (the mask
-//    cannot grow further); detailed grading propagates the full cone.
+//    cannot grow further); detailed grading propagates the full cone and
+//    reports only the observe points it reached, as (point, word) pairs,
+//    so its cost follows the fault's cone, not the observe-point count.
 //
 // On a replicated SoC under broadcast stimulus the good machine is one
 // tile, instance 0 (see ParallelSimulator::simulate): PPSFP reads a fault's
@@ -46,6 +48,14 @@ namespace aidft {
 void full_sweep(const Netlist& netlist, std::vector<std::uint64_t>& values,
                 const Fault* fault);
 
+/// One observe point a detailed grading reached: `op` indexes
+/// observe_points(), `word` holds the lanes on which that point fails.
+struct OpDiff {
+  std::uint32_t op = 0;
+  std::uint64_t word = 0;
+  friend bool operator==(const OpDiff&, const OpDiff&) = default;
+};
+
 class FaultSimulator {
  public:
   explicit FaultSimulator(const Netlist& netlist);
@@ -62,12 +72,15 @@ class FaultSimulator {
   /// additionally require load_launch_batch().
   std::uint64_t detect_mask(const Fault& fault);
 
-  /// Like detect_mask() for stuck-at faults, but additionally fills
-  /// `op_diffs` (resized to observe_points().size()) with the per-observe-
-  /// point difference words — the raw failing-cycle data a tester would log.
-  /// Used by response compaction (aliasing analysis) and diagnosis.
+  /// Like detect_mask() for stuck-at faults, but additionally replaces
+  /// `op_diffs` with the observe points the fault reached — the raw
+  /// failing-cycle data a tester would log. Each point appears at most once,
+  /// every word is nonzero and holds live lanes only, and the pairs come in
+  /// propagation order, not index order; a point not listed does not fail.
+  /// The OR of the words is the returned mask. Used by response compaction,
+  /// LBIST signatures and diagnosis.
   std::uint64_t detect_mask_detailed(const Fault& fault,
-                                     std::vector<std::uint64_t>& op_diffs);
+                                     std::vector<OpDiff>& op_diffs);
 
   /// Oracle: full resimulation with the fault injected; same contract as
   /// detect_mask() for stuck-at faults.
@@ -105,9 +118,10 @@ class FaultSimulator {
   std::uint64_t early_exits() const { return early_exits_; }
 
  private:
-  // Stuck-at propagation of `fault` over the loaded capture batch.
+  // Stuck-at propagation of `fault` over the loaded capture batch; with
+  // `op_diffs` set, appends one pair per observe point reached.
   std::uint64_t propagate(const Fault& fault,
-                          std::vector<std::uint64_t>* op_diffs = nullptr);
+                          std::vector<OpDiff>* op_diffs = nullptr);
   // Grows the propagation scratch to cover `gates` gates.
   void reserve_scratch(std::size_t gates);
   // Starts a fresh faulty machine (retags every scratch entry on wrap).

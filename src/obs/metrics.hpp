@@ -19,6 +19,10 @@
 // evaluated by fault propagation (injections included); mask-only grading
 // stops once a fault's mask is final, so it counts fewer than detailed
 // grading of the same faults (`fsim.early_exits` counts those stops).
+// `fsim.op_diffs` counts the (observe point, word) pairs detailed grading
+// handed to detection hooks: one per point a fault reached per batch, so it
+// measures what diagnosis, LBIST signatures and EDT compacted grading pay
+// in their hooks (mask-only campaigns add nothing).
 #pragma once
 
 #include <atomic>

@@ -379,12 +379,13 @@ std::pair<CampaignResult, HookCalls> run_recorded(
     const std::vector<TestCube>& patterns, const CampaignOptions& o,
     bool detailed) {
   HookCalls calls(faults.size());
+  const std::size_t nops = nl.observe_points().size();
   if (detailed) {
     const CampaignResult r = run_campaign(
         nl, faults, patterns, o,
         [&](std::size_t f, std::size_t b, std::uint64_t mask,
-            std::span<const std::uint64_t> op_diffs) {
-          calls[f].push_back({b, mask, {op_diffs.begin(), op_diffs.end()}});
+            std::span<const OpDiff> op_diffs) {
+          calls[f].push_back({b, mask, test::dense_diffs(op_diffs, nops)});
           return false;
         });
     return {r, std::move(calls)};

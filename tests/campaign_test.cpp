@@ -263,7 +263,7 @@ TEST(CampaignFaultRange, DetailedDetectHookRejectsForeignSites) {
     expect_rejects_fault_1([&] {
       run_campaign(c.nl, faults, c.patterns, {},
                    [](std::size_t, std::size_t, std::uint64_t,
-                      std::span<const std::uint64_t>) { return false; });
+                      std::span<const OpDiff>) { return false; });
     });
   }
 }
@@ -320,6 +320,7 @@ TEST(CampaignHook, BothKindsSeeExactlyTheOracleCalls) {
     // Three batches, the last one partial.
     const auto patterns =
         random_patterns(nl.combinational_inputs().size(), 150, rng);
+    const std::size_t nops = nl.observe_points().size();
     const auto want_masks = oracle_calls(nl, patterns, faults, false);
     const auto want_diffs = oracle_calls(nl, patterns, faults, true);
     const CampaignResult plain =
@@ -343,9 +344,9 @@ TEST(CampaignHook, BothKindsSeeExactlyTheOracleCalls) {
       const CampaignResult with_diffs = run_campaign(
           nl, faults, patterns, {.num_threads = t, .drop_limit = 0},
           [&](std::size_t f, std::size_t b, std::uint64_t mask,
-              std::span<const std::uint64_t> op_diffs) {
+              std::span<const OpDiff> op_diffs) {
             diffs[f].push_back(
-                {b, mask, {op_diffs.begin(), op_diffs.end()}});
+                {b, mask, test::dense_diffs(op_diffs, nops)});
             return false;
           });
       EXPECT_EQ(diffs, want_diffs) << label;
@@ -389,7 +390,7 @@ TEST(CampaignHook, RejectsCheckpointResumeAndUnsupportedGrading) {
     return false;
   };
   const auto diff_hook = [](std::size_t, std::size_t, std::uint64_t,
-                            std::span<const std::uint64_t>) { return false; };
+                            std::span<const OpDiff>) { return false; };
   for (const CampaignOptions& opts :
        {CampaignOptions{.checkpoint_path = "hook.ckpt"},
         CampaignOptions{.resume_from = "hook.ckpt"}}) {

@@ -12,6 +12,7 @@
 #include "compress/session.hpp"
 #include "fault/fault.hpp"
 #include "fsim/fault_sim.hpp"
+#include "test_util.hpp"
 
 namespace aidft {
 namespace {
@@ -259,12 +260,14 @@ LaneGrades grade_per_lane(const Netlist& nl, const ScanPlan& plan,
   FaultSimulator fsim(nl);
   std::vector<bool> ideal(faults.size(), false);
   std::vector<bool> compacted(faults.size(), false);
-  std::vector<std::uint64_t> op_diffs;
+  std::vector<OpDiff> pairs;
   for (std::size_t base = 0; base < delivered.size(); base += 64) {
     const std::size_t count = std::min<std::size_t>(64, delivered.size() - base);
     fsim.load_batch(pack_patterns(delivered, base, count));
     for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      const std::uint64_t mask = fsim.detect_mask_detailed(faults[fi], op_diffs);
+      const std::uint64_t mask = fsim.detect_mask_detailed(faults[fi], pairs);
+      const std::vector<std::uint64_t> op_diffs =
+          test::dense_diffs(pairs, observe.size());
       if (mask != 0) ideal[fi] = true;
       for (std::size_t lane = 0; lane < count && !compacted[fi]; ++lane) {
         const std::uint64_t bit = 1ull << lane;

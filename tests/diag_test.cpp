@@ -335,14 +335,18 @@ FailLog simulate_wired_and_bridge(const Netlist& nl,
   log.num_patterns = patterns.size();
   log.num_observe_points = nl.observe_points().size();
   FaultSimulator fsim(nl);
-  std::vector<std::uint64_t> a_diffs, b_diffs;
+  std::vector<OpDiff> pairs;
   for (std::size_t base = 0; base < patterns.size(); base += 64) {
     fsim.load_batch(pack_patterns(
         patterns, base, std::min<std::size_t>(64, patterns.size() - base)));
     const std::uint64_t va = fsim.line_value(a_sa0);
     const std::uint64_t vb = fsim.line_value(b_sa0);
-    fsim.detect_mask_detailed(a_sa0, a_diffs);
-    fsim.detect_mask_detailed(b_sa0, b_diffs);
+    fsim.detect_mask_detailed(a_sa0, pairs);
+    const std::vector<std::uint64_t> a_diffs =
+        test::dense_diffs(pairs, log.num_observe_points);
+    fsim.detect_mask_detailed(b_sa0, pairs);
+    const std::vector<std::uint64_t> b_diffs =
+        test::dense_diffs(pairs, log.num_observe_points);
     std::vector<std::uint64_t> block(log.num_observe_points);
     std::uint64_t any = 0;
     for (std::size_t op = 0; op < block.size(); ++op) {
@@ -433,6 +437,46 @@ void expect_cone_prune_matches_oracle(const std::string& which,
     EXPECT_EQ(got.explained, want.explained) << which << " " << what;
     EXPECT_EQ(got.unexplained, want.unexplained) << which << " " << what;
   }
+}
+
+// diagnose_multiplet keeps each candidate's predictions as sparse pairs;
+// the dense-matrix greedy cover over every candidate (multiplet_unpruned)
+// is its oracle, on logs of two and of three superposed defects.
+void expect_sparse_multiplet_matches_dense(const std::string& which,
+                                           const Netlist& nl) {
+  const std::vector<Fault> candidates = generate_stuck_at_faults(nl);
+  Rng rng(37);
+  // Three blocks, the last one partial.
+  const auto patterns =
+      random_patterns(nl.combinational_inputs().size(), 150, rng);
+  const auto predicted = test::predict_all(nl, patterns, candidates);
+  const std::size_t n = candidates.size();
+  const std::vector<std::vector<Fault>> multiplets = {
+      {candidates[n / 5], candidates[3 * n / 5]},
+      {candidates[n / 9], candidates[n / 2]},
+      {candidates[n / 7], candidates[3 * n / 7], candidates[5 * n / 7]},
+      {candidates[n / 11], candidates[n / 3], candidates[4 * n / 5]},
+  };
+  for (const std::vector<Fault>& defects : multiplets) {
+    std::string what =
+        which + " " + std::to_string(defects.size()) + " defects";
+    for (const Fault& d : defects) what += " " + fault_name(nl, d);
+    const FailLog log = simulate_defects(nl, patterns, defects);
+    ASSERT_TRUE(log.any_failure()) << what;
+    const MultiDiagnosisResult got =
+        diagnose_multiplet(nl, patterns, log, candidates, 4);
+    const MultiDiagnosisResult want =
+        multiplet_unpruned(log, candidates, predicted, 4);
+    EXPECT_FALSE(got.selected.empty()) << what;
+    expect_same_candidates(got.selected, want.selected, what);
+    EXPECT_EQ(got.explained, want.explained) << what;
+    EXPECT_EQ(got.unexplained, want.unexplained) << what;
+  }
+}
+
+TEST(MultiDiag, SparseGreedyMatchesDenseOracle) {
+  expect_sparse_multiplet_matches_dense("systolic2x2", systolic_2x2());
+  expect_sparse_multiplet_matches_dense("mac8", circuits::make_mac(8, true));
 }
 
 TEST(Diagnosis, ConePruneMatchesUnprunedOracle) {

@@ -5,6 +5,7 @@
 
 #include "bench_circuits/generators.hpp"
 #include "common/rng.hpp"
+#include "test_util.hpp"
 
 namespace aidft {
 namespace {
@@ -36,9 +37,11 @@ void expect_mask_is_or_of_detailed_diffs(const Netlist& nl,
   const auto cubes = random_patterns(nl.combinational_inputs().size(), 64, rng);
   FaultSimulator fsim(nl);
   fsim.load_batch(pack_patterns(cubes, 0, 64));
-  std::vector<std::uint64_t> diffs;
+  std::vector<OpDiff> pairs;
   for (const Fault& f : faults) {
-    const std::uint64_t detailed = fsim.detect_mask_detailed(f, diffs);
+    const std::uint64_t detailed = fsim.detect_mask_detailed(f, pairs);
+    const std::vector<std::uint64_t> diffs =
+        test::dense_diffs(pairs, nl.observe_points().size());
     std::uint64_t any = 0;
     for (std::uint64_t d : diffs) any |= d;
     EXPECT_EQ(detailed, any) << fault_name(nl, f);
@@ -227,13 +230,15 @@ TEST(FaultSim, DffPinDetailedMatchesReference) {
   FaultSimulator fsim(nl);
   fsim.load_batch(batch);
   std::size_t flops = 0;
-  std::vector<std::uint64_t> op_diffs;
+  std::vector<OpDiff> pairs;
   for (std::size_t op = 0; op < points.size(); ++op) {
     if (nl.type(points[op]) != GateType::kDff) continue;
     ++flops;
     for (std::uint8_t v : {0, 1}) {
       const Fault f{points[op], 0, v, FaultKind::kStuckAt};
-      const std::uint64_t mask = fsim.detect_mask_detailed(f, op_diffs);
+      const std::uint64_t mask = fsim.detect_mask_detailed(f, pairs);
+      const std::vector<std::uint64_t> op_diffs =
+          test::dense_diffs(pairs, points.size());
       EXPECT_EQ(mask, fsim.detect_mask_reference(batch, f)) << fault_name(nl, f);
       ASSERT_EQ(op_diffs.size(), points.size());
       for (std::size_t i = 0; i < points.size(); ++i) {
@@ -356,9 +361,11 @@ TEST(FaultSim, EarlyExitAtInjectionOnObservedFanoutGate) {
         << fault_name(nl, f);
   }
 
-  std::vector<std::uint64_t> diffs;
-  EXPECT_EQ(fsim.detect_mask_detailed(g_sa0, diffs), ab);
+  std::vector<OpDiff> pairs;
+  EXPECT_EQ(fsim.detect_mask_detailed(g_sa0, pairs), ab);
   const std::vector<GateId> points = nl.observe_points();
+  const std::vector<std::uint64_t> diffs =
+      test::dense_diffs(pairs, points.size());
   ASSERT_EQ(diffs.size(), points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     // z = g | c fails only where c = 0.
@@ -453,10 +460,12 @@ TEST(FaultSim, DetailedDiffsReachEveryPointObservingAGate) {
   const std::vector<GateId> points = nl.observe_points();
   using PointDiffs = std::vector<std::pair<GateId, std::uint64_t>>;
   auto expect_diffs = [&](const Fault& f, const PointDiffs& want) {
-    std::vector<std::uint64_t> diffs;
+    std::vector<OpDiff> pairs;
     std::uint64_t any = 0;
     for (const auto& [point, word] : want) any |= word;
-    EXPECT_EQ(fsim.detect_mask_detailed(f, diffs), any) << fault_name(nl, f);
+    EXPECT_EQ(fsim.detect_mask_detailed(f, pairs), any) << fault_name(nl, f);
+    const std::vector<std::uint64_t> diffs =
+        test::dense_diffs(pairs, points.size());
     ASSERT_EQ(diffs.size(), points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
       std::uint64_t expected = 0;
@@ -474,6 +483,96 @@ TEST(FaultSim, DetailedDiffsReachEveryPointObservingAGate) {
   expect_diffs(Fault{q1, 0, 1, FaultKind::kStuckAt}, {{q1, 0b0111}});
   expect_diffs(Fault{q3, 0, 1, FaultKind::kStuckAt}, {{q3, 0b0111}});
   expect_diffs(Fault{y, kStemPin, 1, FaultKind::kStuckAt}, {{y, 0b0111}});
+}
+
+// The pair contract of detect_mask_detailed against two full sweeps per
+// fault: every collapsed fault's pairs name distinct points with nonzero
+// words, OR to the mask, and scatter to (good ^ faulty) & lane_mask at each
+// observe point. A DFF D-pin fault fails only its own flop's point, by the
+// lanes on which the pin's driver differs from the stuck value.
+void expect_pairs_match_sweeps(const Netlist& nl,
+                               const std::vector<TestCube>& cubes,
+                               std::size_t count, const std::string& label) {
+  const PatternBatch batch = pack_patterns(cubes, 0, count);
+  const std::vector<GateId> points = nl.observe_points();
+  const std::vector<GateId> inputs = nl.combinational_inputs();
+  std::vector<std::uint64_t> loaded(nl.num_gates(), 0);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    loaded[inputs[i]] = batch.words[i];
+  }
+  std::vector<std::uint64_t> good = loaded;
+  full_sweep(nl, good, nullptr);
+
+  FaultSimulator fsim(nl);
+  fsim.load_batch(batch);
+  std::vector<OpDiff> pairs;
+  std::size_t reached = 0;
+  for (const Fault& f : collapse_equivalent(nl, generate_stuck_at_faults(nl))) {
+    const std::string what = label + " " + fault_name(nl, f);
+    const std::uint64_t mask = fsim.detect_mask_detailed(f, pairs);
+    std::vector<bool> seen(points.size(), false);
+    std::uint64_t any = 0;
+    for (const OpDiff& d : pairs) {
+      ASSERT_LT(d.op, points.size()) << what;
+      EXPECT_FALSE(seen[d.op]) << what << ": point " << d.op << " twice";
+      seen[d.op] = true;
+      EXPECT_NE(d.word, 0ull) << what << ": zero word at point " << d.op;
+      any |= d.word;
+    }
+    EXPECT_EQ(mask, any) << what;
+    reached += pairs.size();
+
+    std::vector<std::uint64_t> faulty = loaded;
+    full_sweep(nl, faulty, &f);
+    const bool d_pin = !f.is_stem() && nl.type(f.gate) == GateType::kDff;
+    const std::uint64_t stuck = f.stuck_at_one() ? ~0ull : 0ull;
+    std::vector<std::uint64_t> want(points.size(), 0);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const GateId og = nl.observed_gate(points[i]);
+      if (d_pin) {
+        want[i] = points[i] == f.gate ? good[og] ^ stuck : 0;
+      } else {
+        want[i] = good[og] ^ faulty[og];
+      }
+      want[i] &= batch.lane_mask();
+    }
+    EXPECT_EQ(test::dense_diffs(pairs, points.size()), want) << what;
+  }
+  EXPECT_GT(reached, 0u) << label;
+}
+
+TEST(FaultSim, DetailedPairsMatchReferenceSweeps) {
+  const Netlist mac = circuits::make_mac(8, /*registered=*/true);
+  Rng rng(31);
+  const auto mac_cubes =
+      random_patterns(mac.combinational_inputs().size(), 64, rng);
+  expect_pairs_match_sweeps(mac, mac_cubes, 64, "mac8");
+  expect_pairs_match_sweeps(mac, mac_cubes, 37, "mac8 partial");
+
+  // One net drives three D pins and a PO; flop outputs feed more logic.
+  Netlist nl("shared_d");
+  const GateId a = nl.add_input("a");
+  const GateId b = nl.add_input("b");
+  const GateId c = nl.add_input("c");
+  const GateId g = nl.add_gate(GateType::kAnd, {a, b}, "g");
+  const GateId h = nl.add_gate(GateType::kXor, {g, c}, "h");
+  nl.add_output(g, "y");
+  const GateId q1 = nl.add_dff(g, "q1");
+  nl.add_dff(g, "q2");
+  const GateId q3 = nl.add_dff(h, "q3");
+  nl.add_dff(g, "q4");
+  const GateId k = nl.add_gate(GateType::kOr, {q1, q3}, "k");
+  nl.add_output(nl.add_gate(GateType::kNand, {k, h}, "m"), "z");
+  nl.add_output(nl.add_gate(GateType::kNor, {h, a}, "n"), "w");
+  nl.finalize();
+  auto cubes = random_patterns(nl.combinational_inputs().size(), 64, rng);
+  expect_pairs_match_sweeps(nl, cubes, 64, "shared_d");
+  expect_pairs_match_sweeps(nl, cubes, 37, "shared_d partial");
+  // Every live lane holds a = 1 and the dead lanes a = 0, so a fault on g
+  // or h changes n = NOR(h, a) on dead lanes only: n's point must not be
+  // listed, even though the fault propagates through it.
+  for (TestCube& cube : cubes) cube.bits[0] = Val3::kOne;
+  expect_pairs_match_sweeps(nl, cubes, 37, "shared_d a=1 partial");
 }
 
 TEST(FaultSim, MovedSimulatorGradesIdentically) {
@@ -495,7 +594,7 @@ TEST(FaultSim, MovedSimulatorGradesIdentically) {
   FaultSimulator moved = std::move(sims.front());
   sims.clear();
 
-  std::vector<std::uint64_t> want, got;
+  std::vector<OpDiff> want, got;
   for (const Fault& f : faults) {
     EXPECT_EQ(moved.detect_mask(f), fixed.detect_mask(f)) << fault_name(nl, f);
     EXPECT_EQ(moved.detect_mask_detailed(f, got),

@@ -280,6 +280,48 @@ TEST(Telemetry, CampaignWithoutSinkMatchesWithSink) {
   EXPECT_EQ(shard_us->count, shard_spans);
 }
 
+TEST(Telemetry, OpDiffsCountsThePairsHandedToDetailedHooks) {
+  // `fsim.op_diffs` is exactly the number of (point, word) pairs the hooks
+  // received, at every worker count. A fault reaches only part of the
+  // observe points, so the pairs number fewer than one word per point per
+  // call. Mask-only hooks get no pairs.
+  const Netlist nl = circuits::make_mac(4, /*registered=*/true);
+  const auto faults = collapse_equivalent(nl, generate_stuck_at_faults(nl));
+  const std::size_t nops = nl.observe_points().size();
+  Rng rng(12);
+  const auto patterns =
+      random_patterns(nl.combinational_inputs().size(), 100, rng);
+  for (std::size_t threads : {1, 4}) {
+    obs::Telemetry telemetry;
+    // Each fault's tallies are written by the one worker that owns it.
+    std::vector<std::uint64_t> pairs(faults.size(), 0);
+    std::vector<std::uint64_t> calls(faults.size(), 0);
+    run_campaign(nl, faults, patterns,
+                 {.num_threads = threads, .drop_limit = 0,
+                  .telemetry = &telemetry},
+                 [&](std::size_t f, std::size_t, std::uint64_t,
+                     std::span<const OpDiff> op_diffs) {
+                   pairs[f] += op_diffs.size();
+                   ++calls[f];
+                   return false;
+                 });
+    std::uint64_t handed = 0, dense = 0;
+    for (std::size_t f = 0; f < faults.size(); ++f) {
+      handed += pairs[f];
+      dense += calls[f] * nops;
+    }
+    const std::uint64_t counted =
+        telemetry.metrics.snapshot().counter_value("fsim.op_diffs");
+    EXPECT_EQ(counted, handed) << threads << " threads";
+    EXPECT_GT(counted, 0u) << threads << " threads";
+    EXPECT_LT(counted, dense) << threads << " threads";
+  }
+  obs::Telemetry mask_only;
+  run_campaign(nl, faults, patterns, {.drop_limit = 0, .telemetry = &mask_only},
+               [](std::size_t, std::size_t, std::uint64_t) { return false; });
+  EXPECT_EQ(mask_only.metrics.snapshot().counter_value("fsim.op_diffs"), 0u);
+}
+
 TEST(Telemetry, DiagnosisCountersSumToCandidates) {
   // Scored (simulated) plus pruned (outside every failing cone) is the
   // whole candidate list, in the counters and on the span.

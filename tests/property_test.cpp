@@ -131,9 +131,11 @@ TEST(FsimConsistency, UndetectedMeansIdenticalResponses) {
   const PatternBatch batch = pack_patterns(cubes, 0, 64);
   FaultSimulator fsim(nl);
   fsim.load_batch(batch);
-  std::vector<std::uint64_t> op_diffs;
+  std::vector<OpDiff> pairs;
   for (const Fault& f : faults) {
-    const std::uint64_t mask = fsim.detect_mask_detailed(f, op_diffs);
+    const std::uint64_t mask = fsim.detect_mask_detailed(f, pairs);
+    const std::vector<std::uint64_t> op_diffs =
+        test::dense_diffs(pairs, nl.observe_points().size());
     std::uint64_t any = 0;
     for (std::uint64_t d : op_diffs) any |= d;
     EXPECT_EQ(mask, any) << fault_name(nl, f)

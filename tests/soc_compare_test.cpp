@@ -7,6 +7,7 @@
 #include "fault/fault.hpp"
 #include "fsim/fault_sim.hpp"
 #include "sim/parallel_sim.hpp"
+#include "test_util.hpp"
 
 namespace aidft {
 namespace {
@@ -49,8 +50,10 @@ TEST(SocCompare, DefectiveCoreRaisesItsOwnFlag) {
   // directly answers "does some flag fire?".
   FaultSimulator fsim(soc.netlist);
   fsim.load_batch(pack_patterns(broadcast, 0, 64));
-  std::vector<std::uint64_t> op_diffs;
-  const std::uint64_t mask = fsim.detect_mask_detailed(defect, op_diffs);
+  std::vector<OpDiff> pairs;
+  const std::uint64_t mask = fsim.detect_mask_detailed(defect, pairs);
+  const std::vector<std::uint64_t> op_diffs =
+      test::dense_diffs(pairs, soc.netlist.observe_points().size());
   EXPECT_NE(mask, 0ull) << "defect must raise a mismatch flag";
   // Exactly the defective instance's flag (mismatch2 = index 1) fires.
   ASSERT_EQ(op_diffs.size(), 2u);
@@ -72,8 +75,10 @@ TEST(SocCompare, DefectInReferenceInstanceRaisesAllFlags) {
   }
   FaultSimulator fsim(soc.netlist);
   fsim.load_batch(pack_patterns(broadcast, 0, 64));
-  std::vector<std::uint64_t> op_diffs;
-  const std::uint64_t mask = fsim.detect_mask_detailed(defect, op_diffs);
+  std::vector<OpDiff> pairs;
+  const std::uint64_t mask = fsim.detect_mask_detailed(defect, pairs);
+  const std::vector<std::uint64_t> op_diffs =
+      test::dense_diffs(pairs, soc.netlist.observe_points().size());
   ASSERT_NE(mask, 0ull);
   // Instance 0 is everyone's reference: both comparators disagree.
   EXPECT_NE(op_diffs[0], 0ull);

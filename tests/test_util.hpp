@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -106,6 +107,16 @@ inline std::vector<TestCube> exhaustive_patterns(std::size_t ninputs) {
   return v;
 }
 
+/// A detailed grading's (point, word) pairs scattered into one word per
+/// observe point (zero where the fault did not reach): the dense form that
+/// per-point assertions read.
+inline std::vector<std::uint64_t> dense_diffs(std::span<const OpDiff> pairs,
+                                              std::size_t num_observe_points) {
+  std::vector<std::uint64_t> dense(num_observe_points, 0);
+  for (const OpDiff& d : pairs) dense.at(d.op) |= d.word;
+  return dense;
+}
+
 /// The serial-loop grading oracle: every candidate's predicted fail words
 /// (one per observe point per 64-pattern block, block-major), from one
 /// FaultSimulator loading each block and grading every candidate on it.
@@ -117,13 +128,14 @@ inline std::vector<std::vector<std::uint64_t>> predict_all(
   std::vector<std::vector<std::uint64_t>> predicted(
       candidates.size(), std::vector<std::uint64_t>(nblocks * nops, 0));
   FaultSimulator fsim(nl);
-  std::vector<std::uint64_t> op_diffs;
+  std::vector<OpDiff> pairs;
   for (std::size_t b = 0; b < nblocks; ++b) {
     const std::size_t base = 64 * b;
     fsim.load_batch(pack_patterns(
         patterns, base, std::min<std::size_t>(64, patterns.size() - base)));
     for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-      fsim.detect_mask_detailed(candidates[ci], op_diffs);
+      fsim.detect_mask_detailed(candidates[ci], pairs);
+      const std::vector<std::uint64_t> op_diffs = dense_diffs(pairs, nops);
       std::copy(op_diffs.begin(), op_diffs.end(),
                 predicted[ci].begin() + static_cast<std::ptrdiff_t>(b * nops));
     }
