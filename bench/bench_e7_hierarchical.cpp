@@ -4,13 +4,15 @@
 // fault list at core coverage. Expected shape: broadcast is flat in N while
 // the alternatives grow linearly — the tutorial's headline argument.
 // E7/soc_build times building and freeing the N-core netlist alone and
-// gauges what it holds per gate.
+// gauges what it holds per gate; E7/signoff_rss gauges the peak RSS of each
+// stage of the SoC signoff at 1 and 4 campaign workers.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <fstream>
 #include <optional>
+#include <string>
 
 #include "bench_util.hpp"
 
@@ -130,6 +132,55 @@ void e7_soc_build(benchmark::State& state, std::size_t num_cores) {
   state.counters["rss_bytes_per_gate"] = rss_growth / gates;
 }
 
+// Peak RSS of this process so far (VmHWM), in MB.
+double peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::stod(line.substr(6)) / 1024.0;  // kB
+    }
+  }
+  return 0.0;
+}
+
+// run_chip_flow's SoC stages after the core flow — build, broadcast, fault
+// list, grade — at `workers` campaign workers, with the process's peak RSS
+// read after each. VmHWM only grows, so each counter is the peak up to and
+// including its stage, and only the first rung a process runs is clean
+// (run one rung per process: --benchmark_filter).
+void e7_signoff_rss(benchmark::State& state, std::size_t num_cores,
+                    std::size_t workers) {
+  const E7Core& c = core();
+  double core_mb = 0, build_mb = 0, broadcast_mb = 0, faults_mb = 0,
+         grade_mb = 0, detected = 0;
+  for (auto _ : state) {
+    core_mb = peak_rss_mb();
+    const aichip::SocNetlist soc =
+        aichip::make_replicated_soc(c.nl, num_cores);
+    build_mb = peak_rss_mb();
+    std::vector<TestCube> broadcast;
+    for (const auto& p : c.atpg.patterns) {
+      broadcast.push_back(aichip::broadcast_cube(soc, p));
+    }
+    broadcast_mb = peak_rss_mb();
+    const LiftedFaults faults{c.faults, num_cores, c.nl.num_gates()};
+    faults_mb = peak_rss_mb();
+    const CampaignResult r = run_campaign(soc.netlist, faults, broadcast,
+                                          {.num_threads = workers});
+    grade_mb = peak_rss_mb();
+    detected = static_cast<double>(r.detected);
+  }
+  state.counters["cores"] = static_cast<double>(num_cores);
+  state.counters["workers"] = static_cast<double>(workers);
+  state.counters["soc_detected"] = detected;
+  state.counters["core_mb"] = core_mb;
+  state.counters["build_mb"] = build_mb;
+  state.counters["broadcast_mb"] = broadcast_mb;
+  state.counters["faults_mb"] = faults_mb;
+  state.counters["grade_mb"] = grade_mb;
+}
+
 void register_all() {
   for (std::size_t n : {1, 2, 4, 8, 16, 32, 64}) {
     aidft::bench::reg(
@@ -140,6 +191,12 @@ void register_all() {
     aidft::bench::reg(
         "E7/measured_broadcast_coverage/cores" + std::to_string(n),
         [n](benchmark::State& s) { e7_measured_coverage(s, n); })
+        ->Unit(benchmark::kMillisecond)
+        ->Iterations(1);
+  }
+  for (std::size_t w : {1, 4}) {
+    aidft::bench::reg("E7/signoff_rss/1024/w" + std::to_string(w),
+                      [w](benchmark::State& s) { e7_signoff_rss(s, 1024, w); })
         ->Unit(benchmark::kMillisecond)
         ->Iterations(1);
   }

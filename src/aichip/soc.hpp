@@ -61,7 +61,9 @@ TestCube broadcast_cube(const SocNetlist& soc, const TestCube& core_cube);
 /// universe and lifting the core's collapsed list yields the SoC's
 /// collapsed list, each with the same faults in the same order. Throws
 /// Error on a SoC with compare logic (not a replica) or a core fault
-/// outside the core.
+/// outside the core. Grading never materialises this list: run_chip_flow
+/// hands the campaign a LiftedFaults view (fsim/campaign.hpp), and this
+/// function is the oracle the view is tested against.
 std::vector<Fault> lift_faults(const SocNetlist& soc,
                                std::span<const Fault> core_faults);
 

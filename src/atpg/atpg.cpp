@@ -37,7 +37,7 @@ AtpgResult generate_tests(const Netlist& nl, const std::vector<Fault>& faults,
   AtpgResult result;
   result.status.assign(faults.size(), FaultStatus::kUndetected);
   Rng rng(options.seed);
-  const std::size_t width = nl.combinational_inputs().size();
+  const std::size_t width = nl.num_combinational_inputs();
 
   // ---- Phase 1: random patterns with dropping --------------------------
   if (options.random_patterns > 0 && width > 0) {

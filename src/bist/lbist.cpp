@@ -59,7 +59,7 @@ namespace {
 // The session's stimulus: config.patterns PRPG patterns.
 std::vector<TestCube> session_patterns(const Netlist& nl,
                                        const LbistConfig& config) {
-  Prpg prpg(config, nl.combinational_inputs().size());
+  Prpg prpg(config, nl.num_combinational_inputs());
   std::vector<TestCube> patterns;
   patterns.reserve(config.patterns);
   for (std::size_t i = 0; i < config.patterns; ++i) {
@@ -76,7 +76,7 @@ StopReason compact_responses(const Netlist& nl,
                              const std::vector<std::uint64_t>& diffs,
                              RunControl* rc, Misr& misr) {
   ParallelSimulator sim(nl);
-  const std::size_t nops = nl.observe_points().size();
+  const std::size_t nops = nl.num_observe_points();
   std::vector<bool> response(nops);
   for (std::size_t base = 0; base < patterns.size(); base += 64) {
     if (rc != nullptr) {
@@ -186,7 +186,7 @@ std::vector<std::uint64_t> faulty_signature(const Netlist& nl, const Fault& faul
                                             const LbistConfig& config) {
   const std::vector<TestCube> patterns = session_patterns(nl, config);
   // The defect's per-batch observe-point diffs, zero where it hides.
-  const std::size_t nops = nl.observe_points().size();
+  const std::size_t nops = nl.num_observe_points();
   std::vector<std::uint64_t> diffs((patterns.size() + 63) / 64 * nops, 0);
   run_campaign(nl, std::span<const Fault>(&fault, 1), patterns,
                {.drop_limit = 0, .telemetry = config.telemetry},

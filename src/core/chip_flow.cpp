@@ -33,21 +33,22 @@ ChipFlowReport run_chip_flow(const Netlist& core, const ChipFlowOptions& options
   }
   build_span.end();
 
-  // The full SoC fault list, lifted from the core's: no equivalence class
-  // crosses instances, so this is the SoC's own (collapsed) list, in the
-  // same order, at the core's enumeration cost.
+  // The full SoC fault list is the core's lifted instance by instance: no
+  // equivalence class crosses instances, so the lift of the core's
+  // (collapsed) list is the SoC's own, in the same order, at the core's
+  // enumeration cost. The campaign decodes the lift on the fly, so only
+  // the core's list is ever held.
   obs::Span faults_span = obs::span(telemetry, "chip.soc_faults", "flow");
   std::vector<Fault> core_faults = generate_stuck_at_faults(core);
   const std::size_t universe = core_faults.size() * options.num_cores;
   if (options.core_flow.collapse_faults) {
     core_faults = collapse_equivalent(core, core_faults);
   }
-  const std::vector<Fault> soc_faults = aichip::lift_faults(soc, core_faults);
-  report.soc_faults = soc_faults.size();
+  report.soc_faults = core_faults.size() * options.num_cores;
   if (faults_span.active()) {
     faults_span.arg("faults", universe);
-    faults_span.arg("collapsed", soc_faults.size());
-    faults_span.arg("bytes", soc_faults.capacity() * sizeof(Fault));
+    faults_span.arg("collapsed", report.soc_faults);
+    faults_span.arg("bytes", core_faults.capacity() * sizeof(Fault));
   }
   faults_span.end();
 
@@ -59,13 +60,15 @@ ChipFlowReport run_chip_flow(const Netlist& core, const ChipFlowOptions& options
   soc_campaign.run_control = options.core_flow.run_control;
   soc_campaign.checkpoint_path = options.soc_checkpoint_path;
   soc_campaign.resume_from = options.soc_resume_from;
+  const LiftedFaults soc_faults{core_faults, options.num_cores,
+                                core.num_gates()};
   const CampaignResult graded =
       run_campaign(soc.netlist, soc_faults, broadcast, soc_campaign);
   report.soc_detected = graded.detected;
   report.soc_grade_outcome = graded.outcome;
   if (soc_span.active()) {
     soc_span.arg("cores", options.num_cores);
-    soc_span.arg("faults", soc_faults.size());
+    soc_span.arg("faults", report.soc_faults);
     soc_span.arg("detected", graded.detected);
     if (graded.outcome != StageOutcome::kCompleted) {
       soc_span.arg("outcome", to_string(graded.outcome));

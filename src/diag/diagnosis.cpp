@@ -16,7 +16,7 @@ void require_matching_log(const Netlist& nl,
                           const FailLog& log) {
   AIDFT_REQUIRE(log.num_patterns == patterns.size(),
                 "fail log does not match pattern set");
-  const std::size_t nops = nl.observe_points().size();
+  const std::size_t nops = nl.num_observe_points();
   AIDFT_REQUIRE(log.num_observe_points == nops,
                 "fail log does not match the netlist's observe points");
   AIDFT_REQUIRE(log.blocks.size() == (patterns.size() + 63) / 64,
@@ -172,7 +172,7 @@ FailLog simulate_defects(const Netlist& nl, const std::vector<TestCube>& pattern
   }
   FailLog log;
   log.num_patterns = patterns.size();
-  log.num_observe_points = nl.observe_points().size();
+  log.num_observe_points = nl.num_observe_points();
   log.blocks.assign((patterns.size() + 63) / 64,
                     std::vector<std::uint64_t>(log.num_observe_points, 0));
   // The defects' failures superpose: union their diffs per batch.

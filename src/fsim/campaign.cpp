@@ -3,21 +3,32 @@
 // Structure: the pattern stream is packed into 64-wide batches once, up
 // front; the fault list is split into contiguous shards, one per worker.
 // Each worker owns a private FaultSimulator (good-machine cache, event
-// queues, epoch scratch) and replays the full batch stream over its shard,
-// so a fault's detection history is exactly what the serial engine would
-// compute — shard membership never changes per-fault results, which is what
-// makes the output bit-identical for every thread count.
+// queues, epoch scratch; the netlist-sized observe index is built once and
+// shared read-only) and replays the full batch stream over its shard, so a
+// fault's detection history is exactly what the serial engine would compute
+// — shard membership never changes per-fault results, which is what makes
+// the output bit-identical for every thread count.
+//
+// Per-fault state is first_detected_by (8 B, the result itself), one drop
+// bit, and hit counts (8 B) only under n-detect (drop_limit > 1): with
+// drop_limit <= 1 a fault's first nonzero mask already decides its drop.
+// Faults come from a source read in ascending index order: a materialised
+// list, or a replica's list lifted from its core's and decoded one instance
+// block at a time, so grading a thousand-core SoC holds only the core's
+// list.
 //
 // Cross-shard dropping: a shared atomic drop bitmap records every fault that
 // needs no further simulation (detected drop_limit times, or its owner
-// exhausted the pattern stream). Workers settle their drops into the
-// campaign-wide remaining count once per batch, consult it between batches
-// and stop streaming as soon as it hits zero.
+// exhausted the pattern stream). It is also the liveness set: each batch, a
+// shard walks the clear bits of its own range in ascending order, masking
+// the boundary words it shares with its neighbours. Workers settle their
+// drops into the campaign-wide remaining count once per batch, consult it
+// between batches and stop streaming as soon as it hits zero.
 //
 // Run control and checkpointing: when a RunControl and/or checkpoint path is
 // configured, the batch stream is cut into rounds of
 // `checkpoint_every_batches` batches. Rounds are barriers — every shard
-// finishes the round (workers keep their FaultSimulator and alive list
+// finishes the round (workers keep their FaultSimulator and live count
 // across rounds, and a persistent ThreadPool keeps workers warm) before the
 // serial orchestrator check()s the RunControl and, at the configured
 // cadence, snapshots the shared per-fault state into a CampaignCheckpoint.
@@ -30,7 +41,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <optional>
+#include <type_traits>
 
 #include "common/thread_pool.hpp"
 #include "fsim/checkpoint.hpp"
@@ -68,9 +81,47 @@ class DropMap {
     }
   }
 
-  bool dropped(std::size_t i) const {
-    return (words_[i >> 6].load(std::memory_order_relaxed) >> (i & 63)) & 1ull;
+  /// Calls visit(i) for every fault i of [begin, end) not yet dropped, in
+  /// ascending order, until it returns false. Each word is read once, so
+  /// visit may mark the fault it is given.
+  template <typename Visit>
+  void walk_live(std::size_t begin, std::size_t end, Visit&& visit) const {
+    for_each_word(begin, end, [&](std::size_t w, std::uint64_t range) {
+      std::uint64_t live = ~words_[w].load(std::memory_order_relaxed) & range;
+      while (live != 0) {
+        const std::size_t i =
+            (w << 6) | static_cast<std::size_t>(__builtin_ctzll(live));
+        live &= live - 1;
+        if (!visit(i)) return false;
+      }
+      return true;
+    });
   }
+
+  std::size_t count_live(std::size_t begin, std::size_t end) const {
+    std::size_t live = 0;
+    for_each_word(begin, end, [&](std::size_t w, std::uint64_t range) {
+      live += static_cast<std::size_t>(__builtin_popcountll(
+          ~words_[w].load(std::memory_order_relaxed) & range));
+      return true;
+    });
+    return live;
+  }
+
+  /// Marks every fault of [begin, end); returns how many were newly marked.
+  std::size_t mark_range(std::size_t begin, std::size_t end) {
+    std::size_t newly_marked = 0;
+    for_each_word(begin, end, [&](std::size_t w, std::uint64_t range) {
+      const std::uint64_t prev =
+          words_[w].fetch_or(range, std::memory_order_relaxed);
+      newly_marked +=
+          static_cast<std::size_t>(__builtin_popcountll(range & ~prev));
+      return true;
+    });
+    return newly_marked;
+  }
+
+  std::size_t bytes() const { return words_.size() * sizeof(std::uint64_t); }
 
   bool campaign_done() const {
     return remaining_.load(std::memory_order_relaxed) == 0;
@@ -96,12 +147,83 @@ class DropMap {
   }
 
  private:
+  // Calls f(w, range) for each word w overlapping [begin, end), `range`
+  // holding the word's bits inside it: shards share their boundary words.
+  // Stops when f returns false.
+  template <typename F>
+  static void for_each_word(std::size_t begin, std::size_t end, F&& f) {
+    if (begin >= end) return;
+    const std::size_t first = begin >> 6;
+    const std::size_t last = (end - 1) >> 6;
+    for (std::size_t w = first; w <= last; ++w) {
+      std::uint64_t range = ~0ull;
+      if (w == first) range &= ~0ull << (begin & 63);
+      if (w == last) range &= ~0ull >> (63 - ((end - 1) & 63));
+      if (!f(w, range)) return;
+    }
+  }
+
   std::vector<std::atomic<std::uint64_t>> words_;
   std::atomic<std::size_t> remaining_;
 };
 
+// Fault sources: run_sharded reads fault i through a cursor that one walk
+// of a shard advances in ascending index order. A list source indexes a
+// materialised list.
+template <typename FaultT>
+struct ListSource {
+  std::span<const FaultT> faults;
+
+  std::size_t size() const { return faults.size(); }
+
+  struct Cursor {
+    const FaultT* faults;
+    const FaultT& operator()(std::size_t i) const { return faults[i]; }
+  };
+  Cursor cursor(std::size_t) const { return {faults.data()}; }
+};
+
+// A lifted source decodes a replica's faults from its core's list: one
+// division where a walk starts, then a block step whenever the index
+// leaves the current instance, never a division per fault.
+struct LiftedSource {
+  LiftedFaults view;
+
+  std::size_t size() const { return view.size(); }
+
+  class Cursor {
+   public:
+    Cursor(const LiftedFaults& view, std::size_t first)
+        : core_(view.core.data()),
+          stride_(view.core.size()),
+          core_gates_(static_cast<GateId>(view.core_gates)) {
+      const std::size_t instance = first / stride_;
+      block_ = instance * stride_;
+      base_ = static_cast<GateId>(instance * view.core_gates);
+    }
+
+    Fault operator()(std::size_t i) {
+      while (i - block_ >= stride_) {
+        block_ += stride_;
+        base_ += core_gates_;
+      }
+      Fault f = core_[i - block_];
+      f.gate += base_;
+      return f;
+    }
+
+   private:
+    const Fault* core_;
+    std::size_t stride_;
+    GateId core_gates_;
+    std::size_t block_ = 0;  // index of the current instance's first fault
+    GateId base_ = 0;        // gate offset of the current instance
+  };
+  Cursor cursor(std::size_t first) const { return {view, first}; }
+};
+
 void validate_patterns(const Netlist& nl, const std::vector<TestCube>& patterns) {
-  const std::size_t width = nl.combinational_inputs().size();
+  const std::size_t width = nl.num_combinational_inputs();
   for (const auto& p : patterns) {
     AIDFT_REQUIRE_CTX(p.size() == width, "run_campaign",
                       "pattern width mismatch");
@@ -168,12 +290,13 @@ void finalize_result(CampaignResult& r, std::size_t npatterns) {
 }
 
 // Per-shard state that survives round barriers: the contiguous fault range,
-// the still-alive subset, and the worker's private simulator (constructed
-// lazily on the worker's first round so its caches live near that worker).
+// how many of its faults are still live (not in the drop map), and the
+// worker's private simulator (constructed lazily on the worker's first round
+// so its caches live near that worker).
 struct ShardState {
   std::size_t begin = 0;
   std::size_t end = 0;
-  std::vector<std::uint32_t> alive;  // compacted in place per batch
+  std::size_t live = 0;
   std::optional<FaultSimulator> fsim;
   std::vector<OpDiff> op_diffs;  // filled by detailed grading only
   std::uint64_t op_diffs_handed = 0;  // pairs passed to the hook, unflushed
@@ -181,14 +304,14 @@ struct ShardState {
   std::uint64_t early_exits_flushed = 0;
 };
 
-// The sharded engine, shared by both fault models. `grade` maps
-// (FaultSimulator&, op_diffs, fault, capture_batch) to a detect mask;
-// `needs_launch` says whether a fault requires the launch batch (transition
-// faults) and `any_launch` whether any fault of the list does; `on_detect`,
-// when set, runs on every nonzero mask. The reference engine builds its own
-// good machine per fault, so under it no batch is loaded.
-template <typename FaultT, typename Grade, typename NeedsLaunch>
-CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
+// The sharded engine, shared by both fault models and every fault source.
+// `grade` maps (FaultSimulator&, op_diffs, fault, capture_batch) to a
+// detect mask; `needs_launch` says whether a fault requires the launch batch
+// (transition faults) and `any_launch` whether any fault of the list does;
+// `on_detect`, when set, runs on every nonzero mask. The reference engine
+// builds its own good machine per fault, so under it no batch is loaded.
+template <typename Source, typename Grade, typename NeedsLaunch>
+CampaignResult run_sharded(const Netlist& nl, const Source& faults,
                            const std::vector<TestCube>& patterns,
                            const CampaignOptions& options, Grade&& grade,
                            NeedsLaunch&& needs_launch, bool any_launch,
@@ -197,9 +320,7 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
   r.total_faults = faults.size();
   r.first_detected_by.assign(faults.size(), -1);
   r.detected_after.assign(patterns.size(), 0);
-  if (patterns.empty() || faults.empty()) return r;
-  AIDFT_REQUIRE_CTX(faults.size() <= UINT32_MAX, "run_campaign",
-                    "fault list exceeds 2^32 entries");
+  if (patterns.empty() || faults.size() == 0) return r;
 
   validate_patterns(nl, patterns);
   const std::vector<PatternBatch> capture = pack_capture_batches(patterns);
@@ -216,12 +337,14 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
 
   // Shared per-fault state; each entry is written by exactly one shard, and
   // the round barrier (ThreadPool join) orders worker writes before the
-  // orchestrator's checkpoint reads.
-  std::vector<std::uint64_t> hits(faults.size(), 0);
+  // orchestrator's checkpoint reads. Hit counts exist only under n-detect.
+  const std::size_t drop_limit = options.drop_limit;
+  const bool n_detect = drop_limit > 1;
+  std::vector<std::uint64_t> hits(n_detect ? faults.size() : 0, 0);
   DropMap drops(faults.size());
   std::size_t batches_done = 0;
   if (!options.resume_from.empty()) {
-    const CampaignCheckpoint ckpt =
+    CampaignCheckpoint ckpt =
         load_campaign_checkpoint(options.resume_from);
     AIDFT_REQUIRE_CTX(ckpt.total_faults == faults.size(), "run_campaign",
                       "resume checkpoint fault count (" +
@@ -237,8 +360,8 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
                       "resume checkpoint drop_limit differs from options");
     AIDFT_REQUIRE_CTX(ckpt.batches_done <= total_batches, "run_campaign",
                       "resume checkpoint is ahead of the pattern stream");
-    r.first_detected_by = ckpt.first_detected_by;
-    hits = ckpt.hits;
+    r.first_detected_by = std::move(ckpt.first_detected_by);
+    if (n_detect) hits = std::move(ckpt.hits);
     drops.restore(ckpt.dropped);
     batches_done = static_cast<std::size_t>(ckpt.batches_done);
   }
@@ -252,6 +375,9 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
     run_span.arg("faults", faults.size());
     run_span.arg("patterns", patterns.size());
     run_span.arg("workers", num_threads);
+    run_span.arg("state_bytes",
+                 r.first_detected_by.capacity() * sizeof(std::int64_t) +
+                     hits.capacity() * sizeof(std::uint64_t) + drops.bytes());
   }
   obs::add(telemetry, "campaign.runs");
   obs::add(telemetry, "campaign.faults", faults.size());
@@ -266,13 +392,9 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
   for (std::size_t s = 0; s < num_threads; ++s) {
     shards[s].begin = s * faults.size() / num_threads;
     shards[s].end = (s + 1) * faults.size() / num_threads;
-    shards[s].alive.reserve(shards[s].end - shards[s].begin);
-    for (std::size_t i = shards[s].begin; i < shards[s].end; ++i) {
-      if (!drops.dropped(i)) {
-        shards[s].alive.push_back(static_cast<std::uint32_t>(i));
-      }
-    }
+    shards[s].live = drops.count_live(shards[s].begin, shards[s].end);
   }
+  const auto observe = std::make_shared<const ObserveIndex>(nl);
 
   std::optional<ThreadPool> pool;
   if (num_threads > 1) pool.emplace(num_threads);
@@ -285,10 +407,9 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
     obs::Stopwatch shard_clock;
     std::size_t batches_run = 0;
     std::size_t dropped_here = 0;
-    if (!shard.fsim && !shard.alive.empty()) shard.fsim.emplace(nl);
+    if (!shard.fsim && shard.live != 0) shard.fsim.emplace(nl, observe);
 
-    for (std::size_t b = round_begin;
-         b < round_end && !shard.alive.empty(); ++b) {
+    for (std::size_t b = round_begin; b < round_end && shard.live != 0; ++b) {
       if (drops.campaign_done()) break;  // cross-shard early exit
       if (rc != nullptr && rc->poll() != StopReason::kNone) {
         round_incomplete.store(true, std::memory_order_relaxed);
@@ -301,48 +422,48 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
       }
       if (!launch.empty()) {
         bool shard_needs_launch = false;
-        for (std::uint32_t i : shard.alive) {
-          if (needs_launch(faults[i])) {
-            shard_needs_launch = true;
-            break;
-          }
-        }
+        auto fault = faults.cursor(shard.begin);
+        drops.walk_live(shard.begin, shard.end, [&](std::size_t i) {
+          shard_needs_launch = needs_launch(fault(i));
+          return !shard_needs_launch;
+        });
         if (shard_needs_launch) fsim.load_launch_batch(launch[b]);
       }
 
-      std::size_t kept = 0;
       std::size_t newly_marked = 0;
-      for (std::uint32_t i : shard.alive) {
+      auto fault = faults.cursor(shard.begin);
+      drops.walk_live(shard.begin, shard.end, [&](std::size_t i) {
         const std::uint64_t mask =
-            grade(fsim, shard.op_diffs, faults[i], capture[b]);
-        if (mask != 0) {
-          if (r.first_detected_by[i] < 0) {
-            r.first_detected_by[i] = static_cast<std::int64_t>(
-                b * 64 + static_cast<std::size_t>(__builtin_ctzll(mask)));
-          }
-          hits[i] += static_cast<std::uint64_t>(__builtin_popcountll(mask));
-          shard.op_diffs_handed += shard.op_diffs.size();
-          if ((on_detect != nullptr &&
-               (*on_detect)(i, b, mask, shard.op_diffs)) ||
-              (options.drop_limit != 0 && hits[i] >= options.drop_limit)) {
-            newly_marked += drops.mark(i);
-            ++dropped_here;
-            continue;
-          }
+            grade(fsim, shard.op_diffs, fault(i), capture[b]);
+        if (mask == 0) return true;
+        if (r.first_detected_by[i] < 0) {
+          r.first_detected_by[i] = static_cast<std::int64_t>(
+              b * 64 + static_cast<std::size_t>(__builtin_ctzll(mask)));
         }
-        shard.alive[kept++] = i;
-      }
-      shard.alive.resize(kept);
+        bool drop = drop_limit == 1;
+        if (n_detect) {
+          hits[i] += static_cast<std::uint64_t>(__builtin_popcountll(mask));
+          drop = hits[i] >= drop_limit;
+        }
+        shard.op_diffs_handed += shard.op_diffs.size();
+        if ((on_detect != nullptr &&
+             (*on_detect)(i, b, mask, shard.op_diffs)) ||
+            drop) {
+          newly_marked += drops.mark(i);
+          ++dropped_here;
+          --shard.live;
+        }
+        return true;
+      });
       drops.settle(newly_marked);
     }
     // Shard exhausted the stream: retire the survivors so campaign_done()
     // converges for the other shards. Never on an early stop — survivors
     // still need the unapplied patterns after a resume.
     if (round_end == total_batches &&
-        !round_incomplete.load(std::memory_order_relaxed)) {
-      std::size_t newly_marked = 0;
-      for (std::uint32_t i : shard.alive) newly_marked += drops.mark(i);
-      drops.settle(newly_marked);
+        !round_incomplete.load(std::memory_order_relaxed) && shard.live != 0) {
+      drops.settle(drops.mark_range(shard.begin, shard.end));
+      shard.live = 0;
     }
 
     // Telemetry is flushed once per shard-round — the hot loop above only
@@ -378,7 +499,7 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
     ckpt.total_patterns = patterns.size();
     ckpt.batches_done = batches_done;
     ckpt.first_detected_by = r.first_detected_by;
-    ckpt.hits = hits;
+    ckpt.hits = hits;  // empty unless n-detect: saved as zeros
     ckpt.dropped = drops.snapshot();
     save_campaign_checkpoint(ckpt, options.checkpoint_path);
   };
@@ -436,9 +557,12 @@ CampaignResult run_sharded(const Netlist& nl, std::span<const FaultT> faults,
   return r;
 }
 
-// Stuck-at / transition grading with an optional detection hook; `detailed`
-// (stuck-at, PPSFP) fills the op_diffs the hook reads.
-CampaignResult run_faults(const Netlist& netlist, std::span<const Fault> faults,
+// Stuck-at / transition grading of a list or lifted source with an
+// optional detection hook; `detailed` (stuck-at, PPSFP) fills the op_diffs
+// the hook reads. The checks read the list the source holds — a lifted
+// source's core list, once, against the core's gate count.
+template <typename Source>
+CampaignResult run_faults(const Netlist& netlist, const Source& source,
                           const std::vector<TestCube>& patterns,
                           const CampaignOptions& options, bool detailed,
                           const DetailedDetectHook* on_detect) {
@@ -450,8 +574,21 @@ CampaignResult run_faults(const Netlist& netlist, std::span<const Fault> faults,
   const bool reference = options.engine == CampaignEngine::kReference;
   AIDFT_REQUIRE_CTX(!(detailed && reference), "run_campaign",
                     "detailed detection hooks need the PPSFP engine");
-  // One pass over the faults: sites inside the netlist, kinds the engine
-  // grades, and whether any fault needs launch batches.
+  constexpr bool lifted = std::is_same_v<Source, LiftedSource>;
+  std::span<const Fault> faults;
+  std::size_t gates = netlist.num_gates();
+  if constexpr (lifted) {
+    faults = source.view.core;
+    gates = source.view.core_gates;
+  } else {
+    faults = source.faults;
+  }
+  const char* fault_of = lifted ? "core fault " : "fault ";
+  const char* gates_of =
+      lifted ? ", outside the core's " : ", outside the netlist's ";
+  // One pass over the faults: sites inside the netlist (a core fault's
+  // instance-0 copy), kinds the engine grades, and whether any fault needs
+  // launch batches.
   const auto needs_launch = [](const Fault& f) {
     return f.kind == FaultKind::kTransition;
   };
@@ -459,13 +596,13 @@ CampaignResult run_faults(const Netlist& netlist, std::span<const Fault> faults,
   bool any_launch = false;
   for (std::size_t i = 0; i < faults.size(); ++i) {
     const Fault& f = faults[i];
-    AIDFT_REQUIRE_CTX(f.gate < t.num_gates(), "run_campaign",
-                      "fault " + std::to_string(i) + " sits on gate " +
-                          std::to_string(f.gate) + ", outside the netlist's " +
-                          std::to_string(t.num_gates()) + " gates");
+    AIDFT_REQUIRE_CTX(f.gate < gates, "run_campaign",
+                      fault_of + std::to_string(i) + " sits on gate " +
+                          std::to_string(f.gate) + gates_of +
+                          std::to_string(gates) + " gates");
     AIDFT_REQUIRE_CTX(f.is_stem() || f.pin < t.fanin_size(f.gate),
                       "run_campaign",
-                      "fault " + std::to_string(i) + " sits on pin " +
+                      fault_of + std::to_string(i) + " sits on pin " +
                           std::to_string(f.pin) + " of gate " +
                           std::to_string(f.gate) + ", which has " +
                           std::to_string(t.fanin_size(f.gate)) + " fanins");
@@ -475,7 +612,7 @@ CampaignResult run_faults(const Netlist& netlist, std::span<const Fault> faults,
     any_launch = any_launch || needs_launch(f);
   }
   return run_sharded(
-      netlist, faults, patterns, options,
+      netlist, source, patterns, options,
       [&](FaultSimulator& fsim, std::vector<OpDiff>& op_diffs,
           const Fault& f, const PatternBatch& batch) {
         if (detailed) return fsim.detect_mask_detailed(f, op_diffs);
@@ -490,7 +627,26 @@ CampaignResult run_faults(const Netlist& netlist, std::span<const Fault> faults,
 CampaignResult run_campaign(const Netlist& netlist, std::span<const Fault> faults,
                             const std::vector<TestCube>& patterns,
                             const CampaignOptions& options) {
-  return run_faults(netlist, faults, patterns, options, false, nullptr);
+  return run_faults(netlist, ListSource<Fault>{faults}, patterns, options,
+                    false, nullptr);
+}
+
+CampaignResult run_campaign(const Netlist& netlist, const LiftedFaults& faults,
+                            const std::vector<TestCube>& patterns,
+                            const CampaignOptions& options) {
+  AIDFT_REQUIRE_CTX(faults.instances >= 1 &&
+                        netlist.replicas() == faults.instances,
+                    "run_campaign",
+                    "a lifted fault list of " +
+                        std::to_string(faults.instances) +
+                        " instances needs a Netlist::replicate() netlist of "
+                        "as many, not " + std::to_string(netlist.replicas()));
+  AIDFT_REQUIRE_CTX(faults.core_gates * faults.instances == netlist.num_gates(),
+                    "run_campaign",
+                    "lifted core_gates (" + std::to_string(faults.core_gates) +
+                        ") is not the replica's gates per instance");
+  return run_faults(netlist, LiftedSource{faults}, patterns, options, false,
+                    nullptr);
 }
 
 CampaignResult run_campaign(const Netlist& netlist, std::span<const Fault> faults,
@@ -502,14 +658,16 @@ CampaignResult run_campaign(const Netlist& netlist, std::span<const Fault> fault
           std::span<const OpDiff>) {
         return on_detect(fault, batch, mask);
       };
-  return run_faults(netlist, faults, patterns, options, false, &mask_only);
+  return run_faults(netlist, ListSource<Fault>{faults}, patterns, options,
+                    false, &mask_only);
 }
 
 CampaignResult run_campaign(const Netlist& netlist, std::span<const Fault> faults,
                             const std::vector<TestCube>& patterns,
                             const CampaignOptions& options,
                             const DetailedDetectHook& on_detect) {
-  return run_faults(netlist, faults, patterns, options, true, &on_detect);
+  return run_faults(netlist, ListSource<Fault>{faults}, patterns, options,
+                    true, &on_detect);
 }
 
 CampaignResult run_campaign(const Netlist& netlist,
@@ -519,7 +677,7 @@ CampaignResult run_campaign(const Netlist& netlist,
   AIDFT_REQUIRE_CTX(options.engine == CampaignEngine::kPpsfp, "run_campaign",
                     "bridging campaigns have no reference engine");
   return run_sharded(
-      netlist, faults, patterns, options,
+      netlist, ListSource<BridgingFault>{faults}, patterns, options,
       [](FaultSimulator& fsim, std::vector<OpDiff>&,
          const BridgingFault& f,
          const PatternBatch&) { return fsim.detect_mask_bridging(f); },

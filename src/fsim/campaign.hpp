@@ -10,7 +10,8 @@
 // Parallelism and determinism contract:
 //  * The fault list is sharded into contiguous blocks, one per worker; each
 //    worker owns a private FaultSimulator and streams the same 64-pattern
-//    batches over its shard (the netlist is shared read-only).
+//    batches over its shard (the netlist and its observe index are shared
+//    read-only).
 //  * A fault's detection history depends only on the fault and the pattern
 //    stream — never on which shard graded it — and per-shard results are
 //    merged with the min-pattern-index rule, so a CampaignResult is
@@ -54,7 +55,8 @@ struct CampaignOptions {
   std::size_t num_threads = 1;
   /// A fault stops being simulated once it has been seen detecting on this
   /// many pattern lanes (1 = classic first-detect dropping, the default;
-  /// 0 = never drop, grading every fault against every pattern).
+  /// 0 = never drop, grading every fault against every pattern). Only
+  /// n-detect (> 1) keeps a per-fault hit count, 8 B per fault.
   std::size_t drop_limit = 1;
   /// Observability sink (see obs/telemetry.hpp): null (the default) turns
   /// telemetry off at near-zero cost. When set, the campaign emits one
@@ -120,6 +122,35 @@ struct CampaignResult {
 /// pin at or past its gate's fanin count).
 CampaignResult run_campaign(const Netlist& netlist,
                             std::span<const Fault> faults,
+                            const std::vector<TestCube>& patterns,
+                            const CampaignOptions& options = {});
+
+/// The fault list of a Netlist::replicate() replica lifted from its core's
+/// list, as a view: fault i is core[i % C] moved to instance i / C, i.e.
+/// its gate offset by (i / C) * core_gates (C = core.size()). This is
+/// exactly aichip::lift_faults() order, without the replica-sized list.
+struct LiftedFaults {
+  std::span<const Fault> core;
+  std::size_t instances = 0;
+  std::size_t core_gates = 0;  // G: the replica's gates per instance
+
+  std::size_t size() const { return core.size() * instances; }
+  Fault operator[](std::size_t i) const {
+    Fault f = core[i % core.size()];
+    f.gate += static_cast<GateId>(i / core.size() * core_gates);
+    return f;
+  }
+};
+
+/// Grades `netlist`, a replica of `faults.instances` copies of a core,
+/// against the lifted view of the core's list: the result equals
+/// run_campaign() on the materialised lifted list, fault for fault, while
+/// holding only the core's list (checked once: every gate below
+/// core_gates, every branch pin below its gate's fanin count). Throws
+/// aidft::Error when netlist.replicas() != instances (e.g. a SoC with
+/// compare logic) or core_gates * instances != num_gates(), and on the
+/// errors of the list overload.
+CampaignResult run_campaign(const Netlist& netlist, const LiftedFaults& faults,
                             const std::vector<TestCube>& patterns,
                             const CampaignOptions& options = {});
 

@@ -79,7 +79,8 @@ using File = std::unique_ptr<std::FILE, FileCloser>;
 void save_campaign_checkpoint(const CampaignCheckpoint& ckpt,
                               const std::string& path) {
   AIDFT_REQUIRE(ckpt.first_detected_by.size() == ckpt.total_faults &&
-                    ckpt.hits.size() == ckpt.total_faults &&
+                    (ckpt.hits.empty() ||
+                     ckpt.hits.size() == ckpt.total_faults) &&
                     ckpt.dropped.size() == (ckpt.total_faults + 63) / 64,
                 "checkpoint: inconsistent state vectors");
   const std::string tmp = path + ".tmp";
@@ -94,7 +95,9 @@ void save_campaign_checkpoint(const CampaignCheckpoint& ckpt,
     w.u64(ckpt.total_patterns);
     w.u64(ckpt.batches_done);
     for (std::int64_t v : ckpt.first_detected_by) w.i64(v);
-    for (std::uint64_t v : ckpt.hits) w.u64(v);
+    for (std::uint64_t f = 0; f < ckpt.total_faults; ++f) {
+      w.u64(ckpt.hits.empty() ? 0 : ckpt.hits[f]);
+    }
     for (std::uint64_t v : ckpt.dropped) w.u64(v);
     const std::uint64_t sum = w.checksum();
     w.raw(&sum, sizeof sum);

@@ -17,7 +17,7 @@
 //   u32      version
 //   u64      drop_limit, total_faults, total_patterns, batches_done
 //   i64[total_faults]              first_detected_by (-1 = undetected)
-//   u64[total_faults]              hits
+//   u64[total_faults]              hits (zeros unless drop_limit > 1)
 //   u64[ceil(total_faults/64)]     dropped bitmap (bit f = fault f retired)
 //   u64      FNV-1a checksum of everything after the magic
 // Version bumps are append-only in spirit: loaders reject any version they
@@ -44,7 +44,12 @@ struct CampaignCheckpoint {
   std::uint64_t batches_done = 0;
 
   std::vector<std::int64_t> first_detected_by;  // -1 = undetected
-  std::vector<std::uint64_t> hits;              // detecting lanes seen so far
+  /// Detecting lanes seen so far, per fault. Only n-detect campaigns
+  /// (drop_limit > 1) count them: with drop_limit <= 1 a fault's first
+  /// detection decides its drop, so such a campaign leaves `hits` empty,
+  /// which saves as total_faults zeros (the format stays version 1), and
+  /// ignores the loaded values on resume.
+  std::vector<std::uint64_t> hits;
   std::vector<std::uint64_t> dropped;           // bitmap, bit f = retired
 
   bool fault_dropped(std::size_t f) const {

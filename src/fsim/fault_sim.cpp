@@ -5,27 +5,36 @@
 
 namespace aidft {
 
-FaultSimulator::FaultSimulator(const Netlist& netlist)
-    : netlist_(&netlist),
-      good_sim_(netlist),
-      buckets_(netlist.num_levels() + 1),
-      observed_(netlist.num_gates(), false),
-      op_offsets_(netlist.num_gates() + 1, 0),
-      observe_points_(netlist.observe_points()) {
-  topo_ = &netlist.topology();
-  op_list_.resize(observe_points_.size());
+ObserveIndex::ObserveIndex(const Netlist& netlist)
+    : observed_(netlist.num_gates(), false),
+      offsets_(netlist.num_gates() + 1, 0),
+      list_(netlist.num_observe_points()) {
   // Counting sort of observe-point indices by observed gate: count, prefix
   // sum to row ends, then place in reverse so each row ascends.
-  for (GateId op : observe_points_) ++op_offsets_[netlist.observed_gate(op)];
-  for (std::size_t g = 1; g < op_offsets_.size(); ++g) {
-    op_offsets_[g] += op_offsets_[g - 1];
+  auto observed_gate = [&](std::size_t i) {
+    return netlist.observed_gate(netlist.observe_point(i));
+  };
+  for (std::size_t i = 0; i < list_.size(); ++i) ++offsets_[observed_gate(i)];
+  for (std::size_t g = 1; g < offsets_.size(); ++g) {
+    offsets_[g] += offsets_[g - 1];
   }
-  for (std::size_t i = observe_points_.size(); i-- > 0;) {
-    const GateId og = netlist.observed_gate(observe_points_[i]);
+  for (std::size_t i = list_.size(); i-- > 0;) {
+    const GateId og = observed_gate(i);
     observed_[og] = true;
-    op_list_[--op_offsets_[og]] = static_cast<std::uint32_t>(i);
+    list_[--offsets_[og]] = static_cast<std::uint32_t>(i);
   }
 }
+
+FaultSimulator::FaultSimulator(const Netlist& netlist)
+    : FaultSimulator(netlist, std::make_shared<const ObserveIndex>(netlist)) {}
+
+FaultSimulator::FaultSimulator(const Netlist& netlist,
+                               std::shared_ptr<const ObserveIndex> index)
+    : netlist_(&netlist),
+      topo_(&netlist.topology()),
+      good_sim_(netlist),
+      buckets_(netlist.num_levels() + 1),
+      observe_(std::move(index)) {}
 
 void FaultSimulator::reserve_scratch(std::size_t gates) {
   if (faulty_.size() >= gates) return;
@@ -82,17 +91,13 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
   const std::uint64_t stuck_word = fault.stuck_at_one() ? ~0ull : 0ull;
   ++events_;  // the injection itself
 
-  // Observe-point indices of observed gate g (its op CSR row).
-  auto ops_of = [&](GateId g) {
-    return std::span<const std::uint32_t>(op_list_.data() + op_offsets_[g],
-                                          op_offsets_[g + 1] - op_offsets_[g]);
-  };
+  const ObserveIndex& observe = *observe_;
   // Each gate is evaluated at most once per propagation and CSR rows are
   // disjoint, so every point is appended at most once; a gate that changed
   // on dead lanes only has a zero diff and appends nothing.
   auto record_diff = [&](GateId og, std::uint64_t diff) {
     if (op_diffs == nullptr || diff == 0) return;
-    for (std::uint32_t op : ops_of(og)) op_diffs->push_back({op, diff});
+    for (std::uint32_t op : observe.points(og)) op_diffs->push_back({op, diff});
   };
 
   // A DFF D-pin fault corrupts only the captured value, which is observed
@@ -103,8 +108,10 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
     if (op_diffs != nullptr && diff != 0) {
       // Only this flop's own observe point fails: the one among the points
       // observing its D driver whose gate is the flop itself.
-      for (std::uint32_t op : ops_of(driver)) {
-        if (observe_points_[op] == fault.gate) op_diffs->push_back({op, diff});
+      for (std::uint32_t op : observe.points(driver)) {
+        if (netlist_->observe_point(op) == fault.gate) {
+          op_diffs->push_back({op, diff});
+        }
       }
     }
     return diff;
@@ -148,7 +155,7 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
     if (active == 0) return 0;
     set_fval(fault.gate, nv);
   }
-  if (observed_[fault.gate]) {
+  if (observe.observed(fault.gate)) {
     detect = active;
     record_diff(fault.gate, active);
     if (op_diffs == nullptr) {
@@ -183,7 +190,7 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
       }
       if (nv != fval(id)) {
         set_fval(id, nv);
-        if (observed_[id]) {
+        if (observe.observed(id)) {
           const std::uint64_t d = (nv ^ good_at(id)) & lane_mask;
           detect |= d;
           record_diff(id, d);
@@ -278,7 +285,7 @@ std::uint64_t FaultSimulator::detect_mask_bridging(const BridgingFault& fault) {
     const std::uint64_t diff = (nv ^ old) & lane_mask_;
     if (diff == 0) return;
     set_fval(g, nv);
-    if (observed_[g]) detect |= diff;
+    if (observe_->observed(g)) detect |= diff;
     enqueue_fanouts(g);
   };
   inject(fault.a, na, va);
@@ -303,7 +310,9 @@ std::uint64_t FaultSimulator::detect_mask_bridging(const BridgingFault& fault) {
           [&](std::size_t k) { return fval(fin[k]); });
       if (nv != fval(id)) {
         set_fval(id, nv);
-        if (observed_[id]) detect |= (nv ^ good.value(id)) & lane_mask_;
+        if (observe_->observed(id)) {
+          detect |= (nv ^ good.value(id)) & lane_mask_;
+        }
         enqueue_fanouts(id);
       }
     }
@@ -326,12 +335,11 @@ std::uint64_t FaultSimulator::detect_mask_reference(const PatternBatch& batch,
   AIDFT_REQUIRE(fault.kind == FaultKind::kStuckAt,
                 "reference engine grades stuck-at faults only");
   const Netlist& nl = *netlist_;
-  const std::vector<GateId> comb_inputs = nl.combinational_inputs();
-  AIDFT_REQUIRE(batch.words.size() == comb_inputs.size(),
+  AIDFT_REQUIRE(batch.words.size() == nl.num_combinational_inputs(),
                 "batch width != combinational input count");
   std::vector<std::uint64_t> good(nl.num_gates(), 0);
-  for (std::size_t i = 0; i < comb_inputs.size(); ++i) {
-    good[comb_inputs[i]] = batch.words[i];
+  for (std::size_t i = 0; i < batch.words.size(); ++i) {
+    good[nl.combinational_input(i)] = batch.words[i];
   }
   std::vector<std::uint64_t> faulty = good;
   full_sweep(nl, good, nullptr);
@@ -342,8 +350,8 @@ std::uint64_t FaultSimulator::detect_mask_reference(const PatternBatch& batch,
   }
   full_sweep(nl, faulty, &fault);
   std::uint64_t detect = 0;
-  for (GateId op : observe_points_) {
-    const GateId og = nl.observed_gate(op);
+  for (std::size_t i = 0; i < nl.num_observe_points(); ++i) {
+    const GateId og = nl.observed_gate(nl.observe_point(i));
     detect |= good[og] ^ faulty[og];
   }
   return detect & batch.lane_mask();

@@ -28,7 +28,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "fault/bridging.hpp"
@@ -56,9 +58,34 @@ struct OpDiff {
   friend bool operator==(const OpDiff&, const OpDiff&) = default;
 };
 
+/// Which observe points read each gate, as CSR rows over the netlist's
+/// gates: points(g) lists the indices into observe_points() that observe
+/// gate g (a gate can be observed by several points, e.g. a net driving the
+/// D pins of several flops), ascending. Immutable once built, so every
+/// simulator of a campaign shares one read-only instead of holding a
+/// netlist-sized copy each.
+class ObserveIndex {
+ public:
+  explicit ObserveIndex(const Netlist& netlist);
+
+  bool observed(GateId g) const { return observed_[g]; }
+  std::span<const std::uint32_t> points(GateId g) const {
+    return {list_.data() + offsets_[g], offsets_[g + 1] - offsets_[g]};
+  }
+
+ private:
+  std::vector<bool> observed_;  // gate feeds a PO marker value or a DFF D pin
+  std::vector<std::uint32_t> offsets_;
+  std::vector<std::uint32_t> list_;
+};
+
 class FaultSimulator {
  public:
+  /// A simulator with its own ObserveIndex of `netlist`.
   explicit FaultSimulator(const Netlist& netlist);
+  /// A simulator reading the shared `index`, which must be of `netlist`.
+  FaultSimulator(const Netlist& netlist,
+                 std::shared_ptr<const ObserveIndex> index);
 
   /// Loads a capture batch: runs the good-machine simulation and caches it.
   void load_batch(const PatternBatch& batch);
@@ -150,14 +177,7 @@ class FaultSimulator {
   std::uint32_t cur_epoch_ = 0;
   std::vector<std::vector<GateId>> buckets_;  // levelized work queue
   std::vector<bool> queued_;
-  std::vector<bool> observed_;  // gate feeds a PO marker value or a DFF D pin
-  // Observed gate g -> indices into observe_points(), as CSR rows
-  // op_list_[op_offsets_[g], op_offsets_[g+1]) in ascending index (a gate
-  // can be observed by several points, e.g. a net driving the D pins of
-  // several flops).
-  std::vector<std::uint32_t> op_offsets_;
-  std::vector<std::uint32_t> op_list_;
-  std::vector<GateId> observe_points_;  // netlist_->observe_points(), cached
+  std::shared_ptr<const ObserveIndex> observe_;
 };
 
 }  // namespace aidft

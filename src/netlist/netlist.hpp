@@ -146,6 +146,22 @@ class Netlist {
   /// value is the value of its fanin[0].
   std::vector<GateId> observe_points() const;
 
+  /// Sizes and entries of the two views above without building either
+  /// list (each is a copy of the netlist's I/O and flop lists: half a
+  /// megabyte on a thousand-core SoC).
+  std::size_t num_combinational_inputs() const {
+    return inputs_.size() + dffs_.size();
+  }
+  std::size_t num_observe_points() const {
+    return outputs_.size() + dffs_.size();
+  }
+  GateId combinational_input(std::size_t i) const {
+    return i < inputs_.size() ? inputs_[i] : dffs_[i - inputs_.size()];
+  }
+  GateId observe_point(std::size_t i) const {
+    return i < outputs_.size() ? outputs_[i] : dffs_[i - outputs_.size()];
+  }
+
   /// Value actually observed at an observe point `g`: the gate's own value
   /// for POs, the D-input gate for DFFs.
   GateId observed_gate(GateId g) const {

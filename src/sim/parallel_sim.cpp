@@ -31,9 +31,7 @@ std::vector<TestCube> random_patterns(std::size_t ninputs, std::size_t count,
 }
 
 ParallelSimulator::ParallelSimulator(const Netlist& netlist)
-    : netlist_(&netlist),
-      comb_inputs_(netlist.combinational_inputs()),
-      tile_(netlist.num_gates()) {
+    : netlist_(&netlist), tile_(netlist.num_gates()) {
   AIDFT_REQUIRE(netlist.finalized(), "simulator requires finalized netlist");
   topo_ = &netlist.topology();
   // A replica's level bucket is the core's bucket repeated instance by
@@ -65,7 +63,8 @@ bool ParallelSimulator::broadcast(const PatternBatch& batch) const {
 }
 
 void ParallelSimulator::simulate(const PatternBatch& batch) {
-  AIDFT_REQUIRE(batch.words.size() == comb_inputs_.size(),
+  const Netlist& nl = *netlist_;
+  AIDFT_REQUIRE(batch.words.size() == nl.num_combinational_inputs(),
                 "batch width != combinational input count");
   const Topology& t = *topo_;
   const bool tiled = broadcast(batch);
@@ -73,8 +72,9 @@ void ParallelSimulator::simulate(const PatternBatch& batch) {
       tiled ? t.num_gates() / netlist_->replicas() : t.num_gates();
   tile_ = tile;
   values_.resize(tile);
-  for (std::size_t i = 0; i < comb_inputs_.size(); ++i) {
-    if (comb_inputs_[i] < tile) values_[comb_inputs_[i]] = batch.words[i];
+  for (std::size_t i = 0; i < batch.words.size(); ++i) {
+    const GateId g = nl.combinational_input(i);
+    if (g < tile) values_[g] = batch.words[i];
   }
   if (t.num_levels() == 0) return;
   auto tile_gates = [&](std::uint32_t lvl) {
@@ -101,9 +101,11 @@ void ParallelSimulator::simulate(const PatternBatch& batch) {
 
 std::vector<std::uint64_t> ParallelSimulator::observed_response() const {
   std::vector<std::uint64_t> out;
-  const auto points = netlist_->observe_points();
-  out.reserve(points.size());
-  for (GateId g : points) out.push_back(value(netlist_->observed_gate(g)));
+  const Netlist& nl = *netlist_;
+  out.reserve(nl.num_observe_points());
+  for (std::size_t i = 0; i < nl.num_observe_points(); ++i) {
+    out.push_back(value(nl.observed_gate(nl.observe_point(i))));
+  }
   return out;
 }
 

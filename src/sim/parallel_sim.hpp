@@ -104,7 +104,6 @@ class ParallelSimulator {
 
   const Netlist* netlist_;
   const Topology* topo_ = nullptr;  // compiled view; set in the constructor
-  std::vector<GateId> comb_inputs_;
   std::size_t tile_ = 0;
   std::vector<std::uint32_t> instance_level_size_;  // replicas only
   std::vector<std::uint64_t> values_;  // the tile's words, sized by simulate()

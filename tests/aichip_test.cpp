@@ -487,6 +487,144 @@ TEST(TiledGoodMachine, TileIsInstanceZeroOnBroadcastBatchesOnly) {
   }
 }
 
+// ---- the lifted fault view against the materialised lift -----------------
+
+// Cores of the lifted-view suites: the standard suite plus a 2x2 systolic
+// array (flops, and the core the SoC flow replicates).
+std::vector<circuits::NamedCircuit> lift_cores() {
+  std::vector<circuits::NamedCircuit> cores = circuits::standard_suite();
+  cores.push_back({"systolic2x2", aichip::make_systolic_array({})});
+  return cores;
+}
+
+LiftedFaults lifted_view(const aichip::SocNetlist& soc,
+                         std::span<const Fault> core_faults) {
+  return {core_faults, soc.num_instances,
+          soc.netlist.num_gates() / soc.num_instances};
+}
+
+TEST(LiftedCampaign, ViewIsTheLiftFaultForFault) {
+  for (const auto& [name, core] : lift_cores()) {
+    const auto universe = generate_stuck_at_faults(core);
+    const auto collapsed = collapse_equivalent(core, universe);
+    for (std::size_t n : {1, 2, 3, 7}) {
+      SCOPED_TRACE(std::string(name) + " x" + std::to_string(n));
+      const auto soc = aichip::make_replicated_soc(core, n);
+      for (const auto* list : {&universe, &collapsed}) {
+        const LiftedFaults view = lifted_view(soc, *list);
+        const std::vector<Fault> lifted = aichip::lift_faults(soc, *list);
+        ASSERT_EQ(view.size(), lifted.size());
+        for (std::size_t i = 0; i < lifted.size(); ++i) {
+          ASSERT_EQ(view[i], lifted[i]) << "fault " << i;
+        }
+      }
+    }
+  }
+}
+
+// Grading the view is grading the materialised lift: every per-fault and
+// per-pattern output, under every dropping policy and shard count, on
+// broadcast and non-broadcast batches alike (tile_patterns).
+TEST(LiftedCampaign, GradesLikeTheMaterialisedList) {
+  for (const auto& [name, core] : lift_cores()) {
+    const auto collapsed =
+        collapse_equivalent(core, generate_stuck_at_faults(core));
+    const auto transition = generate_transition_faults(core);
+    for (std::size_t n : {1, 2, 3, 7}) {
+      const auto soc = aichip::make_replicated_soc(core, n);
+      const auto patterns = tile_patterns(soc, 41 + n);
+      for (const auto* list : {&collapsed, &transition}) {
+        const LiftedFaults view = lifted_view(soc, *list);
+        const std::vector<Fault> lifted = aichip::lift_faults(soc, *list);
+        for (std::size_t t : {1, 4}) {
+          for (std::size_t drop : {0, 1, 3}) {
+            const std::string label =
+                std::string(name) + " x" + std::to_string(n) +
+                (list == &collapsed ? " stuck-at" : " transition") +
+                " t=" + std::to_string(t) + " drop=" + std::to_string(drop);
+            const CampaignOptions o{.num_threads = t, .drop_limit = drop};
+            const CampaignResult got =
+                run_campaign(soc.netlist, view, patterns, o);
+            const CampaignResult want =
+                run_campaign(soc.netlist, lifted, patterns, o);
+            EXPECT_EQ(got.total_faults, want.total_faults) << label;
+            expect_same_result(got, want, label);
+            EXPECT_EQ(got.outcome, want.outcome) << label;
+            EXPECT_EQ(got.batches_graded, want.batches_graded) << label;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The SoC signoff checkpoints and resumes through the lifted view: a run
+// stopped at barrier 2 and resumed at either thread count ends exactly
+// where the uninterrupted run does, first-detect and n-detect alike.
+TEST(LiftedCampaign, ResumesLikeAnUninterruptedRun) {
+  const Netlist core = aichip::make_systolic_array({});
+  const auto faults =
+      collapse_equivalent(core, generate_stuck_at_faults(core));
+  const aichip::SocNetlist soc = aichip::make_replicated_soc(core, 3);
+  const LiftedFaults view = lifted_view(soc, faults);
+  const auto patterns = tile_patterns(soc, 13);
+  for (std::size_t drop : {1, 3}) {
+    const CampaignResult want =
+        run_campaign(soc.netlist, view, patterns, {.drop_limit = drop});
+    for (std::size_t t : {1, 4}) {
+      const std::string label =
+          "drop=" + std::to_string(drop) + " t=" + std::to_string(t);
+      const std::string path =
+          ::testing::TempDir() + "lifted_" + std::to_string(drop) + "_" +
+          std::to_string(t) + ".ckpt";
+      RunControl rc;
+      rc.cancel_after_checks(3);
+      CampaignOptions stopped{.num_threads = t, .drop_limit = drop};
+      stopped.run_control = &rc;
+      stopped.checkpoint_path = path;
+      stopped.checkpoint_every_batches = 1;
+      EXPECT_EQ(run_campaign(soc.netlist, view, patterns, stopped).outcome,
+                StageOutcome::kCancelled)
+          << label;
+      CampaignOptions resume{.num_threads = 5 - t, .drop_limit = drop};
+      resume.resume_from = path;
+      const CampaignResult got =
+          run_campaign(soc.netlist, view, patterns, resume);
+      expect_same_result(got, want, label);
+      EXPECT_EQ(got.outcome, StageOutcome::kCompleted) << label;
+    }
+  }
+}
+
+TEST(LiftedCampaign, RejectsForeignNetlistsAndSites) {
+  const Netlist core = circuits::make_mac(3, true);
+  const auto faults = generate_stuck_at_faults(core);
+  const aichip::SocNetlist soc = aichip::make_replicated_soc(core, 3);
+  const auto patterns = tile_patterns(soc, 7);
+  const std::size_t g = core.num_gates();
+  auto rejects = [&](const Netlist& nl, const LiftedFaults& view) {
+    EXPECT_THROW(run_campaign(nl, view, patterns), Error);
+  };
+  // A SoC with compare logic is no replica, and an instance count or gate
+  // stride other than the replica's own would lift into the wrong gates.
+  const aichip::SocNetlist compare =
+      aichip::make_replicated_soc_with_compare(core, 3);
+  rejects(compare.netlist, {faults, 3, g});
+  rejects(soc.netlist, {faults, 2, g});
+  rejects(soc.netlist, {faults, 4, g});
+  rejects(soc.netlist, {faults, 0, g});
+  rejects(soc.netlist, {faults, 3, g - 1});
+  // Core faults outside the core: a gate past G, a pin past its fanins.
+  const Fault past_gate{static_cast<GateId>(g), kStemPin, 0};
+  rejects(soc.netlist, {std::vector<Fault>{faults[0], past_gate}, 3, g});
+  const GateId input = core.inputs()[0];
+  const Fault past_pin{input, 0, 1};
+  rejects(soc.netlist, {std::vector<Fault>{faults[0], past_pin}, 3, g});
+  // The valid view itself grades.
+  EXPECT_NO_THROW(run_campaign(soc.netlist, LiftedFaults{faults, 3, g},
+                               patterns));
+}
+
 TEST(TestTime, BroadcastFlatInCoreCount) {
   aichip::CoreTestSpec spec;
   spec.scan_cells = 1024;

@@ -380,6 +380,45 @@ TEST(CampaignHook, ReturningTrueEndsTheFaultsCalls) {
   }
 }
 
+// Liveness is the drop bitmap, and shards share its boundary words: 130
+// faults at 4 workers split at 32, 65 and 97, inside words 0 and 1 (3
+// workers: 43 and 86). Every shard must visit exactly its own live faults,
+// so a hook that drops faults on their (1 + f % 3)-th call sees the same
+// calls, and the campaign the same result, as the serial run.
+TEST(CampaignHook, ShardBoundariesInsideADropWordMatchSerial) {
+  const Netlist nl = circuits::make_alu(8);
+  auto faults = generate_stuck_at_faults(nl);
+  ASSERT_GE(faults.size(), 130u);
+  faults.resize(130);
+  Rng rng(21);
+  const auto patterns =
+      random_patterns(nl.combinational_inputs().size(), 600, rng);
+  using Call = std::pair<std::size_t, std::uint64_t>;  // (batch, mask)
+  for (std::size_t drop : {0, 2}) {
+    auto run = [&](std::size_t t) {
+      std::vector<std::vector<Call>> calls(faults.size());
+      const CampaignResult r = run_campaign(
+          nl, faults, patterns, {.num_threads = t, .drop_limit = drop},
+          [&](std::size_t f, std::size_t b, std::uint64_t mask) {
+            calls[f].push_back({b, mask});
+            return calls[f].size() == 1 + f % 3;
+          });
+      return std::pair{r, calls};
+    };
+    const auto [serial, serial_calls] = run(1);
+    for (std::size_t t : {3, 4}) {
+      const std::string label =
+          "drop=" + std::to_string(drop) + " t=" + std::to_string(t);
+      const auto [sharded, sharded_calls] = run(t);
+      expect_identical(serial, sharded, label);
+      EXPECT_EQ(sharded.batches_graded, serial.batches_graded) << label;
+      for (std::size_t f = 0; f < faults.size(); ++f) {
+        EXPECT_EQ(sharded_calls[f], serial_calls[f]) << label << " fault " << f;
+      }
+    }
+  }
+}
+
 TEST(CampaignHook, RejectsCheckpointResumeAndUnsupportedGrading) {
   const Netlist nl = circuits::make_c17();
   const auto faults = generate_stuck_at_faults(nl);

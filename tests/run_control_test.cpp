@@ -340,6 +340,113 @@ TEST(CampaignRunControl, AsyncCancelCheckpointStillResumesBitIdentical) {
   }
 }
 
+// n-detect (drop_limit > 1) is the one policy whose checkpoint carries hit
+// counts. Stopped at barriers 2 and then 4, each checkpoint must hold the
+// exact hits and drops a recorded never-dropping run predicts (so the
+// second proves the resume restored the first's counts), and the final
+// resume must equal the uninterrupted run — at 1 and 4 threads.
+TEST(CampaignRunControl, NDetectResumeIsBitIdentical) {
+  const Netlist nl = circuits::make_random_logic(10, 250, 31);
+  const auto faults = generate_stuck_at_faults(nl);
+  Rng rng(4242);
+  const auto patterns =
+      random_patterns(nl.combinational_inputs().size(), 512, rng);
+  constexpr std::size_t kLimit = 3;
+  // Detecting lanes per (fault, batch), with no fault ever dropped.
+  const std::size_t nbatches = (patterns.size() + 63) / 64;
+  std::vector<std::vector<std::uint64_t>> lanes(
+      faults.size(), std::vector<std::uint64_t>(nbatches, 0));
+  run_campaign(nl, faults, patterns, {.drop_limit = 0},
+               [&](std::size_t f, std::size_t b, std::uint64_t mask) {
+                 lanes[f][b] = static_cast<std::uint64_t>(
+                     __builtin_popcountll(mask));
+                 return false;
+               });
+  // Hits after `batches` batches: lanes accumulate until the fault drops.
+  auto expected_hits = [&](std::size_t batches) {
+    std::vector<std::uint64_t> hits(faults.size(), 0);
+    for (std::size_t f = 0; f < faults.size(); ++f) {
+      for (std::size_t b = 0; b < batches && hits[f] < kLimit; ++b) {
+        hits[f] += lanes[f][b];
+      }
+    }
+    return hits;
+  };
+  auto expect_checkpoint = [&](const std::string& path, std::size_t batches,
+                               const std::string& label) {
+    const CampaignCheckpoint ckpt = load_campaign_checkpoint(path);
+    ASSERT_EQ(ckpt.batches_done, batches) << label;
+    const std::vector<std::uint64_t> hits = expected_hits(batches);
+    EXPECT_EQ(ckpt.hits, hits) << label;
+    for (std::size_t f = 0; f < faults.size(); ++f) {
+      ASSERT_EQ(ckpt.fault_dropped(f), hits[f] >= kLimit)
+          << label << " fault " << f;
+    }
+  };
+
+  const CampaignOptions plain{.drop_limit = kLimit};
+  const CampaignResult reference = run_campaign(nl, faults, patterns, plain);
+  for (std::size_t t : {std::size_t{1}, std::size_t{4}}) {
+    const std::string label = "t=" + std::to_string(t);
+    const std::string first = tmp_path("ndetect_a_" + label + ".ckpt");
+    const std::string second = tmp_path("ndetect_b_" + label + ".ckpt");
+    // Each leg stops at its third check, i.e. two rounds after it starts.
+    auto leg = [&](const std::string& from, const std::string& to) {
+      RunControl rc;
+      rc.cancel_after_checks(3);
+      CampaignOptions o = plain;
+      o.num_threads = t;
+      o.run_control = &rc;
+      o.checkpoint_path = to;
+      o.checkpoint_every_batches = 1;
+      o.resume_from = from;
+      const CampaignResult r = run_campaign(nl, faults, patterns, o);
+      EXPECT_EQ(r.outcome, StageOutcome::kCancelled) << label;
+    };
+    leg("", first);
+    expect_checkpoint(first, 2, label + " first stop");
+    leg(first, second);
+    expect_checkpoint(second, 4, label + " second stop");
+
+    CampaignOptions resume = plain;
+    resume.num_threads = t;
+    resume.resume_from = second;
+    const CampaignResult resumed = run_campaign(nl, faults, patterns, resume);
+    EXPECT_EQ(resumed.outcome, StageOutcome::kCompleted) << label;
+    EXPECT_EQ(resumed.batches_graded, reference.batches_graded) << label;
+    expect_identical(reference, resumed, label + " resumed");
+  }
+}
+
+// Without n-detect no hit counts are kept: the checkpoint stays version 1
+// and holds zeros where the counts would be.
+TEST(CampaignRunControl, FirstDetectCheckpointHoldsZeroHits) {
+  const Netlist nl = circuits::make_random_logic(10, 250, 31);
+  const auto faults = generate_stuck_at_faults(nl);
+  Rng rng(4242);
+  const auto patterns =
+      random_patterns(nl.combinational_inputs().size(), 512, rng);
+  for (std::size_t drop : {0, 1}) {
+    const std::string path =
+        tmp_path("first_detect_" + std::to_string(drop) + ".ckpt");
+    RunControl rc;
+    rc.cancel_after_checks(3);
+    CampaignOptions o{.drop_limit = drop};
+    o.run_control = &rc;
+    o.checkpoint_path = path;
+    o.checkpoint_every_batches = 1;
+    run_campaign(nl, faults, patterns, o);
+    const CampaignCheckpoint ckpt = load_campaign_checkpoint(path);
+    EXPECT_EQ(ckpt.hits, std::vector<std::uint64_t>(faults.size(), 0))
+        << "drop=" << drop;
+    CampaignOptions resume{.drop_limit = drop};
+    resume.resume_from = path;
+    expect_identical(run_campaign(nl, faults, patterns, {.drop_limit = drop}),
+                     run_campaign(nl, faults, patterns, resume),
+                     "drop=" + std::to_string(drop));
+  }
+}
+
 TEST(CampaignRunControl, ResumeRejectsMismatchedGeometry) {
   const Netlist nl = circuits::make_random_logic(8, 120, 5);
   auto faults = generate_stuck_at_faults(nl);
