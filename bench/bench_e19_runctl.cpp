@@ -3,10 +3,12 @@
 // batch per shard, one check per round), so the target is < 1% wall-clock
 // overhead vs the same campaign with run_control = nullptr — cheap enough to
 // attach unconditionally, the way the signoff example does. A second rung
-// prices the checkpoint write, the per-round cost of crash protection.
+// prices the checkpoint save and load, the per-round cost of crash
+// protection, up to the 1024-core SoC's 2,138,112 faults.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "bench_util.hpp"
@@ -61,34 +63,45 @@ void e19_overhead(benchmark::State& state, const std::string& name,
       sec_off > 0.0 ? 100.0 * (sec_on - sec_off) / sec_off : 0.0;
 }
 
-// Checkpoint write cost: what one round of crash protection adds, priced
-// per snapshot of a realistic per-fault state vector.
+// Checkpoint cost: what one round of crash protection adds, priced per
+// save and per load of a first-detect (drop_limit 1) snapshot in which
+// every third fault was detected, and so dropped.
 void e19_checkpoint(benchmark::State& state, std::size_t nfaults) {
   CampaignCheckpoint ckpt;
   ckpt.drop_limit = 1;
   ckpt.total_faults = nfaults;
   ckpt.total_patterns = 1024;
   ckpt.batches_done = 8;
-  ckpt.first_detected_by.assign(nfaults, -1);
-  ckpt.hits.assign(nfaults, 0);
-  ckpt.dropped.assign((nfaults + 63) / 64, 0);
+  ckpt.detected.assign((nfaults + 63) / 64, 0);
+  ckpt.first_detections.assign(ckpt.total_patterns, 0);
   for (std::size_t i = 0; i < nfaults; i += 3) {
-    ckpt.first_detected_by[i] = static_cast<std::int64_t>(i % 512);
-    ckpt.hits[i] = 1 + i % 4;
+    ckpt.detected[i >> 6] |= 1ull << (i & 63);
+    ++ckpt.first_detections[i % 512];
   }
+  ckpt.dropped = ckpt.detected;
   const std::string path = "e19.ckpt";
-  std::size_t bytes = 0;
+  std::size_t payload = 0;
+  double save_s = 0.0, load_s = 0.0;
   for (auto _ : state) {
+    obs::Stopwatch save_clock;
     save_campaign_checkpoint(ckpt, path);
+    save_s += save_clock.seconds();
+    obs::Stopwatch load_clock;
     const CampaignCheckpoint back = load_campaign_checkpoint(path);
-    bytes = back.first_detected_by.size() * sizeof(std::int64_t) +
-            back.hits.size() * sizeof(std::uint64_t) +
-            back.dropped.size() * sizeof(std::uint64_t);
+    load_s += load_clock.seconds();
+    payload = (back.detected.size() + back.first_detections.size() +
+               back.hits.size() + back.dropped.size()) *
+              sizeof(std::uint64_t);
     benchmark::DoNotOptimize(back.batches_done);
   }
+  const std::uintmax_t file = std::filesystem::file_size(path);
   std::remove(path.c_str());
+  const double iters = static_cast<double>(state.iterations());
   state.counters["faults"] = static_cast<double>(nfaults);
-  state.counters["payload_bytes"] = static_cast<double>(bytes);
+  state.counters["payload_bytes"] = static_cast<double>(payload);
+  state.counters["file_bytes"] = static_cast<double>(file);
+  state.counters["save_s"] = save_s / iters;
+  state.counters["load_s"] = load_s / iters;
 }
 
 void register_all() {
@@ -102,7 +115,8 @@ void register_all() {
           ->Unit(benchmark::kMillisecond);
     }
   }
-  for (std::size_t nfaults : {std::size_t{10000}, std::size_t{100000}}) {
+  for (std::size_t nfaults :
+       {std::size_t{10000}, std::size_t{100000}, std::size_t{2138112}}) {
     bench::reg("E19/checkpoint/f" + std::to_string(nfaults),
                [nfaults](benchmark::State& s) { e19_checkpoint(s, nfaults); })
         ->Unit(benchmark::kMillisecond);

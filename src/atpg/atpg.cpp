@@ -20,8 +20,8 @@ void grade_statuses(const Netlist& nl, const std::vector<Fault>& faults,
   }
   const CampaignResult r = run_campaign(nl, targets, patterns, options);
   for (std::size_t k = 0; k < targets.size(); ++k) {
-    status[graded[k]] = r.first_detected_by[k] >= 0 ? FaultStatus::kDetected
-                                                    : FaultStatus::kUndetected;
+    status[graded[k]] = r.fault_detected(k) ? FaultStatus::kDetected
+                                            : FaultStatus::kUndetected;
   }
 }
 
@@ -44,25 +44,23 @@ AtpgResult generate_tests(const Netlist& nl, const std::vector<Fault>& faults,
     obs::Span phase_span =
         obs::span(options.telemetry, "atpg.random_phase", "atpg");
     std::vector<TestCube> random = random_patterns(width, options.random_patterns, rng);
-    // Keep only the effective patterns (those that detected something new)
-    // in the final set.
+    // Keep only the effective patterns (those that detected something new,
+    // i.e. where the coverage curve steps) in the final set.
     CampaignResult campaign =
         run_campaign(nl, faults, random,
                      {.num_threads = options.num_threads,
                       .telemetry = options.telemetry,
                       .run_control = options.run_control});
     result.outcome = campaign.outcome;
-    std::vector<bool> keep(random.size(), false);
     for (std::size_t i = 0; i < faults.size(); ++i) {
-      const std::int64_t fd = campaign.first_detected_by[i];
-      if (fd >= 0) {
-        result.status[i] = FaultStatus::kDetected;
-        ++result.random_phase_detected;
-        keep[static_cast<std::size_t>(fd)] = true;
-      }
+      if (campaign.fault_detected(i)) result.status[i] = FaultStatus::kDetected;
     }
+    result.random_phase_detected = campaign.detected;
+    const std::vector<std::size_t>& curve = campaign.detected_after;
     for (std::size_t p = 0; p < random.size(); ++p) {
-      if (keep[p]) result.patterns.push_back(std::move(random[p]));
+      if (curve[p] != (p ? curve[p - 1] : 0)) {
+        result.patterns.push_back(std::move(random[p]));
+      }
     }
     if (phase_span.active()) {
       phase_span.arg("patterns", options.random_patterns);

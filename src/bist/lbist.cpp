@@ -156,7 +156,7 @@ LbistResult run_lbist(const Netlist& nl, const std::vector<Fault>& faults,
     for (std::size_t i = 0; i < faults.size(); ++i) {
       if (difficulty[i] < threshold) continue;
       ++result.predicted_resistant;
-      if (campaign.first_detected_by[i] < 0) ++result.resistant_undetected;
+      if (!campaign.fault_detected(i)) ++result.resistant_undetected;
     }
     obs::add(config.telemetry, "lbist.predicted_resistant",
              result.predicted_resistant);

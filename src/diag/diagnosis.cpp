@@ -37,10 +37,10 @@ void require_matching_log(const Netlist& nl,
 std::vector<Fault> cone_candidates(const Netlist& nl, const FailLog& log,
                                    const std::vector<Fault>& candidates) {
   const Topology& t = nl.topology();
-  const std::vector<GateId> points = nl.observe_points();
-  std::vector<std::uint64_t> fails(points.size(), 0);
+  const std::size_t nops = nl.num_observe_points();
+  std::vector<std::uint64_t> fails(nops, 0);
   for (const auto& block : log.blocks) {
-    for (std::size_t op = 0; op < points.size(); ++op) fails[op] |= block[op];
+    for (std::size_t op = 0; op < nops; ++op) fails[op] |= block[op];
   }
 
   enum : std::uint8_t { kInCone = 1, kOwnPointFails = 2 };
@@ -51,10 +51,11 @@ std::vector<Fault> cone_candidates(const Netlist& nl, const FailLog& log,
     mark[g] |= kInCone;
     stack.push_back(g);
   };
-  for (std::size_t op = 0; op < points.size(); ++op) {
+  for (std::size_t op = 0; op < nops; ++op) {
     if (fails[op] == 0) continue;
-    if (is_state_element(t.type(points[op]))) mark[points[op]] |= kOwnPointFails;
-    visit(nl.observed_gate(points[op]));
+    const GateId point = nl.observe_point(op);
+    if (is_state_element(t.type(point))) mark[point] |= kOwnPointFails;
+    visit(nl.observed_gate(point));
   }
   while (!stack.empty()) {
     const GateId g = stack.back();

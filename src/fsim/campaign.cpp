@@ -9,9 +9,11 @@
 // — shard membership never changes per-fault results, which is what makes
 // the output bit-identical for every thread count.
 //
-// Per-fault state is first_detected_by (8 B, the result itself), one drop
-// bit, and hit counts (8 B) only under n-detect (drop_limit > 1): with
+// Per-fault state is two bits, detected (the result itself) and dropped,
+// plus hit counts (8 B) only under n-detect (drop_limit > 1): with
 // drop_limit <= 1 a fault's first nonzero mask already decides its drop.
+// The coverage curve comes from per-pattern first-detection counts that
+// each shard keeps and the engine sums after the join.
 // Faults come from a source read in ascending index order: a materialised
 // list, or a replica's list lifted from its core's and decoded one instance
 // block at a time, so grading a thousand-core SoC holds only the core's
@@ -270,33 +272,43 @@ std::vector<PatternBatch> pack_launch_batches(
   return batches;
 }
 
-// Fills `detected` / `detected_after` from the merged first_detected_by.
-// This reduction is serial and depends only on per-fault first-detection
-// indices, so it is deterministic regardless of worker interleaving.
-void finalize_result(CampaignResult& r, std::size_t npatterns) {
-  std::vector<std::size_t> per_pattern(npatterns, 0);
-  r.detected = 0;
-  for (std::int64_t fd : r.first_detected_by) {
-    if (fd >= 0) {
-      ++per_pattern[static_cast<std::size_t>(fd)];
-      ++r.detected;
-    }
-  }
+// Sets fault i's detected bit and reports whether this is its first
+// detection. Only the fault's owner shard sets its bit, but shards share
+// boundary words, so the set is an atomic fetch_or — issued only after a
+// plain load shows the bit clear, so a repeat detection (drop_limit 0,
+// n-detect) costs one load. Reads outside the workers happen after a join.
+bool mark_detected(std::vector<std::uint64_t>& bits, std::size_t i) {
+  std::atomic_ref<std::uint64_t> word(bits[i >> 6]);
+  const std::uint64_t bit = 1ull << (i & 63);
+  if (word.load(std::memory_order_relaxed) & bit) return false;
+  word.fetch_or(bit, std::memory_order_relaxed);
+  return true;
+}
+
+// Fills `detected` / `detected_after` from the summed per-pattern first
+// detection counts. The sum is serial and each count depends only on
+// per-fault first detections, so it is deterministic regardless of worker
+// interleaving.
+void finalize_result(CampaignResult& r,
+                     const std::vector<std::uint64_t>& first_detections) {
   std::size_t run = 0;
-  for (std::size_t i = 0; i < npatterns; ++i) {
-    run += per_pattern[i];
+  for (std::size_t i = 0; i < first_detections.size(); ++i) {
+    run += first_detections[i];
     r.detected_after[i] = run;
   }
+  r.detected = run;
 }
 
 // Per-shard state that survives round barriers: the contiguous fault range,
-// how many of its faults are still live (not in the drop map), and the
-// worker's private simulator (constructed lazily on the worker's first round
-// so its caches live near that worker).
+// how many of its faults are still live (not in the drop map), the faults
+// it first detected per pattern, and the worker's private simulator
+// (constructed lazily on the worker's first round so its caches live near
+// that worker).
 struct ShardState {
   std::size_t begin = 0;
   std::size_t end = 0;
   std::size_t live = 0;
+  std::vector<std::uint64_t> first_detections;  // per pattern
   std::optional<FaultSimulator> fsim;
   std::vector<OpDiff> op_diffs;  // filled by detailed grading only
   std::uint64_t op_diffs_handed = 0;  // pairs passed to the hook, unflushed
@@ -318,7 +330,7 @@ CampaignResult run_sharded(const Netlist& nl, const Source& faults,
                            const DetailedDetectHook* on_detect = nullptr) {
   CampaignResult r;
   r.total_faults = faults.size();
-  r.first_detected_by.assign(faults.size(), -1);
+  r.detected_bits.assign((faults.size() + 63) / 64, 0);
   r.detected_after.assign(patterns.size(), 0);
   if (patterns.empty() || faults.size() == 0) return r;
 
@@ -335,13 +347,16 @@ CampaignResult run_sharded(const Netlist& nl, const Source& faults,
       orchestrated ? std::max<std::size_t>(1, options.checkpoint_every_batches)
                    : total_batches;
 
-  // Shared per-fault state; each entry is written by exactly one shard, and
-  // the round barrier (ThreadPool join) orders worker writes before the
-  // orchestrator's checkpoint reads. Hit counts exist only under n-detect.
+  // Shared per-fault state; each fault's bits and hit count are written by
+  // exactly one shard, and the round barrier (ThreadPool join) orders worker
+  // writes before the orchestrator's checkpoint reads. Hit counts exist
+  // only under n-detect. `resumed` holds the first detections per pattern
+  // a checkpoint carried in; the shards count theirs on top.
   const std::size_t drop_limit = options.drop_limit;
   const bool n_detect = drop_limit > 1;
   std::vector<std::uint64_t> hits(n_detect ? faults.size() : 0, 0);
   DropMap drops(faults.size());
+  std::vector<std::uint64_t> resumed(patterns.size(), 0);
   std::size_t batches_done = 0;
   if (!options.resume_from.empty()) {
     CampaignCheckpoint ckpt =
@@ -360,7 +375,8 @@ CampaignResult run_sharded(const Netlist& nl, const Source& faults,
                       "resume checkpoint drop_limit differs from options");
     AIDFT_REQUIRE_CTX(ckpt.batches_done <= total_batches, "run_campaign",
                       "resume checkpoint is ahead of the pattern stream");
-    r.first_detected_by = std::move(ckpt.first_detected_by);
+    r.detected_bits = std::move(ckpt.detected);
+    resumed = std::move(ckpt.first_detections);
     if (n_detect) hits = std::move(ckpt.hits);
     drops.restore(ckpt.dropped);
     batches_done = static_cast<std::size_t>(ckpt.batches_done);
@@ -376,7 +392,7 @@ CampaignResult run_sharded(const Netlist& nl, const Source& faults,
     run_span.arg("patterns", patterns.size());
     run_span.arg("workers", num_threads);
     run_span.arg("state_bytes",
-                 r.first_detected_by.capacity() * sizeof(std::int64_t) +
+                 r.detected_bits.capacity() * sizeof(std::uint64_t) +
                      hits.capacity() * sizeof(std::uint64_t) + drops.bytes());
   }
   obs::add(telemetry, "campaign.runs");
@@ -384,16 +400,27 @@ CampaignResult run_sharded(const Netlist& nl, const Source& faults,
   obs::add(telemetry, "campaign.patterns", patterns.size());
   const std::uint64_t checks_before = rc != nullptr ? rc->checks() : 0;
 
-  // Workers write only first_detected_by[i] / hits[i] for i inside their own
-  // shard, so the merge of per-shard results is race-free; the
-  // min-pattern-index rule holds trivially because each fault has a single
-  // owner that scans batches in stream order.
+  // Workers set only detected bits and hits[i] for i inside their own
+  // shard, and count first detections in their own vector; a fault's first
+  // detection is its true first because its single owner scans batches in
+  // stream order.
   std::vector<ShardState> shards(num_threads);
   for (std::size_t s = 0; s < num_threads; ++s) {
     shards[s].begin = s * faults.size() / num_threads;
     shards[s].end = (s + 1) * faults.size() / num_threads;
     shards[s].live = drops.count_live(shards[s].begin, shards[s].end);
+    shards[s].first_detections.assign(patterns.size(), 0);
   }
+  // Campaign-wide first detections per pattern (serial; after a join).
+  const auto first_detections = [&] {
+    std::vector<std::uint64_t> sum = resumed;
+    for (const ShardState& shard : shards) {
+      for (std::size_t p = 0; p < sum.size(); ++p) {
+        sum[p] += shard.first_detections[p];
+      }
+    }
+    return sum;
+  };
   const auto observe = std::make_shared<const ObserveIndex>(nl);
 
   std::optional<ThreadPool> pool;
@@ -436,9 +463,9 @@ CampaignResult run_sharded(const Netlist& nl, const Source& faults,
         const std::uint64_t mask =
             grade(fsim, shard.op_diffs, fault(i), capture[b]);
         if (mask == 0) return true;
-        if (r.first_detected_by[i] < 0) {
-          r.first_detected_by[i] = static_cast<std::int64_t>(
-              b * 64 + static_cast<std::size_t>(__builtin_ctzll(mask)));
+        if (mark_detected(r.detected_bits, i)) {
+          ++shard.first_detections[b * 64 + static_cast<std::size_t>(
+                                                __builtin_ctzll(mask))];
         }
         bool drop = drop_limit == 1;
         if (n_detect) {
@@ -498,8 +525,9 @@ CampaignResult run_sharded(const Netlist& nl, const Source& faults,
     ckpt.total_faults = faults.size();
     ckpt.total_patterns = patterns.size();
     ckpt.batches_done = batches_done;
-    ckpt.first_detected_by = r.first_detected_by;
-    ckpt.hits = hits;  // empty unless n-detect: saved as zeros
+    ckpt.detected = r.detected_bits;
+    ckpt.first_detections = first_detections();
+    ckpt.hits = hits;  // empty unless n-detect
     ckpt.dropped = drops.snapshot();
     save_campaign_checkpoint(ckpt, options.checkpoint_path);
   };
@@ -539,13 +567,14 @@ CampaignResult run_sharded(const Netlist& nl, const Source& faults,
   if (r.outcome != StageOutcome::kCompleted &&
       !options.checkpoint_path.empty()) {
     // Final checkpoint on an early stop. Partial in-round progress recorded
-    // in first_detected_by/hits/drops is safe to keep (see checkpoint.hpp).
+    // in the detected bits, counts, hits and drops is safe to keep (see
+    // checkpoint.hpp).
     save_checkpoint();
   }
   r.batches_graded =
       r.outcome == StageOutcome::kCompleted ? total_batches : batches_done;
 
-  finalize_result(r, patterns.size());
+  finalize_result(r, first_detections());
   obs::add(telemetry, "campaign.faults_detected", r.detected);
   if (rc != nullptr) {
     obs::add(telemetry, "runctl.checks", rc->checks() - checks_before);

@@ -13,8 +13,9 @@
 //    batches over its shard (the netlist and its observe index are shared
 //    read-only).
 //  * A fault's detection history depends only on the fault and the pattern
-//    stream — never on which shard graded it — and per-shard results are
-//    merged with the min-pattern-index rule, so a CampaignResult is
+//    stream — never on which shard graded it. Its first detection sets its
+//    bit in the detected bitmap and counts once toward its pattern; the
+//    per-shard counts are summed after the join, so a CampaignResult is
 //    bit-identical for every num_threads value (including the serial path).
 //  * Dropping is cross-shard: drops are published in a shared atomic drop
 //    bitmap, letting every worker observe campaign-wide progress and exit
@@ -56,7 +57,8 @@ struct CampaignOptions {
   /// A fault stops being simulated once it has been seen detecting on this
   /// many pattern lanes (1 = classic first-detect dropping, the default;
   /// 0 = never drop, grading every fault against every pattern). Only
-  /// n-detect (> 1) keeps a per-fault hit count, 8 B per fault.
+  /// n-detect (> 1) keeps a per-fault hit count, 8 B per fault; every
+  /// policy keeps two bits per fault (detected, dropped).
   std::size_t drop_limit = 1;
   /// Observability sink (see obs/telemetry.hpp): null (the default) turns
   /// telemetry off at near-zero cost. When set, the campaign emits one
@@ -90,10 +92,13 @@ struct CampaignOptions {
 struct CampaignResult {
   std::size_t total_faults = 0;
   std::size_t detected = 0;
-  /// Per fault: index of first detecting pattern (capture pattern for
-  /// transition faults), or -1 if undetected.
-  std::vector<std::int64_t> first_detected_by;
-  /// Cumulative detected count after pattern i (coverage curve).
+  /// Detected bitmap, one bit per fault: bit f of word f / 64 is set when
+  /// fault f was detected (see fault_detected()). A caller that needs the
+  /// detecting pattern itself gets it from a DetectHook's first call.
+  std::vector<std::uint64_t> detected_bits;
+  /// Cumulative detected count after pattern i (coverage curve): the faults
+  /// whose first detecting pattern (capture pattern for transition faults)
+  /// is at most i. Pattern i detected something new iff the curve steps there.
   std::vector<std::size_t> detected_after;
   /// How the campaign ended: kCompleted for a full run, kTimedOut/kCancelled
   /// when a RunControl stopped it early. A stopped result is still
@@ -105,6 +110,10 @@ struct CampaignResult {
   /// individual shards may have partial progress beyond it, which resume
   /// handles (see fsim/checkpoint.hpp).
   std::size_t batches_graded = 0;
+
+  bool fault_detected(std::size_t f) const {
+    return (detected_bits[f >> 6] >> (f & 63)) & 1ull;
+  }
 
   double coverage() const {
     return total_faults == 0

@@ -194,15 +194,21 @@ TEST_P(ExhaustiveAgreement, CampaignMatchesReferenceAtOneAndFourThreads) {
   CampaignOptions reference;
   reference.engine = CampaignEngine::kReference;
   reference.drop_limit = 0;
-  const CampaignResult want = run_campaign(nl_, faults_, all_, reference);
+  const test::FirstDetections want =
+      test::first_detections(nl_, faults_, all_, reference);
   for (std::size_t threads : {1, 4}) {
     CampaignOptions options;
     options.drop_limit = 0;
     options.num_threads = threads;
-    const CampaignResult got = run_campaign(nl_, faults_, all_, options);
-    EXPECT_EQ(got.first_detected_by, want.first_detected_by)
+    const test::FirstDetections got =
+        test::first_detections(nl_, faults_, all_, options);
+    EXPECT_EQ(got.first, want.first) << threads << " threads";
+    EXPECT_EQ(got.result.detected_bits, want.result.detected_bits)
         << threads << " threads";
-    EXPECT_EQ(got.detected, want.detected) << threads << " threads";
+    EXPECT_EQ(got.result.detected_after, want.result.detected_after)
+        << threads << " threads";
+    EXPECT_EQ(got.result.detected, want.result.detected)
+        << threads << " threads";
   }
 }
 

@@ -20,16 +20,44 @@ namespace {
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
 
+using test::FirstDetections;
+using test::first_detections;
+
+// Every field of the result.
 void expect_identical(const CampaignResult& a, const CampaignResult& b,
                       const std::string& label) {
   EXPECT_EQ(a.total_faults, b.total_faults) << label;
   EXPECT_EQ(a.detected, b.detected) << label;
-  ASSERT_EQ(a.first_detected_by.size(), b.first_detected_by.size()) << label;
-  for (std::size_t i = 0; i < a.first_detected_by.size(); ++i) {
-    ASSERT_EQ(a.first_detected_by[i], b.first_detected_by[i])
-        << label << " fault " << i;
-  }
+  ASSERT_EQ(a.detected_bits, b.detected_bits) << label;
   ASSERT_EQ(a.detected_after, b.detected_after) << label;
+  EXPECT_EQ(a.outcome, b.outcome) << label;
+  EXPECT_EQ(a.batches_graded, b.batches_graded) << label;
+}
+
+// The result must be what the per-fault first detections imply: a fault's
+// bit is set iff it was detected, and the curve counts first detections.
+void expect_consistent(const FirstDetections& d, const std::string& label) {
+  const CampaignResult& r = d.result;
+  ASSERT_EQ(d.first.size(), r.total_faults) << label;
+  std::vector<std::size_t> curve(r.detected_after.size(), 0);
+  for (std::size_t f = 0; f < d.first.size(); ++f) {
+    ASSERT_EQ(r.fault_detected(f), d.first[f] >= 0) << label << " fault " << f;
+    if (d.first[f] >= 0) ++curve.at(static_cast<std::size_t>(d.first[f]));
+  }
+  for (std::size_t p = 1; p < curve.size(); ++p) curve[p] += curve[p - 1];
+  EXPECT_EQ(r.detected_after, curve) << label;
+}
+
+// The result plus each fault's first detecting pattern.
+void expect_identical(const FirstDetections& a, const FirstDetections& b,
+                      const std::string& label) {
+  expect_identical(a.result, b.result, label);
+  expect_consistent(a, label);
+  expect_consistent(b, label);
+  ASSERT_EQ(a.first.size(), b.first.size()) << label;
+  for (std::size_t i = 0; i < a.first.size(); ++i) {
+    ASSERT_EQ(a.first[i], b.first[i]) << label << " fault " << i;
+  }
 }
 
 class CampaignDeterminism : public ::testing::TestWithParam<std::uint64_t> {};
@@ -42,17 +70,17 @@ TEST_P(CampaignDeterminism, StuckAtBitIdenticalAcrossThreadsAndOracle) {
   const auto patterns =
       random_patterns(nl.combinational_inputs().size(), 192, rng);
 
-  const CampaignResult serial = run_campaign(nl, faults, patterns);
-  EXPECT_GT(serial.detected, 0u);
-  const CampaignResult oracle = run_campaign(
+  const FirstDetections serial = first_detections(nl, faults, patterns);
+  EXPECT_GT(serial.result.detected, 0u);
+  const FirstDetections oracle = first_detections(
       nl, faults, patterns, {.engine = CampaignEngine::kReference});
   expect_identical(serial, oracle, "ppsfp vs reference oracle");
 
   for (std::size_t t : kThreadCounts) {
-    const CampaignResult threaded =
-        run_campaign(nl, faults, patterns, {.num_threads = t});
+    const FirstDetections threaded =
+        first_detections(nl, faults, patterns, {.num_threads = t});
     expect_identical(serial, threaded, "stuck-at t=" + std::to_string(t));
-    const CampaignResult ref_threaded = run_campaign(
+    const FirstDetections ref_threaded = first_detections(
         nl, faults, patterns,
         {.engine = CampaignEngine::kReference, .num_threads = t});
     expect_identical(serial, ref_threaded,
@@ -72,23 +100,23 @@ TEST_P(CampaignDeterminism, DropLimitThreeBitIdenticalAcrossThreads) {
       random_patterns(nl.combinational_inputs().size(), 256, rng);
 
   obs::Telemetry serial_tel;
-  const CampaignResult serial = run_campaign(
+  const FirstDetections serial = first_detections(
       nl, faults, patterns, {.drop_limit = 3, .telemetry = &serial_tel});
-  const CampaignResult oracle = run_campaign(
+  const FirstDetections oracle = first_detections(
       nl, faults, patterns,
       {.engine = CampaignEngine::kReference, .drop_limit = 3});
   expect_identical(serial, oracle, "drop_limit=3 ppsfp vs reference");
-  const CampaignResult full =
-      run_campaign(nl, faults, patterns, {.drop_limit = 0});
+  const FirstDetections full =
+      first_detections(nl, faults, patterns, {.drop_limit = 0});
   expect_identical(serial, full, "drop_limit=3 vs no dropping");
   const std::uint64_t serial_dropped =
       serial_tel.metrics.snapshot().counter_value("campaign.faults_dropped");
   EXPECT_GT(serial_dropped, 0u);
-  EXPECT_LE(serial_dropped, serial.detected);
+  EXPECT_LE(serial_dropped, serial.result.detected);
 
   for (std::size_t t : kThreadCounts) {
     obs::Telemetry tel;
-    const CampaignResult threaded = run_campaign(
+    const FirstDetections threaded = first_detections(
         nl, faults, patterns,
         {.num_threads = t, .drop_limit = 3, .telemetry = &tel});
     expect_identical(serial, threaded, "drop_limit=3 t=" + std::to_string(t));
@@ -106,10 +134,10 @@ TEST_P(CampaignDeterminism, TransitionBitIdenticalAcrossThreads) {
   const auto patterns =
       random_patterns(nl.combinational_inputs().size(), 192, rng);
 
-  const CampaignResult serial = run_campaign(nl, faults, patterns);
+  const FirstDetections serial = first_detections(nl, faults, patterns);
   for (std::size_t t : kThreadCounts) {
-    const CampaignResult threaded =
-        run_campaign(nl, faults, patterns, {.num_threads = t});
+    const FirstDetections threaded =
+        first_detections(nl, faults, patterns, {.num_threads = t});
     expect_identical(serial, threaded, "transition t=" + std::to_string(t));
   }
 }
@@ -141,10 +169,10 @@ TEST(Campaign, MixedStuckAtAndTransitionFaultList) {
   Rng rng(5);
   const auto patterns =
       random_patterns(nl.combinational_inputs().size(), 256, rng);
-  const CampaignResult serial = run_campaign(nl, mixed, patterns);
+  const FirstDetections serial = first_detections(nl, mixed, patterns);
   for (std::size_t t : {2, 4, 8}) {
-    const CampaignResult threaded =
-        run_campaign(nl, mixed, patterns, {.num_threads = t});
+    const FirstDetections threaded =
+        first_detections(nl, mixed, patterns, {.num_threads = t});
     expect_identical(serial, threaded, "mixed t=" + std::to_string(t));
   }
 }
@@ -155,9 +183,9 @@ TEST(Campaign, ZeroThreadsMeansHardwareConcurrency) {
   Rng rng(9);
   const auto patterns =
       random_patterns(nl.combinational_inputs().size(), 64, rng);
-  const CampaignResult serial = run_campaign(nl, faults, patterns);
-  const CampaignResult automatic =
-      run_campaign(nl, faults, patterns, {.num_threads = 0});
+  const FirstDetections serial = first_detections(nl, faults, patterns);
+  const FirstDetections automatic =
+      first_detections(nl, faults, patterns, {.num_threads = 0});
   expect_identical(serial, automatic, "num_threads=0");
 }
 
@@ -167,9 +195,9 @@ TEST(Campaign, MoreThreadsThanFaults) {
   Rng rng(2);
   const auto patterns =
       random_patterns(nl.combinational_inputs().size(), 32, rng);
-  const CampaignResult serial = run_campaign(nl, faults, patterns);
-  const CampaignResult threaded =
-      run_campaign(nl, faults, patterns, {.num_threads = 64});
+  const FirstDetections serial = first_detections(nl, faults, patterns);
+  const FirstDetections threaded =
+      first_detections(nl, faults, patterns, {.num_threads = 64});
   expect_identical(serial, threaded, "threads > faults");
 }
 
@@ -181,9 +209,9 @@ TEST(Campaign, DropLimitZeroNeverDropsButMatchesFirstDetections) {
   Rng rng(3);
   const auto patterns =
       random_patterns(nl.combinational_inputs().size(), 192, rng);
-  const CampaignResult dropping = run_campaign(nl, faults, patterns);
+  const FirstDetections dropping = first_detections(nl, faults, patterns);
   for (std::size_t t : {1, 4}) {
-    const CampaignResult full = run_campaign(
+    const FirstDetections full = first_detections(
         nl, faults, patterns, {.num_threads = t, .drop_limit = 0});
     expect_identical(dropping, full, "drop_limit=0 t=" + std::to_string(t));
   }
@@ -384,7 +412,8 @@ TEST(CampaignHook, ReturningTrueEndsTheFaultsCalls) {
 // faults at 4 workers split at 32, 65 and 97, inside words 0 and 1 (3
 // workers: 43 and 86). Every shard must visit exactly its own live faults,
 // so a hook that drops faults on their (1 + f % 3)-th call sees the same
-// calls, and the campaign the same result, as the serial run.
+// calls, and the campaign the same result, as the serial run. The detected
+// bitmap shares the same boundary words: no shard's bit may be lost.
 TEST(CampaignHook, ShardBoundariesInsideADropWordMatchSerial) {
   const Netlist nl = circuits::make_alu(8);
   auto faults = generate_stuck_at_faults(nl);
@@ -411,9 +440,11 @@ TEST(CampaignHook, ShardBoundariesInsideADropWordMatchSerial) {
           "drop=" + std::to_string(drop) + " t=" + std::to_string(t);
       const auto [sharded, sharded_calls] = run(t);
       expect_identical(serial, sharded, label);
-      EXPECT_EQ(sharded.batches_graded, serial.batches_graded) << label;
+      EXPECT_EQ(sharded.detected_bits, serial.detected_bits) << label;
       for (std::size_t f = 0; f < faults.size(); ++f) {
         EXPECT_EQ(sharded_calls[f], serial_calls[f]) << label << " fault " << f;
+        EXPECT_EQ(sharded.fault_detected(f), !sharded_calls[f].empty())
+            << label << " fault " << f;
       }
     }
   }

@@ -268,14 +268,16 @@ TEST(FaultSim, CampaignMatchesReferenceCampaign) {
   const auto faults = generate_stuck_at_faults(nl);
   Rng rng(9);
   const auto patterns = random_patterns(nl.combinational_inputs().size(), 64, rng);
-  const CampaignResult fast = run_campaign(nl, faults, patterns);
-  const CampaignResult ref =
-      run_campaign(nl, faults, patterns, {.engine = CampaignEngine::kReference});
-  EXPECT_EQ(fast.detected, ref.detected);
-  ASSERT_EQ(fast.first_detected_by.size(), ref.first_detected_by.size());
+  const test::FirstDetections fast =
+      test::first_detections(nl, faults, patterns);
+  const test::FirstDetections ref = test::first_detections(
+      nl, faults, patterns, {.engine = CampaignEngine::kReference});
+  EXPECT_EQ(fast.result.detected, ref.result.detected);
+  EXPECT_EQ(fast.result.detected_bits, ref.result.detected_bits);
+  EXPECT_EQ(fast.result.detected_after, ref.result.detected_after);
+  ASSERT_EQ(fast.first.size(), ref.first.size());
   for (std::size_t i = 0; i < faults.size(); ++i) {
-    EXPECT_EQ(fast.first_detected_by[i], ref.first_detected_by[i])
-        << fault_name(nl, faults[i]);
+    EXPECT_EQ(fast.first[i], ref.first[i]) << fault_name(nl, faults[i]);
   }
 }
 
@@ -423,10 +425,9 @@ TEST(FaultSim, TransitionCampaignUsesConsecutivePairs) {
   // Random consecutive pairs both arm and detect most transition faults on
   // an adder.
   EXPECT_GT(r.coverage(), 0.7);
-  // Pattern 0 can never be a capture pattern with an armed launch.
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    EXPECT_NE(r.first_detected_by[i], 0);
-  }
+  // Pattern 0 can never be a capture pattern with an armed launch: no
+  // fault's first detection is pattern 0.
+  EXPECT_EQ(r.detected_after[0], 0u);
 }
 
 TEST(FaultSim, DetailedDiffsReachEveryPointObservingAGate) {

@@ -24,6 +24,7 @@
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "sim/pattern.hpp"
+#include "test_util.hpp"
 
 namespace aidft {
 namespace {
@@ -253,12 +254,16 @@ TEST(Telemetry, CampaignWithoutSinkMatchesWithSink) {
   const auto patterns =
       random_patterns(nl.combinational_inputs().size(), 128, rng);
 
-  const CampaignResult plain = run_campaign(nl, faults, patterns, {});
+  const test::FirstDetections plain_run =
+      test::first_detections(nl, faults, patterns, {});
   obs::Telemetry telemetry;
-  const CampaignResult traced = run_campaign(
+  const test::FirstDetections traced_run = test::first_detections(
       nl, faults, patterns, {.num_threads = 4, .telemetry = &telemetry});
+  const CampaignResult& plain = plain_run.result;
+  const CampaignResult& traced = traced_run.result;
   EXPECT_EQ(plain.detected, traced.detected);
-  EXPECT_EQ(plain.first_detected_by, traced.first_detected_by);
+  EXPECT_EQ(plain_run.first, traced_run.first);
+  EXPECT_EQ(plain.detected_bits, traced.detected_bits);
   EXPECT_EQ(plain.detected_after, traced.detected_after);
 
   // The campaign populated its counters and per-shard spans.

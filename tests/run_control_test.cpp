@@ -28,16 +28,16 @@ std::string tmp_path(const std::string& name) {
   return ::testing::TempDir() + name;
 }
 
+// Every field of the result: a resumed run takes no hook, so the detected
+// bitmap and the coverage curve are what pin its first detections.
 void expect_identical(const CampaignResult& a, const CampaignResult& b,
                       const std::string& label) {
   EXPECT_EQ(a.total_faults, b.total_faults) << label;
   EXPECT_EQ(a.detected, b.detected) << label;
-  ASSERT_EQ(a.first_detected_by.size(), b.first_detected_by.size()) << label;
-  for (std::size_t i = 0; i < a.first_detected_by.size(); ++i) {
-    ASSERT_EQ(a.first_detected_by[i], b.first_detected_by[i])
-        << label << " fault " << i;
-  }
+  ASSERT_EQ(a.detected_bits, b.detected_bits) << label;
   ASSERT_EQ(a.detected_after, b.detected_after) << label;
+  EXPECT_EQ(a.outcome, b.outcome) << label;
+  EXPECT_EQ(a.batches_graded, b.batches_graded) << label;
 }
 
 // ---------------------------------------------------------------------------
@@ -118,20 +118,40 @@ TEST(RunControl, OutcomeMappingAndNames) {
 // ---------------------------------------------------------------------------
 // Checkpoint file round-trip and rejection of damaged files.
 
+// An n-detect checkpoint (so it carries hit counts): faults 7 and 129
+// detected, first by patterns 66 and 0.
 CampaignCheckpoint make_checkpoint() {
   CampaignCheckpoint ckpt;
   ckpt.drop_limit = 4;
   ckpt.total_faults = 130;
   ckpt.total_patterns = 192;
   ckpt.batches_done = 2;
-  ckpt.first_detected_by.assign(130, -1);
-  ckpt.first_detected_by[7] = 66;
-  ckpt.first_detected_by[129] = 0;
+  ckpt.detected.assign((130 + 63) / 64, 0);
+  ckpt.detected[0] = 1ull << 7;
+  ckpt.detected[2] = 1ull << (129 - 128);
+  ckpt.first_detections.assign(192, 0);
+  ckpt.first_detections[66] = 1;
+  ckpt.first_detections[0] = 1;
   ckpt.hits.assign(130, 0);
   ckpt.hits[7] = 3;
   ckpt.dropped.assign((130 + 63) / 64, 0);
   ckpt.dropped[0] = 1ull << 7;
   return ckpt;
+}
+
+// Writes `bytes` to `path` as a whole file.
+void write_file(const std::string& path, const std::vector<char>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+// Appends `v`'s little-endian bytes.
+template <typename T>
+void put(std::vector<char>& bytes, T v) {
+  const auto* p = reinterpret_cast<const char*>(&v);
+  bytes.insert(bytes.end(), p, p + sizeof v);
 }
 
 TEST(CampaignCheckpoint, RoundTripsThroughDisk) {
@@ -143,11 +163,67 @@ TEST(CampaignCheckpoint, RoundTripsThroughDisk) {
   EXPECT_EQ(back.total_faults, ckpt.total_faults);
   EXPECT_EQ(back.total_patterns, ckpt.total_patterns);
   EXPECT_EQ(back.batches_done, ckpt.batches_done);
-  EXPECT_EQ(back.first_detected_by, ckpt.first_detected_by);
+  EXPECT_EQ(back.detected, ckpt.detected);
+  EXPECT_EQ(back.first_detections, ckpt.first_detections);
   EXPECT_EQ(back.hits, ckpt.hits);
   EXPECT_EQ(back.dropped, ckpt.dropped);
+  EXPECT_TRUE(back.fault_detected(7));
+  EXPECT_TRUE(back.fault_detected(129));
+  EXPECT_FALSE(back.fault_detected(8));
   EXPECT_TRUE(back.fault_dropped(7));
   EXPECT_FALSE(back.fault_dropped(8));
+}
+
+// A well-formed, checksummed version-1 file (an 8-byte first detecting
+// pattern and a hit count per fault) has no reader: it is refused by
+// version before its payload is read.
+TEST(CampaignCheckpoint, RejectsVersionOneFile) {
+  const std::string path = tmp_path("runctl_v1.ckpt");
+  std::vector<char> bytes = {'A', 'I', 'D', 'F', 'T', 'C', 'K', 'P'};
+  put<std::uint32_t>(bytes, 1);
+  for (std::uint64_t v : {1, 130, 192, 2}) put<std::uint64_t>(bytes, v);
+  for (int f = 0; f < 130; ++f) put<std::int64_t>(bytes, f == 7 ? 66 : -1);
+  for (int f = 0; f < 130; ++f) put<std::uint64_t>(bytes, 0);
+  for (int w = 0; w < 3; ++w) put<std::uint64_t>(bytes, w == 0 ? 1ull << 7 : 0);
+  std::uint64_t fnv = 0xcbf29ce484222325ull;
+  for (std::size_t i = 8; i < bytes.size(); ++i) {
+    fnv = (fnv ^ static_cast<unsigned char>(bytes[i])) * 0x100000001b3ull;
+  }
+  put(bytes, fnv);
+  write_file(path, bytes);
+  try {
+    load_campaign_checkpoint(path);
+    ADD_FAILURE() << "version 1 accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 1"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// A 44-byte file — magic, version and header only — whose header claims
+// 2^39 faults must be refused by its size, before anything is allocated.
+TEST(CampaignCheckpoint, RejectsHeaderLongerThanFile) {
+  const std::string path = tmp_path("runctl_header_only.ckpt");
+  std::vector<char> bytes = {'A', 'I', 'D', 'F', 'T', 'C', 'K', 'P'};
+  put(bytes, CampaignCheckpoint::kVersion);
+  for (std::uint64_t v : {std::uint64_t{1}, std::uint64_t{1} << 39,
+                          std::uint64_t{64}, std::uint64_t{0}}) {
+    put(bytes, v);
+  }
+  ASSERT_EQ(bytes.size(), 44u);
+  write_file(path, bytes);
+  EXPECT_THROW(load_campaign_checkpoint(path), Error);
+}
+
+TEST(CampaignCheckpoint, RejectsTrailingBytes) {
+  const std::string path = tmp_path("runctl_trailing.ckpt");
+  save_campaign_checkpoint(make_checkpoint(), path);
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  std::fputc(0, f);
+  std::fclose(f);
+  EXPECT_THROW(load_campaign_checkpoint(path), Error);
 }
 
 TEST(CampaignCheckpoint, RejectsCorruptedPayload) {
@@ -284,7 +360,7 @@ TEST(CampaignRunControl, ResumeAfterKillAtEveryBoundaryIsBitIdentical) {
         run_campaign(nl, faults, patterns, interrupted);
     ASSERT_EQ(partial.outcome, StageOutcome::kCancelled) << "k=" << k;
 
-    for (std::size_t t : {std::size_t{1}, std::size_t{4}}) {
+    for (std::size_t t : kThreadCounts) {
       CampaignOptions resume;
       resume.num_threads = t;
       resume.resume_from = path;
@@ -418,9 +494,8 @@ TEST(CampaignRunControl, NDetectResumeIsBitIdentical) {
   }
 }
 
-// Without n-detect no hit counts are kept: the checkpoint stays version 1
-// and holds zeros where the counts would be.
-TEST(CampaignRunControl, FirstDetectCheckpointHoldsZeroHits) {
+// Without n-detect no hit counts are kept, and the checkpoint stores none.
+TEST(CampaignRunControl, FirstDetectCheckpointOmitsHits) {
   const Netlist nl = circuits::make_random_logic(10, 250, 31);
   const auto faults = generate_stuck_at_faults(nl);
   Rng rng(4242);
@@ -437,8 +512,8 @@ TEST(CampaignRunControl, FirstDetectCheckpointHoldsZeroHits) {
     o.checkpoint_every_batches = 1;
     run_campaign(nl, faults, patterns, o);
     const CampaignCheckpoint ckpt = load_campaign_checkpoint(path);
-    EXPECT_EQ(ckpt.hits, std::vector<std::uint64_t>(faults.size(), 0))
-        << "drop=" << drop;
+    EXPECT_TRUE(ckpt.hits.empty()) << "drop=" << drop;
+    EXPECT_GT(ckpt.batches_done, 0u) << "drop=" << drop;
     CampaignOptions resume{.drop_limit = drop};
     resume.resume_from = path;
     expect_identical(run_campaign(nl, faults, patterns, {.drop_limit = drop}),
@@ -464,8 +539,8 @@ TEST(CampaignRunControl, ResumeRejectsMismatchedGeometry) {
     ckpt.total_faults = nfaults;
     ckpt.total_patterns = patterns.size();
     ckpt.batches_done = 0;
-    ckpt.first_detected_by.assign(nfaults, -1);
-    ckpt.hits.assign(nfaults, 0);
+    ckpt.detected.assign((nfaults + 63) / 64, 0);
+    ckpt.first_detections.assign(patterns.size(), 0);
     ckpt.dropped.assign((nfaults + 63) / 64, 0);
     return ckpt;
   };
@@ -479,12 +554,25 @@ TEST(CampaignRunControl, ResumeRejectsMismatchedGeometry) {
   EXPECT_NO_THROW(resume(blank(faults.size())));
   EXPECT_THROW(resume(blank(faults.size() + 1)), Error)  // wrong universe
       << "fault count";
-  CampaignCheckpoint late = blank(faults.size());
-  late.first_detected_by[0] = 1000000;  // past the 128-pattern stream
-  EXPECT_THROW(resume(late), Error) << "detecting pattern out of range";
-  CampaignCheckpoint early = blank(faults.size());
-  early.first_detected_by[0] = -2;
-  EXPECT_THROW(resume(early), Error) << "detecting pattern below -1";
+  // Fault 0 detected and first detected by pattern 5: consistent.
+  CampaignCheckpoint one = blank(faults.size());
+  one.detected[0] = 1;
+  one.first_detections[5] = 1;
+  EXPECT_NO_THROW(resume(one));
+  CampaignCheckpoint ghost_detect = one;
+  ghost_detect.detected.back() |= 1ull << (faults.size() % 64);
+  ghost_detect.first_detections[5] = 2;  // counts match the bits
+  EXPECT_THROW(resume(ghost_detect), Error) << "detected bit past total_faults";
+  CampaignCheckpoint uncounted = one;
+  uncounted.first_detections[5] = 0;  // a detected fault no pattern counts
+  EXPECT_THROW(resume(uncounted), Error) << "fewer first detections than bits";
+  CampaignCheckpoint overcounted = one;
+  overcounted.first_detections[127] = 1;  // one more than the bits
+  EXPECT_THROW(resume(overcounted), Error) << "more first detections than bits";
+  CampaignCheckpoint wrapped = one;  // the sum wraps to the popcount
+  wrapped.first_detections[0] = ~std::uint64_t{0};
+  wrapped.first_detections[1] = 1;
+  EXPECT_THROW(resume(wrapped), Error) << "first detections wrap around";
   CampaignCheckpoint ghost = blank(faults.size());
   ghost.dropped.back() |= 1ull << (faults.size() % 64);  // fault `size()`
   EXPECT_THROW(resume(ghost), Error) << "dropped bit past total_faults";

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "fsim/campaign.hpp"
 #include "fsim/fault_sim.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/parallel_sim.hpp"
@@ -105,6 +106,35 @@ inline std::vector<TestCube> exhaustive_patterns(std::size_t ninputs) {
     v.push_back(std::move(c));
   }
   return v;
+}
+
+/// A campaign's result next to each fault's first detecting pattern (-1 =
+/// undetected), which the result itself does not keep.
+struct FirstDetections {
+  CampaignResult result;
+  std::vector<std::int64_t> first;
+};
+
+/// Runs the campaign through the mask-only DetectHook, which grades on the
+/// same path as the plain call, and records 64·batch + ctz(mask) on each
+/// fault's first hook call. The hook never drops, so `options` alone
+/// decides the grading.
+inline FirstDetections first_detections(const Netlist& nl,
+                                        std::span<const Fault> faults,
+                                        const std::vector<TestCube>& patterns,
+                                        const CampaignOptions& options = {}) {
+  FirstDetections d;
+  d.first.assign(faults.size(), -1);
+  d.result = run_campaign(
+      nl, faults, patterns, options,
+      [&](std::size_t f, std::size_t batch, std::uint64_t mask) {
+        if (d.first[f] < 0) {
+          d.first[f] = static_cast<std::int64_t>(
+              64 * batch + static_cast<std::size_t>(__builtin_ctzll(mask)));
+        }
+        return false;
+      });
+  return d;
 }
 
 /// A detailed grading's (point, word) pairs scattered into one word per

@@ -66,11 +66,12 @@ TEST_P(TransitionAtpgOnCircuit, PairsDetectTheirFaults) {
   // The result's statuses are an authoritative regrade: verify against an
   // independent campaign run.
   const CampaignResult check = run_campaign(nl, faults, result.patterns);
-  std::size_t detected_check = 0;
+  EXPECT_EQ(result.detected, check.detected) << which;
   for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (check.first_detected_by[i] >= 0) ++detected_check;
+    EXPECT_EQ(result.status[i] == FaultStatus::kDetected,
+              check.fault_detected(i))
+        << which << " fault " << i;
   }
-  EXPECT_EQ(result.detected, detected_check) << which;
   EXPECT_DOUBLE_EQ(result.test_coverage(), 1.0) << which;
 }
 
