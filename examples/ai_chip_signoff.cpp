@@ -14,7 +14,9 @@
 // Long runs are steerable: --time-budget-sec caps wall time, Ctrl-C cancels
 // cooperatively, and --checkpoint/--resume protect the SoC-grade campaign
 // (the longest stage) against lost work. An interrupted or expired run still
-// prints a well-formed partial report and exits 3.
+// prints a well-formed partial report and exits 3. A bad argument or a
+// library error (say, an unreadable --resume checkpoint) prints its message
+// and exits 2.
 //
 //   ./ai_chip_signoff [num_cores] [--json] [--trace <file>] [--no-drc]
 //                     [--time-budget-sec <s>] [--checkpoint <file>]
@@ -26,6 +28,7 @@
 #include <string>
 
 #include "aichip/systolic.hpp"
+#include "common/error.hpp"
 #include "common/run_control.hpp"
 #include "netlist/stats.hpp"
 #include "core/chip_flow.hpp"
@@ -72,7 +75,8 @@ void print_usage(std::FILE* out, const char* prog) {
                "the next probe\n"
                "point, writes the checkpoint (with --checkpoint), prints the "
                "partial\n"
-               "report, and exits 3.\n",
+               "report, and exits 3. A bad argument or an unreadable "
+               "checkpoint exits 2.\n",
                prog);
 }
 
@@ -84,7 +88,7 @@ extern "C" void handle_sigint(int) { g_run_control.request_cancel(); }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_signoff(int argc, char** argv) {
   using namespace aidft;
   std::size_t num_cores = 8;
   bool emit_json = false;
@@ -223,4 +227,13 @@ int main(int argc, char** argv) {
     return 3;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  try {
+    return run_signoff(argc, argv);
+  } catch (const aidft::Error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 }

@@ -25,13 +25,6 @@ struct SocNetlist {
   std::size_t num_instances = 0;
   std::size_t core_pis = 0;   // per-core primary input count
   std::size_t core_ffs = 0;   // per-core flop count
-  /// Only set by make_replicated_soc_with_compare: mismatch flag output per
-  /// instance 1..n-1 (instance i vs instance 0), in instance order.
-  std::vector<GateId> mismatch_outputs;
-  /// Only set by make_replicated_soc_with_compare: per instance, the SoC
-  /// gates carrying what the core's primary outputs would show (the compare
-  /// trees' inputs), in core-output order.
-  std::vector<std::vector<GateId>> instance_po_drivers;
 
   /// SoC combinational-input index of instance `inst`'s input `k` (in the
   /// core's combinational_inputs() order).
@@ -41,14 +34,6 @@ struct SocNetlist {
 /// `core` replicated N times (Netlist::replicate: names prefixed u<i>_),
 /// each instance with its own primary inputs and outputs.
 SocNetlist make_replicated_soc(const Netlist& core, std::size_t n);
-
-/// Like make_replicated_soc, plus on-chip response compare: each instance
-/// i >= 1 gets a "mismatch<i>" output that ORs the XOR of its primary-output
-/// values against instance 0's. Under broadcast stimulus all fault-free
-/// instances agree, so a raised flag both detects the defect and names the
-/// failing core — the observation half of identical-core broadcast test
-/// (scan unload comparison works the same way off-chip).
-SocNetlist make_replicated_soc_with_compare(const Netlist& core, std::size_t n);
 
 /// Lifts a core-level cube to the SoC by giving every instance the same
 /// values (the broadcast-scan stimulus).
@@ -60,8 +45,8 @@ TestCube broadcast_cube(const SocNetlist& soc, const TestCube& core_cube);
 /// is tiled instance-major, so lifting the core's universe yields the SoC's
 /// universe and lifting the core's collapsed list yields the SoC's
 /// collapsed list, each with the same faults in the same order. Throws
-/// Error on a SoC with compare logic (not a replica) or a core fault
-/// outside the core. Grading never materialises this list: run_chip_flow
+/// Error on a SoC whose netlist is not a Netlist::replicate() replica of
+/// its instance count, or on a core fault outside the core. Grading never materialises this list: run_chip_flow
 /// hands the campaign a LiftedFaults view (fsim/campaign.hpp), and this
 /// function is the oracle the view is tested against.
 std::vector<Fault> lift_faults(const SocNetlist& soc,

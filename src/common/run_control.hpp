@@ -9,8 +9,9 @@
 // compare at each (already amortized) probe site.
 //
 // Probe cadence contract: engines consult the handle at *amortized*
-// boundaries only — once per 64-pattern campaign batch, per ATPG fault, per
-// 256 PODEM backtracks, per 1024 SAT conflicts — never per event. On expiry
+// boundaries only — once per 64-pattern campaign batch and per 256 faults
+// inside one, per ATPG fault, per 256 PODEM backtracks, per 1024 SAT
+// conflicts — never per event. On expiry
 // or cancellation an engine returns a well-formed PARTIAL result (patterns
 // generated so far, faults graded so far, aborted accounting intact) tagged
 // with a StageOutcome; it never throws for control-flow reasons.

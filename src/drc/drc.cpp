@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "fault/fault.hpp"
@@ -117,31 +116,11 @@ std::string gate_label(const Netlist& nl, GateId id) {
   return s;
 }
 
-// Required fanin range per gate type, mirroring Netlist::check_arity.
-std::pair<std::size_t, std::size_t> arity_range(GateType t) {
-  constexpr std::size_t kAny = std::numeric_limits<std::size_t>::max();
-  switch (t) {
-    case GateType::kInput:
-    case GateType::kConst0:
-    case GateType::kConst1:
-      return {0, 0};
-    case GateType::kOutput:
-    case GateType::kBuf:
-    case GateType::kNot:
-    case GateType::kDff:
-      return {1, 1};
-    case GateType::kMux:
-      return {3, 3};
-    default:
-      return {1, kAny};
-  }
-}
-
 // ---- D2: undriven / ill-formed pins --------------------------------------
 void check_pins(const Netlist& nl, Sink& sink) {
   for (GateId id = 0; id < nl.num_gates(); ++id) {
     const Gate& g = nl.gate(id);
-    const auto [lo, hi] = arity_range(g.type);
+    const auto [lo, hi] = fanin_range(g.type);
     if (g.fanin.size() < lo) {
       sink.emit("D2", id,
                 gate_label(nl, id) + " has " + std::to_string(g.fanin.size()) +
@@ -176,7 +155,7 @@ void check_pins(const Netlist& nl, Sink& sink) {
 // used as the X-source set of D4.
 bool is_x_source(const Netlist& nl, GateId id) {
   const Gate& g = nl.gate(id);
-  return g.fanin.size() < arity_range(g.type).first;
+  return g.fanin.size() < fanin_range(g.type).min;
 }
 
 // ---- D1: combinational loops (iterative Tarjan SCC) ----------------------

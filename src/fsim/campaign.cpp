@@ -37,8 +37,11 @@
 // `batches_done` only ever advances at a completed barrier, which is what
 // makes a resumed run bit-identical to an uninterrupted one (see
 // fsim/checkpoint.hpp for why partial progress past the barrier is safe).
-// Without run control or checkpointing the whole stream is one round and
-// the hot loop costs exactly one null-pointer compare per batch.
+// Workers also poll() the RunControl before each batch and every
+// kPollFaults faults inside one, so a deadline or cancel lands mid-batch
+// even when the whole pattern set is a single batch; a stop marks the round
+// incomplete. Without run control or checkpointing the whole stream is one
+// round and the hot loop costs one null-pointer compare per fault.
 #include "fsim/campaign.hpp"
 
 #include <algorithm>
@@ -53,6 +56,9 @@
 
 namespace aidft {
 namespace {
+
+// Faults a worker grades between two RunControl polls inside a batch.
+constexpr std::size_t kPollFaults = 256;
 
 // Shared cross-shard drop state: bit f set = fault f needs no further
 // simulation. mark() sets the bit and reports whether it was newly set;
@@ -458,8 +464,15 @@ CampaignResult run_sharded(const Netlist& nl, const Source& faults,
       }
 
       std::size_t newly_marked = 0;
+      std::size_t until_poll = kPollFaults;
+      bool stopped = false;
       auto fault = faults.cursor(shard.begin);
       drops.walk_live(shard.begin, shard.end, [&](std::size_t i) {
+        if (rc != nullptr && --until_poll == 0) {
+          until_poll = kPollFaults;
+          stopped = rc->poll() != StopReason::kNone;
+          if (stopped) return false;
+        }
         const std::uint64_t mask =
             grade(fsim, shard.op_diffs, fault(i), capture[b]);
         if (mask == 0) return true;
@@ -483,6 +496,10 @@ CampaignResult run_sharded(const Netlist& nl, const Source& faults,
         return true;
       });
       drops.settle(newly_marked);
+      if (stopped) {
+        round_incomplete.store(true, std::memory_order_relaxed);
+        break;
+      }
     }
     // Shard exhausted the stream: retire the survivors so campaign_done()
     // converges for the other shards. Never on an early stop — survivors

@@ -68,10 +68,11 @@ struct CampaignOptions {
   /// Run control (see common/run_control.hpp): null (the default) runs to
   /// completion. When set, the campaign is restructured into rounds of
   /// `checkpoint_every_batches` batches: the orchestrator check()s between
-  /// rounds and workers poll() once per 64-pattern batch, so a deadline or
-  /// cancellation stops the run within one batch per worker and run_campaign
-  /// returns a well-formed partial CampaignResult (outcome != kCompleted)
-  /// instead of throwing.
+  /// rounds and workers poll() before each 64-pattern batch and every 256
+  /// faults inside one, so a deadline or cancellation stops the run within
+  /// a few hundred fault gradings per worker and run_campaign returns a
+  /// well-formed partial CampaignResult (outcome != kCompleted) instead of
+  /// throwing.
   RunControl* run_control = nullptr;
   /// When non-empty, a CampaignCheckpoint (fsim/checkpoint.hpp) is saved
   /// here after every round and once more on an early stop, atomically.
@@ -156,8 +157,8 @@ struct LiftedFaults {
 /// run_campaign() on the materialised lifted list, fault for fault, while
 /// holding only the core's list (checked once: every gate below
 /// core_gates, every branch pin below its gate's fanin count). Throws
-/// aidft::Error when netlist.replicas() != instances (e.g. a SoC with
-/// compare logic) or core_gates * instances != num_gates(), and on the
+/// aidft::Error when netlist.replicas() != instances (e.g. a gate-by-gate
+/// copy of a replica) or core_gates * instances != num_gates(), and on the
 /// errors of the list overload.
 CampaignResult run_campaign(const Netlist& netlist, const LiftedFaults& faults,
                             const std::vector<TestCube>& patterns,

@@ -36,13 +36,6 @@ FaultSimulator::FaultSimulator(const Netlist& netlist,
       buckets_(netlist.num_levels() + 1),
       observe_(std::move(index)) {}
 
-void FaultSimulator::reserve_scratch(std::size_t gates) {
-  if (faulty_.size() >= gates) return;
-  faulty_.resize(gates, 0);
-  epoch_.resize(gates, 0);
-  queued_.resize(gates, false);
-}
-
 void FaultSimulator::next_epoch() {
   ++cur_epoch_;
   if (cur_epoch_ == 0) {  // wrapped: invalidate all tags
@@ -55,7 +48,11 @@ void FaultSimulator::load_batch(const PatternBatch& batch) {
   good_sim_.simulate(batch);
   loaded_ = true;
   lane_mask_ = batch.lane_mask();
-  reserve_scratch(good_sim_.tile());
+  if (faulty_.size() < good_sim_.tile()) {
+    faulty_.resize(good_sim_.tile(), 0);
+    epoch_.resize(good_sim_.tile(), 0);
+    queued_.resize(good_sim_.tile(), false);
+  }
 }
 
 void FaultSimulator::load_launch_batch(const PatternBatch& batch) {
@@ -69,15 +66,19 @@ std::uint64_t FaultSimulator::line_value(const Fault& f) const {
   return good_sim_.value(f.is_stem() ? f.gate : topo_->fanin(f.gate)[f.pin]);
 }
 
-std::uint64_t FaultSimulator::propagate(const Fault& fault,
+FaultSimulator::Site FaultSimulator::stuck_site(const Fault& fault) {
+  return {fault.gate, fault.pin, fault.stuck_at_one() ? ~0ull : 0ull};
+}
+
+std::uint64_t FaultSimulator::propagate(Site first, Site second,
                                         std::vector<OpDiff>* op_diffs) {
   const Topology& t = *topo_;
   const std::vector<std::uint64_t>& good = good_sim_.values();
   const std::uint64_t lane_mask = lane_mask_;
-  // Every gate this fault reaches lies in its own instance, which starts at
-  // `base`: good values and scratch are indexed relative to it (base is 0
-  // when the tile is the whole netlist).
-  const GateId base = good_sim_.tile_base(fault.gate);
+  // Every gate this faulty machine reaches lies in the sites' instance,
+  // which starts at `base`: good values and scratch are indexed relative to
+  // it (base is 0 when the tile is the whole netlist).
+  const GateId base = good_sim_.tile_base(first.gate);
   next_epoch();
   auto good_at = [&](GateId g) { return good[g - base]; };
   auto fval = [&](GateId g) -> std::uint64_t {
@@ -88,7 +89,6 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
     epoch_[g - base] = cur_epoch_;
   };
 
-  const std::uint64_t stuck_word = fault.stuck_at_one() ? ~0ull : 0ull;
   ++events_;  // the injection itself
 
   const ObserveIndex& observe = *observe_;
@@ -102,14 +102,14 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
 
   // A DFF D-pin fault corrupts only the captured value, which is observed
   // directly at scan-out: activation is detection, nothing propagates.
-  if (!fault.is_stem() && t.type(fault.gate) == GateType::kDff) {
-    const GateId driver = t.fanin(fault.gate)[fault.pin];
-    const std::uint64_t diff = (good_at(driver) ^ stuck_word) & lane_mask;
+  if (first.pin != kStemPin && t.type(first.gate) == GateType::kDff) {
+    const GateId driver = t.fanin(first.gate)[first.pin];
+    const std::uint64_t diff = (good_at(driver) ^ first.word) & lane_mask;
     if (op_diffs != nullptr && diff != 0) {
       // Only this flop's own observe point fails: the one among the points
       // observing its D driver whose gate is the flop itself.
       for (std::uint32_t op : observe.points(driver)) {
-        if (netlist_->observe_point(op) == fault.gate) {
+        if (netlist_->observe_point(op) == first.gate) {
           op_diffs->push_back({op, diff});
         }
       }
@@ -136,34 +136,50 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
   };
 
   // --- inject -------------------------------------------------------------
-  // `active`: the lanes on which the fault site differs from the good
-  // machine. Every other lane of the faulty machine equals the good one, so
+  // `active`: the lanes on which a site differs from the good machine.
+  // Every other lane of the faulty machine equals the good one, so
   // detect ⊆ active throughout; once they are equal, no later event can
   // change the mask and a mask-only caller (op_diffs == nullptr) stops.
   std::uint64_t active = 0;
-  if (fault.is_stem()) {
-    active = (good_at(fault.gate) ^ stuck_word) & lane_mask;
-    if (active == 0) return 0;
-    set_fval(fault.gate, stuck_word);
-  } else {
-    const std::span<const GateId> fin = t.fanin(fault.gate);
-    const std::uint64_t nv = eval_gate_words(
-        t.type(fault.gate), fin.size(), [&](std::size_t i) {
-          return i == fault.pin ? stuck_word : good_at(fin[i]);
-        });
-    active = (nv ^ good_at(fault.gate)) & lane_mask;
-    if (active == 0) return 0;
-    set_fval(fault.gate, nv);
-  }
-  if (observe.observed(fault.gate)) {
-    detect = active;
-    record_diff(fault.gate, active);
-    if (op_diffs == nullptr) {
-      ++early_exits_;
-      return detect;
+  auto inject = [&](const Site& s) {
+    std::uint64_t nv = s.word;  // a stem site's
+    if (s.pin != kStemPin) {
+      const std::span<const GateId> fin = t.fanin(s.gate);
+      nv = eval_gate_words(t.type(s.gate), fin.size(), [&](std::size_t k) {
+        return k == s.pin ? s.word : good_at(fin[k]);
+      });
     }
+    const std::uint64_t d = (nv ^ good_at(s.gate)) & lane_mask;
+    if (d == 0) return;
+    active |= d;
+    set_fval(s.gate, nv);
+    if (observe.observed(s.gate)) {
+      detect |= d;
+      record_diff(s.gate, d);
+    }
+  };
+  const bool two_sites = second.gate != kNoGate;
+  inject(first);
+  if (two_sites) inject(second);
+  if (active == 0) return 0;
+  if (op_diffs == nullptr && detect == active) {
+    ++early_exits_;
+    return detect;
   }
-  enqueue_fanouts(fault.gate);
+  // A site is held by marking it queued for the whole propagation, so no
+  // event re-evaluates it. Only a bridge needs that: one net's effect can
+  // reach the other, while a single site never reaches itself (the graph
+  // is acyclic and flops capture, not propagate). A site equal to the good
+  // machine on every live lane was not injected and starts no events.
+  auto hold = [&](bool held) {
+    if (!two_sites) return;
+    queued_[first.gate - base] = held;
+    queued_[second.gate - base] = held;
+  };
+  hold(true);
+  auto injected = [&](GateId g) { return epoch_[g - base] == cur_epoch_; };
+  if (injected(first.gate)) enqueue_fanouts(first.gate);
+  if (two_sites && injected(second.gate)) enqueue_fanouts(second.gate);
 
   // --- levelized forward propagation ---------------------------------------
   for (std::uint32_t lvl = lo; lvl <= hi; ++lvl) {
@@ -174,20 +190,9 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
       ++events_;
       const GateType type = t.type(id);
       const std::span<const GateId> fin = t.fanin(id);
-      std::uint64_t nv = eval_gate_words(
+      const std::uint64_t nv = eval_gate_words(
           type, fin.size(),
           [&](std::size_t k) { return fval(fin[k]); });
-      // Re-injection at the fault site: a faulty effect reconverging onto
-      // the faulted line keeps the stuck value / forced pin.
-      if (id == fault.gate) {
-        if (fault.is_stem()) {
-          nv = stuck_word;
-        } else {
-          nv = eval_gate_words(type, fin.size(), [&](std::size_t k) {
-            return k == fault.pin ? stuck_word : fval(fin[k]);
-          });
-        }
-      }
       if (nv != fval(id)) {
         set_fval(id, nv);
         if (observe.observed(id)) {
@@ -210,12 +215,13 @@ std::uint64_t FaultSimulator::propagate(const Fault& fault,
       break;
     }
   }
+  hold(false);
   return detect;
 }
 
 std::uint64_t FaultSimulator::detect_mask(const Fault& fault) {
   AIDFT_REQUIRE(loaded_, "load_batch() before detect_mask()");
-  if (fault.kind == FaultKind::kStuckAt) return propagate(fault);
+  if (fault.kind == FaultKind::kStuckAt) return propagate(stuck_site(fault));
   // Transition fault: launch must set the line to the initial value
   // (opposite of the final `value`), capture must detect stuck-at(initial).
   AIDFT_REQUIRE(launch_sim_.has_value(),
@@ -230,7 +236,7 @@ std::uint64_t FaultSimulator::detect_mask(const Fault& fault) {
   Fault as_stuck = fault;
   as_stuck.kind = FaultKind::kStuckAt;
   as_stuck.value = fault.value ? 0 : 1;  // stuck at the *initial* value
-  const std::uint64_t det = propagate(as_stuck);
+  const std::uint64_t det = propagate(stuck_site(as_stuck));
   return det & armed & launch_lane_mask_ & lane_mask_;
 }
 
@@ -244,81 +250,26 @@ std::uint64_t FaultSimulator::detect_mask_iddq(const Fault& fault) {
 
 std::uint64_t FaultSimulator::detect_mask_bridging(const BridgingFault& fault) {
   AIDFT_REQUIRE(loaded_, "load_batch() before detect_mask_bridging()");
-  const Netlist& nl = *netlist_;
-  AIDFT_REQUIRE(fault.a < nl.num_gates() && fault.b < nl.num_gates() &&
-                    fault.a != fault.b,
+  const std::size_t n = netlist_->num_gates();
+  AIDFT_REQUIRE(fault.a < n && fault.b < n && fault.a != fault.b,
                 "bridging fault sites invalid");
-  // The two nets may sit in different instances, so the scratch keeps
-  // whole-netlist indexing; good values still come through the tile.
-  reserve_scratch(nl.num_gates());
-  const ParallelSimulator& good = good_sim_;
-  const std::uint64_t va = good.value(fault.a);
-  const std::uint64_t vb = good.value(fault.b);
-  std::uint64_t na = va, nb = vb;
+  const std::uint64_t va = good_sim_.value(fault.a);
+  const std::uint64_t vb = good_sim_.value(fault.b);
+  Site a{fault.a, kStemPin, va};
+  Site b{fault.b, kStemPin, vb};
   switch (fault.type) {
-    case BridgeType::kWiredAnd: na = nb = va & vb; break;
-    case BridgeType::kWiredOr: na = nb = va | vb; break;
-    case BridgeType::kADominatesB: nb = va; break;
-    case BridgeType::kBDominatesA: na = vb; break;
+    case BridgeType::kWiredAnd: a.word = b.word = va & vb; break;
+    case BridgeType::kWiredOr: a.word = b.word = va | vb; break;
+    case BridgeType::kADominatesB: b.word = va; break;
+    case BridgeType::kBDominatesA: a.word = vb; break;
   }
-
-  next_epoch();
-  auto fval = [&](GateId g) -> std::uint64_t {
-    return epoch_[g] == cur_epoch_ ? faulty_[g] : good.value(g);
-  };
-  auto set_fval = [&](GateId g, std::uint64_t v) {
-    faulty_[g] = v;
-    epoch_[g] = cur_epoch_;
-  };
-  const Topology& t = *topo_;
-  std::uint64_t detect = 0;
-  auto enqueue_fanouts = [&](GateId g) {
-    for (GateId s : t.fanout(g)) {
-      if (is_state_element(t.type(s))) continue;
-      if (!queued_[s]) {
-        queued_[s] = true;
-        buckets_[t.level(s)].push_back(s);
-      }
-    }
-  };
-  auto inject = [&](GateId g, std::uint64_t nv, std::uint64_t old) {
-    const std::uint64_t diff = (nv ^ old) & lane_mask_;
-    if (diff == 0) return;
-    set_fval(g, nv);
-    if (observe_->observed(g)) detect |= diff;
-    enqueue_fanouts(g);
-  };
-  inject(fault.a, na, va);
-  inject(fault.b, nb, vb);
-  if (detect == 0 && epoch_[fault.a] != cur_epoch_ &&
-      epoch_[fault.b] != cur_epoch_) {
-    return 0;  // bridge never excited by this batch
+  // Nets in two tile blocks sit in two instances of a broadcast replica,
+  // whose cones share no gate: the faulty machine is the two single-net
+  // machines side by side.
+  if (good_sim_.tile_base(fault.a) != good_sim_.tile_base(fault.b)) {
+    return propagate(a) | propagate(b);
   }
-
-  for (std::uint32_t lvl = 0; lvl < buckets_.size(); ++lvl) {
-    auto& bucket = buckets_[lvl];
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      const GateId id = bucket[i];
-      queued_[id] = false;
-      ++events_;
-      // Bridged nets hold their forced value regardless of reconvergence
-      // (no path can exist between same-level nets, but be safe).
-      if (id == fault.a || id == fault.b) continue;
-      const std::span<const GateId> fin = t.fanin(id);
-      const std::uint64_t nv = eval_gate_words(
-          t.type(id), fin.size(),
-          [&](std::size_t k) { return fval(fin[k]); });
-      if (nv != fval(id)) {
-        set_fval(id, nv);
-        if (observe_->observed(id)) {
-          detect |= (nv ^ good.value(id)) & lane_mask_;
-        }
-        enqueue_fanouts(id);
-      }
-    }
-    bucket.clear();
-  }
-  return detect & lane_mask_;
+  return propagate(a, b);
 }
 
 std::uint64_t FaultSimulator::detect_mask_detailed(
@@ -327,7 +278,7 @@ std::uint64_t FaultSimulator::detect_mask_detailed(
   AIDFT_REQUIRE(fault.kind == FaultKind::kStuckAt,
                 "detailed masks are for stuck-at faults");
   op_diffs.clear();
-  return propagate(fault, &op_diffs);
+  return propagate(stuck_site(fault), kNoSite, &op_diffs);
 }
 
 std::uint64_t FaultSimulator::detect_mask_reference(const PatternBatch& batch,

@@ -22,6 +22,11 @@
 // sizes its per-fault scratch to the tile, while faulty propagation still
 // walks the real SoC topology from the real fault site.
 //
+// Stuck-at, transition and bridging faults share one propagation kernel,
+// which holds one or two forced sites: a bridge is one propagation with
+// both nets held, or, when its nets sit in two instances, the OR of two
+// single-net propagations (instance cones share no gate).
+//
 // Transition-delay faults are graded on pattern *pairs* (launch, capture):
 // the launch vector must set the line to the transition's initial value and
 // the capture vector must detect the corresponding stuck-at.
@@ -114,7 +119,9 @@ class FaultSimulator {
   std::uint64_t detect_mask_reference(const PatternBatch& batch,
                                       const Fault& fault);
 
-  /// Lanes on which a bridging fault is detected. The two nets must have no
+  /// Lanes on which a bridging fault is detected: both nets hold the words
+  /// the bridge gives them, computed from their good values, and the effect
+  /// propagates like a stuck-at fault's. The two nets should have no
   /// combinational path between them (guaranteed by same-level candidates
   /// from sample_bridging_faults); otherwise behaviour is the zero-delay
   /// approximation that ignores feedback.
@@ -145,12 +152,22 @@ class FaultSimulator {
   std::uint64_t early_exits() const { return early_exits_; }
 
  private:
-  // Stuck-at propagation of `fault` over the loaded capture batch; with
-  // `op_diffs` set, appends one pair per observe point reached.
-  std::uint64_t propagate(const Fault& fault,
+  // A line the faulty machine holds at `word`: gate `gate`'s output stem
+  // (pin == kStemPin) or its input pin `pin`; kNoSite holds nothing.
+  struct Site {
+    GateId gate;
+    std::uint8_t pin;
+    std::uint64_t word;
+  };
+  static constexpr Site kNoSite{kNoGate, kStemPin, 0};
+  static Site stuck_site(const Fault& fault);
+  // Propagation over the loaded capture batch of the faulty machine that
+  // holds `first` and, if set, `second`, a stem in the same tile block
+  // (a bridge's two nets); a held site keeps its word wherever the faulty
+  // effect reconverges. With `op_diffs` set, appends one pair per observe
+  // point reached.
+  std::uint64_t propagate(Site first, Site second = kNoSite,
                           std::vector<OpDiff>* op_diffs = nullptr);
-  // Grows the propagation scratch to cover `gates` gates.
-  void reserve_scratch(std::size_t gates);
   // Starts a fresh faulty machine (retags every scratch entry on wrap).
   void next_epoch();
 
@@ -167,9 +184,9 @@ class FaultSimulator {
   std::uint64_t launch_lane_mask_ = 0;
 
   // Per-fault propagation scratch (epoch-tagged faulty values), allocated
-  // on the first load and sized to the tile: a stuck-at fault indexes it
-  // relative to its instance's first gate. Bridging grows it to the whole
-  // netlist, because its two nets may sit in different instances.
+  // on the first load and grown to the largest tile loaded: a faulty
+  // machine indexes it relative to its instance's first gate, and a bridge
+  // whose nets sit in two instances runs as two of them.
   std::vector<std::uint64_t> faulty_;
   std::vector<std::uint32_t> epoch_;
   std::uint64_t events_ = 0;

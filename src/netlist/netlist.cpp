@@ -84,35 +84,16 @@ void Netlist::connect(GateId driver, GateId sink) {
 void Netlist::check_arity(GateId id) const {
   const Record& g = records_[id];
   const std::size_t n = g.fanin.size();
-  auto fail = [&](const char* need) {
+  auto fail = [&](const std::string& need) {
     throw Error("gate " + std::to_string(id) + " (" +
                 std::string(to_string(g.type)) +
                 (names_[id].empty() ? "" : ", " + names_[id]) +
                 "): expected " + need + " fanin(s), got " + std::to_string(n));
   };
-  switch (g.type) {
-    case GateType::kInput:
-    case GateType::kConst0:
-    case GateType::kConst1:
-      if (n != 0) fail("0");
-      break;
-    case GateType::kOutput:
-    case GateType::kBuf:
-    case GateType::kNot:
-    case GateType::kDff:
-      if (n != 1) fail("1");
-      break;
-    case GateType::kMux:
-      if (n != 3) fail("3 (sel,d0,d1)");
-      break;
-    case GateType::kAnd:
-    case GateType::kNand:
-    case GateType::kOr:
-    case GateType::kNor:
-    case GateType::kXor:
-    case GateType::kXnor:
-      if (n < 1) fail(">=1");
-      break;
+  const auto [lo, hi] = fanin_range(g.type);
+  if (n < lo || n > hi) {
+    fail((lo == hi ? "" : ">=") + std::to_string(lo) +
+         (g.type == GateType::kMux ? " (sel,d0,d1)" : ""));
   }
   for (GateId f : g.fanin) {
     if (f >= records_.size()) fail("valid");

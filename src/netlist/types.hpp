@@ -1,7 +1,9 @@
 // Fundamental identifiers and gate vocabulary of the gate-level IR.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string_view>
 
 namespace aidft {
@@ -33,6 +35,37 @@ std::string_view to_string(GateType type);
 
 /// True for state elements (currently only DFF).
 constexpr bool is_state_element(GateType type) { return type == GateType::kDff; }
+
+/// Fanin counts a gate of `type` may have, [min, max]; max is unbounded for
+/// the n-input logic gates. Netlist::finalize() rejects a gate outside it
+/// and DRC rule D2 reports one.
+struct FaninRange {
+  std::size_t min;
+  std::size_t max;
+};
+constexpr FaninRange fanin_range(GateType type) {
+  switch (type) {
+    case GateType::kInput:
+    case GateType::kConst0:
+    case GateType::kConst1:
+      return {0, 0};
+    case GateType::kOutput:
+    case GateType::kBuf:
+    case GateType::kNot:
+    case GateType::kDff:
+      return {1, 1};
+    case GateType::kMux:
+      return {3, 3};
+    case GateType::kAnd:
+    case GateType::kNand:
+    case GateType::kOr:
+    case GateType::kNor:
+    case GateType::kXor:
+    case GateType::kXnor:
+      break;
+  }
+  return {1, std::numeric_limits<std::size_t>::max()};
+}
 
 /// True for types with no fanin.
 constexpr bool is_source(GateType type) {

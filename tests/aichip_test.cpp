@@ -290,9 +290,10 @@ TEST(LiftFaults, EqualsTheSocsOwnListsInOrder) {
 TEST(LiftFaults, RejectsCompareSocsAndForeignFaults) {
   const Netlist core = circuits::make_mac(3, true);
   const auto faults = generate_stuck_at_faults(core);
-  EXPECT_THROW(aichip::lift_faults(
-                   aichip::make_replicated_soc_with_compare(core, 2), faults),
-               Error);
+  // The gate-by-gate clone of a replica carries no tiling: no replica.
+  aichip::SocNetlist clone = aichip::make_replicated_soc(core, 2);
+  clone.netlist = test::cloned_replica(core, 2);
+  EXPECT_THROW(aichip::lift_faults(clone, faults), Error);
   const Fault foreign{static_cast<GateId>(core.num_gates()), kStemPin, 0};
   EXPECT_THROW(aichip::lift_faults(aichip::make_replicated_soc(core, 2),
                                    std::vector<Fault>{foreign}),
@@ -605,11 +606,9 @@ TEST(LiftedCampaign, RejectsForeignNetlistsAndSites) {
   auto rejects = [&](const Netlist& nl, const LiftedFaults& view) {
     EXPECT_THROW(run_campaign(nl, view, patterns), Error);
   };
-  // A SoC with compare logic is no replica, and an instance count or gate
+  // A gate-by-gate clone is no replica, and an instance count or gate
   // stride other than the replica's own would lift into the wrong gates.
-  const aichip::SocNetlist compare =
-      aichip::make_replicated_soc_with_compare(core, 3);
-  rejects(compare.netlist, {faults, 3, g});
+  rejects(test::cloned_replica(core, 3), {faults, 3, g});
   rejects(soc.netlist, {faults, 2, g});
   rejects(soc.netlist, {faults, 4, g});
   rejects(soc.netlist, {faults, 0, g});

@@ -9,16 +9,21 @@
 // known difference at an observe point, so every completion of the cube is a
 // test. Over the same corpus and the same 2^n vectors, the PPSFP engine must
 // agree with the reference engine's full sweeps batch by batch, and a
-// campaign at 1 and at 4 threads with the reference campaign.
+// campaign at 1 and at 4 threads with the reference campaign; bridging
+// faults must agree with a two-sweep reference batch by batch, on each
+// circuit and across the two instances of its broadcast replica.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "aichip/soc.hpp"
 #include "atpg/atpg.hpp"
 #include "bench_circuits/generators.hpp"
+#include "fault/bridging.hpp"
 #include "fsim/campaign.hpp"
 #include "fsim/fault_sim.hpp"
 #include "test_util.hpp"
@@ -213,6 +218,160 @@ TEST_P(ExhaustiveAgreement, CampaignMatchesReferenceAtOneAndFourThreads) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Circuits, ExhaustiveAgreement,
+                         ::testing::ValuesIn(oracle_case_names()),
+                         [](const auto& info) { return info.param; });
+
+// ---- bridging faults against a two-sweep reference ------------------------
+
+constexpr BridgeType kBridgeTypes[] = {
+    BridgeType::kWiredAnd, BridgeType::kWiredOr, BridgeType::kADominatesB,
+    BridgeType::kBDominatesA};
+
+// The words nets a and b read under the bridge, from their good words.
+std::pair<std::uint64_t, std::uint64_t> bridged_words(BridgeType type,
+                                                      std::uint64_t va,
+                                                      std::uint64_t vb) {
+  switch (type) {
+    case BridgeType::kWiredAnd: return {va & vb, va & vb};
+    case BridgeType::kWiredOr: return {va | vb, va | vb};
+    case BridgeType::kADominatesB: return {va, va};
+    case BridgeType::kBDominatesA: return {vb, vb};
+  }
+  return {va, vb};
+}
+
+// Every gate's word with only the batch's input and flop words filled in.
+std::vector<std::uint64_t> loaded_words(const Netlist& nl,
+                                        const PatternBatch& batch) {
+  std::vector<std::uint64_t> v(nl.num_gates(), 0);
+  for (std::size_t i = 0; i < batch.words.size(); ++i) {
+    v[nl.combinational_input(i)] = batch.words[i];
+  }
+  return v;
+}
+
+// Reference bridging grade: after the good sweep (`good`), a second full
+// sweep in which nets a and b hold the words the bridge gives them, however
+// their fanins change; the lanes on which an observe point differs.
+std::uint64_t bridge_reference(const Netlist& nl, const PatternBatch& batch,
+                               const std::vector<std::uint64_t>& good,
+                               const BridgingFault& br) {
+  const auto [na, nb] = bridged_words(br.type, good[br.a], good[br.b]);
+  std::vector<std::uint64_t> faulty = loaded_words(nl, batch);
+  const Topology& t = nl.topology();
+  for (GateId id : t.topo_order()) {
+    const GateType type = t.type(id);
+    if (type == GateType::kConst1) faulty[id] = ~0ull;
+    if (!is_source(type) && !is_state_element(type)) {
+      const std::span<const GateId> fin = t.fanin(id);
+      faulty[id] = eval_gate_words(type, fin.size(),
+                                   [&](std::size_t k) { return faulty[fin[k]]; });
+    }
+    if (id == br.a) faulty[id] = na;
+    if (id == br.b) faulty[id] = nb;
+  }
+  std::uint64_t detect = 0;
+  for (std::size_t i = 0; i < nl.num_observe_points(); ++i) {
+    const GateId og = nl.observed_gate(nl.observe_point(i));
+    detect |= good[og] ^ faulty[og];
+  }
+  return detect & batch.lane_mask();
+}
+
+// The sampler's same-level pairs in all four types, plus every fourth gate
+// bridged to its first logic fanout, in both orders: there one net's cone
+// reaches the other, which must keep its bridged word when re-evaluated.
+std::vector<BridgingFault> oracle_bridges(const Netlist& nl) {
+  std::vector<BridgingFault> v = sample_bridging_faults(
+      nl, 100, 21, {std::begin(kBridgeTypes), std::end(kBridgeTypes)});
+  const Topology& t = nl.topology();
+  auto logic = [&](GateId g) {
+    return t.type(g) != GateType::kOutput && !is_state_element(t.type(g));
+  };
+  for (GateId a = 0; a < nl.num_gates(); a += 4) {
+    if (!logic(a) || is_source(t.type(a))) continue;
+    const auto fanout = t.fanout(a);
+    const auto s = std::find_if(fanout.begin(), fanout.end(), logic);
+    if (s == fanout.end()) continue;
+    for (BridgeType type : kBridgeTypes) {
+      v.push_back({a, *s, type});
+      v.push_back({*s, a, type});
+    }
+  }
+  return v;
+}
+
+// detect_mask_bridging against bridge_reference for every bridge on every
+// 64-pattern batch; each batch's good machine must be `tile` gates wide.
+void expect_bridges_match_reference(const Netlist& nl,
+                                    const std::vector<BridgingFault>& bridges,
+                                    const std::vector<TestCube>& patterns,
+                                    std::size_t tile) {
+  ASSERT_FALSE(bridges.empty());
+  FaultSimulator fsim(nl);
+  ParallelSimulator sim(nl);
+  for (std::size_t base = 0; base < patterns.size(); base += 64) {
+    const PatternBatch batch = pack_patterns(
+        patterns, base, std::min<std::size_t>(64, patterns.size() - base));
+    fsim.load_batch(batch);
+    sim.simulate(batch);
+    ASSERT_EQ(sim.tile(), tile) << "batch " << base / 64;
+    std::vector<std::uint64_t> good = loaded_words(nl, batch);
+    full_sweep(nl, good, nullptr);
+    for (const BridgingFault& br : bridges) {
+      ASSERT_EQ(fsim.detect_mask_bridging(br),
+                bridge_reference(nl, batch, good, br))
+          << bridge_name(nl, br) << " batch " << base / 64;
+    }
+  }
+}
+
+class ExhaustiveBridging : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    nl_ = oracle_circuit(GetParam());
+    ASSERT_LE(nl_.combinational_inputs().size(), kMaxInputs);
+    all_ = test::exhaustive_patterns(nl_.combinational_inputs().size());
+  }
+
+  Netlist nl_;
+  std::vector<TestCube> all_;
+};
+
+TEST_P(ExhaustiveBridging, MatchesTwoSweepReferenceOnEveryBatch) {
+  expect_bridges_match_reference(nl_, oracle_bridges(nl_), all_,
+                                 nl_.num_gates());
+}
+
+// Two instances under the core's 2^n set broadcast: the good machine is
+// one instance wide, and a bridge between the instances couples cones that
+// share no gate. The core's bridges take turns at four placements: from
+// instance 0 to 1, from 1 to 0, inside instance 1, and a gate bridged to
+// its own copy (the two nets agree on every broadcast lane, so it is never
+// detected).
+TEST_P(ExhaustiveBridging, CrossInstanceOnABroadcastReplica) {
+  const aichip::SocNetlist soc = aichip::make_replicated_soc(nl_, 2);
+  const auto g = static_cast<GateId>(nl_.num_gates());
+  std::vector<BridgingFault> bridges = oracle_bridges(nl_);
+  for (std::size_t i = 0; i < bridges.size(); ++i) {
+    BridgingFault& br = bridges[i];
+    switch (i % 4) {
+      case 0: br.b += g; break;
+      case 1: br.a += g; break;
+      case 2: br.a += g; br.b += g; break;
+      case 3: br.b = br.a + g; break;
+    }
+  }
+  std::vector<TestCube> broadcast;
+  broadcast.reserve(all_.size());
+  for (const TestCube& c : all_) {
+    broadcast.push_back(aichip::broadcast_cube(soc, c));
+  }
+  expect_bridges_match_reference(soc.netlist, bridges, broadcast,
+                                 nl_.num_gates());
+}
+
+INSTANTIATE_TEST_SUITE_P(Circuits, ExhaustiveBridging,
                          ::testing::ValuesIn(oracle_case_names()),
                          [](const auto& info) { return info.param; });
 

@@ -361,10 +361,8 @@ TEST(Collapse, MatchesHashMapOracleOnReplicatedSoc) {
       const std::string x = " x" + std::to_string(n);
       expect_oracle_on_all_lists(aichip::make_replicated_soc(core, n).netlist,
                                  core.name() + " soc" + x);
-      if (n < 2) continue;  // the compare tree needs two instances
-      expect_oracle_on_all_lists(
-          aichip::make_replicated_soc_with_compare(core, n).netlist,
-          core.name() + " soc+compare" + x);
+      expect_oracle_on_all_lists(test::cloned_replica(core, n),
+                                 core.name() + " clone" + x);
     }
   }
 }

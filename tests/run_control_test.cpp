@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -329,6 +330,35 @@ TEST(CampaignRunControl, ExpiredBudgetReturnsEmptyButValidResult) {
   EXPECT_EQ(r.batches_graded, 0u);
   EXPECT_EQ(r.total_faults, faults.size());
   EXPECT_EQ(r.detected_after.size(), patterns.size());
+}
+
+// A stop inside a batch: the whole pattern set is one batch, and the hook
+// cancels on the first detection it sees. Workers poll between faults, so
+// the campaign stops after a small fraction of the batch's detections.
+TEST(CampaignRunControl, CancelInsideABatchStopsBeforeTheBatchEnds) {
+  const Netlist nl = circuits::make_random_logic(16, 4000, 41);
+  const auto faults = generate_stuck_at_faults(nl);
+  Rng rng(8);
+  const auto patterns =
+      random_patterns(nl.combinational_inputs().size(), 64, rng);
+  for (std::size_t t : {1, 4}) {
+    RunControl rc;
+    std::atomic<std::size_t> calls{0};
+    CampaignOptions opts;
+    opts.num_threads = t;
+    opts.run_control = &rc;
+    const CampaignResult r = run_campaign(
+        nl, faults, patterns, opts,
+        [&](std::size_t, std::size_t, std::uint64_t) {
+          if (calls.fetch_add(1, std::memory_order_relaxed) == 0) {
+            rc.request_cancel();
+          }
+          return false;
+        });
+    EXPECT_EQ(r.outcome, StageOutcome::kCancelled) << t << " threads";
+    EXPECT_EQ(r.batches_graded, 0u) << t << " threads";
+    EXPECT_LT(calls.load(), faults.size() / 8) << t << " threads";
+  }
 }
 
 // ---------------------------------------------------------------------------
