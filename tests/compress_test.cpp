@@ -71,6 +71,32 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(std::size_t{64}, std::size_t{16}, 0.02),
                       std::make_tuple(std::size_t{4}, std::size_t{100}, 0.10)));
 
+TEST(Edt, RoundTripAtOffTableWidth) {
+  // 40 bits has no entry in the feedback-tap table: the taps come from the
+  // seeded fallback, which must still give a full-rank machine.
+  EdtConfig cfg;
+  cfg.lfsr_bits = 40;
+  cfg.channels = 3;
+  const EdtCodec codec(cfg, 12, 30);
+  Rng rng(40);
+  std::size_t successes = 0;
+  for (int iter = 0; iter < 20; ++iter) {
+    const auto load = random_care_load(12, 30, 0.05, rng);
+    const auto encoded = codec.encode(load);
+    if (!encoded) continue;
+    ++successes;
+    const auto delivered = codec.decompress(*encoded);
+    for (std::size_t c = 0; c < 12; ++c) {
+      for (std::size_t p = 0; p < 30; ++p) {
+        if (load[c][p] == Val3::kX) continue;
+        EXPECT_EQ(delivered[c][p], load[c][p] == Val3::kOne)
+            << "chain " << c << " pos " << p;
+      }
+    }
+  }
+  EXPECT_GE(successes, 18u);  // ~18 care bits vs 130 injected variables
+}
+
 TEST(Edt, OverconstrainedCubeFailsGracefully) {
   // More care bits than injected variables cannot be linearly solvable.
   EdtConfig cfg;

@@ -12,6 +12,12 @@
 // engine must reproduce every pattern, count, signature and ranking bit for
 // bit.
 //
+// The LfsrDigest suite pins the three LFSR-plus-phase-shifter stimulus
+// sources at every width a caller uses (16/24/32/64): EDT encode and
+// decompression, static reseeding's seeds and expansions, and the LBIST
+// PRPG's patterns, so a rewrite of the shared linear machine must reproduce
+// every channel stream, seed and chain fill bit for bit.
+//
 // The PodemDigest suite pins PODEM's search itself: FNV-1a over the status,
 // cube, decision, backtrack and implication counts of every call, so a
 // rewrite of PODEM's implication must reproduce the same search step for
@@ -30,6 +36,7 @@
 #include "bist/lbist.hpp"
 #include "bist/test_points.hpp"
 #include "common/rng.hpp"
+#include "compress/reseed.hpp"
 #include "compress/session.hpp"
 #include "netlist/scoap.hpp"
 #include "diag/diagnosis.hpp"
@@ -394,6 +401,97 @@ TEST(PodemDigest, Justify) {
     }
   }
   EXPECT_EQ(h.value(), 0x4068db6e3b03319cull);
+}
+
+// ---- linear decompressors ----------------------------------------------
+
+constexpr std::size_t kLfsrWidths[] = {16, 24, 32, 64};
+
+// A cube over `chains` chains of `len` cells with `care` random care bits;
+// every third chain is one cell short (ragged chains).
+std::vector<std::vector<Val3>> digest_load(std::size_t chains, std::size_t len,
+                                           std::size_t care, Rng& rng) {
+  std::vector<std::vector<Val3>> load;
+  for (std::size_t c = 0; c < chains; ++c) {
+    load.emplace_back(c % 3 == 2 ? len - 1 : len, Val3::kX);
+  }
+  for (std::size_t k = 0; k < care; ++k) {
+    auto& chain = load[rng.next_below(chains)];
+    chain[rng.next_below(chain.size())] =
+        rng.next_bool() ? Val3::kOne : Val3::kZero;
+  }
+  return load;
+}
+
+void hash_bits(Fnv1a& h, const BitVec& v) {
+  h.u64(v.size());
+  h.words(v.words());
+}
+
+void hash_fill(Fnv1a& h, const std::vector<std::vector<bool>>& chains) {
+  h.u64(chains.size());
+  for (const auto& chain : chains) {
+    h.u64(chain.size());
+    for (bool b : chain) h.u32(b);
+  }
+}
+
+TEST(LfsrDigest, Edt) {
+  const std::uint64_t expected[] = {0xf07d17b03ec275eeull, 0x17289db9ab613fc1ull,
+                                    0xcb2df8ff0f488298ull, 0xd55c2c618e17e687ull};
+  for (std::size_t i = 0; i < std::size(kLfsrWidths); ++i) {
+    const std::size_t width = kLfsrWidths[i];
+    const EdtConfig cfg{.lfsr_bits = width, .channels = 1 + i % 3};
+    const EdtCodec codec(cfg, 6, 20);
+    Rng rng(width);
+    Fnv1a h;
+    for (std::size_t care : {4, 12, 24, 40, 120}) {
+      const auto streams = codec.encode(digest_load(6, 20, care, rng));
+      h.u32(streams.has_value());
+      if (!streams) continue;
+      for (const BitVec& s : *streams) hash_bits(h, s);
+      hash_fill(h, codec.decompress(*streams));
+    }
+    EXPECT_EQ(h.value(), expected[i]) << "width " << width;
+  }
+}
+
+TEST(LfsrDigest, Reseed) {
+  const std::uint64_t expected[] = {0xd0f8d07e4988876cull, 0x94040be119f4558bull};
+  const std::size_t widths[] = {32, 64};
+  for (std::size_t i = 0; i < std::size(widths); ++i) {
+    const ReseedCodec codec({.lfsr_bits = widths[i]}, 8, 24);
+    Rng rng(widths[i]);
+    Fnv1a h;
+    for (std::size_t care : {6, 14, 24, 30, 48}) {
+      const auto seed = codec.encode(digest_load(8, 24, care, rng));
+      h.u32(seed.has_value());
+      if (!seed) continue;
+      hash_bits(h, *seed);
+      hash_fill(h, codec.expand(*seed));
+    }
+    // Every cell a care bit: far past the seed's capacity.
+    const std::vector<std::vector<Val3>> full(8,
+                                              std::vector<Val3>(24, Val3::kOne));
+    EXPECT_FALSE(codec.encode(full).has_value()) << "width " << widths[i];
+    BitVec seed(widths[i]);
+    for (std::size_t b = 0; b < widths[i]; ++b) seed.set(b, rng.next_bool());
+    hash_fill(h, codec.expand(seed));
+    EXPECT_EQ(h.value(), expected[i]) << "width " << widths[i];
+  }
+}
+
+TEST(LfsrDigest, Prpg) {
+  const std::uint64_t expected[] = {0x8e3b1ef730ad770dull, 0x310594afc4b9511dull,
+                                    0x85f12291c6bef81dull, 0x14aae06e20cdc9ddull};
+  for (std::size_t i = 0; i < std::size(kLfsrWidths); ++i) {
+    Prpg prpg({.prpg_bits = kLfsrWidths[i]}, 37);
+    std::vector<TestCube> patterns;
+    for (int k = 0; k < 24; ++k) patterns.push_back(prpg.next_pattern());
+    Fnv1a h;
+    hash_cubes(h, patterns);
+    EXPECT_EQ(h.value(), expected[i]) << "width " << kLfsrWidths[i];
+  }
 }
 
 }  // namespace

@@ -41,6 +41,30 @@ TEST(Reseed, RoundTripDeliversCareBits) {
   EXPECT_GE(ok, 28u);  // s=20 vs 64 seed bits: encodes essentially always
 }
 
+TEST(Reseed, RoundTripAtOffTableWidth) {
+  // 40 bits has no entry in the feedback-tap table: the taps come from the
+  // seeded fallback, which must still give a full-rank machine.
+  ReseedConfig cfg;
+  cfg.lfsr_bits = 40;
+  ReseedCodec codec(cfg, 16, 32);
+  Rng rng(40);
+  std::size_t ok = 0;
+  for (int iter = 0; iter < 30; ++iter) {
+    const auto load = random_load(16, 32, 12, rng);  // 12 care ≪ 40 seed bits
+    const auto seed = codec.encode(load);
+    if (!seed) continue;
+    ++ok;
+    const auto delivered = codec.expand(*seed);
+    for (std::size_t c = 0; c < 16; ++c) {
+      for (std::size_t p = 0; p < 32; ++p) {
+        if (load[c][p] == Val3::kX) continue;
+        EXPECT_EQ(delivered[c][p], load[c][p] == Val3::kOne);
+      }
+    }
+  }
+  EXPECT_GE(ok, 27u);
+}
+
 TEST(Reseed, CapacityCliffNearSeedWidth) {
   // The Könemann rule: success probability collapses once care bits
   // approach lfsr_bits.
