@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/rng.hpp"
 #include "fsim/campaign.hpp"
 #include "netlist/scoap.hpp"
 #include "sim/parallel_sim.hpp"
@@ -10,48 +9,10 @@
 namespace aidft {
 
 Prpg::Prpg(const LbistConfig& config, std::size_t num_positions)
-    : nbits_(config.prpg_bits), state_(config.seed) {
-  AIDFT_REQUIRE(nbits_ >= 8 && nbits_ <= 64, "prpg_bits in [8,64]");
-  state_ |= 1;  // never the all-zero LFSR lockup state
-  if (nbits_ < 64) state_ &= (1ull << nbits_) - 1;
-  // Feedback taps (see compress/edt.cpp for the width table rationale).
-  switch (nbits_) {
-    case 16: taps_ = {12, 3, 1}; break;
-    case 24: taps_ = {7, 2, 1}; break;
-    case 32: taps_ = {22, 2, 1}; break;
-    case 64: taps_ = {4, 3, 1}; break;
-    default: taps_ = {nbits_ - 2, 2, 1}; break;
-  }
-  Rng rng(config.seed ^ 0x5157D5);
-  ps_taps_.resize(num_positions);
-  for (auto& taps : ps_taps_) {
-    while (taps.size() < std::min<std::size_t>(3, nbits_)) {
-      const std::size_t t = rng.next_below(nbits_);
-      if (std::find(taps.begin(), taps.end(), t) == taps.end()) {
-        taps.push_back(t);
-      }
-    }
-  }
-}
-
-void Prpg::step() {
-  const bool feedback = state_ & 1ull;
-  state_ >>= 1;
-  if (feedback) {
-    state_ |= 1ull << (nbits_ - 1);
-    for (std::size_t t : taps_) state_ ^= 1ull << t;
-  }
-}
-
-TestCube Prpg::next_pattern() {
-  TestCube cube(ps_taps_.size());
-  for (std::size_t i = 0; i < ps_taps_.size(); ++i) {
-    step();
-    bool bit = false;
-    for (std::size_t t : ps_taps_[i]) bit ^= (state_ >> t) & 1ull;
-    cube.bits[i] = bit ? Val3::kOne : Val3::kZero;
-  }
-  return cube;
+    : machine_(config.prpg_bits, 0, num_positions, config.seed,
+               config.seed ^ 0x5157D5),
+      state_(config.seed | 1) {  // never the all-zero LFSR lockup state
+  if (machine_.bits() < 64) state_ &= (1ull << machine_.bits()) - 1;
 }
 
 namespace {

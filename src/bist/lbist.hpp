@@ -13,6 +13,7 @@
 
 #include "common/run_control.hpp"
 #include "compress/edt.hpp"  // Misr
+#include "compress/lfsr.hpp"
 #include "fault/fault.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/telemetry.hpp"
@@ -46,22 +47,26 @@ struct LbistConfig {
 };
 
 /// Pseudo-random pattern generator: LFSR plus per-position phase-shifter
-/// taps, the stimulus half of STUMPS flattened onto the combinational view.
+/// taps, the stimulus half of STUMPS flattened onto the combinational view
+/// (the free-running configuration of the LinearMachine).
 class Prpg {
  public:
   Prpg(const LbistConfig& config, std::size_t num_positions);
 
   /// Next fully specified pattern (advances the LFSR by one shift per cell,
   /// as a max-length chain load would).
-  TestCube next_pattern();
+  TestCube next_pattern() {
+    TestCube cube(machine_.num_outputs());
+    for (std::size_t i = 0; i < cube.bits.size(); ++i) {
+      state_ = machine_.step(state_);
+      cube.bits[i] = machine_.output(state_, i) ? Val3::kOne : Val3::kZero;
+    }
+    return cube;
+  }
 
  private:
-  void step();
-
-  std::size_t nbits_;
+  LinearMachine machine_;  // free-running, one output per position
   std::uint64_t state_;
-  std::vector<std::size_t> taps_;
-  std::vector<std::vector<std::size_t>> ps_taps_;  // per position
 };
 
 struct LbistResult {

@@ -2,7 +2,8 @@
 //
 // Stimulus side: a ring-generator LFSR seeded at zero receives `channels`
 // fresh bits per shift cycle (the compressed stimulus), and a phase-shifter
-// XOR network taps its state to feed every scan chain in parallel. Because
+// XOR network taps its state to feed every scan chain in parallel (the
+// injecting configuration of the LinearMachine in compress/lfsr.hpp). Because
 // the whole structure is linear over GF(2), each scan cell's loaded value is
 // a known XOR of the injected channel bits; encoding a test cube is solving
 // that linear system for the cube's care bits (Gaussian elimination). The
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "common/bitvec.hpp"
+#include "compress/lfsr.hpp"
 #include "sim/pattern.hpp"
 
 namespace aidft {
@@ -51,9 +53,6 @@ class EdtCodec {
   /// (including warm-up injections).
   double compression_ratio() const;
 
-  std::size_t num_chains() const { return num_chains_; }
-  std::size_t chain_len() const { return chain_len_; }
-  std::size_t channels() const { return config_.channels; }
   /// Shift cycles before chain filling starts, used to charge the LFSR with
   /// enough injected variables that even the first-loaded (deepest) cells
   /// have rich linear expressions. Without warm-up, cells loaded in cycle 0
@@ -61,17 +60,13 @@ class EdtCodec {
   std::size_t warmup_cycles() const { return warmup_; }
   /// Channel bits consumed per pattern: channels * (warmup + chain_len).
   std::size_t bits_per_pattern() const {
-    return config_.channels * (warmup_ + chain_len_);
+    return machine_.num_injectors() * (warmup_ + chain_len_);
   }
 
  private:
-  EdtConfig config_;
-  std::size_t num_chains_;
+  LinearMachine machine_;  // one injector per channel, one output per chain
   std::size_t chain_len_;
-  std::size_t warmup_;
-  std::vector<std::size_t> taps_;                   // feedback taps
-  std::vector<std::size_t> injectors_;              // per channel
-  std::vector<std::vector<std::size_t>> ps_taps_;   // per chain: state taps
+  std::size_t warmup_ = 0;
 };
 
 /// Spatial XOR compactor: chains are grouped; each output channel is the
@@ -81,9 +76,6 @@ class XorCompactor {
   XorCompactor(std::size_t num_chains, std::size_t out_channels);
 
   std::size_t out_channels() const { return groups_.size(); }
-  const std::vector<std::size_t>& group(std::size_t ch) const {
-    return groups_[ch];
-  }
 
   /// Compacts per-chain response bits of one unload cycle.
   std::vector<bool> compact(const std::vector<bool>& chain_bits) const;

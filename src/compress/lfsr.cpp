@@ -1,0 +1,163 @@
+#include "compress/lfsr.hpp"
+
+#include <algorithm>
+
+#include "common/error.hpp"
+
+namespace aidft {
+namespace {
+
+// Gauss–Jordan elimination over GF(2) in row order: each row is reduced by
+// the pivots so far, becomes a pivot at its lowest remaining column, and
+// clears that column from the earlier pivot rows. Free variables are 0.
+std::optional<BitVec> solve_gf2(std::vector<BitVec>& rows,
+                                std::vector<bool>& rhs, std::size_t nvars) {
+  std::vector<std::size_t> pivot_col;
+  std::size_t r = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    for (std::size_t k = 0; k < r; ++k) {
+      if (rows[i].get(pivot_col[k])) {
+        rows[i] ^= rows[k];
+        rhs[i] = rhs[i] ^ rhs[k];
+      }
+    }
+    const std::size_t col = rows[i].find_first();
+    if (col == nvars) {
+      if (rhs[i]) return std::nullopt;  // 0 = 1: unencodable cube
+      continue;
+    }
+    std::swap(rows[i], rows[r]);
+    rhs.swap(rhs[i], rhs[r]);
+    pivot_col.push_back(col);
+    for (std::size_t k = 0; k < r; ++k) {
+      if (rows[k].get(col)) {
+        rows[k] ^= rows[r];
+        rhs[k] = rhs[k] ^ rhs[r];
+      }
+    }
+    ++r;
+  }
+  BitVec solution(nvars);
+  for (std::size_t k = 0; k < r; ++k) solution.set(pivot_col[k], rhs[k]);
+  return solution;
+}
+
+// Primitive or near-primitive polynomials; what matters for encoding is
+// the rank of the resulting linear map, which these give.
+std::vector<std::size_t> feedback_taps(std::size_t nbits, std::uint64_t seed) {
+  switch (nbits) {
+    case 16: return {12, 3, 1};
+    case 24: return {7, 2, 1};
+    case 32: return {22, 2, 1};
+    case 48: return {28, 3, 2};
+    case 64: return {4, 3, 1};
+    default: {
+      // A tap at nbits-1 would cancel the feedback into the top bit, which
+      // then reads 0 after every step: the step loses a dimension.
+      Rng rng(seed ^ 0xFEEDBACC);
+      return distinct_draws(rng, 3, nbits - 2, 1);
+    }
+  }
+}
+
+}  // namespace
+
+std::vector<std::size_t> distinct_draws(Rng& rng, std::size_t count,
+                                        std::size_t bound,
+                                        std::size_t offset) {
+  std::vector<std::size_t> out;
+  while (out.size() < count) {
+    const std::size_t v = offset + rng.next_below(bound);
+    if (std::find(out.begin(), out.end(), v) == out.end()) out.push_back(v);
+  }
+  return out;
+}
+
+LinearMachine::LinearMachine(std::size_t nbits, std::size_t injectors,
+                             std::size_t outputs, std::uint64_t tap_seed,
+                             std::uint64_t draw_seed)
+    : nbits_(nbits) {
+  AIDFT_REQUIRE(nbits >= 8 && nbits <= 64, "LFSR width in [8,64]");
+  AIDFT_REQUIRE(injectors <= nbits, "at most one injector per LFSR bit");
+  feedback_ = 1ull << (nbits - 1);
+  for (std::size_t tap : feedback_taps(nbits, tap_seed)) {
+    feedback_ ^= 1ull << tap;
+  }
+  Rng rng(draw_seed);
+  injectors_ = distinct_draws(rng, injectors, nbits);
+  ps_masks_.reserve(outputs);
+  for (std::size_t out = 0; out < outputs; ++out) {
+    std::uint64_t mask = 0;
+    for (std::size_t tap : distinct_draws(rng, 3, nbits)) mask |= 1ull << tap;
+    ps_masks_.push_back(mask);
+  }
+}
+
+void LinearMachine::step(std::vector<BitVec>& state) const {
+  // The old bit 0 rotates to the top row; no tap is the top bit, so XORing
+  // it into the tap rows never reads a row it writes.
+  std::rotate(state.begin(), state.begin() + 1, state.end());
+  const std::uint64_t taps = feedback_ ^ (1ull << (nbits_ - 1));
+  for (std::uint64_t m = taps; m != 0; m &= m - 1) {
+    state[static_cast<std::size_t>(__builtin_ctzll(m))] ^= state.back();
+  }
+}
+
+BitVec LinearMachine::output(const std::vector<BitVec>& state,
+                             std::size_t out) const {
+  BitVec expr(state.front().size());
+  for (std::uint64_t m = ps_masks_[out]; m != 0; m &= m - 1) {
+    expr ^= state[static_cast<std::size_t>(__builtin_ctzll(m))];
+  }
+  return expr;
+}
+
+std::vector<std::vector<bool>> LinearMachine::fill(
+    std::uint64_t state, std::size_t warmup, std::size_t chain_len,
+    const std::vector<BitVec>& streams) const {
+  std::vector<std::vector<bool>> chains(num_outputs(),
+                                        std::vector<bool>(chain_len, false));
+  for (std::size_t t = 0; t < warmup + chain_len; ++t) {
+    state = step(state);
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+      if (streams[i].get(t)) state ^= 1ull << injectors_[i];
+    }
+    if (t < warmup) continue;
+    const std::size_t pos = chain_len - 1 - (t - warmup);
+    for (std::size_t c = 0; c < chains.size(); ++c) {
+      chains[c][pos] = output(state, c);
+    }
+  }
+  return chains;
+}
+
+std::optional<BitVec> LinearMachine::solve(
+    std::vector<BitVec> state, std::size_t warmup, std::size_t chain_len,
+    const std::vector<std::vector<Val3>>& chain_load) const {
+  AIDFT_REQUIRE(chain_load.size() == num_outputs(), "encode: chain count");
+  for (const auto& load : chain_load) {
+    AIDFT_REQUIRE(load.size() <= chain_len, "encode: chain longer than codec");
+  }
+  const std::size_t nvars = state.front().size();
+  // One row per care bit, with its value as the right-hand side.
+  std::vector<BitVec> rows;
+  std::vector<bool> rhs;
+  for (std::size_t t = 0; t < warmup + chain_len; ++t) {
+    step(state);
+    for (std::size_t i = 0; i < injectors_.size(); ++i) {
+      state[injectors_[i]].flip(t * injectors_.size() + i);
+    }
+    if (t < warmup) continue;
+    const std::size_t pos = chain_len - 1 - (t - warmup);
+    for (std::size_t c = 0; c < chain_load.size(); ++c) {
+      const auto& load = chain_load[c];
+      // Past the end of a short chain: a pad bit that shifts out.
+      if (pos >= load.size() || load[pos] == Val3::kX) continue;
+      rows.push_back(output(state, c));
+      rhs.push_back(load[pos] == Val3::kOne);
+    }
+  }
+  return solve_gf2(rows, rhs, nvars);
+}
+
+}  // namespace aidft

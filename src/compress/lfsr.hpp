@@ -1,0 +1,85 @@
+// One linear machine behind every LFSR stimulus source.
+//
+// EDT, static LFSR reseeding (Könemann) and the STUMPS PRPG are the same
+// hardware: an nbits Galois LFSR whose state feeds every scan chain through
+// an XOR phase shifter (three state taps per chain). They differ only in
+// how the LFSR is driven:
+//   - EDT starts from zero, XORs one fresh channel bit into each injector
+//     every cycle, and fills the chains after a warm-up;
+//   - reseeding loads a seed and free-runs, with no injectors;
+//   - the PRPG free-runs from a fixed seed, one step per scan cell.
+// The machine is linear over GF(2), so running it on symbolic state (one
+// expression over the free variables per state bit) makes every loaded cell
+// a known XOR of those variables, and encoding a test cube is one GF(2)
+// solve for the cube's care bits.
+#pragma once
+
+#include <cstdint>
+#include <optional>
+#include <vector>
+
+#include "common/bitvec.hpp"
+#include "common/rng.hpp"
+#include "sim/pattern.hpp"
+
+namespace aidft {
+
+/// `count` distinct values offset + rng.next_below(bound), in draw order.
+std::vector<std::size_t> distinct_draws(Rng& rng, std::size_t count,
+                                        std::size_t bound,
+                                        std::size_t offset = 0);
+
+class LinearMachine {
+ public:
+  /// An nbits LFSR whose feedback taps (exponents of the polynomial,
+  /// excluding x^n and 1) come from a table for common widths, else are
+  /// three distinct taps in [1, nbits-2] drawn from `tap_seed`. From
+  /// Rng(draw_seed) it draws `injectors` distinct injector positions first,
+  /// then three distinct phase-shifter taps for each of `outputs` outputs.
+  LinearMachine(std::size_t nbits, std::size_t injectors, std::size_t outputs,
+                std::uint64_t tap_seed, std::uint64_t draw_seed);
+
+  std::size_t bits() const { return nbits_; }
+  std::size_t num_injectors() const { return injectors_.size(); }
+  std::size_t num_outputs() const { return ps_masks_.size(); }
+
+  /// One Galois step (right-shift form): bit 0 falls off and, when set,
+  /// feeds back into the top bit and every tap.
+  std::uint64_t step(std::uint64_t state) const {
+    return (state >> 1) ^ (feedback_ & (0 - (state & 1)));
+  }
+  /// Phase-shifter output `out`: the parity of its state taps.
+  bool output(std::uint64_t state, std::size_t out) const {
+    return __builtin_parityll(state & ps_masks_[out]);
+  }
+
+  /// step() on symbolic state, in place.
+  void step(std::vector<BitVec>& state) const;
+  /// output() on symbolic state.
+  BitVec output(const std::vector<BitVec>& state, std::size_t out) const;
+
+  /// Runs warmup + chain_len steps from `state`. After step t, injector i
+  /// takes bit t of streams[i] (no streams: free-running); from step
+  /// `warmup` on, output c loads cell chain_len-1-(t-warmup) of chain c.
+  std::vector<std::vector<bool>> fill(std::uint64_t state, std::size_t warmup,
+                                      std::size_t chain_len,
+                                      const std::vector<BitVec>& streams) const;
+
+  /// The variable assignment under which fill() delivers every care bit of
+  /// `chain_load` ([chain][cell], chains of at most chain_len cells, X =
+  /// free). `state` holds the start state as expressions over the
+  /// variables; with injectors, variable t * num_injectors() + i is the bit
+  /// injector i takes after step t. Free variables come out 0; nullopt when
+  /// the care bits are inconsistent.
+  std::optional<BitVec> solve(
+      std::vector<BitVec> state, std::size_t warmup, std::size_t chain_len,
+      const std::vector<std::vector<Val3>>& chain_load) const;
+
+ private:
+  std::size_t nbits_;
+  std::uint64_t feedback_ = 0;  // top bit and taps, XORed in on feedback
+  std::vector<std::size_t> injectors_;
+  std::vector<std::uint64_t> ps_masks_;  // per output: its state taps
+};
+
+}  // namespace aidft

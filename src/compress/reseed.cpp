@@ -1,124 +1,27 @@
 #include "compress/reseed.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
-#include "common/rng.hpp"
 
 namespace aidft {
 
 ReseedCodec::ReseedCodec(const ReseedConfig& config, std::size_t num_chains,
                          std::size_t chain_len)
-    : config_(config), num_chains_(num_chains), chain_len_(chain_len) {
-  AIDFT_REQUIRE(config.lfsr_bits >= 8 && config.lfsr_bits <= 64,
-                "lfsr_bits in [8,64]");
+    : machine_(config.lfsr_bits, 0, num_chains, config.seed, config.seed),
+      chain_len_(chain_len) {
   AIDFT_REQUIRE(num_chains >= 1 && chain_len >= 1, "need chains and cells");
-  switch (config.lfsr_bits) {
-    case 16: taps_ = {12, 3, 1}; break;
-    case 24: taps_ = {7, 2, 1}; break;
-    case 32: taps_ = {22, 2, 1}; break;
-    case 64: taps_ = {4, 3, 1}; break;
-    default: taps_ = {config.lfsr_bits - 2, 2, 1}; break;
-  }
-  Rng rng(config.seed);
-  ps_taps_.resize(num_chains);
-  for (auto& taps : ps_taps_) {
-    while (taps.size() < std::min<std::size_t>(3, config.lfsr_bits)) {
-      const std::size_t t = rng.next_below(config.lfsr_bits);
-      if (std::find(taps.begin(), taps.end(), t) == taps.end()) {
-        taps.push_back(t);
-      }
-    }
-  }
 }
 
 std::optional<BitVec> ReseedCodec::encode(
     const std::vector<std::vector<Val3>>& chain_load) const {
-  AIDFT_REQUIRE(chain_load.size() == num_chains_, "encode: chain count");
-  const std::size_t nvars = config_.lfsr_bits;
-
-  // Symbolic state: bit i of the state as a combination of seed bits;
-  // initially state[i] = seed[i].
-  std::vector<BitVec> state(nvars, BitVec(nvars));
-  for (std::size_t i = 0; i < nvars; ++i) state[i].set(i, true);
-
-  std::vector<BitVec> rows;
-  std::vector<bool> rhs;
-  for (std::size_t t = 0; t < chain_len_; ++t) {
-    // Advance (Galois right-shift, same structure as the concrete expand).
-    BitVec feedback = state[0];
-    for (std::size_t i = 0; i + 1 < state.size(); ++i) state[i] = state[i + 1];
-    state.back() = feedback;
-    for (std::size_t tap : taps_) state[tap] ^= feedback;
-    for (std::size_t c = 0; c < num_chains_; ++c) {
-      const auto& load = chain_load[c];
-      const std::size_t len = load.size();
-      AIDFT_REQUIRE(len <= chain_len_, "encode: chain longer than codec");
-      const std::size_t remaining = chain_len_ - 1 - t;
-      if (remaining >= len || load[remaining] == Val3::kX) continue;
-      BitVec expr(nvars);
-      for (std::size_t tap : ps_taps_[c]) expr ^= state[tap];
-      rows.push_back(std::move(expr));
-      rhs.push_back(load[remaining] == Val3::kOne);
-    }
-  }
-
-  // Gaussian elimination (same scheme as the EDT codec).
-  std::vector<std::size_t> pivot_col;
-  std::size_t r = 0;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    for (std::size_t k = 0; k < r; ++k) {
-      if (rows[i].get(pivot_col[k])) {
-        rows[i] ^= rows[k];
-        rhs[i] = rhs[i] ^ rhs[k];
-      }
-    }
-    const std::size_t col = rows[i].find_first();
-    if (col == nvars) {
-      if (rhs[i]) return std::nullopt;
-      continue;
-    }
-    std::swap(rows[i], rows[r]);
-    const bool tmp = rhs[i];
-    rhs[i] = rhs[r];
-    rhs[r] = tmp;
-    pivot_col.push_back(col);
-    for (std::size_t k = 0; k < r; ++k) {
-      if (rows[k].get(col)) {
-        rows[k] ^= rows[r];
-        rhs[k] = rhs[k] ^ rhs[r];
-      }
-    }
-    ++r;
-  }
-  BitVec seed(nvars);
-  for (std::size_t k = 0; k < r; ++k) seed.set(pivot_col[k], rhs[k]);
-  return seed;
+  // Starts from the seed: state bit i is seed variable i.
+  std::vector<BitVec> state(machine_.bits(), BitVec(machine_.bits()));
+  for (std::size_t i = 0; i < state.size(); ++i) state[i].set(i, true);
+  return machine_.solve(std::move(state), 0, chain_len_, chain_load);
 }
 
 std::vector<std::vector<bool>> ReseedCodec::expand(const BitVec& seed) const {
-  AIDFT_REQUIRE(seed.size() == config_.lfsr_bits, "expand: seed width");
-  std::uint64_t state = 0;
-  for (std::size_t i = 0; i < seed.size(); ++i) {
-    if (seed.get(i)) state |= 1ull << i;
-  }
-  const std::uint64_t msb = 1ull << (config_.lfsr_bits - 1);
-  std::vector<std::vector<bool>> chains(num_chains_,
-                                        std::vector<bool>(chain_len_, false));
-  for (std::size_t t = 0; t < chain_len_; ++t) {
-    const bool feedback = state & 1ull;
-    state >>= 1;
-    if (feedback) {
-      state |= msb;
-      for (std::size_t tap : taps_) state ^= (1ull << tap);
-    }
-    for (std::size_t c = 0; c < num_chains_; ++c) {
-      bool bit = false;
-      for (std::size_t tap : ps_taps_[c]) bit ^= (state >> tap) & 1ull;
-      chains[c][chain_len_ - 1 - t] = bit;
-    }
-  }
-  return chains;
+  AIDFT_REQUIRE(seed.size() == machine_.bits(), "expand: seed width");
+  return machine_.fill(seed.words().front(), 0, chain_len_, {});
 }
 
 }  // namespace aidft

@@ -9,6 +9,8 @@
 // probability ~1 - 2^(s - lfsr_bits), so the LFSR must be sized to the
 // *maximum* care density while EDT's per-cycle injection scales with the
 // average — the comparison benchmark E17 measures exactly that difference.
+// The hardware is the seeded, free-running configuration of the
+// LinearMachine in compress/lfsr.hpp.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "common/bitvec.hpp"
+#include "compress/lfsr.hpp"
 #include "sim/pattern.hpp"
 
 namespace aidft {
@@ -39,18 +42,15 @@ class ReseedCodec {
   /// Expands a seed into the fully specified chain fill.
   std::vector<std::vector<bool>> expand(const BitVec& seed) const;
 
-  std::size_t bits_per_pattern() const { return config_.lfsr_bits; }
+  std::size_t bits_per_pattern() const { return machine_.bits(); }
   double compression_ratio() const {
-    return static_cast<double>(num_chains_ * chain_len_) /
-           static_cast<double>(config_.lfsr_bits);
+    return static_cast<double>(machine_.num_outputs() * chain_len_) /
+           static_cast<double>(machine_.bits());
   }
 
  private:
-  ReseedConfig config_;
-  std::size_t num_chains_;
+  LinearMachine machine_;  // no injectors, one output per chain
   std::size_t chain_len_;
-  std::vector<std::size_t> taps_;
-  std::vector<std::vector<std::size_t>> ps_taps_;
 };
 
 }  // namespace aidft

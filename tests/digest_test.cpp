@@ -437,8 +437,9 @@ void hash_fill(Fnv1a& h, const std::vector<std::vector<bool>>& chains) {
 }
 
 TEST(LfsrDigest, Edt) {
-  const std::uint64_t expected[] = {0xf07d17b03ec275eeull, 0x17289db9ab613fc1ull,
-                                    0xcb2df8ff0f488298ull, 0xd55c2c618e17e687ull};
+  const std::uint64_t expected[] = {
+      0xf07d17b03ec275eeull, 0x17289db9ab613fc1ull, 0xcb2df8ff0f488298ull,
+      0xd55c2c618e17e687ull};
   for (std::size_t i = 0; i < std::size(kLfsrWidths); ++i) {
     const std::size_t width = kLfsrWidths[i];
     const EdtConfig cfg{.lfsr_bits = width, .channels = 1 + i % 3};
@@ -457,7 +458,8 @@ TEST(LfsrDigest, Edt) {
 }
 
 TEST(LfsrDigest, Reseed) {
-  const std::uint64_t expected[] = {0xd0f8d07e4988876cull, 0x94040be119f4558bull};
+  const std::uint64_t expected[] = {0xd0f8d07e4988876cull,
+                                    0x94040be119f4558bull};
   const std::size_t widths[] = {32, 64};
   for (std::size_t i = 0; i < std::size(widths); ++i) {
     const ReseedCodec codec({.lfsr_bits = widths[i]}, 8, 24);
@@ -471,8 +473,8 @@ TEST(LfsrDigest, Reseed) {
       hash_fill(h, codec.expand(*seed));
     }
     // Every cell a care bit: far past the seed's capacity.
-    const std::vector<std::vector<Val3>> full(8,
-                                              std::vector<Val3>(24, Val3::kOne));
+    const std::vector<std::vector<Val3>> full(
+        8, std::vector<Val3>(24, Val3::kOne));
     EXPECT_FALSE(codec.encode(full).has_value()) << "width " << widths[i];
     BitVec seed(widths[i]);
     for (std::size_t b = 0; b < widths[i]; ++b) seed.set(b, rng.next_bool());
@@ -482,8 +484,9 @@ TEST(LfsrDigest, Reseed) {
 }
 
 TEST(LfsrDigest, Prpg) {
-  const std::uint64_t expected[] = {0x8e3b1ef730ad770dull, 0x310594afc4b9511dull,
-                                    0x85f12291c6bef81dull, 0x14aae06e20cdc9ddull};
+  const std::uint64_t expected[] = {
+      0x8e3b1ef730ad770dull, 0x310594afc4b9511dull, 0x85f12291c6bef81dull,
+      0x14aae06e20cdc9ddull};
   for (std::size_t i = 0; i < std::size(kLfsrWidths); ++i) {
     Prpg prpg({.prpg_bits = kLfsrWidths[i]}, 37);
     std::vector<TestCube> patterns;
