@@ -14,7 +14,11 @@
 //   soc_campaign/N/tT — run_campaign() on N broadcast copies of a 2x2
 //                     systolic core (the signoff SoC grade, out of cache) at
 //                     T workers: seconds per campaign, gates evaluated
-//                     (fsim.events) and early-exited faults.
+//                     (fsim.events) and early-exited faults;
+//   regions/<circuit> — the fanout-free-region engine's work on a
+//                     no-dropping campaign: gates evaluated (fsim.events),
+//                     region roots propagated and local walks (one per
+//                     graded fault), and the walks per root propagation.
 // Throughput counter: fault-pattern grades per second.
 #include <benchmark/benchmark.h>
 
@@ -168,6 +172,36 @@ void e3_campaign_instrumented(benchmark::State& state, const std::string& name) 
   bench::emit_metrics(state, telemetry.metrics.snapshot());
 }
 
+// Every fault against every batch (drop_limit 0), so the counters measure
+// the grading engine rather than how soon faults drop.
+void e3_regions(benchmark::State& state, const std::string& name) {
+  const Netlist nl = bench::circuit_by_name(name);
+  const auto faults = collapse_equivalent(nl, generate_stuck_at_faults(nl));
+  Rng rng(7);
+  const auto patterns =
+      random_patterns(nl.combinational_inputs().size(), kPatterns, rng);
+  obs::MetricsSnapshot last;
+  for (auto _ : state) {
+    obs::Telemetry telemetry;
+    const CampaignResult r = run_campaign(
+        nl, faults, patterns, {.drop_limit = 0, .telemetry = &telemetry});
+    last = telemetry.metrics.snapshot();
+    benchmark::DoNotOptimize(r.detected);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(faults.size() * kPatterns));
+  const auto counter = [&](const char* c) {
+    return static_cast<double>(last.counter_value(c));
+  };
+  state.counters["faults"] = static_cast<double>(faults.size());
+  for (const char* c :
+       {"fsim.events", "fsim.root_propagations", "fsim.local_walks"}) {
+    state.counters[c] = counter(c);
+  }
+  state.counters["walks_per_root"] =
+      counter("fsim.local_walks") / counter("fsim.root_propagations");
+}
+
 // ATPG patterns of the 2x2 systolic core (4-bit operands), built once.
 struct SocCore {
   Netlist nl;
@@ -258,6 +292,12 @@ void register_all() {
     aidft::bench::reg(
         std::string("E3/campaign_instrumented/") + name,
         [name](benchmark::State& s) { e3_campaign_instrumented(s, name); })
+        ->Unit(benchmark::kMillisecond);
+  }
+  for (const char* name : {"mul8", "mac8reg"}) {
+    aidft::bench::reg(
+        std::string("E3/regions/") + name,
+        [name](benchmark::State& s) { e3_regions(s, name); })
         ->Unit(benchmark::kMillisecond);
   }
   for (std::size_t cores : {256, 1024}) {

@@ -42,7 +42,7 @@ namespace aidft::bench {
 /// set of emitted counters changes, so downstream table scrapers can detect
 /// rows produced by an incompatible toolkit build. Every rung registered
 /// through reg() carries it as a `schema_version` counter.
-inline constexpr int kBenchSchemaVersion = 2;
+inline constexpr int kBenchSchemaVersion = 3;
 
 /// RegisterBenchmark shim: the packaged google-benchmark predates the
 /// std::string overload. Also stamps `schema_version` on every row.

@@ -99,7 +99,16 @@ std::uint64_t XorCompactor::visible_lanes(
 Misr::Misr(std::size_t bits, std::uint64_t poly_seed) : nbits_(bits) {
   AIDFT_REQUIRE(bits >= 4, "MISR needs >= 4 bits");
   Rng rng(poly_seed);
-  taps_ = distinct_draws(rng, 3, bits - 1, 1);
+  // Taps come from [1, bits - 2]: the feedback also flips the top bit, and
+  // a tap there would cancel it, making the step singular. A draw of
+  // bits - 1 is rejected like a repeat, so every width whose draws miss the
+  // top bit keeps its taps; at 4 bits only two taps fit.
+  const std::size_t count = std::min<std::size_t>(3, bits - 2);
+  while (taps_.size() < count) {
+    const std::size_t t = 1 + rng.next_below(bits - 1);
+    const bool repeat = std::find(taps_.begin(), taps_.end(), t) != taps_.end();
+    if (t != bits - 1 && !repeat) taps_.push_back(t);
+  }
   state_.assign((bits + 63) / 64, 0);
 }
 

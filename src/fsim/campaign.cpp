@@ -320,6 +320,8 @@ struct ShardState {
   std::uint64_t op_diffs_handed = 0;  // pairs passed to the hook, unflushed
   std::uint64_t events_flushed = 0;
   std::uint64_t early_exits_flushed = 0;
+  std::uint64_t root_propagations_flushed = 0;
+  std::uint64_t local_walks_flushed = 0;
 };
 
 // The sharded engine, shared by both fault models and every fault source.
@@ -513,15 +515,24 @@ CampaignResult run_sharded(const Netlist& nl, const Source& faults,
     // Telemetry is flushed once per shard-round — the hot loop above only
     // bumps plain locals (and FaultSimulator's event tally).
     if (telemetry != nullptr) {
-      const std::uint64_t events =
-          shard.fsim ? shard.fsim->events_simulated() : 0;
-      const std::uint64_t early_exits =
-          shard.fsim ? shard.fsim->early_exits() : 0;
+      const FaultSimulator* fsim = shard.fsim ? &*shard.fsim : nullptr;
+      // Adds the simulator tally's growth since the last flush to `name`.
+      const auto flush = [&](const char* name, std::uint64_t now,
+                             std::uint64_t& flushed) {
+        obs::add(telemetry, name, now - flushed);
+        flushed = now;
+      };
+      const std::uint64_t events = fsim ? fsim->events_simulated() : 0;
+      shard_span.arg("fsim_events", events - shard.events_flushed);
+      flush("fsim.events", events, shard.events_flushed);
+      flush("fsim.early_exits", fsim ? fsim->early_exits() : 0,
+            shard.early_exits_flushed);
+      flush("fsim.root_propagations", fsim ? fsim->root_propagations() : 0,
+            shard.root_propagations_flushed);
+      flush("fsim.local_walks", fsim ? fsim->local_walks() : 0,
+            shard.local_walks_flushed);
       obs::add(telemetry, "campaign.batches", batches_run);
       obs::add(telemetry, "campaign.faults_dropped", dropped_here);
-      obs::add(telemetry, "fsim.events", events - shard.events_flushed);
-      obs::add(telemetry, "fsim.early_exits",
-               early_exits - shard.early_exits_flushed);
       obs::add(telemetry, "fsim.op_diffs", shard.op_diffs_handed);
       shard.op_diffs_handed = 0;
       obs::observe(telemetry, "campaign.shard_us", shard_clock.micros());
@@ -529,9 +540,6 @@ CampaignResult run_sharded(const Netlist& nl, const Source& faults,
       shard_span.arg("faults", shard.end - shard.begin);
       shard_span.arg("batches", batches_run);
       shard_span.arg("dropped", dropped_here);
-      shard_span.arg("fsim_events", events - shard.events_flushed);
-      shard.events_flushed = events;
-      shard.early_exits_flushed = early_exits;
     }
   };
 

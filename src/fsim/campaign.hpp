@@ -174,9 +174,11 @@ CampaignResult run_campaign(const Netlist& netlist, const LiftedFaults& faults,
 /// DetailedDetectHook also gets the observe points the fault reached in the
 /// batch (stuck-at faults and the PPSFP engine only): one (point, word) pair
 /// per failing point, each point at most once, nonzero words over live lanes
-/// only, in propagation order rather than index order. A point not listed
-/// does not fail, so a hook that walks the pairs costs what the fault
-/// reaches, not the observe-point count. The span is valid for the call.
+/// only. The pairs come in the order the fault's fanout-free-region root
+/// propagated them, not in index order and not in the order of the fault's
+/// own cone, so a hook must not depend on it. A point not listed does not
+/// fail, so a hook that walks the pairs costs what the fault reaches, not
+/// the observe-point count. The span is valid for the call.
 using DetectHook = std::function<bool(std::size_t fault, std::size_t batch,
                                       std::uint64_t mask)>;
 using DetailedDetectHook = std::function<bool(

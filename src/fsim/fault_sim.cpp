@@ -44,6 +44,15 @@ void FaultSimulator::next_epoch() {
   }
 }
 
+void FaultSimulator::invalidate_roots() {
+  ++cache_epoch_;
+  if (cache_epoch_ == 0) {  // wrapped: invalidate all tags
+    for (RootObs& r : roots_) r.tag = 0;
+    cache_epoch_ = 1;
+  }
+  pairs_root_ = kNoGate;
+}
+
 void FaultSimulator::load_batch(const PatternBatch& batch) {
   good_sim_.simulate(batch);
   loaded_ = true;
@@ -52,7 +61,9 @@ void FaultSimulator::load_batch(const PatternBatch& batch) {
     faulty_.resize(good_sim_.tile(), 0);
     epoch_.resize(good_sim_.tile(), 0);
     queued_.resize(good_sim_.tile(), false);
+    roots_.resize(good_sim_.tile());
   }
+  invalidate_roots();
 }
 
 void FaultSimulator::load_launch_batch(const PatternBatch& batch) {
@@ -219,9 +230,87 @@ std::uint64_t FaultSimulator::propagate(Site first, Site second,
   return detect;
 }
 
+const FaultSimulator::RootObs& FaultSimulator::root_obs(GateId root,
+                                                        GateId base,
+                                                        bool detailed) {
+  if (base != cache_base_) {
+    cache_base_ = base;
+    invalidate_roots();
+  }
+  RootObs& r = roots_[root - base];
+  if (r.tag == cache_epoch_ && (!detailed || pairs_root_ == root)) return r;
+  ++root_propagations_;
+  const Site flipped{root, kStemPin, ~good_sim_.values()[root - base]};
+  r.tag = cache_epoch_;
+  if (!detailed) {
+    r.lanes = propagate(flipped);
+  } else {
+    root_pairs_.clear();
+    r.lanes = propagate(flipped, kNoSite, &root_pairs_);
+    pairs_root_ = root;
+  }
+  return r;
+}
+
+std::uint64_t FaultSimulator::grade_region(Site site,
+                                           std::vector<OpDiff>* op_diffs) {
+  const Topology& t = *topo_;
+  if (site.pin != kStemPin && t.type(site.gate) == GateType::kDff) {
+    return propagate(site, kNoSite, op_diffs);
+  }
+  ++local_walks_;
+  const std::vector<std::uint64_t>& good = good_sim_.values();
+  const GateId base = good_sim_.tile_base(site.gate);
+  auto good_at = [&](GateId g) { return good[g - base]; };
+
+  // --- local walk ------------------------------------------------------------
+  // `flip`: the live lanes on which the fault flips gate g. Only g differs
+  // from the good machine among the fanins of its unique fanout, which
+  // reads it on one pin (a gate reading g on two pins is two fanout
+  // entries, so g is a root).
+  GateId g = site.gate;
+  std::uint64_t nv = site.word;  // a stem site's
+  if (site.pin != kStemPin) {
+    const std::span<const GateId> fin = t.fanin(g);
+    nv = eval_gate_words(t.type(g), fin.size(), [&](std::size_t k) {
+      return k == site.pin ? site.word : good_at(fin[k]);
+    });
+  }
+  ++events_;
+  std::uint64_t flip = (nv ^ good_at(g)) & lane_mask_;
+  // A root is observed or has a fanout count other than one; a gate whose
+  // single fanout is a flop is observed (the flop's D pin).
+  const ObserveIndex& observe = *observe_;
+  while (flip != 0 && !observe.observed(g) && t.fanout_size(g) == 1) {
+    const GateId next = t.fanout(g)[0];
+    const std::uint64_t faulty = good_at(g) ^ flip;
+    const std::span<const GateId> fin = t.fanin(next);
+    flip = good_at(next) ^
+           eval_gate_words(t.type(next), fin.size(), [&](std::size_t k) {
+             return fin[k] == g ? faulty : good_at(fin[k]);
+           });
+    ++events_;
+    g = next;
+  }
+  if (flip == 0) return 0;
+
+  // --- the root's observability ---------------------------------------------
+  // Outside the region the faulty machine is, lane by lane, either the good
+  // machine or the machine with the root flipped.
+  const RootObs& root = root_obs(g, base, op_diffs != nullptr);
+  if (op_diffs != nullptr) {
+    for (const OpDiff& d : root_pairs_) {
+      if ((d.word & flip) != 0) op_diffs->push_back({d.op, d.word & flip});
+    }
+  }
+  return root.lanes & flip;
+}
+
 std::uint64_t FaultSimulator::detect_mask(const Fault& fault) {
   AIDFT_REQUIRE(loaded_, "load_batch() before detect_mask()");
-  if (fault.kind == FaultKind::kStuckAt) return propagate(stuck_site(fault));
+  if (fault.kind == FaultKind::kStuckAt) {
+    return grade_region(stuck_site(fault), nullptr);
+  }
   // Transition fault: launch must set the line to the initial value
   // (opposite of the final `value`), capture must detect stuck-at(initial).
   AIDFT_REQUIRE(launch_sim_.has_value(),
@@ -236,7 +325,7 @@ std::uint64_t FaultSimulator::detect_mask(const Fault& fault) {
   Fault as_stuck = fault;
   as_stuck.kind = FaultKind::kStuckAt;
   as_stuck.value = fault.value ? 0 : 1;  // stuck at the *initial* value
-  const std::uint64_t det = propagate(stuck_site(as_stuck));
+  const std::uint64_t det = grade_region(stuck_site(as_stuck), nullptr);
   return det & armed & launch_lane_mask_ & lane_mask_;
 }
 
@@ -278,7 +367,7 @@ std::uint64_t FaultSimulator::detect_mask_detailed(
   AIDFT_REQUIRE(fault.kind == FaultKind::kStuckAt,
                 "detailed masks are for stuck-at faults");
   op_diffs.clear();
-  return propagate(stuck_site(fault), kNoSite, &op_diffs);
+  return grade_region(stuck_site(fault), &op_diffs);
 }
 
 std::uint64_t FaultSimulator::detect_mask_reference(const PatternBatch& batch,

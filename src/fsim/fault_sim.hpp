@@ -7,25 +7,42 @@
 //    levelized, tiled good machine (ParallelSimulator) and with PPSFP. It is
 //    the oracle in tests and the "serial" baseline in benchmark E3;
 //  * PPSFP (parallel-pattern single-fault propagation): one good-machine
-//    simulation per 64-pattern batch, then per-fault event-driven forward
-//    propagation of only the differing cone, with an epoch trick so no
-//    per-fault state reset is needed. This is the engine every campaign
-//    (ATPG dropping, BIST grading, diagnosis) runs on. Mask-only grading
-//    stops as soon as every lane the fault activates is detected (the mask
-//    cannot grow further); detailed grading propagates the full cone and
-//    reports only the observe points it reached, as (point, word) pairs,
-//    so its cost follows the fault's cone, not the observe-point count.
+//    simulation per 64-pattern batch, then per-fault grading in two steps.
+//    This is the engine every campaign (ATPG dropping, BIST grading,
+//    diagnosis) runs on.
+//     - Local walk. A stuck-at fault's effect leaves its fanout-free region
+//       only through the region's root: the first gate on the site's
+//       unique fanout path that is observed or whose fanout list does not
+//       hold exactly one entry. The walk follows that path over good-machine
+//       words and keeps `flip`, the lanes on which the fault flips the
+//       current gate; side inputs at their controlling value clear lanes,
+//       and at zero lanes the fault is undetected in the batch.
+//     - Root observability. The lanes on which flipping the root reaches an
+//       observe point, obs(root), come from one event-driven forward
+//       propagation of the root with every live lane flipped, with an epoch
+//       trick so no per-propagation state reset is needed. Lanes are
+//       independent, so detect(f) = flip_f & obs(root) exactly. obs(root) is
+//       cached per batch and instance, so the ~5 faults of a region share one
+//       propagation. Mask-only grading stops a propagation as soon as every
+//       lane it flips is detected (the mask cannot grow further). Detailed
+//       grading keeps the (observe point, word) pairs of the last root it
+//       propagated, and a fault gets them masked by its flip, so its cost
+//       follows the root's cone, not the observe-point count.
 //
 // On a replicated SoC under broadcast stimulus the good machine is one
 // tile, instance 0 (see ParallelSimulator::simulate): PPSFP reads a fault's
 // good values at `g - base`, `base` being its instance's first gate, and
-// sizes its per-fault scratch to the tile, while faulty propagation still
-// walks the real SoC topology from the real fault site.
+// sizes its scratch and root cache to the tile, while faulty propagation
+// still walks the real SoC topology from the real fault site. The root
+// cache holds one instance at a time: a new batch or a new base empties it,
+// so every instance propagates its own roots and no result is reused across
+// instances.
 //
 // Stuck-at, transition and bridging faults share one propagation kernel,
-// which holds one or two forced sites: a bridge is one propagation with
-// both nets held, or, when its nets sit in two instances, the OR of two
-// single-net propagations (instance cones share no gate).
+// which holds one or two forced sites: a root flip, a DFF D-pin fault
+// (observed at capture, so it has no region), or a bridge, which is one
+// propagation with both nets held, or, when its nets sit in two instances,
+// the OR of two single-net propagations (instance cones share no gate).
 //
 // Transition-delay faults are graded on pattern *pairs* (launch, capture):
 // the launch vector must set the line to the transition's initial value and
@@ -108,7 +125,8 @@ class FaultSimulator {
   /// `op_diffs` with the observe points the fault reached — the raw
   /// failing-cycle data a tester would log. Each point appears at most once,
   /// every word is nonzero and holds live lanes only, and the pairs come in
-  /// propagation order, not index order; a point not listed does not fail.
+  /// the order the fault's region root propagated them, not index order; a
+  /// point not listed does not fail.
   /// The OR of the words is the returned mask. Used by response compaction,
   /// LBIST signatures and diagnosis.
   std::uint64_t detect_mask_detailed(const Fault& fault,
@@ -138,18 +156,28 @@ class FaultSimulator {
   /// faults), from the loaded batch.
   std::uint64_t line_value(const Fault& fault) const;
 
-  /// Lifetime count of faulty-machine events this simulator processed (fault
-  /// injections plus event-driven gate evaluations, i.e. gates evaluated).
-  /// Mask-only grading (detect_mask) stops once the mask is final, so it
-  /// evaluates fewer gates than detect_mask_detailed for the same fault. A
-  /// plain member tally — campaign workers own a private simulator and flush
-  /// it into the `fsim.events` counter at shard end, keeping the hot loop
-  /// atomic-free.
+  /// Lifetime count of faulty-machine events this simulator processed, i.e.
+  /// gates evaluated: a local walk's site injection and each gate it steps
+  /// to, plus a propagation's injections and event-driven evaluations. A
+  /// root's propagation is counted once per batch and instance, by the
+  /// fault that first reaches it. Mask-only grading (detect_mask) stops a
+  /// propagation once the mask is final, so it evaluates fewer gates than
+  /// detect_mask_detailed. A plain member tally — campaign workers own a
+  /// private simulator and flush it into the `fsim.events` counter at shard
+  /// end, keeping the hot loop atomic-free.
   std::uint64_t events_simulated() const { return events_; }
 
-  /// Lifetime count of detect_mask() propagations that stopped early because
-  /// the mask was final (flushed as `fsim.early_exits`, like events).
+  /// Lifetime count of propagations that stopped early because the mask was
+  /// final (flushed as `fsim.early_exits`, like events).
   std::uint64_t early_exits() const { return early_exits_; }
+
+  /// Lifetime count of region roots propagated (cache misses; flushed as
+  /// `fsim.root_propagations`).
+  std::uint64_t root_propagations() const { return root_propagations_; }
+
+  /// Lifetime count of local walks, one per graded stuck-at or transition
+  /// fault that has a region (flushed as `fsim.local_walks`).
+  std::uint64_t local_walks() const { return local_walks_; }
 
  private:
   // A line the faulty machine holds at `word`: gate `gate`'s output stem
@@ -161,6 +189,23 @@ class FaultSimulator {
   };
   static constexpr Site kNoSite{kNoGate, kStemPin, 0};
   static Site stuck_site(const Fault& fault);
+  // Grades the faulty machine that holds the stuck-at `site`: the local
+  // walk to its region's root, then the root's cached observability. With
+  // `op_diffs` set, appends the fault's pairs. A DFF D-pin site has no
+  // region and goes to propagate() directly.
+  std::uint64_t grade_region(Site site, std::vector<OpDiff>* op_diffs);
+  // A root's cached observability: the live lanes on which flipping the
+  // root reaches an observe point. Valid while `tag` == cache_epoch_.
+  struct RootObs {
+    std::uint64_t lanes = 0;
+    std::uint32_t tag = 0;
+  };
+  // The cached entry of `root`, in the instance starting at `base`,
+  // propagating the root on a miss; `detailed` also needs its pairs in
+  // root_pairs_.
+  const RootObs& root_obs(GateId root, GateId base, bool detailed);
+  // Empties the root cache (a new batch or a new instance).
+  void invalidate_roots();
   // Propagation over the loaded capture batch of the faulty machine that
   // holds `first` and, if set, `second`, a stem in the same tile block
   // (a bridge's two nets); a held site keeps its word wherever the faulty
@@ -194,6 +239,19 @@ class FaultSimulator {
   std::uint32_t cur_epoch_ = 0;
   std::vector<std::vector<GateId>> buckets_;  // levelized work queue
   std::vector<bool> queued_;
+
+  // Root cache, indexed like the scratch above (tile-relative), for the
+  // instance starting at cache_base_. The pairs are those of one root,
+  // pairs_root_, the last one detailed grading propagated: a region's
+  // faults are mostly graded in a row, and a pool of every root's pairs
+  // would grow with the tile times the observe points each root reaches.
+  std::vector<RootObs> roots_;
+  std::vector<OpDiff> root_pairs_;
+  GateId pairs_root_ = kNoGate;
+  std::uint32_t cache_epoch_ = 0;
+  GateId cache_base_ = 0;
+  std::uint64_t root_propagations_ = 0;
+  std::uint64_t local_walks_ = 0;
   std::shared_ptr<const ObserveIndex> observe_;
 };
 

@@ -16,9 +16,12 @@
 // Naming convention (see DESIGN.md "Observability"): dotted lowercase
 // `<module>.<noun>`, e.g. `podem.backtracks`, `sat.conflicts`,
 // `fsim.events`, `campaign.faults_dropped`. `fsim.events` counts gates
-// evaluated by fault propagation (injections included); mask-only grading
-// stops once a fault's mask is final, so it counts fewer than detailed
-// grading of the same faults (`fsim.early_exits` counts those stops).
+// evaluated by faulty machines: each fault's local walk through its
+// fanout-free region (`fsim.local_walks` counts the walks) plus each
+// region root's propagation, once per batch and instance
+// (`fsim.root_propagations`). Mask-only grading stops a propagation once its
+// mask is final, so it counts fewer than detailed grading of the same faults
+// (`fsim.early_exits` counts those stops).
 // `fsim.op_diffs` counts the (observe point, word) pairs detailed grading
 // handed to detection hooks: one per point a fault reached per batch, so it
 // measures what diagnosis, LBIST signatures and EDT compacted grading pay

@@ -624,6 +624,38 @@ TEST(LiftedCampaign, RejectsForeignNetlistsAndSites) {
                                patterns));
 }
 
+// Under broadcast every instance's good machine is instance 0's, so a root
+// cache kept across instances would change no output; only the count of
+// root propagations shows that every instance propagates its own roots.
+// One batch and one worker: no shard boundary splits an instance.
+TEST(RootCache, EveryInstancePropagatesItsOwnRoots) {
+  const Netlist core = aichip::make_systolic_array({});
+  const auto faults =
+      collapse_equivalent(core, generate_stuck_at_faults(core));
+  const aichip::SocNetlist soc = aichip::make_replicated_soc(core, 8);
+  Rng rng(3);
+  const std::vector<TestCube> core_patterns =
+      random_patterns(core.num_combinational_inputs(), 64, rng);
+  std::vector<TestCube> soc_patterns;
+  for (const TestCube& c : core_patterns) {
+    soc_patterns.push_back(aichip::broadcast_cube(soc, c));
+  }
+  obs::Telemetry core_tel, soc_tel;
+  const CampaignResult core_result =
+      run_campaign(core, faults, core_patterns, {.telemetry = &core_tel});
+  const CampaignResult soc_result =
+      run_campaign(soc.netlist, lifted_view(soc, faults), soc_patterns,
+                   {.telemetry = &soc_tel});
+  EXPECT_EQ(soc_result.detected, 8 * core_result.detected);
+  const obs::MetricsSnapshot core_m = core_tel.metrics.snapshot();
+  const obs::MetricsSnapshot soc_m = soc_tel.metrics.snapshot();
+  for (const char* name : {"fsim.root_propagations", "fsim.local_walks"}) {
+    EXPECT_GT(core_m.counter_value(name), 0u) << name;
+    EXPECT_EQ(soc_m.counter_value(name), 8 * core_m.counter_value(name))
+        << name;
+  }
+}
+
 TEST(TestTime, BroadcastFlatInCoreCount) {
   aichip::CoreTestSpec spec;
   spec.scan_cells = 1024;

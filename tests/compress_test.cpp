@@ -221,6 +221,22 @@ TEST(Misr, DeterministicAndResettable) {
   EXPECT_EQ(a.signature(), sig);
 }
 
+TEST(Misr, StepIsInvertibleAtEveryWidth) {
+  // From reset, a 1 in bit 0 then one zero vector: the Galois step shifts
+  // the 1 out as feedback, which must land on the top bit. A tap on the top
+  // bit would cancel it there, and the step would lose the old bit 0.
+  for (std::size_t bits = 4; bits <= 128; ++bits) {
+    Misr misr(bits);
+    std::vector<bool> first(bits, false);
+    first[0] = true;
+    misr.shift_in(first);
+    misr.shift_in(std::vector<bool>(bits, false));
+    const std::vector<std::uint64_t> sig = misr.signature();
+    EXPECT_TRUE((sig[(bits - 1) / 64] >> ((bits - 1) % 64)) & 1ull)
+        << "misr_bits " << bits;
+  }
+}
+
 TEST(Session, CompressionPreservesCoverageOnMac) {
   // The headline EDT claim in miniature: compress ATPG cubes ~10x and lose
   // (almost) no coverage.

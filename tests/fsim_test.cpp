@@ -323,9 +323,10 @@ TEST(FaultSim, TransitionNeedsLaunchTransition) {
 
 TEST(FaultSim, EarlyExitAtInjectionOnObservedFanoutGate) {
   // g = AND(a, b) drives the D pin of flop q (so g itself is observed) and
-  // fans out to h = OR(g, c) -> output z. A stuck-at on g is detected at q
-  // on every lane it activates, so mask-only grading stops at injection;
-  // the detailed path still propagates to z.
+  // fans out to h = OR(g, c) -> output z. g is its own region's root, and
+  // flipping it is detected at q on every lane, so the root's mask-only
+  // propagation stops at injection; the detailed path still propagates to
+  // z.
   Netlist nl;
   const GateId a = nl.add_input("a");
   const GateId b = nl.add_input("b");
@@ -354,7 +355,11 @@ TEST(FaultSim, EarlyExitAtInjectionOnObservedFanoutGate) {
   const std::uint64_t ab = 0b1000'1000;  // a = b = 1
   const std::uint64_t events_before = fsim.events_simulated();
   EXPECT_EQ(fsim.detect_mask(g_sa0), ab);
-  EXPECT_EQ(fsim.events_simulated() - events_before, 1u);  // injection only
+  // The local walk's injection at g, then the root's propagation of g,
+  // which stops at its injection.
+  EXPECT_EQ(fsim.events_simulated() - events_before, 2u);
+  EXPECT_EQ(fsim.local_walks(), 1u);
+  EXPECT_EQ(fsim.root_propagations(), 1u);
   EXPECT_EQ(fsim.early_exits(), 1u);
 
   // Later faults start clean: nothing queued by g_sa0 was left behind.
@@ -486,24 +491,45 @@ TEST(FaultSim, DetailedDiffsReachEveryPointObservingAGate) {
   expect_diffs(Fault{y, kStemPin, 1, FaultKind::kStuckAt}, {{y, 0b0111}});
 }
 
+// Each observe point's failing lanes under stuck-at `f`, from two full
+// sweeps: (good ^ faulty) & lane_mask. A DFF D-pin fault fails only its own
+// flop's point, by the lanes on which the pin's driver differs from the
+// stuck value.
+std::vector<std::uint64_t> sweep_diffs(const Netlist& nl,
+                                       const PatternBatch& batch,
+                                       const Fault& f) {
+  const std::vector<GateId> points = nl.observe_points();
+  const std::vector<GateId> inputs = nl.combinational_inputs();
+  std::vector<std::uint64_t> good(nl.num_gates(), 0);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    good[inputs[i]] = batch.words[i];
+  }
+  std::vector<std::uint64_t> faulty = good;
+  full_sweep(nl, good, nullptr);
+  full_sweep(nl, faulty, &f);
+  const bool d_pin = !f.is_stem() && nl.type(f.gate) == GateType::kDff;
+  const std::uint64_t stuck = f.stuck_at_one() ? ~0ull : 0ull;
+  std::vector<std::uint64_t> want(points.size(), 0);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const GateId og = nl.observed_gate(points[i]);
+    if (d_pin) {
+      want[i] = points[i] == f.gate ? good[og] ^ stuck : 0;
+    } else {
+      want[i] = good[og] ^ faulty[og];
+    }
+    want[i] &= batch.lane_mask();
+  }
+  return want;
+}
+
 // The pair contract of detect_mask_detailed against two full sweeps per
 // fault: every collapsed fault's pairs name distinct points with nonzero
-// words, OR to the mask, and scatter to (good ^ faulty) & lane_mask at each
-// observe point. A DFF D-pin fault fails only its own flop's point, by the
-// lanes on which the pin's driver differs from the stuck value.
+// words, OR to the mask, and scatter to sweep_diffs().
 void expect_pairs_match_sweeps(const Netlist& nl,
                                const std::vector<TestCube>& cubes,
                                std::size_t count, const std::string& label) {
   const PatternBatch batch = pack_patterns(cubes, 0, count);
-  const std::vector<GateId> points = nl.observe_points();
-  const std::vector<GateId> inputs = nl.combinational_inputs();
-  std::vector<std::uint64_t> loaded(nl.num_gates(), 0);
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    loaded[inputs[i]] = batch.words[i];
-  }
-  std::vector<std::uint64_t> good = loaded;
-  full_sweep(nl, good, nullptr);
-
+  const std::size_t num_points = nl.num_observe_points();
   FaultSimulator fsim(nl);
   fsim.load_batch(batch);
   std::vector<OpDiff> pairs;
@@ -511,10 +537,10 @@ void expect_pairs_match_sweeps(const Netlist& nl,
   for (const Fault& f : collapse_equivalent(nl, generate_stuck_at_faults(nl))) {
     const std::string what = label + " " + fault_name(nl, f);
     const std::uint64_t mask = fsim.detect_mask_detailed(f, pairs);
-    std::vector<bool> seen(points.size(), false);
+    std::vector<bool> seen(num_points, false);
     std::uint64_t any = 0;
     for (const OpDiff& d : pairs) {
-      ASSERT_LT(d.op, points.size()) << what;
+      ASSERT_LT(d.op, num_points) << what;
       EXPECT_FALSE(seen[d.op]) << what << ": point " << d.op << " twice";
       seen[d.op] = true;
       EXPECT_NE(d.word, 0ull) << what << ": zero word at point " << d.op;
@@ -522,22 +548,8 @@ void expect_pairs_match_sweeps(const Netlist& nl,
     }
     EXPECT_EQ(mask, any) << what;
     reached += pairs.size();
-
-    std::vector<std::uint64_t> faulty = loaded;
-    full_sweep(nl, faulty, &f);
-    const bool d_pin = !f.is_stem() && nl.type(f.gate) == GateType::kDff;
-    const std::uint64_t stuck = f.stuck_at_one() ? ~0ull : 0ull;
-    std::vector<std::uint64_t> want(points.size(), 0);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const GateId og = nl.observed_gate(points[i]);
-      if (d_pin) {
-        want[i] = points[i] == f.gate ? good[og] ^ stuck : 0;
-      } else {
-        want[i] = good[og] ^ faulty[og];
-      }
-      want[i] &= batch.lane_mask();
-    }
-    EXPECT_EQ(test::dense_diffs(pairs, points.size()), want) << what;
+    EXPECT_EQ(test::dense_diffs(pairs, num_points), sweep_diffs(nl, batch, f))
+        << what;
   }
   EXPECT_GT(reached, 0u) << label;
 }
@@ -617,5 +629,252 @@ TEST(FaultSim, EmptyInputsAreHandled) {
   EXPECT_EQ(r1.coverage(), 1.0);
 }
 
+// --- fanout-free regions ---------------------------------------------------
+// A stuck-at fault is graded by a local walk to its region's root and the
+// root's cached observability. Each hand-built circuit below puts a region
+// boundary where the walk could go wrong. Every stuck-at fault must match
+// the reference engine (mask-only and detailed) and the full sweeps
+// (pairs), on one simulator reused across two batches of different sizes.
+// Each fault is graded mask-only first, so detailed grading also meets
+// roots whose cache entry holds the mask alone.
+void expect_regions_match_oracles(const Netlist& nl, std::uint64_t seed) {
+  Rng rng(seed);
+  FaultSimulator fsim(nl);
+  std::vector<OpDiff> pairs;
+  std::size_t detected = 0;
+  for (std::size_t count : {64, 37}) {
+    const auto cubes =
+        random_patterns(nl.num_combinational_inputs(), count, rng);
+    const PatternBatch batch = pack_patterns(cubes, 0, count);
+    fsim.load_batch(batch);
+    for (const Fault& f : generate_stuck_at_faults(nl)) {
+      const std::string what =
+          fault_name(nl, f) + " with " + std::to_string(count) + " patterns";
+      const std::uint64_t want = fsim.detect_mask_reference(batch, f);
+      EXPECT_EQ(fsim.detect_mask(f), want) << what;
+      EXPECT_EQ(fsim.detect_mask_detailed(f, pairs), want) << what;
+      EXPECT_EQ(test::dense_diffs(pairs, nl.num_observe_points()),
+                sweep_diffs(nl, batch, f))
+          << what;
+      detected += want != 0;
+    }
+  }
+  EXPECT_GT(detected, 0u);
+}
+
+// All 2^n combinational-input values (n <= 6) in one batch: input i at
+// bit i of the lane index.
+PatternBatch exhaustive_batch(const Netlist& nl) {
+  const auto cubes = test::exhaustive_patterns(nl.num_combinational_inputs());
+  return pack_patterns(cubes, 0, cubes.size());
+}
+
+Fault stuck(GateId g, std::uint8_t pin, std::uint8_t value) {
+  return {g, pin, value, FaultKind::kStuckAt};
+}
+
+TEST(FfrRegion, GateReadingOneNetOnTwoPinsIsARoot) {
+  // h = XOR(g, c, g) reads g on two pins, so a flip of g cancels in h:
+  // g ends its region, and its faults are undetectable. m = OR(k, c, k)
+  // reads k twice and passes a flip of k wherever c = 0.
+  Netlist nl;
+  const GateId a = nl.add_input("a");
+  const GateId b = nl.add_input("b");
+  const GateId c = nl.add_input("c");
+  const GateId d = nl.add_input("d");
+  const GateId g = nl.add_gate(GateType::kNand, {a, b}, "g");
+  nl.add_output(nl.add_gate(GateType::kXor, {g, c, g}, "h"), "y");
+  const GateId k = nl.add_gate(GateType::kAnd, {a, d}, "k");
+  nl.add_output(nl.add_gate(GateType::kOr, {k, c, k}, "m"), "z");
+  nl.finalize();
+  expect_regions_match_oracles(nl, 1);
+
+  FaultSimulator fsim(nl);
+  fsim.load_batch(exhaustive_batch(nl));
+  EXPECT_EQ(fsim.detect_mask(stuck(g, kStemPin, 0)), 0u);
+  EXPECT_EQ(fsim.detect_mask(stuck(g, kStemPin, 1)), 0u);
+  // Inputs a-d at lane bits 0-3: k = 1 needs a = d = 1, and z sees k's
+  // flip where c = 0 (lanes 9 and 11).
+  EXPECT_EQ(fsim.detect_mask(stuck(k, kStemPin, 0)), 0x0A00ull);
+}
+
+TEST(FfrRegion, ObservedRootThatAlsoFansOut) {
+  // e = NOT(a) feeds only g = AND(e, b), which drives flop q's D pin (so g
+  // is observed) and h = OR(g, c) -> n = AND(h, d) -> output y. The region
+  // {e, g} ends at g; {h, n} ends at y's marker.
+  Netlist nl;
+  const GateId a = nl.add_input("a");
+  const GateId b = nl.add_input("b");
+  const GateId c = nl.add_input("c");
+  const GateId d = nl.add_input("d");
+  const GateId e = nl.add_gate(GateType::kNot, {a}, "e");
+  const GateId g = nl.add_gate(GateType::kAnd, {e, b}, "g");
+  const GateId h = nl.add_gate(GateType::kOr, {g, c}, "h");
+  nl.add_output(nl.add_gate(GateType::kAnd, {h, d}, "n"), "y");
+  nl.add_dff(g, "q");
+  nl.finalize();
+  expect_regions_match_oracles(nl, 2);
+
+  // The four stem faults of {e, g} share one propagation of g per batch;
+  // detailed grading propagates g once more, for its pairs.
+  FaultSimulator fsim(nl);
+  fsim.load_batch(exhaustive_batch(nl));
+  const Fault region[] = {stuck(e, kStemPin, 0), stuck(e, kStemPin, 1),
+                          stuck(g, kStemPin, 0), stuck(g, kStemPin, 1)};
+  for (const Fault& f : region) fsim.detect_mask(f);
+  EXPECT_EQ(fsim.root_propagations(), 1u);
+  EXPECT_EQ(fsim.local_walks(), 4u);
+  std::vector<OpDiff> pairs;
+  for (const Fault& f : region) fsim.detect_mask_detailed(f, pairs);
+  EXPECT_EQ(fsim.root_propagations(), 2u);
+  fsim.load_batch(exhaustive_batch(nl));  // a new batch empties the cache
+  for (const Fault& f : region) fsim.detect_mask(f);
+  EXPECT_EQ(fsim.root_propagations(), 3u);
+}
+
+TEST(FfrRegion, InputAndFlopStemsWithOneFanout) {
+  // Input a feeds only g = AND(a, b), which feeds only flop q; q's output
+  // feeds only h = OR(q, c) -> output y. A stem fault on a walks to g, one
+  // on q walks through h to y's marker.
+  Netlist nl;
+  const GateId a = nl.add_input("a");
+  const GateId b = nl.add_input("b");
+  const GateId c = nl.add_input("c");
+  const GateId g = nl.add_gate(GateType::kAnd, {a, b}, "g");
+  const GateId q = nl.add_dff(g, "q");
+  nl.add_output(nl.add_gate(GateType::kOr, {q, c}, "h"), "y");
+  nl.finalize();
+  expect_regions_match_oracles(nl, 3);
+
+  // Inputs a, b, c, q at lane bits 0-3: a/SA0 fails q where a = b = 1; q/SA1
+  // fails y where q = c = 0.
+  FaultSimulator fsim(nl);
+  fsim.load_batch(exhaustive_batch(nl));
+  EXPECT_EQ(fsim.detect_mask(stuck(a, kStemPin, 0)), 0x8888ull);
+  EXPECT_EQ(fsim.detect_mask(stuck(q, kStemPin, 1)), 0x000Full);
+}
+TEST(FfrRegion, BranchFaultIntoMultiFanoutGate) {
+  // a forks to g = XOR(a, b) and w = NAND(a, c), so g's pin 0 carries
+  // branch faults; g itself fans out to h = AND(g, c) -> y and
+  // k = OR(g, d) -> z, so the walk ends where it starts, at g.
+  Netlist nl;
+  const GateId a = nl.add_input("a");
+  const GateId b = nl.add_input("b");
+  const GateId c = nl.add_input("c");
+  const GateId d = nl.add_input("d");
+  const GateId g = nl.add_gate(GateType::kXor, {a, b}, "g");
+  nl.add_output(nl.add_gate(GateType::kAnd, {g, c}, "h"), "y");
+  nl.add_output(nl.add_gate(GateType::kOr, {g, d}, "k"), "z");
+  nl.add_output(nl.add_gate(GateType::kNand, {a, c}, "w"), "v");
+  nl.finalize();
+  expect_regions_match_oracles(nl, 4);
+
+  // Inputs a-d at lane bits 0-3. Pin 0 of g stuck at 1 flips g where
+  // a = 0; y sees it where c = 1, z where d = 0, and v not at all.
+  FaultSimulator fsim(nl);
+  fsim.load_batch(exhaustive_batch(nl));
+  std::vector<OpDiff> pairs;
+  EXPECT_EQ(fsim.detect_mask_detailed(stuck(g, 0, 1), pairs), 0x5055ull);
+  EXPECT_EQ(test::dense_diffs(pairs, nl.num_observe_points()),
+            (std::vector<std::uint64_t>{0x5050, 0x0055, 0}));
+}
+
+// n1 = NOT(a) -> n2 = AND(n1, b) -> n3 = OR(n2, c), which feeds only flop
+// q; q's output feeds k = XOR(q, d) -> output y. The region {n1, n2, n3}
+// ends at n3, the flop's D driver: a walk that went on through q would
+// report the fault at y in the capture cycle.
+Netlist chain_into_flop() {
+  Netlist nl;
+  const GateId a = nl.add_input("a");
+  const GateId b = nl.add_input("b");
+  const GateId c = nl.add_input("c");
+  const GateId d = nl.add_input("d");
+  const GateId n1 = nl.add_gate(GateType::kNot, {a}, "n1");
+  const GateId n2 = nl.add_gate(GateType::kAnd, {n1, b}, "n2");
+  const GateId n3 = nl.add_gate(GateType::kOr, {n2, c}, "n3");
+  const GateId q = nl.add_dff(n3, "q");
+  nl.add_output(nl.add_gate(GateType::kXor, {q, d}, "k"), "y");
+  nl.finalize();
+  return nl;
+}
+
+TEST(FfrRegion, ChainFeedingOnlyAFlopEndsAtTheFlop) {
+  const Netlist nl = chain_into_flop();
+  expect_regions_match_oracles(nl, 5);
+
+  // The chain's six stem faults share one propagation of n3.
+  FaultSimulator fsim(nl);
+  fsim.load_batch(exhaustive_batch(nl));
+  for (const char* name : {"n1", "n2", "n3"}) {
+    for (std::uint8_t v : {0, 1}) {
+      fsim.detect_mask(stuck(nl.find(name), kStemPin, v));
+    }
+  }
+  EXPECT_EQ(fsim.root_propagations(), 1u);
+  EXPECT_EQ(fsim.local_walks(), 6u);
+}
+
+TEST(FfrRegion, DffDPinFaultIsCapturedNotWalked) {
+  // g = AND(a, b) drives the D pins of q1 and q2, so both pins carry
+  // branch faults; q1's output feeds h = OR(q1, c) -> y. A D-pin fault
+  // fails only its own flop's point and takes no local walk.
+  Netlist nl;
+  const GateId a = nl.add_input("a");
+  const GateId b = nl.add_input("b");
+  const GateId c = nl.add_input("c");
+  const GateId g = nl.add_gate(GateType::kAnd, {a, b}, "g");
+  const GateId q1 = nl.add_dff(g, "q1");
+  nl.add_dff(g, "q2");
+  nl.add_output(nl.add_gate(GateType::kOr, {q1, c}, "h"), "y");
+  nl.finalize();
+  expect_regions_match_oracles(nl, 6);
+
+  // Inputs a, b, c, q1, q2 at lane bits 0-4: the pin stuck at 1 fails q1
+  // wherever g = 0, i.e. a = 0 or b = 0.
+  FaultSimulator fsim(nl);
+  fsim.load_batch(exhaustive_batch(nl));
+  std::vector<OpDiff> pairs;
+  EXPECT_EQ(fsim.detect_mask_detailed(stuck(q1, 0, 1), pairs), 0x77777777ull);
+  EXPECT_EQ(test::dense_diffs(pairs, nl.num_observe_points()),
+            (std::vector<std::uint64_t>{0, 0x77777777, 0}));
+  EXPECT_EQ(fsim.local_walks(), 0u);
+  EXPECT_EQ(fsim.root_propagations(), 0u);
+}
+
+TEST(FfrRegion, TransitionFaultsOnARegionPath) {
+  // A transition fault is detected where the launch vector sets its line to
+  // the initial value and the capture vector detects the line stuck at
+  // that value: the reference engine's stuck-at mask ANDed with the
+  // arming from a full sweep of the launch batch.
+  const Netlist nl = chain_into_flop();
+  Rng rng(7);
+  const std::size_t width = nl.num_combinational_inputs();
+  const PatternBatch launch =
+      pack_patterns(random_patterns(width, 64, rng), 0, 64);
+  const PatternBatch capture =
+      pack_patterns(random_patterns(width, 64, rng), 0, 64);
+  std::vector<std::uint64_t> initial(nl.num_gates(), 0);
+  for (std::size_t i = 0; i < width; ++i) {
+    initial[nl.combinational_input(i)] = launch.words[i];
+  }
+  full_sweep(nl, initial, nullptr);
+
+  FaultSimulator fsim(nl);
+  fsim.load_batch(capture);
+  fsim.load_launch_batch(launch);
+  std::size_t detected = 0;
+  for (const Fault& f : generate_transition_faults(nl)) {
+    const GateId line =
+        f.is_stem() ? f.gate : nl.topology().fanin(f.gate)[f.pin];
+    // Slow-to-rise (value 1) needs the line at 0 in the launch cycle.
+    const std::uint64_t armed = f.value ? ~initial[line] : initial[line];
+    const std::uint64_t want =
+        fsim.detect_mask_reference(capture, stuck(f.gate, f.pin, !f.value)) &
+        armed;
+    EXPECT_EQ(fsim.detect_mask(f), want) << fault_name(nl, f);
+    detected += want != 0;
+  }
+  EXPECT_GT(detected, 0u);
+}
 }  // namespace
 }  // namespace aidft
