@@ -22,6 +22,11 @@
 // cube, decision, backtrack and implication counts of every call, so a
 // rewrite of PODEM's implication must reproduce the same search step for
 // step.
+//
+// The SatDigest suite pins the SAT miter the same way: FNV-1a over the
+// status and cube of SatAtpg::generate for every collapsed fault, plus the
+// summed encoding size, so a rewrite of the solver's storage or of the
+// encoder's reuse must reproduce every model and every clause.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -31,6 +36,7 @@
 #include "aichip/systolic.hpp"
 #include "aichip/wrapper.hpp"
 #include "atpg/atpg.hpp"
+#include "atpg/sat_atpg.hpp"
 #include "atpg/transition_atpg.hpp"
 #include "bench_circuits/generators.hpp"
 #include "bist/lbist.hpp"
@@ -180,8 +186,11 @@ const Flow& flow(std::size_t which) {
       Flow f{std::move(nl), {}, {}, {}};
       f.faults = collapse_equivalent(f.nl, generate_stuck_at_faults(f.nl));
       // Few random patterns: most faults go through PODEM/SAT and the
-      // pending-cube fault dropping.
-      f.atpg = generate_tests(f.nl, f.faults, {.random_patterns = 8});
+      // pending-cube fault dropping. The PODEM budget is pinned, so the
+      // digests below keep pinning both engines whatever the default.
+      f.atpg = generate_tests(f.nl, f.faults,
+                              {.random_patterns = 8,
+                               .podem_backtrack_limit = 100});
       Rng rng(0xD16E57);
       f.patterns = f.atpg.patterns;
       for (TestCube& p :
@@ -401,6 +410,52 @@ TEST(PodemDigest, Justify) {
     }
   }
   EXPECT_EQ(h.value(), 0x4068db6e3b03319cull);
+}
+
+// ---- SAT miter -------------------------------------------------------------
+
+struct SatDigestValue {
+  std::uint64_t hash = 0;
+  std::uint64_t vars = 0;     // summed sat.vars
+  std::uint64_t clauses = 0;  // summed sat.clauses
+};
+
+// SatAtpg::generate over every collapsed fault of each of `nets`, through
+// one engine per netlist.
+SatDigestValue sat_digest(const std::vector<const Netlist*>& nets) {
+  obs::Telemetry telemetry;
+  Fnv1a h;
+  for (const Netlist* nl : nets) {
+    SatAtpg sat(*nl);
+    for (const Fault& f :
+         collapse_equivalent(*nl, generate_stuck_at_faults(*nl))) {
+      const AtpgOutcome o = sat.generate(f, {.telemetry = &telemetry});
+      h.u32(static_cast<std::uint32_t>(o.status));
+      h.u64(o.cube.size());
+      for (Val3 v : o.cube.bits) h.u32(static_cast<std::uint32_t>(v));
+    }
+  }
+  const obs::MetricsSnapshot m = telemetry.metrics.snapshot();
+  return {h.value(), m.counter_value("sat.vars"),
+          m.counter_value("sat.clauses")};
+}
+
+TEST(SatDigest, RandomLogic) {
+  const Netlist nl = circuits::make_random_logic(32, 500, 1);
+  const SatDigestValue d = sat_digest({&nl});
+  EXPECT_EQ(d.hash, 0xf4a1bf7725180cd4ull);
+  EXPECT_EQ(d.vars, 640'432u);
+  EXPECT_EQ(d.clauses, 2'054'356u);
+}
+
+TEST(SatDigest, StandardSuite) {
+  const std::vector<circuits::NamedCircuit> suite = circuits::standard_suite();
+  std::vector<const Netlist*> nets;
+  for (const auto& nc : suite) nets.push_back(&nc.netlist);
+  const SatDigestValue d = sat_digest(nets);
+  EXPECT_EQ(d.hash, 0xbdc875f4f85cffa8ull);
+  EXPECT_EQ(d.vars, 2'056'760u);
+  EXPECT_EQ(d.clauses, 6'315'236u);
 }
 
 // ---- linear decompressors ----------------------------------------------
