@@ -5,7 +5,7 @@
 //
 // E2/scale/<gates> is the scaling rung: the default PODEM->SAT flow (default
 // backtrack budget) on one make_random_logic(32, gates, 1) block, the block
-// shape of perfbench's atpg_redundant workload, at 250..2,000 gates.
+// shape of perfbench's atpg_redundant workload, at 250..4,000 gates.
 #include <benchmark/benchmark.h>
 
 #include "atpg/atpg.hpp"
@@ -73,7 +73,7 @@ void register_all() {
           ->Iterations(1);
     }
   }
-  for (std::size_t gates : {250, 500, 1000, 2000}) {
+  for (std::size_t gates : {250, 500, 1000, 2000, 4000}) {
     aidft::bench::reg("E2/scale/" + std::to_string(gates),
                       [gates](benchmark::State& s) { e2_scale(s, gates); })
         ->Unit(benchmark::kMillisecond)

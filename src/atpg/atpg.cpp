@@ -87,24 +87,34 @@ AtpgResult generate_tests(const Netlist& nl, const std::vector<Fault>& faults,
   std::uint64_t podem_implications = 0;
   std::uint64_t podem_events = 0;
   // Engine calls, each timed into its histogram when a sink is attached
-  // (no clock read otherwise).
+  // (no clock read otherwise). A call that aborts is also timed into
+  // `aborted_us` when that is set: what the PODEM budget spends on faults
+  // it hands on.
   obs::Histogram* podem_us = nullptr;
+  obs::Histogram* podem_abort_us = nullptr;
   obs::Histogram* sat_us = nullptr;
   if (options.telemetry != nullptr) {
     podem_us = &options.telemetry->metrics.histogram("atpg.podem_us");
+    podem_abort_us =
+        &options.telemetry->metrics.histogram("atpg.podem_abort_us");
     sat_us = &options.telemetry->metrics.histogram("atpg.sat_us");
   }
-  auto timed = [](obs::Histogram* histogram, auto&& call) {
+  auto timed = [](obs::Histogram* histogram, obs::Histogram* aborted_us,
+                  auto&& call) {
     if (histogram == nullptr) return call();
     const obs::Stopwatch clock;
     AtpgOutcome o = call();
-    histogram->observe(clock.micros());
+    const std::uint64_t us = clock.micros();
+    histogram->observe(us);
+    if (aborted_us != nullptr && o.status == AtpgStatus::kAborted) {
+      aborted_us->observe(us);
+    }
     return o;
   };
   auto run_podem = [&](const Fault& f) {
     ++result.podem_calls;
-    const AtpgOutcome o =
-        timed(podem_us, [&] { return podem.generate(f, podem_opts); });
+    const AtpgOutcome o = timed(podem_us, podem_abort_us,
+                                [&] { return podem.generate(f, podem_opts); });
     podem_backtracks += o.backtracks;
     podem_decisions += o.decisions;
     podem_implications += o.implications;
@@ -113,7 +123,7 @@ AtpgResult generate_tests(const Netlist& nl, const std::vector<Fault>& faults,
   };
   auto run_sat = [&](const Fault& f) {
     ++result.sat_calls;
-    return timed(sat_us, [&] { return sat.generate(f, sat_opts); });
+    return timed(sat_us, nullptr, [&] { return sat.generate(f, sat_opts); });
   };
 
   TestCube open_cube;   // dynamic-compaction accumulator

@@ -34,11 +34,16 @@ enum class AtpgEngine : std::uint8_t {
 struct AtpgOptions {
   std::size_t random_patterns = 256;
   /// PODEM's per-fault budget before the fault goes to SAT (kPodemThenSat)
-  /// or aborts (kPodem). Faults that exhaust it are mostly redundant ones,
-  /// which PODEM can only prove by exhausting its decision tree; the
-  /// cone-scoped SAT miter proves them far faster than more backtracking
-  /// does. EXPERIMENTS.md E2 has the budget sweep behind 100.
-  std::uint64_t podem_backtrack_limit = 100;
+  /// or aborts (kPodem). PODEM proves a redundant fault only by exhausting
+  /// its decision tree, and a hard testable fault can cost it as many
+  /// backtracks; the cone-scoped SAT miter settles either in about 0.1 ms
+  /// on a 500-gate block. In the EXPERIMENTS.md E2 sweep the atpg_redundant
+  /// blocks take about a third less ATPG time at budgets 5-30 than at 100,
+  /// with no clear winner inside that range; 10 gives the fewest patterns
+  /// there, and the systolic cores still make no SAT call at 10, with the
+  /// backtracks of budget 100. Under kPodemThenSat the budget changes which
+  /// engine settles a fault, not its status.
+  std::uint64_t podem_backtrack_limit = 10;
   std::int64_t sat_conflict_limit = 200'000;
   AtpgEngine engine = AtpgEngine::kPodemThenSat;
   /// Steer PODEM with SCOAP measures (hardest-to-control objective first in
@@ -56,7 +61,9 @@ struct AtpgOptions {
   /// `atpg.random_phase` / `atpg.deterministic_phase` spans, aggregates
   /// `podem.*` / `sat.*` counters (flushed per engine call, not per event),
   /// and observes each engine call's wall time in µs into the
-  /// `atpg.podem_us` / `atpg.sat_us` histograms.
+  /// `atpg.podem_us` / `atpg.sat_us` histograms. The PODEM calls that end
+  /// kAborted are also observed into `atpg.podem_abort_us` (a subset of
+  /// `atpg.podem_us`): the time the budget spends before a hand-off.
   obs::Telemetry* telemetry = nullptr;
   /// Run control: null (default) = run to completion. When set it is
   /// check()ed once per deterministic-phase fault and inherited by the

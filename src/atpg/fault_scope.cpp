@@ -23,9 +23,12 @@ void FaultScope::clear() {
 }
 
 void FaultScope::sort_topological(std::vector<GateId>& gates) const {
-  std::sort(gates.begin(), gates.end(), [&](GateId a, GateId b) {
-    return topo_pos_[a] < topo_pos_[b];
-  });
+  // Sorting the positions themselves, not gates by a looked-up key, keeps
+  // the comparisons on plain integers.
+  const std::vector<GateId>& order = topo_->topo_order();
+  for (GateId& g : gates) g = topo_pos_[g];
+  std::sort(gates.begin(), gates.end());
+  for (GateId& g : gates) g = order[g];
 }
 
 void FaultScope::build(const Fault& fault) {

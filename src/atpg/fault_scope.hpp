@@ -40,8 +40,6 @@ class FaultScope {
 
   bool in_cone(GateId g) const { return in_cone_[g]; }
   bool in_support(GateId g) const { return in_support_[g]; }
-  /// Per-gate support membership (the gate filter of a CircuitCnf).
-  const std::vector<bool>& support_mask() const { return in_support_; }
   /// Cone and support gates, each in topo_order() order.
   const std::vector<GateId>& cone() const { return cone_; }
   const std::vector<GateId>& support() const { return support_; }

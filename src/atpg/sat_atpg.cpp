@@ -2,25 +2,23 @@
 
 #include <vector>
 
-#include "sat/cnf.hpp"
-#include "sat/solver.hpp"
-#include "sim/val3.hpp"
-
 namespace aidft {
-namespace {
 
 // Turns the care bits of `cube` into X one at a time, first to last, and
 // restores each one without which a 3-valued good/faulty simulation of the
 // support no longer shows a known difference at an observed cone gate (for
 // a D-pin fault: the driver no longer holds the opposite of the stuck
-// value). `cube` must detect the fault on entry.
-void relax_cube(const Topology& topo, const Fault& fault,
-                const FaultScope& scope, const std::vector<GateId>& inputs,
-                const std::vector<bool>& observed, TestCube& cube) {
+// value). `cube` must detect the fault on entry. Only support gates are
+// read, each after it is written, so the tables need no clearing.
+void SatAtpg::relax_cube(const Fault& fault, TestCube& cube) {
+  const Topology& topo = nl_->topology();
+  const FaultScope& scope = scope_;
+  const std::vector<GateId>& inputs = comb_inputs_;
+  const std::vector<bool>& observed = observed_;
   const GateId line = scope.line();
   const Val3 stuck = fault.stuck_at_one() ? Val3::kOne : Val3::kZero;
-  std::vector<Val3> good(topo.num_gates(), Val3::kX);
-  std::vector<Val3> bad(topo.num_gates(), Val3::kX);
+  std::vector<Val3>& good = good3_;
+  std::vector<Val3>& bad = bad3_;
   auto detects = [&] {
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       if (scope.in_support(inputs[i])) good[inputs[i]] = cube.bits[i];
@@ -62,8 +60,6 @@ void relax_cube(const Topology& topo, const Fault& fault,
   }
 }
 
-}  // namespace
-
 void flush_sat_stats(obs::Telemetry* t, const SatSolver& solver) {
   if (t == nullptr) return;
   const SatSolver::Stats& s = solver.stats();
@@ -77,8 +73,13 @@ void flush_sat_stats(obs::Telemetry* t, const SatSolver& solver) {
 }
 
 SatAtpg::SatAtpg(const Netlist& netlist)
-    : nl_(&netlist), scope_(netlist.topology()) {
-  AIDFT_REQUIRE(netlist.finalized(), "SatAtpg requires finalized netlist");
+    : nl_(&netlist),
+      scope_(netlist.topology()),
+      good_(netlist),
+      flit_(netlist.num_gates()),
+      dlit_(netlist.num_gates()),
+      good3_(netlist.num_gates(), Val3::kX),
+      bad3_(netlist.num_gates(), Val3::kX) {
   comb_inputs_ = netlist.combinational_inputs();
   observed_.assign(netlist.num_gates(), false);
   for (GateId op : netlist.observe_points()) {
@@ -95,7 +96,8 @@ AtpgOutcome SatAtpg::generate(const Fault& fault, const SatAtpgOptions& options)
   const bool dpin = scope.dpin();
   const GateId line = scope.line();
   AtpgOutcome out;
-  SatSolver solver;
+  SatSolver& solver = solver_;
+  solver.reset();
 
   bool observable = dpin;  // a D-pin fault is observed at its own flop
   for (GateId g : scope.cone()) observable = observable || observed_[g];
@@ -105,14 +107,17 @@ AtpgOutcome SatAtpg::generate(const Fault& fault, const SatAtpgOptions& options)
     return out;
   }
 
-  CircuitCnf good(*nl_, solver, scope.support_mask());
+  CircuitCnf& good = good_;
+  good.encode(solver, scope.support());
   // Activation: the fault line carries the opposite of the stuck value. For
   // a D-pin fault that alone is detection.
   const Lit active = good.lit(line);
   solver.add_unit(fault.stuck_at_one() ? ~active : active);
 
-  // Faulty copy of the cone.
-  std::vector<Lit> flit(nl_->num_gates(), Lit{});
+  // Faulty copy of the cone. flit_ and dlit_ are read only at cone gates,
+  // each after it is written.
+  std::vector<Lit>& flit = flit_;
+  std::vector<Lit>& fin = clause_;
   for (GateId id : scope.cone()) {
     const GateType gtype = topo.type(id);
     const std::span<const GateId> gfanin = topo.fanin(id);
@@ -123,8 +128,7 @@ AtpgOutcome SatAtpg::generate(const Fault& fault, const SatAtpgOptions& options)
       flit[id] = v;
       continue;
     }
-    std::vector<Lit> fin;
-    fin.reserve(gfanin.size());
+    fin.clear();
     for (std::size_t k = 0; k < gfanin.size(); ++k) {
       const GateId f = gfanin[k];
       if (id == fault.gate && k == fault.pin) {
@@ -156,18 +160,19 @@ AtpgOutcome SatAtpg::generate(const Fault& fault, const SatAtpgOptions& options)
   // D-chain: the site differs, and every differing unobserved cone gate
   // hands the difference to a cone fanout, so the chain ends at an observed
   // gate that differs.
-  std::vector<Lit> dlit(nl_->num_gates(), Lit{});
+  std::vector<Lit>& dlit = dlit_;
   for (GateId g : scope.cone()) dlit[g] = pos_lit(solver.new_var());
   for (GateId g : scope.cone()) {
     const Lit d = dlit[g], a = good.lit(g), b = flit[g];
     solver.add_ternary(~d, a, b);  // d -> good != faulty
     solver.add_ternary(~d, ~a, ~b);
     if (observed_[g]) continue;
-    std::vector<Lit> path{~d};  // d -> some cone fanout differs too
+    std::vector<Lit>& path = clause_;  // d -> some cone fanout differs too
+    path.assign(1, ~d);
     for (GateId s : topo.fanout(g)) {
       if (scope.in_cone(s)) path.push_back(dlit[s]);
     }
-    solver.add_clause(std::move(path));
+    solver.add_clause(path);
   }
   if (!dpin) solver.add_unit(dlit[fault.gate]);
 
@@ -187,7 +192,7 @@ AtpgOutcome SatAtpg::generate(const Fault& fault, const SatAtpgOptions& options)
     out.cube.bits[i] =
         solver.model_value(l.var()) != l.negated() ? Val3::kOne : Val3::kZero;
   }
-  relax_cube(topo, fault, scope, comb_inputs_, observed_, out.cube);
+  relax_cube(fault, out.cube);
   return out;
 }
 

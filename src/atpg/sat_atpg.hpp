@@ -1,7 +1,7 @@
 // SAT-based ATPG: a Larrabee-style miter with TEGUS-style active-path
 // (D-chain) clauses.
 //
-// Per fault, a fresh solver gets only what the fault can touch:
+// Per fault, an empty solver gets only what the fault can touch:
 //   - the good machine of the *support*, the transitive fanin of the fault's
 //     output cone (for a DFF D-pin fault, the transitive fanin of the pin's
 //     driver);
@@ -30,6 +30,9 @@
 #include "fault/fault.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/telemetry.hpp"
+#include "sat/cnf.hpp"
+#include "sat/solver.hpp"
+#include "sim/val3.hpp"
 
 namespace aidft {
 
@@ -48,8 +51,6 @@ struct SatAtpgOptions {
   RunControl* run_control = nullptr;
 };
 
-class SatSolver;
-
 /// Flushes one solve's `sat.*` counters into `telemetry` (null = off):
 /// `sat.solves` += 1, the encoding's `sat.vars` and `sat.clauses`, and the
 /// search's conflicts, decisions, propagations and restarts.
@@ -61,15 +62,26 @@ class SatAtpg {
 
   /// Generates a test cube for a stuck-at fault, proves it untestable, or
   /// aborts at the conflict limit. The cube's X bits are don't-cares: every
-  /// completion detects the fault. A fresh solver is built per call over the
-  /// fault's support; the netlist structure is shared.
+  /// completion detects the fault. Each call encodes the fault's support
+  /// into an emptied solver; the solver and the per-gate tables are reused
+  /// across calls, so no call depends on an earlier one.
   AtpgOutcome generate(const Fault& fault, const SatAtpgOptions& options = {});
 
  private:
+  /// Turns care bits of `cube` into X while it still detects the fault.
+  void relax_cube(const Fault& fault, TestCube& cube);
+
   const Netlist* nl_;
   FaultScope scope_;  // rebuilt per call
   std::vector<GateId> comb_inputs_;
   std::vector<bool> observed_;  // per gate: observed_gate() of an observe point
+  // Reused per call: emptied or overwritten before being read.
+  SatSolver solver_;
+  CircuitCnf good_;
+  std::vector<Lit> flit_;  // per gate: faulty-machine literal of a cone gate
+  std::vector<Lit> dlit_;  // per gate: D-chain literal of a cone gate
+  std::vector<Lit> clause_;  // scratch: one gate's fanins, or a D-chain clause
+  std::vector<Val3> good3_, bad3_;  // per gate: relax_cube's simulation
 };
 
 }  // namespace aidft

@@ -8,18 +8,35 @@
 namespace aidft {
 namespace {
 
-// SAT-based line justification: is there an input assignment with
-// `line` == value? Returns a fully specified cube on success.
-AtpgOutcome sat_justify(const Netlist& nl, GateId line, Val3 value,
-                        std::int64_t conflict_limit,
-                        obs::Telemetry* telemetry, RunControl* run_control) {
+// SAT-based line justification over the whole circuit: is there an input
+// assignment with `line` == value? Returns a fully specified cube on
+// success. Each call encodes the circuit into the emptied solver, whose
+// buffers and literal table are reused across calls.
+class SatJustifier {
+ public:
+  explicit SatJustifier(const Netlist& nl)
+      : cnf_(nl), inputs_(nl.combinational_inputs()) {}
+
+  AtpgOutcome justify(GateId line, Val3 value, std::int64_t conflict_limit,
+                      obs::Telemetry* telemetry, RunControl* run_control);
+
+ private:
+  SatSolver solver_;
+  CircuitCnf cnf_;
+  std::vector<GateId> inputs_;
+};
+
+AtpgOutcome SatJustifier::justify(GateId line, Val3 value,
+                                  std::int64_t conflict_limit,
+                                  obs::Telemetry* telemetry,
+                                  RunControl* run_control) {
   AtpgOutcome out;
-  SatSolver solver;
-  CircuitCnf cnf(nl, solver);
-  const Lit l = cnf.lit(line);
-  solver.add_unit(value == Val3::kOne ? l : ~l);
-  const SatResult res = solver.solve({}, conflict_limit, run_control);
-  flush_sat_stats(telemetry, solver);
+  solver_.reset();
+  cnf_.encode(solver_);
+  const Lit l = cnf_.lit(line);
+  solver_.add_unit(value == Val3::kOne ? l : ~l);
+  const SatResult res = solver_.solve({}, conflict_limit, run_control);
+  flush_sat_stats(telemetry, solver_);
   if (res == SatResult::kUnsat) {
     out.status = AtpgStatus::kUntestable;
     return out;
@@ -29,11 +46,10 @@ AtpgOutcome sat_justify(const Netlist& nl, GateId line, Val3 value,
     return out;
   }
   out.status = AtpgStatus::kDetected;
-  const auto inputs = nl.combinational_inputs();
-  out.cube = TestCube(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const Lit il = cnf.lit(inputs[i]);
-    out.cube.bits[i] = (solver.model_value(il.var()) != il.negated())
+  out.cube = TestCube(inputs_.size());
+  for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    const Lit il = cnf_.lit(inputs_[i]);
+    out.cube.bits[i] = (solver_.model_value(il.var()) != il.negated())
                            ? Val3::kOne
                            : Val3::kZero;
   }
@@ -63,6 +79,7 @@ TransitionAtpgResult generate_transition_tests(
   const ScoapResult scoap = compute_scoap(nl);
   Podem podem(nl, &scoap);
   SatAtpg sat(nl);
+  SatJustifier sat_justifier(nl);
   const SatAtpgOptions sat_opts{options.sat_conflict_limit, options.telemetry,
                                 options.run_control};
   PodemOptions podem_opts = options.podem;
@@ -130,8 +147,8 @@ TransitionAtpgResult generate_transition_tests(
     AtpgOutcome launch = podem.justify(line, init, podem_opts);
     note_podem(launch);
     if (launch.status == AtpgStatus::kAborted && options.sat_fallback) {
-      launch = sat_justify(nl, line, init, options.sat_conflict_limit,
-                           options.telemetry, options.run_control);
+      launch = sat_justifier.justify(line, init, options.sat_conflict_limit,
+                                     options.telemetry, options.run_control);
     }
     if (launch.status == AtpgStatus::kUntestable) {
       // The line can never hold the initial value: no transition possible.

@@ -1,9 +1,11 @@
 #include "sat/cnf.hpp"
 
+#include <algorithm>
+
 namespace aidft {
 namespace {
 
-void encode_and(SatSolver& s, Lit out, const std::vector<Lit>& in) {
+void encode_and(SatSolver& s, Lit out, std::span<const Lit> in) {
   std::vector<Lit> big;
   big.reserve(in.size() + 1);
   for (const Lit l : in) {
@@ -11,10 +13,10 @@ void encode_and(SatSolver& s, Lit out, const std::vector<Lit>& in) {
     big.push_back(~l);
   }
   big.push_back(out);  // all inputs -> out
-  s.add_clause(std::move(big));
+  s.add_clause(big);
 }
 
-void encode_or(SatSolver& s, Lit out, const std::vector<Lit>& in) {
+void encode_or(SatSolver& s, Lit out, std::span<const Lit> in) {
   std::vector<Lit> big;
   big.reserve(in.size() + 1);
   for (const Lit l : in) {
@@ -22,7 +24,7 @@ void encode_or(SatSolver& s, Lit out, const std::vector<Lit>& in) {
     big.push_back(l);
   }
   big.push_back(~out);  // out -> some input
-  s.add_clause(std::move(big));
+  s.add_clause(big);
 }
 
 void encode_xor2(SatSolver& s, Lit out, Lit a, Lit b) {
@@ -40,7 +42,7 @@ void encode_eq(SatSolver& s, Lit a, Lit b) {
 }  // namespace
 
 void add_gate_clauses(SatSolver& s, GateType type, Lit out,
-                      const std::vector<Lit>& in) {
+                      std::span<const Lit> in) {
   switch (type) {
     case GateType::kConst0:
       s.add_unit(~out);
@@ -100,22 +102,33 @@ void add_gate_clauses(SatSolver& s, GateType type, Lit out,
   }
 }
 
-CircuitCnf::CircuitCnf(const Netlist& nl, SatSolver& solver,
-                       const std::vector<bool>& only) {
+CircuitCnf::CircuitCnf(const Netlist& nl) : nl_(&nl) {
   AIDFT_REQUIRE(nl.finalized(), "CircuitCnf requires finalized netlist");
-  AIDFT_REQUIRE(only.empty() || only.size() == nl.num_gates(),
-                "CircuitCnf: gate filter must cover every gate");
-  const Topology& t = nl.topology();
   Lit unencoded;
   unencoded.code = kUnencoded;
   lits_.assign(nl.num_gates(), unencoded);
+}
+
+CircuitCnf::CircuitCnf(const Netlist& nl, SatSolver& solver) : CircuitCnf(nl) {
+  encode(solver);
+}
+
+void CircuitCnf::encode(SatSolver& solver) {
+  encode(solver, nl_->topology().topo_order());
+}
+
+void CircuitCnf::encode(SatSolver& solver, std::span<const GateId> gates) {
+  const Topology& t = nl_->topology();
+  Lit unencoded;
+  unencoded.code = kUnencoded;
+  std::fill(lits_.begin(), lits_.end(), unencoded);
   auto fanin_lit = [&](GateId f) {
     AIDFT_REQUIRE(lits_[f].code != kUnencoded,
-                  "CircuitCnf: gate filter is not fanin-closed");
+                  "CircuitCnf: gate subset is not fanin-closed");
     return lits_[f];
   };
-  for (GateId id : t.topo_order()) {
-    if (!only.empty() && !only[id]) continue;
+  for (GateId id : gates) {
+    AIDFT_REQUIRE(id < lits_.size(), "CircuitCnf: gate out of range");
     const GateType type = t.type(id);
     switch (type) {
       case GateType::kInput:
@@ -131,11 +144,9 @@ CircuitCnf::CircuitCnf(const Netlist& nl, SatSolver& solver,
         break;
       default: {
         lits_[id] = pos_lit(solver.new_var());
-        const std::span<const GateId> fanin = t.fanin(id);
-        std::vector<Lit> in;
-        in.reserve(fanin.size());
-        for (GateId f : fanin) in.push_back(fanin_lit(f));
-        add_gate_clauses(solver, type, lits_[id], in);
+        fanin_.clear();
+        for (GateId f : t.fanin(id)) fanin_.push_back(fanin_lit(f));
+        add_gate_clauses(solver, type, lits_[id], fanin_);
         break;
       }
     }

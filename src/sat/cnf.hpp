@@ -5,12 +5,14 @@
 // gate-function) clause set. BUF and OUTPUT markers alias their fanin's
 // variable instead of introducing a new one.
 //
-// An optional gate filter restricts the encoding to a fanin-closed subset of
-// the gates; the SAT-based ATPG encodes only the support of the fault's
-// output cone this way, then adds a partial faulty copy of the cone itself
-// (see atpg/sat_atpg).
+// An encoding may also cover only a fanin-closed subset of the gates; the
+// SAT-based ATPG encodes only the support of the fault's output cone this
+// way, then adds a partial faulty copy of the cone itself (see
+// atpg/sat_atpg). One CircuitCnf serves many encodings: its per-gate
+// literal table is sized once, and each encode() replaces the last.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -22,17 +24,23 @@ namespace aidft {
 /// For XOR/XNOR with more than 2 inputs, auxiliary chain variables are
 /// allocated internally.
 void add_gate_clauses(SatSolver& solver, GateType type, Lit out,
-                      const std::vector<Lit>& fanins);
+                      std::span<const Lit> fanins);
 
 class CircuitCnf {
  public:
-  /// Encodes `netlist` into `solver`: every gate, or only the gates with
-  /// `only[g]` set when `only` is non-empty. The subset must be fanin-closed
-  /// (every fanin of a selected gate is selected; a DFF, being a free
-  /// variable, needs none). Both `netlist` and `solver` must outlive this
-  /// object.
-  CircuitCnf(const Netlist& netlist, SatSolver& solver,
-             const std::vector<bool>& only = {});
+  /// An empty encoding of `netlist`, which must outlive this object.
+  explicit CircuitCnf(const Netlist& netlist);
+  /// Encodes every gate of `netlist` into `solver`.
+  CircuitCnf(const Netlist& netlist, SatSolver& solver);
+
+  /// Encodes every gate into `solver`, forgetting the previous encoding's
+  /// literals.
+  void encode(SatSolver& solver);
+  /// Encodes only `gates`, which must be listed in topo_order() order and
+  /// be fanin-closed (every fanin of a listed gate is listed; a DFF, being
+  /// a free variable, needs none). The encoding is the one the full
+  /// encode() makes of these gates, in the same order.
+  void encode(SatSolver& solver, std::span<const GateId> gates);
 
   /// The solver literal representing gate `g`'s value (`g` must be encoded).
   Lit lit(GateId g) const {
@@ -43,7 +51,9 @@ class CircuitCnf {
 
  private:
   static constexpr std::uint32_t kUnencoded = ~std::uint32_t{0};
+  const Netlist* nl_;
   std::vector<Lit> lits_;
+  std::vector<Lit> fanin_;  // scratch: one gate's fanin literals
 };
 
 }  // namespace aidft

@@ -5,6 +5,24 @@
 
 namespace aidft {
 
+void SatSolver::reset() {
+  arena_.clear();
+  assign_.clear();
+  phase_.clear();
+  level_.clear();
+  reason_.clear();
+  trail_.clear();
+  trail_lim_.clear();
+  qhead_ = 0;
+  activity_.clear();
+  var_inc_ = 1.0;
+  seen_.clear();
+  model_.clear();
+  root_unsat_ = false;
+  added_clauses_ = 0;
+  stats_ = Stats{};
+}
+
 std::uint32_t SatSolver::new_var() {
   const auto v = static_cast<std::uint32_t>(assign_.size());
   assign_.push_back(kUnassigned);
@@ -13,53 +31,65 @@ std::uint32_t SatSolver::new_var() {
   reason_.push_back(kNoReason);
   activity_.push_back(0.0);
   seen_.push_back(false);
-  watches_.emplace_back();
-  watches_.emplace_back();
+  if (watches_.size() < 2 * (std::size_t{v} + 1)) {
+    watches_.emplace_back();
+    watches_.emplace_back();
+  } else {  // a list left by a formula before reset()
+    watches_[pos_lit(v).code].clear();
+    watches_[neg_lit(v).code].clear();
+  }
   return v;
 }
 
-bool SatSolver::add_clause(std::vector<Lit> lits) {
+bool SatSolver::add_clause(std::span<const Lit> lits) {
   AIDFT_REQUIRE(trail_lim_.empty(), "add_clause only at decision level 0");
   ++added_clauses_;
   if (root_unsat_) return false;
   // Normalise: sort, dedup, drop clauses with complementary pairs, drop
-  // root-false literals, detect root-satisfied clauses.
-  std::sort(lits.begin(), lits.end(),
-            [](Lit a, Lit b) { return a.code < b.code; });
-  std::vector<Lit> out;
-  out.reserve(lits.size());
-  for (std::size_t i = 0; i < lits.size(); ++i) {
-    const Lit l = lits[i];
+  // root-false literals, detect root-satisfied clauses. The kept literals
+  // are compacted in place; a write never passes the literal being read.
+  std::vector<Lit>& c = scratch_;
+  c.assign(lits.begin(), lits.end());
+  std::sort(c.begin(), c.end(), [](Lit a, Lit b) { return a.code < b.code; });
+  std::size_t kept = 0;
+  Lit prev{};
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    const Lit l = c[i];
     AIDFT_REQUIRE(l.var() < num_vars(), "clause uses unallocated variable");
-    if (i > 0 && l == lits[i - 1]) continue;          // duplicate
-    if (i > 0 && l == ~lits[i - 1]) return true;      // tautology
+    if (i > 0 && l == prev) continue;           // duplicate
+    if (i > 0 && l == ~prev) return true;       // tautology
+    prev = l;
     const std::uint8_t v = lit_value(l);
     if (v == 1) return true;   // already satisfied at root
     if (v == 0) continue;      // root-false literal: drop
-    out.push_back(l);
+    c[kept++] = l;
   }
-  if (out.empty()) {
+  if (kept == 0) {
     root_unsat_ = true;
     return false;
   }
-  if (out.size() == 1) {
-    enqueue(out[0], kNoReason);
+  if (kept == 1) {
+    enqueue(c[0], kNoReason);
     if (propagate() != kNoReason) {
       root_unsat_ = true;
       return false;
     }
     return true;
   }
-  clauses_.push_back(Clause{std::move(out), /*learnt=*/false});
-  attach_clause(static_cast<ClauseRef>(clauses_.size() - 1));
+  attach_clause({c.data(), kept});
   return true;
 }
 
-void SatSolver::attach_clause(ClauseRef cr) {
-  const Clause& c = clauses_[cr];
-  AIDFT_ASSERT(c.lits.size() >= 2, "attach requires >= 2 literals");
-  watches_[(~c.lits[0]).code].push_back({cr, c.lits[1]});
-  watches_[(~c.lits[1]).code].push_back({cr, c.lits[0]});
+SatSolver::ClauseRef SatSolver::attach_clause(std::span<const Lit> lits) {
+  AIDFT_ASSERT(lits.size() >= 2, "attach requires >= 2 literals");
+  const auto cr = static_cast<ClauseRef>(arena_.size());
+  Lit header;
+  header.code = static_cast<std::uint32_t>(lits.size());
+  arena_.push_back(header);
+  arena_.insert(arena_.end(), lits.begin(), lits.end());
+  watches_[(~lits[0]).code].push_back({cr, lits[1]});
+  watches_[(~lits[1]).code].push_back({cr, lits[0]});
+  return cr;
 }
 
 void SatSolver::enqueue(Lit l, ClauseRef reason) {
@@ -83,29 +113,30 @@ SatSolver::ClauseRef SatSolver::propagate() {
         ws[keep++] = w;
         continue;
       }
-      Clause& c = clauses_[w.clause];
+      Lit* c = clause_lits(w.clause);
+      const std::uint32_t size = clause_size(w.clause);
       // Ensure the false literal (~p) is at position 1.
       const Lit false_lit = ~p;
-      if (c.lits[0] == false_lit) std::swap(c.lits[0], c.lits[1]);
-      AIDFT_ASSERT(c.lits[1] == false_lit, "watch invariant broken");
+      if (c[0] == false_lit) std::swap(c[0], c[1]);
+      AIDFT_ASSERT(c[1] == false_lit, "watch invariant broken");
       // If first literal is true, clause satisfied.
-      if (lit_value(c.lits[0]) == 1) {
-        ws[keep++] = {w.clause, c.lits[0]};
+      if (lit_value(c[0]) == 1) {
+        ws[keep++] = {w.clause, c[0]};
         continue;
       }
       // Look for a new literal to watch.
       bool moved = false;
-      for (std::size_t k = 2; k < c.lits.size(); ++k) {
-        if (lit_value(c.lits[k]) != 0) {
-          std::swap(c.lits[1], c.lits[k]);
-          watches_[(~c.lits[1]).code].push_back({w.clause, c.lits[0]});
+      for (std::uint32_t k = 2; k < size; ++k) {
+        if (lit_value(c[k]) != 0) {
+          std::swap(c[1], c[k]);
+          watches_[(~c[1]).code].push_back({w.clause, c[0]});
           moved = true;
           break;
         }
       }
       if (moved) continue;
       // Unit or conflict.
-      if (lit_value(c.lits[0]) == 0) {
+      if (lit_value(c[0]) == 0) {
         // Conflict: restore remaining watchers and report.
         for (std::size_t k = i; k < ws.size(); ++k) ws[keep++] = ws[k];
         ws.resize(keep);
@@ -113,7 +144,7 @@ SatSolver::ClauseRef SatSolver::propagate() {
         return w.clause;
       }
       ws[keep++] = w;
-      enqueue(c.lits[0], w.clause);
+      enqueue(c[0], w.clause);
     }
     ws.resize(keep);
   }
@@ -143,9 +174,10 @@ void SatSolver::analyze(ClauseRef conflict, std::vector<Lit>& learnt,
 
   for (;;) {
     AIDFT_ASSERT(reason != kNoReason, "analyze: missing reason");
-    const Clause& c = clauses_[reason];
-    for (std::size_t i = (have_p ? 1 : 0); i < c.lits.size(); ++i) {
-      const Lit q = c.lits[i];
+    const Lit* c = clause_lits(reason);
+    const std::uint32_t size = clause_size(reason);
+    for (std::uint32_t i = (have_p ? 1 : 0); i < size; ++i) {
+      const Lit q = c[i];
       if (seen_[q.var()] || level_[q.var()] == 0) continue;
       seen_[q.var()] = true;
       bump_var(q.var());
@@ -167,7 +199,7 @@ void SatSolver::analyze(ClauseRef conflict, std::vector<Lit>& learnt,
     // p is not the UIP yet, so it was propagated and has a reason clause;
     // propagation and learning always place the asserted literal at
     // position 0, which the skip-first-literal convention above relies on.
-    AIDFT_ASSERT(reason != kNoReason && clauses_[reason].lits[0] == p,
+    AIDFT_ASSERT(reason != kNoReason && clause_lits(reason)[0] == p,
                  "analyze: reason clause does not lead with its literal");
   }
   learnt[0] = ~p;
@@ -239,7 +271,7 @@ SatResult SatSolver::solve(const std::vector<Lit>& assumptions,
 
   std::uint64_t restart_count = 0;
   std::uint64_t conflicts_until_restart = 32 * luby(restart_count);
-  std::vector<Lit> learnt;
+  std::vector<Lit>& learnt = learnt_;
 
   for (;;) {
     const ClauseRef conflict = propagate();
@@ -255,10 +287,7 @@ SatResult SatSolver::solve(const std::vector<Lit>& assumptions,
       if (learnt.size() == 1) {
         enqueue(learnt[0], kNoReason);
       } else {
-        clauses_.push_back(Clause{learnt, /*learnt=*/true});
-        const auto cr = static_cast<ClauseRef>(clauses_.size() - 1);
-        attach_clause(cr);
-        enqueue(learnt[0], cr);
+        enqueue(learnt[0], attach_clause(learnt));
       }
       decay_activity();
       if (conflict_limit >= 0 &&
@@ -301,8 +330,7 @@ SatResult SatSolver::solve(const std::vector<Lit>& assumptions,
     if (!have_next) {
       if (trail_.size() == num_vars()) {
         // All variables assigned without conflict: model found.
-        model_.assign(num_vars(), 0);
-        for (std::uint32_t v = 0; v < num_vars(); ++v) model_[v] = assign_[v];
+        model_.assign(assign_.begin(), assign_.end());
         backtrack(0);
         return SatResult::kSat;
       }

@@ -6,11 +6,17 @@
 // deletion — the ATPG workload produces many small solves on modest CNFs,
 // where learnt-clause growth is bounded by the conflict limit.
 //
+// Storage is flat: every clause lives in one literal arena behind a size
+// header (MiniSat's clause store), and reset() empties the formula but
+// keeps every buffer's capacity, so a solver reused across many small
+// formulas stops allocating once it has seen the largest.
+//
 // External literal convention (DIMACS-like): variables are 0-based indices
 // returned by new_var(); a literal is made with lit(var, /*negated=*/bool).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -47,6 +53,11 @@ class SatSolver {
  public:
   SatSolver() = default;
 
+  /// Empties the formula: no variables, no clauses, and the state of a
+  /// fresh solver (activities, phases, statistics), so the next formula
+  /// solves exactly as it would in a new SatSolver. Capacity is kept.
+  void reset();
+
   /// Allocates a fresh variable; returns its index.
   std::uint32_t new_var();
 
@@ -56,15 +67,21 @@ class SatSolver {
   /// away included; learnt clauses excluded): the size of the encoding.
   std::size_t num_added_clauses() const { return added_clauses_; }
 
-  /// Adds a clause (disjunction of literals). Empty clause makes the
-  /// formula trivially UNSAT. Returns false if the solver is already in an
-  /// unsatisfiable root state.
-  bool add_clause(std::vector<Lit> lits);
+  /// Adds a clause (disjunction of literals), normalised in a buffer the
+  /// solver owns. Empty clause makes the formula trivially UNSAT. Returns
+  /// false if the solver is already in an unsatisfiable root state.
+  bool add_clause(std::span<const Lit> lits);
 
   /// Convenience overloads.
-  bool add_unit(Lit a) { return add_clause({a}); }
-  bool add_binary(Lit a, Lit b) { return add_clause({a, b}); }
-  bool add_ternary(Lit a, Lit b, Lit c) { return add_clause({a, b, c}); }
+  bool add_unit(Lit a) { return add_clause({&a, 1}); }
+  bool add_binary(Lit a, Lit b) {
+    const Lit c[] = {a, b};
+    return add_clause(c);
+  }
+  bool add_ternary(Lit a, Lit b, Lit c) {
+    const Lit d[] = {a, b, c};
+    return add_clause(d);
+  }
 
   /// Solves under `assumptions`. `conflict_limit < 0` means no limit;
   /// hitting the limit returns kUnknown (the ATPG abort mechanism). A
@@ -93,13 +110,10 @@ class SatSolver {
   // Assignment lattice: 0 = false, 1 = true, 2 = unassigned.
   static constexpr std::uint8_t kUnassigned = 2;
 
+  // Offset of a clause's header in arena_: the header's code is the
+  // clause's size, and its literals follow it.
   using ClauseRef = std::uint32_t;
   static constexpr ClauseRef kNoReason = 0xFFFFFFFFu;
-
-  struct Clause {
-    std::vector<Lit> lits;
-    bool learnt = false;
-  };
 
   struct Watcher {
     ClauseRef clause;
@@ -116,14 +130,19 @@ class SatSolver {
   ClauseRef propagate();  // returns conflicting clause or kNoReason
   void analyze(ClauseRef conflict, std::vector<Lit>& learnt, std::uint32_t& bt_level);
   void backtrack(std::uint32_t level);
-  void attach_clause(ClauseRef cr);
+  /// Appends `lits` (at least two) to the arena and watches its first two.
+  ClauseRef attach_clause(std::span<const Lit> lits);
+  std::uint32_t clause_size(ClauseRef cr) const { return arena_[cr].code; }
+  Lit* clause_lits(ClauseRef cr) { return &arena_[cr + 1]; }
   Lit pick_branch();
   void bump_var(std::uint32_t var);
   void decay_activity();
   static std::uint64_t luby(std::uint64_t i);
 
-  std::vector<Clause> clauses_;
-  std::vector<std::vector<Watcher>> watches_;  // indexed by lit code
+  std::vector<Lit> arena_;  // every clause: size header, then literals
+  // Indexed by lit code. Kept across reset(): a list is emptied when its
+  // variable is allocated again, so it keeps its capacity.
+  std::vector<std::vector<Watcher>> watches_;
   std::vector<std::uint8_t> assign_;           // per var
   std::vector<std::uint8_t> phase_;            // saved phase per var
   std::vector<std::uint32_t> level_;           // per var
@@ -135,6 +154,8 @@ class SatSolver {
   std::vector<double> activity_;
   double var_inc_ = 1.0;
   std::vector<bool> seen_;  // analyze scratch
+  std::vector<Lit> learnt_;  // solve scratch: the clause analyze learns
+  std::vector<Lit> scratch_;  // add_clause scratch: the normalised clause
 
   std::vector<std::uint8_t> model_;
   bool root_unsat_ = false;

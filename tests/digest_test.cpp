@@ -26,7 +26,9 @@
 // The SatDigest suite pins the SAT miter the same way: FNV-1a over the
 // status and cube of SatAtpg::generate for every collapsed fault, plus the
 // summed encoding size, so a rewrite of the solver's storage or of the
-// encoder's reuse must reproduce every model and every clause.
+// encoder's reuse must reproduce every model and every clause. AtpgBudget
+// checks that the PODEM budget moves work between the engines but never a
+// fault's status.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -230,6 +232,38 @@ TEST(FlowDigest, GenerateTests) {
     hash_cubes(h, f.atpg.cubes);
     for (FaultStatus s : f.atpg.status) h.u32(static_cast<std::uint32_t>(s));
     EXPECT_EQ(h.value(), expected[i]) << "flow " << i;
+  }
+}
+
+// Which faults are detected and which are untestable is a property of the
+// circuit, not of the PODEM budget: every fault PODEM gives up on goes to
+// SAT, which decides it. Budget 0 hands on every fault that needs a single
+// backtrack. Only the patterns may differ.
+TEST(AtpgBudget, StatusesDoNotDependOnBudget) {
+  // Each compared with the statuses at budget 100.
+  const std::uint64_t budgets[] = {0, AtpgOptions{}.podem_backtrack_limit};
+  auto run = [](const Netlist& nl, const std::vector<Fault>& faults,
+                std::uint64_t budget) {
+    const AtpgResult r = generate_tests(
+        nl, faults, {.random_patterns = 8, .podem_backtrack_limit = budget});
+    EXPECT_EQ(r.aborted, 0u) << "budget " << budget;
+    return r.status;
+  };
+  const Netlist block = circuits::make_random_logic(32, 500, 1);
+  const std::vector<Fault> block_faults =
+      collapse_equivalent(block, generate_stuck_at_faults(block));
+  const std::vector<FaultStatus> block_status = run(block, block_faults, 100);
+  for (std::uint64_t budget : budgets) {
+    EXPECT_EQ(run(block, block_faults, budget), block_status)
+        << "budget " << budget;
+  }
+  // The digest circuits' fixture runs at budget 100.
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    const Flow& f = flow(i);
+    for (std::uint64_t budget : budgets) {
+      EXPECT_EQ(run(f.nl, f.faults, budget), f.atpg.status)
+          << "flow " << i << " budget " << budget;
+    }
   }
 }
 

@@ -432,6 +432,7 @@ TEST(Telemetry, AtpgEngineCountersAndHistogramsOnRedundantLogic) {
     DftFlowOptions options;
     options.telemetry = &telemetry;
     options.atpg.random_patterns = 0;
+    options.atpg.engine = AtpgEngine::kPodemThenSat;
     options.run_compression = false;
     options.run_lbist = false;
     return run_dft_flow(nl, options);
@@ -456,6 +457,13 @@ TEST(Telemetry, AtpgEngineCountersAndHistogramsOnRedundantLogic) {
     EXPECT_EQ(h->kind, obs::MetricsSnapshot::Kind::kHistogram) << name;
     EXPECT_EQ(h->count, calls) << name;
   }
+  // Under kPodemThenSat every PODEM abort is handed to SAT, so the aborted
+  // calls' histogram counts the SAT calls, and its time is part of PODEM's.
+  const obs::MetricsSnapshot::Entry* aborted = m.find("atpg.podem_abort_us");
+  ASSERT_NE(aborted, nullptr);
+  EXPECT_EQ(aborted->kind, obs::MetricsSnapshot::Kind::kHistogram);
+  EXPECT_EQ(aborted->count, sat_calls);
+  EXPECT_LE(aborted->sum, m.find("atpg.podem_us")->sum);
   // Gate evaluations by PODEM implication: a deterministic effort count.
   const std::uint64_t events = m.counter_value("podem.events");
   EXPECT_GT(events, 0u);

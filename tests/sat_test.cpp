@@ -39,8 +39,10 @@ TEST(SatSolver, TautologyAndDuplicatesHandled) {
   SatSolver s;
   const auto a = s.new_var();
   const auto b = s.new_var();
-  EXPECT_TRUE(s.add_clause({pos_lit(a), neg_lit(a), pos_lit(b)}));  // tautology
-  EXPECT_TRUE(s.add_clause({pos_lit(b), pos_lit(b)}));              // dup
+  const Lit tautology[] = {pos_lit(a), neg_lit(a), pos_lit(b)};
+  const Lit dup[] = {pos_lit(b), pos_lit(b)};
+  EXPECT_TRUE(s.add_clause(tautology));
+  EXPECT_TRUE(s.add_clause(dup));
   ASSERT_EQ(s.solve(), SatResult::kSat);
   EXPECT_TRUE(s.model_value(b));
 }
@@ -132,6 +134,67 @@ TEST(SatSolver, RandomSatModelsVerify) {
   }
 }
 
+// One solver reset between random formulas must solve each exactly as a
+// fresh solver does: same result, model and search. The variable counts
+// grow, shrink and grow again, so later formulas reuse per-variable state
+// and watch lists that earlier ones left behind.
+TEST(SatSolver, ResetMatchesFreshSolver) {
+  Rng rng(2027);
+  SatSolver reused;
+  const int var_counts[] = {4,  12, 30, 60, 90, 60, 30, 12,
+                            4,  2,  20, 50, 90, 120};
+  int kinds_seen[3] = {0, 0, 0};  // by SatResult
+  for (const int nvars : var_counts) {
+    auto random_lit = [&] {
+      return Lit::make(static_cast<std::uint32_t>(rng.next_below(nvars)),
+                       rng.next_bool());
+    };
+    for (int round = 0; round < 6; ++round) {
+      // Densities from easy SAT to over-constrained UNSAT. Clauses of 3 or
+      // 4 literals and a few units; repeated draws give duplicates and
+      // tautologies.
+      std::vector<std::vector<Lit>> clauses(nvars * (1 + round));
+      for (auto& cl : clauses) {
+        const std::size_t len =
+            rng.next_below(32) == 0 ? 1 : 3 + (rng.next_below(4) == 0);
+        for (std::size_t k = 0; k < len; ++k) cl.push_back(random_lit());
+      }
+      std::vector<Lit> assumptions;
+      if (round % 2 == 1) {
+        for (int k = 0; k < 3; ++k) assumptions.push_back(random_lit());
+      }
+      const std::int64_t limit = round % 3 == 1 ? 4 : -1;
+
+      SatSolver fresh;
+      reused.reset();
+      for (SatSolver* s : {&fresh, &reused}) {
+        for (int v = 0; v < nvars; ++v) s->new_var();
+        for (const auto& cl : clauses) s->add_clause(cl);
+      }
+      const SatResult want = fresh.solve(assumptions, limit);
+      const SatResult got = reused.solve(assumptions, limit);
+      const std::string where = "vars " + std::to_string(nvars) +
+                                " round " + std::to_string(round);
+      ASSERT_EQ(got, want) << where;
+      ++kinds_seen[static_cast<int>(want)];
+      EXPECT_EQ(reused.num_vars(), fresh.num_vars()) << where;
+      EXPECT_EQ(reused.num_added_clauses(), fresh.num_added_clauses())
+          << where;
+      EXPECT_EQ(reused.stats().conflicts, fresh.stats().conflicts) << where;
+      EXPECT_EQ(reused.stats().decisions, fresh.stats().decisions) << where;
+      EXPECT_EQ(reused.stats().propagations, fresh.stats().propagations)
+          << where;
+      if (want != SatResult::kSat) continue;
+      for (int v = 0; v < nvars; ++v) {
+        ASSERT_EQ(reused.model_value(v), fresh.model_value(v))
+            << where << " var " << v;
+      }
+    }
+  }
+  // The formulas reach every outcome, the conflict limit's included.
+  for (const int seen : kinds_seen) EXPECT_GT(seen, 0);
+}
+
 TEST(SatSolver, XorChainParity) {
   // x1 ^ x2 ^ ... ^ xn = 1 with all-equal constraints is UNSAT for even n.
   SatSolver s;
@@ -148,7 +211,8 @@ TEST(SatSolver, XorChainParity) {
   Lit acc = pos_lit(x[0]);
   for (int i = 1; i < n; ++i) {
     const Lit t = pos_lit(s.new_var());
-    add_gate_clauses(s, GateType::kXor, t, {acc, pos_lit(x[i])});
+    const Lit in[] = {acc, pos_lit(x[i])};
+    add_gate_clauses(s, GateType::kXor, t, in);
     acc = t;
   }
   s.add_unit(acc);  // parity must be 1
@@ -193,7 +257,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CnfConsistency,
 TEST(Cnf, GateFilterEncodesOnlyTheSelectedFaninClosedSubset) {
   const Netlist nl = circuits::make_random_logic(8, 120, 21);
   const Topology& t = nl.topology();
-  // The transitive fanin of the first output.
+  // The transitive fanin of the first output, in topological order.
   std::vector<bool> only(nl.num_gates(), false);
   std::vector<GateId> stack{nl.outputs()[0]};
   only[stack.back()] = true;
@@ -207,9 +271,14 @@ TEST(Cnf, GateFilterEncodesOnlyTheSelectedFaninClosedSubset) {
       }
     }
   }
+  std::vector<GateId> subset;
+  for (GateId g : nl.topo_order()) {
+    if (only[g]) subset.push_back(g);
+  }
   SatSolver full_solver, cone_solver;
   const CircuitCnf full(nl, full_solver);
-  const CircuitCnf cone(nl, cone_solver, only);
+  CircuitCnf cone(nl);
+  cone.encode(cone_solver, subset);
   EXPECT_LT(cone_solver.num_vars(), full_solver.num_vars());
   EXPECT_LT(cone_solver.num_added_clauses(), full_solver.num_added_clauses());
   // Every model of the subset matches simulation on the subset.
@@ -235,11 +304,14 @@ TEST(Cnf, GateFilterEncodesOnlyTheSelectedFaninClosedSubset) {
               (sim.value(g) & 1) != 0)
         << "gate " << g;
   }
-  // A subset that is not fanin-closed is rejected.
-  std::vector<bool> open(nl.num_gates(), false);
-  open[target] = true;
+  // A subset that is not fanin-closed is rejected, and so is one out of
+  // topological order.
   SatSolver s;
-  EXPECT_THROW(CircuitCnf(nl, s, open), Error);
+  CircuitCnf cnf(nl);
+  EXPECT_THROW(cnf.encode(s, {&target, 1}), Error);
+  std::vector<GateId> reversed(subset.rbegin(), subset.rend());
+  s.reset();
+  EXPECT_THROW(cnf.encode(s, reversed), Error);
 }
 
 TEST(Cnf, AdderCnfComputesSum) {
