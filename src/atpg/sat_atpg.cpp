@@ -167,12 +167,11 @@ AtpgOutcome SatAtpg::generate(const Fault& fault, const SatAtpgOptions& options)
     solver.add_ternary(~d, a, b);  // d -> good != faulty
     solver.add_ternary(~d, ~a, ~b);
     if (observed_[g]) continue;
-    std::vector<Lit>& path = clause_;  // d -> some cone fanout differs too
-    path.assign(1, ~d);
+    clause_.assign(1, ~d);  // d -> some cone fanout differs too
     for (GateId s : topo.fanout(g)) {
-      if (scope.in_cone(s)) path.push_back(dlit[s]);
+      if (scope.in_cone(s)) clause_.push_back(dlit[s]);
     }
-    solver.add_clause(path);
+    solver.add_clause(clause_);
   }
   if (!dpin) solver.add_unit(dlit[fault.gate]);
 
