@@ -25,6 +25,87 @@ void grade_statuses(const Netlist& nl, const std::vector<Fault>& faults,
   }
 }
 
+FaultStatus fault_status(AtpgStatus status) {
+  switch (status) {
+    case AtpgStatus::kDetected: return FaultStatus::kDetected;
+    case AtpgStatus::kUntestable: return FaultStatus::kUntestable;
+    case AtpgStatus::kAborted: break;
+  }
+  return FaultStatus::kAborted;
+}
+
+void AtpgDispositions::count() {
+  for (FaultStatus s : status) {
+    if (s == FaultStatus::kDetected) ++detected;
+    if (s == FaultStatus::kUntestable) ++untestable;
+    if (s == FaultStatus::kAborted) ++aborted;
+  }
+}
+
+void AtpgEffort::flush_podem(obs::Telemetry* telemetry) const {
+  obs::add(telemetry, "podem.calls", podem_calls);
+  obs::add(telemetry, "podem.backtracks", podem_backtracks);
+  obs::add(telemetry, "podem.decisions", podem_decisions);
+  obs::add(telemetry, "podem.implications", podem_implications);
+  obs::add(telemetry, "podem.events", podem_events);
+}
+
+AtpgHandOff::AtpgHandOff(const Netlist& netlist, const ScoapResult* scoap,
+                         AtpgEngine engine, const PodemOptions& podem,
+                         const SatAtpgOptions& sat, obs::Telemetry* timing)
+    : podem_(netlist, scoap),
+      sat_(podem_),
+      engine_(engine),
+      podem_opts_(podem),
+      sat_opts_(sat) {
+  if (timing != nullptr) {
+    podem_us_ = &timing->metrics.histogram("atpg.podem_us");
+    podem_abort_us_ = &timing->metrics.histogram("atpg.podem_abort_us");
+    sat_us_ = &timing->metrics.histogram("atpg.sat_us");
+  }
+}
+
+template <typename PodemCall, typename SatCall>
+AtpgOutcome AtpgHandOff::run(PodemCall podem_call, SatCall sat_call) {
+  // A call is timed only when the histograms are set (no clock read
+  // otherwise).
+  auto timed = [](obs::Histogram* histogram, auto&& call,
+                  obs::Histogram* aborted_us = nullptr) {
+    if (histogram == nullptr) return call();
+    const obs::Stopwatch clock;
+    AtpgOutcome o = call();
+    const std::uint64_t us = clock.micros();
+    histogram->observe(us);
+    if (aborted_us != nullptr && o.status == AtpgStatus::kAborted) {
+      aborted_us->observe(us);
+    }
+    return o;
+  };
+  if (engine_ != AtpgEngine::kSat) {
+    ++effort_.podem_calls;
+    AtpgOutcome o = timed(podem_us_, podem_call, podem_abort_us_);
+    effort_.podem_backtracks += o.backtracks;
+    effort_.podem_decisions += o.decisions;
+    effort_.podem_implications += o.implications;
+    effort_.podem_events += o.events;
+    if (engine_ == AtpgEngine::kPodem || o.status != AtpgStatus::kAborted) {
+      return o;
+    }
+  }
+  ++effort_.sat_calls;
+  return timed(sat_us_, sat_call);
+}
+
+AtpgOutcome AtpgHandOff::generate(const Fault& fault) {
+  return run([&] { return podem_.generate(fault, podem_opts_); },
+             [&] { return sat_.generate(fault, sat_opts_); });
+}
+
+AtpgOutcome AtpgHandOff::justify(GateId line, Val3 value) {
+  return run([&] { return podem_.justify(line, value, podem_opts_); },
+             [&] { return sat_.justify(line, value, sat_opts_); });
+}
+
 AtpgResult generate_tests(const Netlist& nl, const std::vector<Fault>& faults,
                           const AtpgOptions& options) {
   AIDFT_REQUIRE_CTX(nl.finalized(), "generate_tests",
@@ -72,59 +153,13 @@ AtpgResult generate_tests(const Netlist& nl, const std::vector<Fault>& faults,
   obs::Span phase_span =
       obs::span(options.telemetry, "atpg.deterministic_phase", "atpg");
   const ScoapResult scoap = compute_scoap(nl);
-  Podem podem(nl, options.scoap_guidance ? &scoap : nullptr);
-  SatAtpg sat(nl);
-  PodemOptions podem_opts;
-  podem_opts.backtrack_limit = options.podem_backtrack_limit;
-  podem_opts.run_control = options.run_control;
-  SatAtpgOptions sat_opts{options.sat_conflict_limit, options.telemetry,
-                          options.run_control};
-
-  // PODEM search-effort tallies, aggregated from per-call outcomes and
-  // flushed to the sink once at phase end.
-  std::uint64_t podem_backtracks = 0;
-  std::uint64_t podem_decisions = 0;
-  std::uint64_t podem_implications = 0;
-  std::uint64_t podem_events = 0;
-  // Engine calls, each timed into its histogram when a sink is attached
-  // (no clock read otherwise). A call that aborts is also timed into
-  // `aborted_us` when that is set: what the PODEM budget spends on faults
-  // it hands on.
-  obs::Histogram* podem_us = nullptr;
-  obs::Histogram* podem_abort_us = nullptr;
-  obs::Histogram* sat_us = nullptr;
-  if (options.telemetry != nullptr) {
-    podem_us = &options.telemetry->metrics.histogram("atpg.podem_us");
-    podem_abort_us =
-        &options.telemetry->metrics.histogram("atpg.podem_abort_us");
-    sat_us = &options.telemetry->metrics.histogram("atpg.sat_us");
-  }
-  auto timed = [](obs::Histogram* histogram, obs::Histogram* aborted_us,
-                  auto&& call) {
-    if (histogram == nullptr) return call();
-    const obs::Stopwatch clock;
-    AtpgOutcome o = call();
-    const std::uint64_t us = clock.micros();
-    histogram->observe(us);
-    if (aborted_us != nullptr && o.status == AtpgStatus::kAborted) {
-      aborted_us->observe(us);
-    }
-    return o;
-  };
-  auto run_podem = [&](const Fault& f) {
-    ++result.podem_calls;
-    const AtpgOutcome o = timed(podem_us, podem_abort_us,
-                                [&] { return podem.generate(f, podem_opts); });
-    podem_backtracks += o.backtracks;
-    podem_decisions += o.decisions;
-    podem_implications += o.implications;
-    podem_events += o.events;
-    return o;
-  };
-  auto run_sat = [&](const Fault& f) {
-    ++result.sat_calls;
-    return timed(sat_us, nullptr, [&] { return sat.generate(f, sat_opts); });
-  };
+  AtpgHandOff engines(
+      nl, options.scoap_guidance ? &scoap : nullptr, options.engine,
+      {.backtrack_limit = options.podem_backtrack_limit,
+       .constraints = {},
+       .run_control = options.run_control},
+      {options.sat_conflict_limit, options.telemetry, options.run_control},
+      options.telemetry);
 
   TestCube open_cube;   // dynamic-compaction accumulator
   bool open_valid = false;
@@ -151,74 +186,40 @@ AtpgResult generate_tests(const Netlist& nl, const std::vector<Fault>& faults,
       // One counting check per targeted fault: a deadline or cancellation
       // stops the pipeline between faults, so every already-recorded
       // disposition and every pending cube stays valid.
-      const StopReason stop = options.run_control->check();
-      if (stop != StopReason::kNone) {
-        result.outcome = outcome_from(stop);
-        break;
-      }
+      result.outcome = outcome_from(options.run_control->check());
+      if (result.outcome != StageOutcome::kCompleted) break;
     }
 
-    AtpgOutcome outcome;
-    switch (options.engine) {
-      case AtpgEngine::kPodem:
-        outcome = run_podem(faults[i]);
-        break;
-      case AtpgEngine::kSat:
-        outcome = run_sat(faults[i]);
-        break;
-      case AtpgEngine::kPodemThenSat:
-        outcome = run_podem(faults[i]);
-        if (outcome.status == AtpgStatus::kAborted) outcome = run_sat(faults[i]);
-        break;
+    const AtpgOutcome outcome = engines.generate(faults[i]);
+    result.status[i] = fault_status(outcome.status);
+    if (outcome.status != AtpgStatus::kDetected) continue;
+    if (!options.dynamic_compaction) {
+      pending.push_back(outcome.cube);
+    } else if (open_valid && open_cube.compatible(outcome.cube)) {
+      open_cube.merge(outcome.cube);
+    } else {
+      if (open_valid) pending.push_back(open_cube);
+      open_cube = outcome.cube;
+      open_valid = true;
     }
-
-    switch (outcome.status) {
-      case AtpgStatus::kUntestable:
-        result.status[i] = FaultStatus::kUntestable;
-        break;
-      case AtpgStatus::kAborted:
-        result.status[i] = FaultStatus::kAborted;
-        break;
-      case AtpgStatus::kDetected: {
-        result.status[i] = FaultStatus::kDetected;
-        if (options.dynamic_compaction) {
-          if (open_valid && open_cube.compatible(outcome.cube)) {
-            open_cube.merge(outcome.cube);
-          } else {
-            if (open_valid) pending.push_back(open_cube);
-            open_cube = outcome.cube;
-            open_valid = true;
-          }
-          // Periodically close and grade so dropping prunes upcoming work.
-          if (pending.size() >= 32) flush_pending(false);
-        } else {
-          pending.push_back(outcome.cube);
-          if (pending.size() >= 32) flush_pending(false);
-        }
-        break;
-      }
-    }
+    // Periodically close and grade so dropping prunes upcoming work.
+    if (pending.size() >= 32) flush_pending(false);
   }
   flush_pending(true);
-  result.podem_backtracks = podem_backtracks;
+  const AtpgEffort& effort = engines.effort();
+  result.podem_calls = effort.podem_calls;
+  result.podem_backtracks = effort.podem_backtracks;
+  result.sat_calls = effort.sat_calls;
 
-  for (FaultStatus s : result.status) {
-    if (s == FaultStatus::kDetected) ++result.detected;
-    if (s == FaultStatus::kUntestable) ++result.untestable;
-    if (s == FaultStatus::kAborted) ++result.aborted;
-  }
+  result.count();
 
   if (options.telemetry != nullptr) {
-    obs::add(options.telemetry, "podem.calls", result.podem_calls);
-    obs::add(options.telemetry, "podem.backtracks", podem_backtracks);
-    obs::add(options.telemetry, "podem.decisions", podem_decisions);
-    obs::add(options.telemetry, "podem.implications", podem_implications);
-    obs::add(options.telemetry, "podem.events", podem_events);
+    effort.flush_podem(options.telemetry);
     obs::add(options.telemetry, "sat.calls", result.sat_calls);
     obs::add(options.telemetry, "atpg.patterns", result.patterns.size());
     phase_span.arg("podem_calls", result.podem_calls);
     phase_span.arg("sat_calls", result.sat_calls);
-    phase_span.arg("backtracks", podem_backtracks);
+    phase_span.arg("backtracks", result.podem_backtracks);
     phase_span.arg("detected", result.detected);
   }
   return result;

@@ -81,24 +81,21 @@ enum class FaultStatus : std::uint8_t {
   kAborted,
 };
 
-struct AtpgResult {
-  std::vector<TestCube> patterns;          // final, fully specified
-  /// Deterministic-phase cubes after dynamic compaction but BEFORE X-fill —
-  /// the input a compression codec wants (the X density is what it exploits).
-  std::vector<TestCube> cubes;
-  std::vector<FaultStatus> status;         // per input fault
+/// The disposition an engine outcome gives its fault.
+FaultStatus fault_status(AtpgStatus status);
+
+/// Per-fault dispositions of an ATPG run, counted.
+struct AtpgDispositions {
+  std::vector<FaultStatus> status;  // per input fault
   std::size_t detected = 0;
   std::size_t untestable = 0;
   std::size_t aborted = 0;
-  std::size_t random_phase_detected = 0;   // subset of `detected`
-  std::uint64_t podem_calls = 0;
-  std::uint64_t podem_backtracks = 0;  // across all PODEM calls
-  std::uint64_t sat_calls = 0;
-  /// How the pipeline ended: kCompleted, or kTimedOut/kCancelled when a
+  /// How the run ended: kCompleted, or kTimedOut/kCancelled when a
   /// RunControl stopped it early (the result is a valid partial run).
   StageOutcome outcome = StageOutcome::kCompleted;
 
-  std::size_t total_faults() const { return status.size(); }
+  /// Sets detected, untestable and aborted from `status`.
+  void count();
   double fault_coverage() const {
     return status.empty() ? 1.0
                           : static_cast<double>(detected) /
@@ -109,6 +106,71 @@ struct AtpgResult {
     return denom == 0 ? 1.0
                       : static_cast<double>(detected) / static_cast<double>(denom);
   }
+};
+
+struct AtpgResult : AtpgDispositions {
+  std::vector<TestCube> patterns;          // final, fully specified
+  /// Deterministic-phase cubes after dynamic compaction but BEFORE X-fill —
+  /// the input a compression codec wants (the X density is what it exploits).
+  std::vector<TestCube> cubes;
+  std::size_t random_phase_detected = 0;   // subset of `detected`
+  std::uint64_t podem_calls = 0;
+  std::uint64_t podem_backtracks = 0;  // across all PODEM calls
+  std::uint64_t sat_calls = 0;
+
+  std::size_t total_faults() const { return status.size(); }
+};
+
+/// Engine calls and PODEM's summed search counters.
+struct AtpgEffort {
+  std::uint64_t podem_calls = 0;
+  std::uint64_t podem_backtracks = 0;
+  std::uint64_t podem_decisions = 0;
+  std::uint64_t podem_implications = 0;
+  std::uint64_t podem_events = 0;
+  std::uint64_t sat_calls = 0;
+
+  /// Adds the PODEM tallies to `telemetry` (null = off) as the `podem.*`
+  /// counters calls, backtracks, decisions, implications and events.
+  void flush_podem(obs::Telemetry* telemetry) const;
+};
+
+/// The deterministic engines of both ATPG pipelines: one Podem and the
+/// SatAtpg that borrows its scope and machine, so a fault handed from one
+/// to the other is scoped once. A call goes to PODEM and, under
+/// kPodemThenSat, to SAT when PODEM aborts; kSat goes to SAT alone.
+class AtpgHandOff {
+ public:
+  /// `netlist` and `scoap` (may be null) must outlive this object. With a
+  /// non-null `timing`, each call's wall time in µs goes into the
+  /// `atpg.podem_us` / `atpg.sat_us` histograms, and that of a PODEM call
+  /// that aborts into `atpg.podem_abort_us` too.
+  AtpgHandOff(const Netlist& netlist, const ScoapResult* scoap,
+              AtpgEngine engine, const PodemOptions& podem,
+              const SatAtpgOptions& sat, obs::Telemetry* timing);
+  AtpgHandOff(const AtpgHandOff&) = delete;
+  AtpgHandOff& operator=(const AtpgHandOff&) = delete;
+
+  /// A stuck-at test for `fault`.
+  AtpgOutcome generate(const Fault& fault);
+  /// An input cube that sets `line` to `value`.
+  AtpgOutcome justify(GateId line, Val3 value);
+
+  const AtpgEffort& effort() const { return effort_; }
+
+ private:
+  template <typename PodemCall, typename SatCall>
+  AtpgOutcome run(PodemCall podem_call, SatCall sat_call);
+
+  Podem podem_;
+  SatAtpg sat_;  // borrows podem_
+  AtpgEngine engine_;
+  PodemOptions podem_opts_;
+  SatAtpgOptions sat_opts_;
+  obs::Histogram* podem_us_ = nullptr;
+  obs::Histogram* podem_abort_us_ = nullptr;
+  obs::Histogram* sat_us_ = nullptr;
+  AtpgEffort effort_;
 };
 
 /// Runs the full pipeline for stuck-at `faults` on a finalized netlist.

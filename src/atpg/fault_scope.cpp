@@ -36,6 +36,9 @@ void FaultScope::build(const Fault& fault) {
   AIDFT_REQUIRE(fault.gate < t.num_gates(), "fault gate out of range");
   AIDFT_REQUIRE(fault.is_stem() || fault.pin < t.fanin_size(fault.gate),
                 "fault pin out of range");
+  if (fault.gate == site_gate_ && fault.pin == site_pin_) return;
+  site_gate_ = fault.gate;
+  site_pin_ = fault.pin;
   dpin_ = !fault.is_stem() && t.type(fault.gate) == GateType::kDff;
   line_ = fault.is_stem() ? fault.gate : t.fanin(fault.gate)[fault.pin];
   clear();
@@ -61,6 +64,7 @@ void FaultScope::build(const Fault& fault) {
 }
 
 void FaultScope::build_line(GateId line) {
+  site_gate_ = kNoGate;
   dpin_ = true;
   line_ = line;
   clear();

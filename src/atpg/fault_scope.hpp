@@ -25,11 +25,12 @@ class FaultScope {
   /// reset per build in time proportional to the previous scope.
   explicit FaultScope(const Topology& topo);
 
-  /// Scopes `fault`. Throws aidft::Error when its gate or pin is out of
-  /// range for the topology (e.g. a fault of another netlist).
+  /// Scopes `fault`; a no-op when the scope already holds its site. Throws
+  /// aidft::Error when its gate or pin is out of range for the topology
+  /// (e.g. a fault of another netlist).
   void build(const Fault& fault);
   /// Scopes the fault-free line `line` (which must be in range): empty
-  /// cone, support = its transitive fanin.
+  /// cone, support = its transitive fanin. The next build() rebuilds.
   void build_line(GateId line);
 
   /// The faulted line: the gate for a stem fault, the pin's driver for a
@@ -60,6 +61,9 @@ class FaultScope {
   std::vector<GateId> stack_;  // scratch
   GateId line_ = kNoGate;
   bool dpin_ = false;
+  // The fault site the scope holds; kNoGate after build_line.
+  GateId site_gate_ = kNoGate;
+  std::uint8_t site_pin_ = kStemPin;
 };
 
 }  // namespace aidft

@@ -134,6 +134,7 @@ bool Podem::fault_activated() const {
 }
 
 bool Podem::detected() const {
+  if (scope_.dpin()) return fault_activated();  // captured directly
   for (GateId og : cone_observed_) {
     if (both_known_diff(good_[og], faulty_[og])) return true;
   }
@@ -348,23 +349,6 @@ std::pair<std::size_t, Val3> Podem::backtrace(GateId gate, Val3 val) const {
   }
 }
 
-namespace {
-// Seeds the assignment with the options' pin constraints.
-void apply_constraints(const Netlist& nl,
-                       const std::vector<std::size_t>& input_index,
-                       const PodemOptions& options,
-                       std::vector<Val3>& assignment) {
-  std::fill(assignment.begin(), assignment.end(), Val3::kX);
-  for (const auto& [gate, value] : options.constraints) {
-    AIDFT_REQUIRE(gate < nl.num_gates() &&
-                      input_index[gate] != std::numeric_limits<std::size_t>::max(),
-                  "constraint target is not a combinational input");
-    AIDFT_REQUIRE(is_known(value), "constraint value must be 0 or 1");
-    assignment[input_index[gate]] = value;
-  }
-}
-}  // namespace
-
 AtpgOutcome Podem::finish(AtpgOutcome out, AtpgStatus status) const {
   out.status = status;
   if (status == AtpgStatus::kDetected) {
@@ -376,59 +360,7 @@ AtpgOutcome Podem::finish(AtpgOutcome out, AtpgStatus status) const {
   return out;
 }
 
-AtpgOutcome Podem::justify(GateId line, Val3 value, const PodemOptions& options) {
-  AIDFT_REQUIRE(line < nl_->num_gates(), "justify: gate out of range");
-  AIDFT_REQUIRE(is_known(value), "justify: value must be 0 or 1");
-  AtpgOutcome out;
-  implications_ = 0;
-  events_ = 0;
-  // Good machine only: the line's fanin is the support, the cone is empty.
-  scope_.build_line(line);
-  apply_constraints(*nl_, input_index_, options, assignment_);
-  imply_all();
-
-  std::vector<Decision> decisions;
-  for (;;) {
-    if (good_[line] == value) {
-      return finish(std::move(out), AtpgStatus::kDetected);
-    }
-    if (is_known(good_[line])) {
-      // Wrong value under this assignment: backtrack.
-    } else {
-      const auto [idx, val] = backtrace(line, value);
-      AIDFT_ASSERT(idx != std::numeric_limits<std::size_t>::max(),
-                   "justify backtrace failed");
-      decisions.push_back(Decision{idx, false});
-      ++out.decisions;
-      assign(idx, val);
-      imply();
-      continue;
-    }
-    for (;;) {
-      if (decisions.empty()) {
-        return finish(std::move(out), AtpgStatus::kUntestable);
-      }
-      Decision& d = decisions.back();
-      if (d.flipped) {
-        assign(d.input_idx, Val3::kX);
-        decisions.pop_back();
-        continue;
-      }
-      d.flipped = true;
-      assign(d.input_idx, not3(assignment_[d.input_idx]));
-      ++out.backtracks;
-      break;
-    }
-    if (out.backtracks > options.backtrack_limit ||
-        (options.run_control != nullptr && (out.backtracks & 255) == 0 &&
-         options.run_control->poll() != StopReason::kNone)) {
-      return finish(std::move(out), AtpgStatus::kAborted);
-    }
-    imply();
-  }
-}
-
-AtpgOutcome Podem::generate(const Fault& fault, const PodemOptions& options) {
+void Podem::target(const Fault& fault) {
   AIDFT_REQUIRE(fault.kind == FaultKind::kStuckAt,
                 "PODEM generates stuck-at tests (map transition faults first)");
   scope_.build(fault);
@@ -438,27 +370,70 @@ AtpgOutcome Podem::generate(const Fault& fault, const PodemOptions& options) {
   for (GateId g : scope_.cone()) {
     if (observed_flag_[g]) cone_observed_.push_back(g);
   }
+}
+
+void Podem::target_line(GateId line, Val3 value) {
+  AIDFT_REQUIRE(line < nl_->num_gates(), "justify: gate out of range");
+  AIDFT_REQUIRE(is_known(value), "justify: value must be 0 or 1");
+  // Good machine only: the line's fanin is the support, the cone is empty.
+  scope_.build_line(line);
+  stuck_ = not3(value);
+  cone_observed_.clear();
+}
+
+AtpgOutcome Podem::justify(GateId line, Val3 value, const PodemOptions& options) {
+  target_line(line, value);
+  return search(options);
+}
+
+AtpgOutcome Podem::generate(const Fault& fault, const PodemOptions& options) {
+  target(fault);
+  return search(options);
+}
+
+void Podem::relax(TestCube& cube) {
+  AIDFT_REQUIRE(cube.size() == assignment_.size(), "relax: cube width mismatch");
+  assignment_ = cube.bits;
+  imply_all();
+  AIDFT_ASSERT(detected(), "relax: cube does not meet its target");
+  for (std::size_t i = 0; i < assignment_.size(); ++i) {
+    const Val3 care = assignment_[i];
+    if (care == Val3::kX) continue;
+    assign(i, Val3::kX);
+    imply();
+    // A restored bit stays an event: the next trial's imply() propagates it
+    // together with that trial's change.
+    if (!detected()) assign(i, care);
+  }
+  cube.bits = assignment_;
+}
+
+AtpgOutcome Podem::search(const PodemOptions& options) {
   AtpgOutcome out;
   implications_ = 0;
   events_ = 0;
-  apply_constraints(*nl_, input_index_, options, assignment_);
+  // All-X, but for the options' pin constraints.
+  std::fill(assignment_.begin(), assignment_.end(), Val3::kX);
+  for (const auto& [gate, value] : options.constraints) {
+    AIDFT_REQUIRE(gate < nl_->num_gates() && input_index_[gate] != kNpos,
+                  "constraint target is not a combinational input");
+    AIDFT_REQUIRE(is_known(value), "constraint value must be 0 or 1");
+    assignment_[input_index_[gate]] = value;
+  }
   imply_all();
-
-  // A DFF D-pin fault is detected by mere activation (captured directly).
-  const bool capture_only = scope_.dpin();
 
   std::vector<Decision> decisions;
   for (;;) {
-    const bool is_detected = capture_only ? fault_activated() : detected();
-    if (is_detected) return finish(std::move(out), AtpgStatus::kDetected);
+    if (detected()) return finish(std::move(out), AtpgStatus::kDetected);
 
     // Feasibility of the current partial assignment.
     bool feasible = true;
     const Val3 line_val = good_[scope_.line()];
     if (is_known(line_val) && line_val == stuck_) {
       feasible = false;  // can never activate under this assignment
-    } else if (!capture_only && fault_activated()) {
-      // Build D-frontier and check an X-path remains.
+    } else if (!scope_.dpin() && fault_activated()) {
+      // Build D-frontier and check an X-path remains (an empty cone has
+      // none: there, activation is detection).
       dfrontier_.clear();
       for (GateId g : scope_.cone()) {
         if (both_known_diff(good_[g], faulty_[g])) continue;
@@ -466,7 +441,7 @@ AtpgOutcome Podem::generate(const Fault& fault, const PodemOptions& options) {
         // A branch-fault site creates the difference *inside* the gate (the
         // forced pin), so it belongs to the frontier while its output is
         // still undetermined even though no fanin differs.
-        if (!fault.is_stem() && g == fault.gate) {
+        if (!fault_.is_stem() && g == fault_.gate) {
           dfrontier_.push_back(g);
           continue;
         }

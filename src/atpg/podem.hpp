@@ -17,8 +17,14 @@
 // support gates only, and stopped at a gate whose good and faulty values
 // both stay put. The faulty machine is evaluated only on the cone; outside
 // it the faulty value is the good one. An undo is just another event, so no
-// trail is kept. Line justification runs the same engine over the fanin of
-// the justified line, with an empty cone.
+// trail is kept.
+//
+// generate() and justify() share one search. Line justification is the
+// empty-cone case of a fault: the line stuck at the opposite of the wanted
+// value, scoped to the line's fanin, is "detected" once the line holds the
+// value, which is how a DFF D-pin fault is detected too. This machine is
+// also the only 3-valued one in ATPG: SatAtpg borrows the scope of the
+// current target and relaxes its cubes with relax().
 #pragma once
 
 #include <cstdint>
@@ -77,6 +83,27 @@ class Podem {
   /// unreachable; kAborted = budget exceeded.
   AtpgOutcome justify(GateId line, Val3 value, const PodemOptions& options = {});
 
+  /// Makes stuck-at `fault` the target of the next search or relax(),
+  /// scoping it (generate() starts with this). Throws aidft::Error for a
+  /// fault that is not stuck-at or is out of range.
+  void target(const Fault& fault);
+  /// Makes "`line` holds `value`" the target (justify() starts with this).
+  void target_line(GateId line, Val3 value);
+  /// Turns the care bits of `cube`, first to last, into X while the cube
+  /// still meets the current target in 3-valued logic (a known difference
+  /// at an observed cone gate; for an empty cone, the line holding its
+  /// value), so every completion of the result meets it. `cube` must meet
+  /// the target on entry.
+  void relax(TestCube& cube);
+
+  const Netlist& netlist() const { return *nl_; }
+  /// The current target's scope.
+  const FaultScope& scope() const { return scope_; }
+  /// Combinational inputs, in cube bit order.
+  const std::vector<GateId>& inputs() const { return comb_inputs_; }
+  /// True if gate `g` is the observed gate of an observe point.
+  bool observed(GateId g) const { return observed_flag_[g]; }
+
  private:
   struct Decision {
     std::size_t input_idx;  // index into combinational inputs
@@ -92,11 +119,15 @@ class Podem {
   /// Re-evaluates gate `g`'s good and faulty values; true if either changed.
   bool evaluate(GateId g);
   bool fault_activated() const;
+  /// The target is met: a known difference at an observed cone gate, or,
+  /// for an empty cone, the activated line.
   bool detected() const;
   /// True if some D-frontier gate still has an X-path to an observe point.
   bool x_path_exists() const;
   /// Chooses the next objective; returns false if none (dead end).
   bool pick_objective(GateId& obj_gate, Val3& obj_val) const;
+  /// The decision loop over the current target.
+  AtpgOutcome search(const PodemOptions& options);
   /// Closes a search: `status`, the cube when detected, and the effort.
   AtpgOutcome finish(AtpgOutcome out, AtpgStatus status) const;
   /// Walks an objective back to an unassigned input; returns (input index,
@@ -113,7 +144,7 @@ class Podem {
   std::vector<Val3> good_;    // valid on the support
   std::vector<Val3> faulty_;  // valid on the support; == good_ off the cone
   FaultScope scope_;
-  Fault fault_;  // the fault under search (ignored while the cone is empty)
+  Fault fault_;  // the targeted fault (ignored while the cone is empty)
   Val3 stuck_ = Val3::kX;
   std::vector<GateId> cone_observed_;  // observe gates inside the cone
   std::vector<std::size_t> touched_;   // inputs assigned since last imply

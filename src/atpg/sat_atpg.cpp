@@ -3,63 +3,11 @@
 #include <vector>
 
 namespace aidft {
+namespace {
 
-// Turns the care bits of `cube` into X one at a time, first to last, and
-// restores each one without which a 3-valued good/faulty simulation of the
-// support no longer shows a known difference at an observed cone gate (for
-// a D-pin fault: the driver no longer holds the opposite of the stuck
-// value). `cube` must detect the fault on entry. Only support gates are
-// read, each after it is written, so the tables need no clearing.
-void SatAtpg::relax_cube(const Fault& fault, TestCube& cube) {
-  const Topology& topo = nl_->topology();
-  const FaultScope& scope = scope_;
-  const std::vector<GateId>& inputs = comb_inputs_;
-  const std::vector<bool>& observed = observed_;
-  const GateId line = scope.line();
-  const Val3 stuck = fault.stuck_at_one() ? Val3::kOne : Val3::kZero;
-  std::vector<Val3>& good = good3_;
-  std::vector<Val3>& bad = bad3_;
-  auto detects = [&] {
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      if (scope.in_support(inputs[i])) good[inputs[i]] = cube.bits[i];
-    }
-    for (GateId g : scope.support()) {
-      if (topo.type(g) == GateType::kInput || topo.type(g) == GateType::kDff) {
-        continue;
-      }
-      const std::span<const GateId> fin = topo.fanin(g);
-      good[g] = eval_gate3(topo.type(g), fin.size(),
-                           [&](std::size_t k) { return good[fin[k]]; });
-    }
-    if (scope.dpin()) return good[line] == not3(stuck);
-    for (GateId g : scope.cone()) {
-      if (g == fault.gate && fault.is_stem()) {
-        bad[g] = stuck;
-        continue;
-      }
-      const std::span<const GateId> fin = topo.fanin(g);
-      bad[g] = eval_gate3(topo.type(g), fin.size(), [&](std::size_t k) {
-        if (g == fault.gate && k == fault.pin) return stuck;
-        return scope.in_cone(fin[k]) ? bad[fin[k]] : good[fin[k]];
-      });
-    }
-    for (GateId g : scope.cone()) {
-      if (observed[g] && is_known(good[g]) && is_known(bad[g]) &&
-          good[g] != bad[g]) {
-        return true;
-      }
-    }
-    return false;
-  };
-  AIDFT_ASSERT(detects(), "SAT ATPG: model does not detect its fault");
-  for (Val3& bit : cube.bits) {
-    if (bit == Val3::kX) continue;
-    const Val3 care = bit;
-    bit = Val3::kX;
-    if (!detects()) bit = care;
-  }
-}
-
+// Flushes one solve's `sat.*` counters into `t` (null = off): `sat.solves`
+// += 1, the encoding's `sat.vars` and `sat.clauses`, and the search's
+// conflicts, decisions, propagations and restarts.
 void flush_sat_stats(obs::Telemetry* t, const SatSolver& solver) {
   if (t == nullptr) return;
   const SatSolver::Stats& s = solver.stats();
@@ -72,35 +20,36 @@ void flush_sat_stats(obs::Telemetry* t, const SatSolver& solver) {
   obs::add(t, "sat.restarts", s.restarts);
 }
 
-SatAtpg::SatAtpg(const Netlist& netlist)
-    : nl_(&netlist),
-      scope_(netlist.topology()),
-      good_(netlist),
-      flit_(netlist.num_gates()),
-      dlit_(netlist.num_gates()),
-      good3_(netlist.num_gates(), Val3::kX),
-      bad3_(netlist.num_gates(), Val3::kX) {
-  comb_inputs_ = netlist.combinational_inputs();
-  observed_.assign(netlist.num_gates(), false);
-  for (GateId op : netlist.observe_points()) {
-    observed_[netlist.observed_gate(op)] = true;
-  }
-}
+}  // namespace
+
+SatAtpg::SatAtpg(Podem& podem)
+    : podem_(&podem),
+      good_(podem.netlist()),
+      flit_(podem.netlist().num_gates()),
+      dlit_(podem.netlist().num_gates()) {}
 
 AtpgOutcome SatAtpg::generate(const Fault& fault, const SatAtpgOptions& options) {
-  AIDFT_REQUIRE(fault.kind == FaultKind::kStuckAt,
-                "SAT ATPG generates stuck-at tests");
-  const Topology& topo = nl_->topology();
-  scope_.build(fault);
-  const FaultScope& scope = scope_;
+  podem_->target(fault);
+  return solve(fault, options);
+}
+
+AtpgOutcome SatAtpg::justify(GateId line, Val3 value,
+                             const SatAtpgOptions& options) {
+  podem_->target_line(line, value);
+  const std::uint8_t stuck = value == Val3::kOne ? 0 : 1;
+  return solve(Fault{line, kStemPin, stuck, FaultKind::kStuckAt}, options);
+}
+
+AtpgOutcome SatAtpg::solve(const Fault& fault, const SatAtpgOptions& options) {
+  const Topology& topo = podem_->netlist().topology();
+  const FaultScope& scope = podem_->scope();
   const bool dpin = scope.dpin();
-  const GateId line = scope.line();
   AtpgOutcome out;
   SatSolver& solver = solver_;
   solver.reset();
 
   bool observable = dpin;  // a D-pin fault is observed at its own flop
-  for (GateId g : scope.cone()) observable = observable || observed_[g];
+  for (GateId g : scope.cone()) observable = observable || podem_->observed(g);
   if (!observable) {
     flush_sat_stats(options.telemetry, solver);
     out.status = AtpgStatus::kUntestable;  // no observable path exists at all
@@ -110,14 +59,14 @@ AtpgOutcome SatAtpg::generate(const Fault& fault, const SatAtpgOptions& options)
   CircuitCnf& good = good_;
   good.encode(solver, scope.support());
   // Activation: the fault line carries the opposite of the stuck value. For
-  // a D-pin fault that alone is detection.
-  const Lit active = good.lit(line);
+  // a D-pin fault (and a justified line) that alone is detection.
+  const Lit active = good.lit(scope.line());
   solver.add_unit(fault.stuck_at_one() ? ~active : active);
 
   // Faulty copy of the cone. flit_ and dlit_ are read only at cone gates,
   // each after it is written.
   std::vector<Lit>& flit = flit_;
-  std::vector<Lit>& fin = clause_;
+  std::vector<Lit>& fin = fanin_;
   for (GateId id : scope.cone()) {
     const GateType gtype = topo.type(id);
     const std::span<const GateId> gfanin = topo.fanin(id);
@@ -150,7 +99,7 @@ AtpgOutcome SatAtpg::generate(const Fault& fault, const SatAtpgOptions& options)
         break;
       default: {
         const Lit v = pos_lit(solver.new_var());
-        add_gate_clauses(solver, gtype, v, fin);
+        add_gate_clauses(solver, gtype, v, fin, clause_);
         flit[id] = v;
         break;
       }
@@ -166,7 +115,7 @@ AtpgOutcome SatAtpg::generate(const Fault& fault, const SatAtpgOptions& options)
     const Lit d = dlit[g], a = good.lit(g), b = flit[g];
     solver.add_ternary(~d, a, b);  // d -> good != faulty
     solver.add_ternary(~d, ~a, ~b);
-    if (observed_[g]) continue;
+    if (podem_->observed(g)) continue;
     clause_.assign(1, ~d);  // d -> some cone fanout differs too
     for (GateId s : topo.fanout(g)) {
       if (scope.in_cone(s)) clause_.push_back(dlit[s]);
@@ -184,14 +133,15 @@ AtpgOutcome SatAtpg::generate(const Fault& fault, const SatAtpgOptions& options)
     return out;
   }
   out.status = AtpgStatus::kDetected;
-  out.cube = TestCube(comb_inputs_.size());
-  for (std::size_t i = 0; i < comb_inputs_.size(); ++i) {
-    if (!scope.in_support(comb_inputs_[i])) continue;  // cannot matter: X
-    const Lit l = good.lit(comb_inputs_[i]);
+  const std::vector<GateId>& inputs = podem_->inputs();
+  out.cube = TestCube(inputs.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    if (!scope.in_support(inputs[i])) continue;  // cannot matter: X
+    const Lit l = good.lit(inputs[i]);
     out.cube.bits[i] =
         solver.model_value(l.var()) != l.negated() ? Val3::kOne : Val3::kZero;
   }
-  relax_cube(fault, out.cube);
+  podem_->relax(out.cube);
   return out;
 }
 

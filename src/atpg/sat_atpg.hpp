@@ -13,26 +13,30 @@
 //     when g is not observed, d_g also implies the OR of d_s over g's cone
 //     fanouts. d_site is a unit.
 // SAT ⇒ the model's support inputs form a test; inputs outside the support
-// stay X, and a greedy pass turns further care bits into X while a 3-valued
-// good/faulty simulation of the support still shows a known difference at an
+// stay X, and Podem::relax turns further care bits into X while PODEM's
+// event-driven good/faulty machine still shows a known difference at an
 // observe point. UNSAT ⇒ the fault is provably untestable (combinationally
 // redundant); hitting the conflict limit ⇒ abort. This is the engine that
 // closes the aborts PODEM leaves behind (benchmark E2). DESIGN.md, "SAT
 // miter: support, activation, D-chain", argues why each clause family keeps
 // the encoding sound and complete.
+//
+// The engine owns no scope and no simulator: it borrows a Podem's. A call
+// targets the Podem at the fault (a no-op rescoping when PODEM has just
+// searched it), encodes the Podem's scope and relaxes the model on the
+// Podem's machine. Line justification is the empty-cone case: the line's
+// fanin and the activation unit "line = value", nothing else.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "atpg/fault_scope.hpp"
-#include "atpg/podem.hpp"  // AtpgOutcome/AtpgStatus
+#include "atpg/podem.hpp"
 #include "fault/fault.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/telemetry.hpp"
 #include "sat/cnf.hpp"
 #include "sat/solver.hpp"
-#include "sim/val3.hpp"
 
 namespace aidft {
 
@@ -51,14 +55,11 @@ struct SatAtpgOptions {
   RunControl* run_control = nullptr;
 };
 
-/// Flushes one solve's `sat.*` counters into `telemetry` (null = off):
-/// `sat.solves` += 1, the encoding's `sat.vars` and `sat.clauses`, and the
-/// search's conflicts, decisions, propagations and restarts.
-void flush_sat_stats(obs::Telemetry* telemetry, const SatSolver& solver);
-
 class SatAtpg {
  public:
-  explicit SatAtpg(const Netlist& netlist);
+  /// Borrows `podem`'s fault scope and 3-valued machine; `podem` must
+  /// outlive this engine. A call leaves the Podem targeted at its fault.
+  explicit SatAtpg(Podem& podem);
 
   /// Generates a test cube for a stuck-at fault, proves it untestable, or
   /// aborts at the conflict limit. The cube's X bits are don't-cares: every
@@ -66,22 +67,26 @@ class SatAtpg {
   /// into an emptied solver; the solver and the per-gate tables are reused
   /// across calls, so no call depends on an earlier one.
   AtpgOutcome generate(const Fault& fault, const SatAtpgOptions& options = {});
+  /// Line justification: a cube whose every completion sets `line` to
+  /// `value` (kDetected), a proof that none exists (kUntestable), or
+  /// kAborted at the conflict limit.
+  AtpgOutcome justify(GateId line, Val3 value,
+                      const SatAtpgOptions& options = {});
 
  private:
-  /// Turns care bits of `cube` into X while it still detects the fault.
-  void relax_cube(const Fault& fault, TestCube& cube);
+  /// Encodes, solves and relaxes the Podem's current target, which is
+  /// `fault` (for a justified line: the line stuck at the opposite value,
+  /// over an empty cone).
+  AtpgOutcome solve(const Fault& fault, const SatAtpgOptions& options);
 
-  const Netlist* nl_;
-  FaultScope scope_;  // rebuilt per call
-  std::vector<GateId> comb_inputs_;
-  std::vector<bool> observed_;  // per gate: observed_gate() of an observe point
+  Podem* podem_;
   // Reused per call: emptied or overwritten before being read.
   SatSolver solver_;
   CircuitCnf good_;
   std::vector<Lit> flit_;  // per gate: faulty-machine literal of a cone gate
   std::vector<Lit> dlit_;  // per gate: D-chain literal of a cone gate
-  std::vector<Lit> clause_;  // scratch: one gate's fanins, or a D-chain clause
-  std::vector<Val3> good3_, bad3_;  // per gate: relax_cube's simulation
+  std::vector<Lit> fanin_;   // scratch: one gate's fanin literals
+  std::vector<Lit> clause_;  // scratch: one clause
 };
 
 }  // namespace aidft

@@ -4,9 +4,12 @@
 // setting L to 0, then a capture vector V2 that detects L stuck-at-0 (i.e.
 // sets L to 1 and propagates the late value to an observe point). With
 // enhanced scan both vectors are loaded independently, so V1 is a pure line
-// justification and V2 a pure stuck-at test — both served by PODEM. The
-// result interleaves [V1a, V2a, V1b, V2b, ...] so the standard pattern-pair
-// fault-simulation campaign grades it directly.
+// justification and V2 a pure stuck-at test — both served by the hand-off
+// stuck-at ATPG uses (AtpgHandOff): PODEM first, SAT when PODEM aborts.
+// Justification is each engine's empty-cone case, so a SAT launch cube is
+// encoded over the line's fanin only and comes back relaxed, X outside it,
+// like PODEM's. The result interleaves [V1a, V2a, V1b, V2b, ...] so the
+// standard pattern-pair fault-simulation campaign grades it directly.
 #pragma once
 
 #include <vector>
@@ -20,7 +23,6 @@ namespace aidft {
 
 struct TransitionAtpgOptions {
   PodemOptions podem;
-  bool sat_fallback = true;  // resolve PODEM aborts with the SAT engines
   std::int64_t sat_conflict_limit = 200'000;
   std::uint64_t seed = 5;  // X-fill of the emitted pairs
   std::size_t num_threads = 1;  // fault-campaign workers for (re)grading
@@ -37,27 +39,11 @@ struct TransitionAtpgOptions {
   RunControl* run_control = nullptr;
 };
 
-struct TransitionAtpgResult {
+/// A fault is untestable when no stuck-at test exists for its capture
+/// vector or its line cannot hold the initial value.
+struct TransitionAtpgResult : AtpgDispositions {
   /// Interleaved launch/capture patterns, fully specified.
   std::vector<TestCube> patterns;
-  std::vector<FaultStatus> status;  // per input fault
-  std::size_t detected = 0;
-  std::size_t untestable = 0;  // no SA test exists OR line can't reach init
-  std::size_t aborted = 0;
-  /// How the generator ended: kCompleted, or kTimedOut/kCancelled when a
-  /// RunControl stopped it early (the result is a valid partial run).
-  StageOutcome outcome = StageOutcome::kCompleted;
-
-  double fault_coverage() const {
-    return status.empty() ? 1.0
-                          : static_cast<double>(detected) /
-                                static_cast<double>(status.size());
-  }
-  double test_coverage() const {
-    const std::size_t denom = status.size() - untestable;
-    return denom == 0 ? 1.0
-                      : static_cast<double>(detected) / static_cast<double>(denom);
-  }
 };
 
 /// Generates pattern pairs for a transition-fault list (kind ==

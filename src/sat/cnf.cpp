@@ -5,9 +5,9 @@
 namespace aidft {
 namespace {
 
-void encode_and(SatSolver& s, Lit out, std::span<const Lit> in) {
-  std::vector<Lit> big;
-  big.reserve(in.size() + 1);
+void encode_and(SatSolver& s, Lit out, std::span<const Lit> in,
+                std::vector<Lit>& big) {
+  big.clear();
   for (const Lit l : in) {
     s.add_binary(~out, l);  // out -> every input
     big.push_back(~l);
@@ -16,9 +16,9 @@ void encode_and(SatSolver& s, Lit out, std::span<const Lit> in) {
   s.add_clause(big);
 }
 
-void encode_or(SatSolver& s, Lit out, std::span<const Lit> in) {
-  std::vector<Lit> big;
-  big.reserve(in.size() + 1);
+void encode_or(SatSolver& s, Lit out, std::span<const Lit> in,
+               std::vector<Lit>& big) {
+  big.clear();
   for (const Lit l : in) {
     s.add_binary(out, ~l);  // any input -> out
     big.push_back(l);
@@ -42,7 +42,7 @@ void encode_eq(SatSolver& s, Lit a, Lit b) {
 }  // namespace
 
 void add_gate_clauses(SatSolver& s, GateType type, Lit out,
-                      std::span<const Lit> in) {
+                      std::span<const Lit> in, std::vector<Lit>& scratch) {
   switch (type) {
     case GateType::kConst0:
       s.add_unit(~out);
@@ -59,16 +59,16 @@ void add_gate_clauses(SatSolver& s, GateType type, Lit out,
       encode_eq(s, out, ~in[0]);
       return;
     case GateType::kAnd:
-      encode_and(s, out, in);
+      encode_and(s, out, in, scratch);
       return;
     case GateType::kNand:
-      encode_and(s, ~out, in);
+      encode_and(s, ~out, in, scratch);
       return;
     case GateType::kOr:
-      encode_or(s, out, in);
+      encode_or(s, out, in, scratch);
       return;
     case GateType::kNor:
-      encode_or(s, ~out, in);
+      encode_or(s, ~out, in, scratch);
       return;
     case GateType::kXor:
     case GateType::kXnor: {
@@ -110,11 +110,7 @@ CircuitCnf::CircuitCnf(const Netlist& nl) : nl_(&nl) {
 }
 
 CircuitCnf::CircuitCnf(const Netlist& nl, SatSolver& solver) : CircuitCnf(nl) {
-  encode(solver);
-}
-
-void CircuitCnf::encode(SatSolver& solver) {
-  encode(solver, nl_->topology().topo_order());
+  encode(solver, nl.topology().topo_order());
 }
 
 void CircuitCnf::encode(SatSolver& solver, std::span<const GateId> gates) {
@@ -146,7 +142,7 @@ void CircuitCnf::encode(SatSolver& solver, std::span<const GateId> gates) {
         lits_[id] = pos_lit(solver.new_var());
         fanin_.clear();
         for (GateId f : t.fanin(id)) fanin_.push_back(fanin_lit(f));
-        add_gate_clauses(solver, type, lits_[id], fanin_);
+        add_gate_clauses(solver, type, lits_[id], fanin_, clause_);
         break;
       }
     }

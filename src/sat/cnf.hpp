@@ -22,9 +22,10 @@ namespace aidft {
 
 /// Emits clauses enforcing out <-> type(fanins) into `solver`.
 /// For XOR/XNOR with more than 2 inputs, auxiliary chain variables are
-/// allocated internally.
+/// allocated internally. AND/OR-family gates build their wide clause in
+/// `scratch`, which must not alias `fanins`.
 void add_gate_clauses(SatSolver& solver, GateType type, Lit out,
-                      std::span<const Lit> fanins);
+                      std::span<const Lit> fanins, std::vector<Lit>& scratch);
 
 class CircuitCnf {
  public:
@@ -33,13 +34,11 @@ class CircuitCnf {
   /// Encodes every gate of `netlist` into `solver`.
   CircuitCnf(const Netlist& netlist, SatSolver& solver);
 
-  /// Encodes every gate into `solver`, forgetting the previous encoding's
-  /// literals.
-  void encode(SatSolver& solver);
-  /// Encodes only `gates`, which must be listed in topo_order() order and
-  /// be fanin-closed (every fanin of a listed gate is listed; a DFF, being
-  /// a free variable, needs none). The encoding is the one the full
-  /// encode() makes of these gates, in the same order.
+  /// Encodes `gates` into `solver`, forgetting the previous encoding's
+  /// literals. `gates` must be listed in topo_order() order and be
+  /// fanin-closed (every fanin of a listed gate is listed; a DFF, being a
+  /// free variable, needs none). The encoding is the one the whole-circuit
+  /// constructor makes of these gates, in the same order.
   void encode(SatSolver& solver, std::span<const GateId> gates);
 
   /// The solver literal representing gate `g`'s value (`g` must be encoded).
@@ -53,7 +52,8 @@ class CircuitCnf {
   static constexpr std::uint32_t kUnencoded = ~std::uint32_t{0};
   const Netlist* nl_;
   std::vector<Lit> lits_;
-  std::vector<Lit> fanin_;  // scratch: one gate's fanin literals
+  std::vector<Lit> fanin_;   // scratch: one gate's fanin literals
+  std::vector<Lit> clause_;  // scratch: one gate's wide clause
 };
 
 }  // namespace aidft

@@ -136,7 +136,8 @@ TEST_P(AtpgOracle, UnlimitedPodemDetectsExactlyTheDetectableSet) {
 }
 
 TEST_P(AtpgOracle, SatIsUnsatExactlyOnTheUndetectableSet) {
-  SatAtpg sat(nl_);
+  Podem podem(nl_);
+  SatAtpg sat(podem);
   SatAtpgOptions opts;
   opts.conflict_limit = -1;
   for (std::size_t i = 0; i < faults_.size(); ++i) {

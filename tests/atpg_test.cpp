@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bench_circuits/generators.hpp"
 #include "fsim/campaign.hpp"
 #include "fsim/fault_sim.hpp"
@@ -48,7 +50,7 @@ TEST_P(PodemOnCircuit, EveryOutcomeIsSound) {
       case AtpgStatus::kUntestable: {
         ++untestable;
         // Cross-check with SAT: must also be UNSAT.
-        SatAtpg sat(nl);
+        SatAtpg sat(podem);
         EXPECT_EQ(sat.generate(f).status, AtpgStatus::kUntestable)
             << fault_name(nl, f);
         break;
@@ -77,9 +79,9 @@ TEST_P(SatAtpgOnCircuit, CubesVerifyAndAgreeWithPodem) {
     if (which == nc.name) nl = std::move(nc.netlist);
   }
   ASSERT_TRUE(nl.finalized());
-  SatAtpg sat(nl);
   const auto scoap = compute_scoap(nl);
   Podem podem(nl, &scoap);
+  SatAtpg sat(podem);
   const auto faults = collapse_equivalent(nl, generate_stuck_at_faults(nl));
   for (const Fault& f : faults) {
     const AtpgOutcome s = sat.generate(f);
@@ -109,7 +111,7 @@ TEST(Podem, ProvesRedundantFaultUntestable) {
       podem.generate(Fault{t3, kStemPin, 0, FaultKind::kStuckAt});
   EXPECT_EQ(out.status, AtpgStatus::kUntestable);
   // SAT agrees.
-  SatAtpg sat(nl);
+  SatAtpg sat(podem);
   EXPECT_EQ(sat.generate(Fault{t3, kStemPin, 0, FaultKind::kStuckAt}).status,
             AtpgStatus::kUntestable);
 }
@@ -176,7 +178,8 @@ TEST(Podem, RejectsOutOfRangeFault) {
 
 TEST(SatAtpg, RejectsOutOfRangeFault) {
   const Netlist nl = circuits::make_redundant();
-  SatAtpg sat(nl);
+  Podem podem(nl);
+  SatAtpg sat(podem);
   for (const Fault& f : foreign_faults(nl)) {
     EXPECT_THROW(sat.generate(f), Error) << f.gate << "." << int{f.pin};
   }
@@ -318,6 +321,57 @@ TEST(Compaction, StaticCompactionPreservesCoverage) {
   }
   EXPECT_EQ(after.detected + (faults.size() - cubes.size()), faults.size());
   (void)r;
+}
+
+// One Podem + SatAtpg pair gives every fault the outcome a freshly built
+// pair gives it, whatever the pair ran before: faults forward, in reverse,
+// and with line justifications on both engines between a fault's PODEM
+// call and its SAT call (the SAT call then rescopes the fault).
+TEST(AtpgHistory, OutcomesIndependentOfOrder) {
+  const Netlist nl = circuits::make_random_logic(32, 500, 1);
+  const ScoapResult scoap = compute_scoap(nl);
+  const auto faults = collapse_equivalent(nl, generate_stuck_at_faults(nl));
+  PodemOptions budget;
+  budget.backtrack_limit = 10;  // the pipeline's hand-off budget
+  auto same = [](const AtpgOutcome& a, const AtpgOutcome& b) {
+    return a.status == b.status && a.cube.bits == b.cube.bits &&
+           a.backtracks == b.backtracks && a.decisions == b.decisions &&
+           a.implications == b.implications && a.events == b.events;
+  };
+  std::vector<AtpgOutcome> fresh_podem, fresh_sat;
+  for (const Fault& f : faults) {
+    Podem podem(nl, &scoap);
+    fresh_podem.push_back(podem.generate(f, budget));
+    Podem borrowed(nl, &scoap);
+    fresh_sat.push_back(SatAtpg(borrowed).generate(f));
+  }
+
+  Podem podem(nl, &scoap);
+  SatAtpg sat(podem);
+  std::vector<std::size_t> order(faults.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  auto run = [&](const char* pass, bool interleave) {
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      const std::size_t i = order[k];
+      const AtpgOutcome p = podem.generate(faults[i], budget);
+      if (interleave) {
+        const auto line = static_cast<GateId>((7 * k) % nl.num_gates());
+        const Val3 v = k % 2 ? Val3::kOne : Val3::kZero;
+        podem.justify(line, v);
+        sat.justify(line, v);
+      }
+      const AtpgOutcome s = sat.generate(faults[i]);
+      EXPECT_TRUE(same(p, fresh_podem[i])) << pass << " PODEM "
+                                           << fault_name(nl, faults[i]);
+      EXPECT_TRUE(same(s, fresh_sat[i])) << pass << " SAT "
+                                         << fault_name(nl, faults[i]);
+    }
+  };
+  run("forward", false);
+  std::reverse(order.begin(), order.end());
+  run("reverse", false);
+  std::reverse(order.begin(), order.end());
+  run("interleaved", true);
 }
 
 TEST(XFill, AllStrategiesProduceFullySpecified) {

@@ -460,7 +460,8 @@ SatDigestValue sat_digest(const std::vector<const Netlist*>& nets) {
   obs::Telemetry telemetry;
   Fnv1a h;
   for (const Netlist* nl : nets) {
-    SatAtpg sat(*nl);
+    Podem podem(*nl);
+    SatAtpg sat(podem);
     for (const Fault& f :
          collapse_equivalent(*nl, generate_stuck_at_faults(*nl))) {
       const AtpgOutcome o = sat.generate(f, {.telemetry = &telemetry});

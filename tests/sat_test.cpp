@@ -209,10 +209,11 @@ TEST(SatSolver, XorChainParity) {
   // Parity via CNF: forbid every even-parity total assignment is too big;
   // instead chain aux vars t_i = t_{i-1} ^ x_i using gate encoder.
   Lit acc = pos_lit(x[0]);
+  std::vector<Lit> scratch;
   for (int i = 1; i < n; ++i) {
     const Lit t = pos_lit(s.new_var());
     const Lit in[] = {acc, pos_lit(x[i])};
-    add_gate_clauses(s, GateType::kXor, t, in);
+    add_gate_clauses(s, GateType::kXor, t, in, scratch);
     acc = t;
   }
   s.add_unit(acc);  // parity must be 1

@@ -50,6 +50,31 @@ TEST(Justify, CubeActuallyJustifiesOnRandomLogic) {
   }
 }
 
+// SatAtpg::justify is SAT ATPG's empty-cone path: on every gate and value
+// it must agree with PODEM, and every SAT cube, X bits left X, must set the
+// line in the whole-circuit 3-valued pass.
+TEST(SatJustify, AgreesWithPodem) {
+  const Netlist nl = circuits::make_random_logic(12, 400, 5);
+  const ScoapResult scoap = compute_scoap(nl);
+  Podem podem(nl, &scoap);
+  SatAtpg sat(podem);
+  std::vector<Val3> good, faulty;
+  std::size_t detected = 0;
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
+    for (Val3 v : {Val3::kZero, Val3::kOne}) {
+      const AtpgOutcome p = podem.justify(g, v);
+      const AtpgOutcome s = sat.justify(g, v);
+      ASSERT_NE(p.status, AtpgStatus::kAborted) << "gate " << g;
+      ASSERT_EQ(s.status, p.status) << "gate " << g << " value " << to_char(v);
+      if (s.status != AtpgStatus::kDetected) continue;
+      ++detected;
+      test::full_pass_3v(nl, s.cube.bits, Fault{}, good, faulty);
+      EXPECT_EQ(good[g], v) << "gate " << g << " cube " << s.cube.to_string();
+    }
+  }
+  EXPECT_GT(detected, 0u);
+}
+
 class TransitionAtpgOnCircuit : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(TransitionAtpgOnCircuit, PairsDetectTheirFaults) {
@@ -136,6 +161,34 @@ TEST(TransitionAtpg, BeatsRandomPairsOnRpResistantLogic) {
       random_patterns(nl.combinational_inputs().size(), 1024, rng);
   const CampaignResult rand_r = run_campaign(nl, faults, random);
   EXPECT_LT(rand_r.coverage(), det.fault_coverage());
+}
+
+// Every PODEM call at budget 0 that needs a backtrack aborts and hands the
+// capture test or the launch justification to SAT; the statuses must be
+// those of the default budget, where PODEM settles every call.
+TEST(TransitionAtpg, SatFallbackMatchesPodem) {
+  std::vector<circuits::NamedCircuit> nets = circuits::standard_suite();
+  nets.push_back({"rand500", circuits::make_random_logic(32, 500, 1)});
+  obs::Telemetry telemetry;
+  for (const circuits::NamedCircuit& nc : nets) {
+    const auto faults = generate_transition_faults(nc.netlist);
+    TransitionAtpgOptions hand_off;
+    hand_off.podem.backtrack_limit = 0;
+    hand_off.telemetry = &telemetry;
+    const TransitionAtpgResult sat =
+        generate_transition_tests(nc.netlist, faults, hand_off);
+    const TransitionAtpgResult podem =
+        generate_transition_tests(nc.netlist, faults);
+    EXPECT_EQ(sat.aborted, 0u) << nc.name;
+    EXPECT_EQ(podem.aborted, 0u) << nc.name;
+    EXPECT_EQ(sat.detected, podem.detected) << nc.name;
+    EXPECT_EQ(sat.untestable, podem.untestable) << nc.name;
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      EXPECT_EQ(sat.status[i], podem.status[i])
+          << nc.name << " " << fault_name(nc.netlist, faults[i]);
+    }
+  }
+  EXPECT_GT(telemetry.metrics.snapshot().counter_value("sat.solves"), 0u);
 }
 
 }  // namespace
