@@ -158,7 +158,7 @@ AtpgResult generate_tests(const Netlist& nl, const std::vector<Fault>& faults,
       {.backtrack_limit = options.podem_backtrack_limit,
        .constraints = {},
        .run_control = options.run_control},
-      {options.sat_conflict_limit, options.telemetry, options.run_control},
+      {.telemetry = options.telemetry, .run_control = options.run_control},
       options.telemetry);
 
   TestCube open_cube;   // dynamic-compaction accumulator
@@ -172,7 +172,7 @@ AtpgResult generate_tests(const Netlist& nl, const std::vector<Fault>& faults,
     }
     if (pending.empty()) return;
     for (const auto& p : pending) result.cubes.push_back(p);
-    fill_cubes(pending, options.x_fill, rng);
+    fill_cubes(pending, XFill::kRandom, rng);
     grade_statuses(nl, faults, result.status, pending,
                    {.telemetry = options.telemetry});
     for (auto& p : pending) result.patterns.push_back(std::move(p));
@@ -193,9 +193,7 @@ AtpgResult generate_tests(const Netlist& nl, const std::vector<Fault>& faults,
     const AtpgOutcome outcome = engines.generate(faults[i]);
     result.status[i] = fault_status(outcome.status);
     if (outcome.status != AtpgStatus::kDetected) continue;
-    if (!options.dynamic_compaction) {
-      pending.push_back(outcome.cube);
-    } else if (open_valid && open_cube.compatible(outcome.cube)) {
+    if (open_valid && open_cube.compatible(outcome.cube)) {
       open_cube.merge(outcome.cube);
     } else {
       if (open_valid) pending.push_back(open_cube);

@@ -44,15 +44,12 @@ struct AtpgOptions {
   /// backtracks of budget 100. Under kPodemThenSat the budget changes which
   /// engine settles a fault, not its status.
   std::uint64_t podem_backtrack_limit = 10;
-  std::int64_t sat_conflict_limit = 200'000;
   AtpgEngine engine = AtpgEngine::kPodemThenSat;
   /// Steer PODEM with SCOAP measures (hardest-to-control objective first in
   /// pick_objective, cc-ordered backtrace, co-ordered D-frontier). Off falls
   /// back to topological-level heuristics — same coverage, more backtracks;
   /// bench_e18_drc_scoap quantifies the gap.
   bool scoap_guidance = true;
-  bool dynamic_compaction = true;
-  XFill x_fill = XFill::kRandom;
   std::uint64_t seed = 1;
   /// Fault-campaign workers for the random phase (the bulk grading work);
   /// the deterministic phase's incremental dropping stays serial.
@@ -84,12 +81,16 @@ enum class FaultStatus : std::uint8_t {
 /// The disposition an engine outcome gives its fault.
 FaultStatus fault_status(AtpgStatus status);
 
-/// Per-fault dispositions of an ATPG run, counted.
+/// Per-fault dispositions of an ATPG run, counted, and its engine effort.
 struct AtpgDispositions {
   std::vector<FaultStatus> status;  // per input fault
   std::size_t detected = 0;
   std::size_t untestable = 0;
   std::size_t aborted = 0;
+  /// Deterministic engine calls (AtpgEffort's tallies).
+  std::uint64_t podem_calls = 0;
+  std::uint64_t podem_backtracks = 0;  // across all PODEM calls
+  std::uint64_t sat_calls = 0;
   /// How the run ended: kCompleted, or kTimedOut/kCancelled when a
   /// RunControl stopped it early (the result is a valid partial run).
   StageOutcome outcome = StageOutcome::kCompleted;
@@ -114,9 +115,6 @@ struct AtpgResult : AtpgDispositions {
   /// the input a compression codec wants (the X density is what it exploits).
   std::vector<TestCube> cubes;
   std::size_t random_phase_detected = 0;   // subset of `detected`
-  std::uint64_t podem_calls = 0;
-  std::uint64_t podem_backtracks = 0;  // across all PODEM calls
-  std::uint64_t sat_calls = 0;
 
   std::size_t total_faults() const { return status.size(); }
 };

@@ -27,7 +27,7 @@ TransitionAtpgResult generate_transition_tests(
   podem_opts.run_control = options.run_control;
   AtpgHandOff engines(
       nl, &scoap, AtpgEngine::kPodemThenSat, podem_opts,
-      {options.sat_conflict_limit, options.telemetry, options.run_control},
+      {.telemetry = options.telemetry, .run_control = options.run_control},
       /*timing=*/nullptr);
   Rng rng(options.seed);
 
@@ -95,11 +95,18 @@ TransitionAtpgResult generate_transition_tests(
                   .telemetry = options.telemetry},
                  /*recheck_detected=*/true);
 
+  const AtpgEffort& effort = engines.effort();
+  result.podem_calls = effort.podem_calls;
+  result.podem_backtracks = effort.podem_backtracks;
+  result.sat_calls = effort.sat_calls;
   result.count();
 
   if (options.telemetry != nullptr) {
-    engines.effort().flush_podem(options.telemetry);
+    effort.flush_podem(options.telemetry);
     phase_span.arg("pairs", result.patterns.size() / 2);
+    phase_span.arg("podem_calls", result.podem_calls);
+    phase_span.arg("sat_calls", result.sat_calls);
+    phase_span.arg("backtracks", result.podem_backtracks);
     phase_span.arg("detected", result.detected);
   }
   return result;

@@ -23,12 +23,11 @@ namespace aidft {
 
 struct TransitionAtpgOptions {
   PodemOptions podem;
-  std::int64_t sat_conflict_limit = 200'000;
   std::uint64_t seed = 5;  // X-fill of the emitted pairs
   std::size_t num_threads = 1;  // fault-campaign workers for (re)grading
   /// Observability sink: null (default) = off. Emits an `atpg.transition`
-  /// span plus aggregated `podem.*` counters; campaigns and SAT fallbacks
-  /// inherit the same sink.
+  /// span (with podem_calls, sat_calls and backtracks args) plus aggregated
+  /// `podem.*` counters; campaigns and SAT fallbacks inherit the same sink.
   obs::Telemetry* telemetry = nullptr;
   /// Run control: null (default) = run to completion. When set it is
   /// check()ed once per fault and inherited by PODEM, the SAT fallbacks and

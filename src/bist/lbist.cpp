@@ -17,6 +17,9 @@ Prpg::Prpg(const LbistConfig& config, std::size_t num_positions)
 
 namespace {
 
+// Width of the response MISR (aliasing probability ~2^-32).
+constexpr std::size_t kMisrBits = 32;
+
 // The session's stimulus: config.patterns PRPG patterns.
 std::vector<TestCube> session_patterns(const Netlist& nl,
                                        const LbistConfig& config) {
@@ -85,8 +88,7 @@ LbistResult run_lbist(const Netlist& nl, const std::vector<Fault>& faults,
   result.detected_after = campaign.detected_after;
   result.undetected = result.faults_total - result.detected;
 
-  if (config.predict_resistance && !faults.empty() &&
-      result.outcome == StageOutcome::kCompleted) {
+  if (!faults.empty() && result.outcome == StageOutcome::kCompleted) {
     // SCOAP-predicted random resistance: a fault well above the universe's
     // mean detection difficulty rarely falls to pseudo-random patterns.
     // (Pin faults reuse their gate's stem measures — a close over-estimate
@@ -135,7 +137,7 @@ LbistResult run_lbist(const Netlist& nl, const std::vector<Fault>& faults,
   // partial signature is worthless (it will never match a full session), so
   // on an early stop the loop aborts and golden_signature stays empty.
   if (result.outcome != StageOutcome::kCompleted) return result;
-  Misr misr(config.misr_bits);
+  Misr misr(kMisrBits);
   const StopReason stop =
       compact_responses(nl, patterns, {}, config.run_control, misr);
   result.outcome = outcome_from(stop);
@@ -158,7 +160,7 @@ std::vector<std::uint64_t> faulty_signature(const Netlist& nl, const Fault& faul
                  }
                  return false;
                });
-  Misr misr(config.misr_bits);
+  Misr misr(kMisrBits);
   compact_responses(nl, patterns, diffs, nullptr, misr);
   return misr.signature();
 }

@@ -5,7 +5,7 @@
 // assumed wrapped in boundary-scan cells (standard LBIST practice), so the
 // PRPG drives the entire combinational input vector. The signature of the
 // fault-free machine is golden; a defective chip is caught when its MISR
-// signature differs (aliasing probability ~2^-misr_bits).
+// signature differs (a 32-bit MISR: aliasing probability ~2^-32).
 #pragma once
 
 #include <cstdint>
@@ -25,15 +25,7 @@ struct LbistConfig {
   std::size_t patterns = 512;   // session length (PRPG patterns applied)
   std::size_t prpg_bits = 32;
   std::uint64_t seed = 0xB157;  // nonzero PRPG seed
-  std::size_t misr_bits = 32;
   std::size_t num_threads = 1;  // fault-campaign workers for coverage grading
-  /// Flag random-resistant faults up front from SCOAP difficulty (the
-  /// classic test-point-insertion trigger): a fault whose detection
-  /// difficulty reaches the midpoint between the universe mean and the
-  /// hardest finite fault (floor 8) is predicted to survive the
-  /// pseudo-random session. The result reports how the prediction fared
-  /// against the actual campaign.
-  bool predict_resistance = true;
   /// Observability sink: null (default) = off. Emits a `lbist.session` span
   /// plus `lbist.sessions` / `lbist.patterns` counters; the coverage
   /// campaign and faulty_signature()'s campaign inherit the same sink.
@@ -81,7 +73,10 @@ struct LbistResult {
   StageOutcome outcome = StageOutcome::kCompleted;
 
   // SCOAP random-resistance prediction vs. what the session actually missed
-  // (filled when LbistConfig::predict_resistance).
+  // (the classic test-point-insertion trigger): a fault whose detection
+  // difficulty reaches the midpoint between the universe mean and the
+  // hardest finite fault (floor 8) is flagged up front as likely to survive
+  // the pseudo-random session.
   std::size_t predicted_resistant = 0;   // flagged before simulation
   std::size_t resistant_undetected = 0;  // flagged AND missed (hits)
   std::size_t undetected = 0;            // all misses

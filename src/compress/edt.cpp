@@ -51,51 +51,6 @@ std::vector<std::vector<bool>> EdtCodec::decompress(
   return machine_.fill(0, warmup_, chain_len_, stream);
 }
 
-XorCompactor::XorCompactor(std::size_t num_chains, std::size_t out_channels) {
-  AIDFT_REQUIRE(out_channels >= 1, "compactor needs an output channel");
-  groups_.resize(std::min(out_channels, num_chains));
-  for (std::size_t c = 0; c < num_chains; ++c) {
-    groups_[c % groups_.size()].push_back(c);
-  }
-}
-
-std::vector<bool> XorCompactor::compact(const std::vector<bool>& chain_bits) const {
-  std::vector<bool> out(groups_.size(), false);
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    bool v = false;
-    for (std::size_t c : groups_[g]) {
-      AIDFT_REQUIRE(c < chain_bits.size(), "compact: chain bits too short");
-      v ^= chain_bits[c];
-    }
-    out[g] = v;
-  }
-  return out;
-}
-
-bool XorCompactor::visible(const std::vector<bool>& chain_diffs) const {
-  for (const auto& group : groups_) {
-    bool parity = false;
-    for (std::size_t c : group) {
-      if (c < chain_diffs.size()) parity ^= chain_diffs[c];
-    }
-    if (parity) return true;
-  }
-  return false;
-}
-
-std::uint64_t XorCompactor::visible_lanes(
-    std::span<const std::uint64_t> chain_diffs) const {
-  std::uint64_t lanes = 0;
-  for (const auto& group : groups_) {
-    std::uint64_t parity = 0;
-    for (std::size_t c : group) {
-      if (c < chain_diffs.size()) parity ^= chain_diffs[c];
-    }
-    lanes |= parity;
-  }
-  return lanes;
-}
-
 Misr::Misr(std::size_t bits, std::uint64_t poly_seed) : nbits_(bits) {
   AIDFT_REQUIRE(bits >= 4, "MISR needs >= 4 bits");
   Rng rng(poly_seed);

@@ -10,13 +10,15 @@
 // don't-care cells come out pseudo-random for free — exactly the classic
 // EDT argument for why compression barely costs coverage.
 //
-// Response side: an X-tolerant spatial XOR compactor reduces chain outputs
-// to a few channels, optionally followed by a MISR signature.
+// Response side: a spatial XOR compactor folds chain c into output channel
+// c % outs each unload cycle. It has no class of its own: the compressed
+// session (compress/session.hpp) maps each observe point to the compactor
+// output bit it reaches and grades a fault from the points it fails. The
+// MISR below is the signature register LBIST compacts into.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "common/bitvec.hpp"
@@ -67,32 +69,6 @@ class EdtCodec {
   LinearMachine machine_;  // one injector per channel, one output per chain
   std::size_t chain_len_;
   std::size_t warmup_ = 0;
-};
-
-/// Spatial XOR compactor: chains are grouped; each output channel is the
-/// XOR of its group's scan-out bits each unload cycle.
-class XorCompactor {
- public:
-  XorCompactor(std::size_t num_chains, std::size_t out_channels);
-
-  std::size_t out_channels() const { return groups_.size(); }
-
-  /// Compacts per-chain response bits of one unload cycle.
-  std::vector<bool> compact(const std::vector<bool>& chain_bits) const;
-
-  /// True if a difference pattern (per-chain XOR diff flags for one unload
-  /// cycle) survives compaction — i.e. some output channel sees an odd
-  /// number of differing chains. The aliasing analysis of benchmark E4.
-  bool visible(const std::vector<bool>& chain_diffs) const;
-
-  /// Word-parallel visible(): `chain_diffs[c]` packs chain c's diff flags
-  /// for one unload cycle across 64 pattern lanes. Bit l of the result is
-  /// visible() of lane l's flags — the lanes in which some output channel
-  /// sees an odd number of differing chains.
-  std::uint64_t visible_lanes(std::span<const std::uint64_t> chain_diffs) const;
-
- private:
-  std::vector<std::vector<std::size_t>> groups_;
 };
 
 /// Multiple-input signature register over GF(2) (Galois form).

@@ -1,6 +1,7 @@
 #include "compress/session.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "fsim/campaign.hpp"
@@ -36,19 +37,16 @@ CompressedSessionResult run_compressed_session(
   const std::size_t npi = nl.inputs().size();
   const std::size_t nffs = nl.dffs().size();
   const std::size_t max_len = std::max<std::size_t>(1, plan.max_chain_length());
-  EdtCodec codec(config.edt, std::max<std::size_t>(1, plan.num_chains()),
-                 max_len);
+  const std::size_t chains = std::max<std::size_t>(1, plan.num_chains());
+  EdtCodec codec(config.edt, chains, max_len);
   result.stimulus_compression =
       nffs == 0 ? 1.0
                 : static_cast<double>(nffs) /
                       static_cast<double>(codec.bits_per_pattern());
-  XorCompactor compactor(std::max<std::size_t>(1, plan.num_chains()),
-                         config.out_channels);
+  AIDFT_REQUIRE(config.out_channels >= 1, "compactor needs an output channel");
+  const std::size_t outs = std::min(config.out_channels, chains);
   result.response_compression =
-      plan.num_chains() == 0
-          ? 1.0
-          : static_cast<double>(plan.num_chains()) /
-                static_cast<double>(compactor.out_channels());
+      static_cast<double>(chains) / static_cast<double>(outs);
 
   // Flop -> (chain, position) map for reassembling decompressed cubes.
   std::vector<std::pair<std::size_t, std::size_t>> cell_of(nl.num_gates(),
@@ -121,47 +119,45 @@ CompressedSessionResult run_compressed_session(
   // Grade: ideal observation + compacted observation with fault dropping.
   obs::Span grade_span =
       obs::span(config.telemetry, "edt.grade_compacted", "compress");
-  const auto observe = nl.observe_points();
-  // Unload layout, built once. POs are directly visible; the flop at
-  // position p of chain c leaves in unload cycle len(c) - 1 - p, so
-  // unload[cycle * chains + c] is its observe index (kNoCell past the end of
-  // a short chain).
-  constexpr std::uint32_t kNoCell = UINT32_MAX;
-  const std::size_t chains = plan.num_chains();
-  std::vector<std::uint32_t> unload(max_len * chains, kNoCell);
-  std::vector<std::uint32_t> po_index;
-  for (std::uint32_t i = 0; i < observe.size(); ++i) {
-    if (nl.type(observe[i]) != GateType::kDff) {
-      po_index.push_back(i);
-      continue;
-    }
-    const auto [c, p] = cell_of[observe[i]];
-    unload[(plan.chains[c].cells.size() - 1 - p) * chains + c] = i;
+  // Observe point -> compactor output bit. The POs come first and are seen
+  // directly. The XOR compactor folds chain c into output c % outs, and the
+  // flop at position p leaves in unload cycle len(c) - 1 - p, so its bit is
+  // cycle * outs + c % outs.
+  constexpr std::uint32_t kDirect = UINT32_MAX;
+  const std::size_t npo = nl.outputs().size();
+  std::vector<std::uint32_t> out_bit(npo + nffs, kDirect);
+  for (std::size_t f = 0; f < nffs; ++f) {
+    const auto [c, p] = cell_of[nl.dffs()[f]];
+    out_bit[npo + f] = static_cast<std::uint32_t>(
+        (plan.chains[c].cells.size() - 1 - p) * outs + c % outs);
   }
-
-  std::vector<std::uint64_t> cycle_diffs(chains);
-  // One diff word per observe point, all zeros between hook calls: the
-  // hook scatters a fault's pairs in, folds, then zeroes only what it wrote.
-  std::vector<std::uint64_t> op_words(observe.size(), 0);
+  // One parity word per compactor output bit, all zeros between hook calls.
+  // The compacted campaign runs one worker (no num_threads), so the hook
+  // may share this scratch.
+  std::vector<std::uint64_t> parity(max_len * outs, 0);
   // Every detection is an ideal one. A fault is graded on until it also
-  // shows through the compactor in a (live) lane: a PO fails, or some unload
-  // cycle leaves odd parity in some compactor group.
+  // shows through the compactor in a (live) lane: a PO fails, or some
+  // output bit sees an odd number of failing flops. Each observe point
+  // appears at most once in a fault's pairs, so one pass XORs the flops'
+  // words into their bits and a second reads and clears what it touched.
   const CampaignResult graded = run_campaign(
       nl, faults, result.delivered,
       {.drop_limit = 0, .telemetry = config.telemetry, .run_control = rc},
       [&](std::size_t, std::size_t, std::uint64_t,
           std::span<const OpDiff> op_diffs) {
-        for (const OpDiff& d : op_diffs) op_words[d.op] = d.word;
         std::uint64_t lanes = 0;
-        for (const std::uint32_t oi : po_index) lanes |= op_words[oi];
-        for (std::size_t cycle = 0; cycle < max_len && lanes == 0; ++cycle) {
-          const std::uint32_t* row = unload.data() + cycle * chains;
-          for (std::size_t c = 0; c < chains; ++c) {
-            cycle_diffs[c] = row[c] == kNoCell ? 0 : op_words[row[c]];
+        for (const OpDiff& d : op_diffs) {
+          const std::uint32_t bit = out_bit[d.op];
+          if (bit == kDirect) {
+            lanes |= d.word;
+          } else {
+            parity[bit] ^= d.word;
           }
-          lanes |= compactor.visible_lanes(cycle_diffs);
         }
-        for (const OpDiff& d : op_diffs) op_words[d.op] = 0;
+        for (const OpDiff& d : op_diffs) {
+          const std::uint32_t bit = out_bit[d.op];
+          if (bit != kDirect) lanes |= std::exchange(parity[bit], 0);
+        }
         result.detected_compacted += lanes != 0;
         return lanes != 0;
       });

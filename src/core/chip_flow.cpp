@@ -41,9 +41,7 @@ ChipFlowReport run_chip_flow(const Netlist& core, const ChipFlowOptions& options
   obs::Span faults_span = obs::span(telemetry, "chip.soc_faults", "flow");
   std::vector<Fault> core_faults = generate_stuck_at_faults(core);
   const std::size_t universe = core_faults.size() * options.num_cores;
-  if (options.core_flow.collapse_faults) {
-    core_faults = collapse_equivalent(core, core_faults);
-  }
+  core_faults = collapse_equivalent(core, core_faults);
   report.soc_faults = core_faults.size() * options.num_cores;
   if (faults_span.active()) {
     faults_span.arg("faults", universe);

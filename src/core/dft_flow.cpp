@@ -163,8 +163,7 @@ DftFlowReport run_dft_flow(const Netlist& input, const DftFlowOptions& options) 
             [&]() -> StageOutcome {
               const auto universe = generate_stuck_at_faults(nl);
               report.faults_total = universe.size();
-              faults = options.collapse_faults ? collapse_equivalent(nl, universe)
-                                               : universe;
+              faults = collapse_equivalent(nl, universe);
               report.faults_collapsed = faults.size();
               obs::add(telemetry, "flow.faults_total", report.faults_total);
               obs::add(telemetry, "flow.faults_collapsed",

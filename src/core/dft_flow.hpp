@@ -35,7 +35,6 @@ struct DftFlowOptions {
   bool run_drc = true;
   DrcOptions drc;
   std::size_t scan_chains = 4;
-  bool collapse_faults = true;
   /// Fault-campaign settings shared by every grading stage: the facade
   /// copies `campaign.num_threads` into the per-stage options (atpg, lbist,
   /// compression, transition) before running them. Call the stages directly

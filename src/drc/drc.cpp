@@ -534,7 +534,8 @@ DrcReport run_drc(const Netlist& nl, const DrcOptions& options) {
   check_uncontrollable_cells(nl, fanout, sink);
   report.rules_run = 5;
 
-  if (options.scoap_analysis && nl.finalized()) {
+  // SCOAP (rule D9 and the testability summary) needs a finalized netlist.
+  if (nl.finalized()) {
     scoap_analysis(nl, sink, report.scoap);
     ++report.rules_run;
   }

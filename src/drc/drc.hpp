@@ -66,9 +66,6 @@ struct DrcViolation {
 };
 
 struct DrcOptions {
-  /// Run SCOAP-based analysis (rule D9 + the testability summary). Skipped
-  /// automatically when the netlist is not finalized.
-  bool scoap_analysis = true;
   /// Recorded violations per rule are capped at this many (the per-rule
   /// total in `DrcReport::count` is always exact). 0 = record everything.
   std::size_t max_recorded_per_rule = 100;

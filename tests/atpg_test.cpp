@@ -284,7 +284,6 @@ TEST(GenerateTests, PodemBacktracksAreReported) {
   opts.engine = AtpgEngine::kPodem;
   opts.random_patterns = 0;
   opts.scoap_guidance = false;
-  opts.dynamic_compaction = false;
   const AtpgResult r = generate_tests(nl, faults, opts);
   EXPECT_GT(r.podem_calls, 0u);
   EXPECT_GT(r.podem_backtracks, 0u);
@@ -295,10 +294,8 @@ TEST(Compaction, StaticCompactionPreservesCoverage) {
   const auto faults = collapse_equivalent(nl, generate_stuck_at_faults(nl));
   AtpgOptions opts;
   opts.random_patterns = 0;      // deterministic only → mergeable cubes
-  opts.dynamic_compaction = false;
-  opts.x_fill = XFill::kZero;
   const AtpgResult r = generate_tests(nl, faults, opts);
-  // Zero-filled patterns lose the X information, so compaction is tested on
+  // Filled patterns lose the X information, so compaction is tested on
   // raw PODEM cubes instead.
   Podem podem(nl);
   std::vector<TestCube> cubes;

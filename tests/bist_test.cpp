@@ -83,17 +83,6 @@ TEST(Lbist, ResistancePredictionFlagsTheRandomlyMissedFaults) {
   EXPECT_GT(r.resistance_precision(), 0.25);
 }
 
-TEST(Lbist, ResistancePredictionCanBeDisabled) {
-  const Netlist nl = circuits::make_rp_resistant(2, 10);
-  const auto faults = generate_stuck_at_faults(nl);
-  LbistConfig cfg{.patterns = 64};
-  cfg.predict_resistance = false;
-  const LbistResult r = run_lbist(nl, faults, cfg);
-  EXPECT_EQ(r.predicted_resistant, 0u);
-  EXPECT_EQ(r.resistant_undetected, 0u);
-  EXPECT_DOUBLE_EQ(r.resistance_precision(), 1.0);
-}
-
 TEST(TestPoints, SelectionPrefersHardNets) {
   const Netlist nl = circuits::make_rp_resistant(2, 12);
   const ScoapResult scoap = compute_scoap(nl);

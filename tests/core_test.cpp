@@ -58,16 +58,6 @@ TEST(DftFlow, CombinationalDesignSkipsCompression) {
   EXPECT_DOUBLE_EQ(report.atpg.test_coverage(), 1.0);
 }
 
-TEST(DftFlow, UncollapsedOptionKeepsUniverse) {
-  const Netlist nl = circuits::make_ripple_adder(4);
-  DftFlowOptions opts;
-  opts.collapse_faults = false;
-  opts.run_lbist = false;
-  opts.run_compression = false;
-  const DftFlowReport report = run_dft_flow(nl, opts);
-  EXPECT_EQ(report.faults_total, report.faults_collapsed);
-}
-
 TEST(ChipFlow, BroadcastCoversSocAtCoreCoverage) {
   aichip::SystolicConfig cfg;
   cfg.rows = cfg.cols = 1;

@@ -415,6 +415,25 @@ TEST(Telemetry, DftFlowEmitsStageSpansAndMetrics) {
     EXPECT_NE(report.metrics.find(name), nullptr) << name;
   }
 
+  // Transition ATPG reports its engine effort on the result and its span,
+  // as the stuck-at deterministic phase does.
+  const auto events = telemetry.trace.events();
+  const auto transition = std::find_if(
+      events.begin(), events.end(),
+      [](const obs::TraceEvent& e) { return e.name == "atpg.transition"; });
+  ASSERT_NE(transition, events.end());
+  EXPECT_GT(report.transition.podem_calls, 0u);
+  for (const auto& [key, value] :
+       {std::pair{"podem_calls", report.transition.podem_calls},
+        std::pair{"sat_calls", report.transition.sat_calls},
+        std::pair{"backtracks", report.transition.podem_backtracks}}) {
+    const auto arg = std::find_if(
+        transition->args.begin(), transition->args.end(),
+        [&](const auto& kv) { return kv.first == key; });
+    ASSERT_NE(arg, transition->args.end()) << key;
+    EXPECT_EQ(arg->second, std::to_string(value)) << key;
+  }
+
   // The JSON report and the Chrome trace both parse.
   const std::string json = report.to_json();
   EXPECT_TRUE(obs::json_valid(json));

@@ -169,12 +169,11 @@ TEST(TransitionAtpg, BeatsRandomPairsOnRpResistantLogic) {
 TEST(TransitionAtpg, SatFallbackMatchesPodem) {
   std::vector<circuits::NamedCircuit> nets = circuits::standard_suite();
   nets.push_back({"rand500", circuits::make_random_logic(32, 500, 1)});
-  obs::Telemetry telemetry;
+  std::uint64_t sat_calls = 0;
   for (const circuits::NamedCircuit& nc : nets) {
     const auto faults = generate_transition_faults(nc.netlist);
     TransitionAtpgOptions hand_off;
     hand_off.podem.backtrack_limit = 0;
-    hand_off.telemetry = &telemetry;
     const TransitionAtpgResult sat =
         generate_transition_tests(nc.netlist, faults, hand_off);
     const TransitionAtpgResult podem =
@@ -183,12 +182,13 @@ TEST(TransitionAtpg, SatFallbackMatchesPodem) {
     EXPECT_EQ(podem.aborted, 0u) << nc.name;
     EXPECT_EQ(sat.detected, podem.detected) << nc.name;
     EXPECT_EQ(sat.untestable, podem.untestable) << nc.name;
+    sat_calls += sat.sat_calls;
     for (std::size_t i = 0; i < faults.size(); ++i) {
       EXPECT_EQ(sat.status[i], podem.status[i])
           << nc.name << " " << fault_name(nc.netlist, faults[i]);
     }
   }
-  EXPECT_GT(telemetry.metrics.snapshot().counter_value("sat.solves"), 0u);
+  EXPECT_GT(sat_calls, 0u);
 }
 
 }  // namespace
