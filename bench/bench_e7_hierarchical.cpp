@@ -159,10 +159,8 @@ void e7_signoff_rss(benchmark::State& state, std::size_t num_cores,
     const aichip::SocNetlist soc =
         aichip::make_replicated_soc(c.nl, num_cores);
     build_mb = peak_rss_mb();
-    std::vector<TestCube> broadcast;
-    for (const auto& p : c.atpg.patterns) {
-      broadcast.push_back(aichip::broadcast_cube(soc, p));
-    }
+    const PackedPatterns broadcast =
+        aichip::broadcast_patterns(soc, c.atpg.patterns);
     broadcast_mb = peak_rss_mb();
     const LiftedFaults faults{c.faults, num_cores, c.nl.num_gates()};
     faults_mb = peak_rss_mb();

@@ -1,5 +1,6 @@
 #include "aichip/soc.hpp"
 
+#include <algorithm>
 #include <string>
 
 namespace aidft::aichip {
@@ -30,6 +31,34 @@ TestCube broadcast_cube(const SocNetlist& soc, const TestCube& core_cube) {
   for (std::size_t inst = 0; inst < soc.num_instances; ++inst) {
     for (std::size_t k = 0; k < core_cube.size(); ++k) {
       out.bits[soc.comb_index(inst, k)] = core_cube.bits[k];
+    }
+  }
+  return out;
+}
+
+PackedPatterns broadcast_patterns(const SocNetlist& soc,
+                                  const PackedPatterns& core) {
+  const std::size_t n = soc.num_instances;
+  const std::size_t pis = soc.core_pis;
+  const std::size_t ffs = soc.core_ffs;
+  PackedPatterns out;
+  out.count = core.count;
+  out.has_x = core.has_x;
+  if (core.count == 0) return out;
+  AIDFT_REQUIRE(core.width == pis + ffs, "core cube width mismatch");
+  out.width = n * core.width;
+  out.batches.resize(core.batches.size());
+  for (std::size_t b = 0; b < core.batches.size(); ++b) {
+    const std::uint64_t* in = core.batches[b].words.data();
+    PatternBatch& tiled = out.batches[b];
+    tiled.npatterns = core.batches[b].npatterns;
+    tiled.words.resize(out.width);
+    // comb_index() order: instance i's PIs start at i * pis, its flops
+    // after every instance's PIs, at n * pis + i * ffs.
+    std::uint64_t* flops = tiled.words.data() + n * pis;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::copy(in, in + pis, tiled.words.data() + i * pis);
+      std::copy(in + pis, in + pis + ffs, flops + i * ffs);
     }
   }
   return out;

@@ -4,8 +4,10 @@
 // exploits that: generate patterns for ONE core, then broadcast the same
 // stimulus to every instance in parallel and compare/compact responses
 // per instance. make_replicated_soc() builds the N-instance netlist;
-// broadcast_cube() lifts a core-level pattern to the SoC and lift_faults()
-// a core-level fault list; coverage of the broadcast set over the whole-SoC
+// broadcast_patterns() tiles a packed core pattern set to the SoC, batch by
+// batch, without any SoC-wide cube (broadcast_cube() lifts one cube, and is
+// the oracle the tiling is tested against), and lift_faults() lifts a
+// core-level fault list; coverage of the broadcast set over the whole-SoC
 // fault list equals the core's coverage — the property benchmark E7 and the
 // tests verify by fault-simulating the SoC netlist.
 #pragma once
@@ -38,6 +40,14 @@ SocNetlist make_replicated_soc(const Netlist& core, std::size_t n);
 /// Lifts a core-level cube to the SoC by giving every instance the same
 /// values (the broadcast-scan stimulus).
 TestCube broadcast_cube(const SocNetlist& soc, const TestCube& core_cube);
+
+/// The broadcast of a packed core pattern set: each batch gives every
+/// instance the core batch's words at comb_index() positions, so batch b
+/// equals pack_patterns() of the broadcast_cube()s of the core patterns it
+/// packs. A core X stays noted for run_campaign() to reject. Throws Error
+/// when a non-empty `core` is not the core's width.
+PackedPatterns broadcast_patterns(const SocNetlist& soc,
+                                  const PackedPatterns& core);
 
 /// Lifts a core-level fault list to a make_replicated_soc() SoC, instance
 /// by instance: core fault (g, pin, v) becomes (g + i * G, pin, v) for

@@ -20,39 +20,38 @@ namespace {
 // Width of the response MISR (aliasing probability ~2^-32).
 constexpr std::size_t kMisrBits = 32;
 
-// The session's stimulus: config.patterns PRPG patterns.
-std::vector<TestCube> session_patterns(const Netlist& nl,
-                                       const LbistConfig& config) {
+// The session's stimulus: config.patterns PRPG patterns, packed once for
+// both the campaign and the MISR.
+PackedPatterns session_patterns(const Netlist& nl, const LbistConfig& config) {
   Prpg prpg(config, nl.num_combinational_inputs());
   std::vector<TestCube> patterns;
   patterns.reserve(config.patterns);
   for (std::size_t i = 0; i < config.patterns; ++i) {
     patterns.push_back(prpg.next_pattern());
   }
-  return patterns;
+  return PackedPatterns(patterns);
 }
 
 // Shifts the session's responses into `misr`: the good machine's XOR
 // `diffs` (one word per observe point per batch; empty = fault-free).
 // Polls `rc` once per batch; returns why it stopped, kNone when complete.
 StopReason compact_responses(const Netlist& nl,
-                             const std::vector<TestCube>& patterns,
+                             const PackedPatterns& patterns,
                              const std::vector<std::uint64_t>& diffs,
                              RunControl* rc, Misr& misr) {
   ParallelSimulator sim(nl);
   const std::size_t nops = nl.num_observe_points();
   std::vector<bool> response(nops);
-  for (std::size_t base = 0; base < patterns.size(); base += 64) {
+  for (std::size_t b = 0; b < patterns.batches.size(); ++b) {
     if (rc != nullptr) {
       const StopReason stop = rc->poll();
       if (stop != StopReason::kNone) return stop;
     }
-    const std::size_t count = std::min<std::size_t>(64, patterns.size() - base);
-    sim.simulate(pack_patterns(patterns, base, count));
+    sim.simulate(patterns.batches[b]);
     const auto words = sim.observed_response();
     const std::uint64_t* diff =
-        diffs.empty() ? nullptr : diffs.data() + base / 64 * nops;
-    for (std::size_t lane = 0; lane < count; ++lane) {
+        diffs.empty() ? nullptr : diffs.data() + b * nops;
+    for (std::size_t lane = 0; lane < patterns.batches[b].npatterns; ++lane) {
       for (std::size_t i = 0; i < nops; ++i) {
         response[i] = ((words[i] ^ (diff ? diff[i] : 0)) >> lane) & 1;
       }
@@ -77,7 +76,7 @@ LbistResult run_lbist(const Netlist& nl, const std::vector<Fault>& faults,
   obs::add(config.telemetry, "lbist.sessions");
   obs::add(config.telemetry, "lbist.patterns", config.patterns);
 
-  const std::vector<TestCube> patterns = session_patterns(nl, config);
+  const PackedPatterns patterns = session_patterns(nl, config);
   const CampaignResult campaign =
       run_campaign(nl, faults, patterns,
                    {.num_threads = config.num_threads,
@@ -147,10 +146,10 @@ LbistResult run_lbist(const Netlist& nl, const std::vector<Fault>& faults,
 
 std::vector<std::uint64_t> faulty_signature(const Netlist& nl, const Fault& fault,
                                             const LbistConfig& config) {
-  const std::vector<TestCube> patterns = session_patterns(nl, config);
+  const PackedPatterns patterns = session_patterns(nl, config);
   // The defect's per-batch observe-point diffs, zero where it hides.
   const std::size_t nops = nl.num_observe_points();
-  std::vector<std::uint64_t> diffs((patterns.size() + 63) / 64 * nops, 0);
+  std::vector<std::uint64_t> diffs(patterns.batches.size() * nops, 0);
   run_campaign(nl, std::span<const Fault>(&fault, 1), patterns,
                {.drop_limit = 0, .telemetry = config.telemetry},
                [&](std::size_t, std::size_t batch, std::uint64_t,

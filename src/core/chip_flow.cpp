@@ -14,17 +14,16 @@ ChipFlowReport run_chip_flow(const Netlist& core, const ChipFlowOptions& options
   // Core-level DFT, once.
   report.core = run_dft_flow(core, options.core_flow);
 
-  // Build the SoC and lift the patterns.
+  // Build the SoC and tile the patterns.
   obs::Telemetry* telemetry = options.core_flow.telemetry;
   obs::Span build_span = obs::span(telemetry, "chip.soc_build", "flow");
   const aichip::SocNetlist soc =
       aichip::make_replicated_soc(core, options.num_cores);
   report.soc_gates = soc.netlist.logic_gate_count();
-  std::vector<TestCube> broadcast;
-  broadcast.reserve(report.core.atpg.patterns.size());
-  for (const TestCube& p : report.core.atpg.patterns) {
-    broadcast.push_back(aichip::broadcast_cube(soc, p));
-  }
+  // The core's patterns are packed once and their batches tiled per
+  // instance: no SoC-wide cube is ever built.
+  const PackedPatterns broadcast =
+      aichip::broadcast_patterns(soc, report.core.atpg.patterns);
   if (build_span.active()) {
     build_span.arg("cores", options.num_cores);
     build_span.arg("gates", soc.netlist.num_gates());

@@ -1,13 +1,16 @@
 // Sharded multithreaded campaign engine behind run_campaign().
 //
-// Structure: the pattern stream is packed into 64-wide batches once, up
-// front; the fault list is split into contiguous shards, one per worker.
-// Each worker owns a private FaultSimulator (good-machine cache, event
-// queues, epoch scratch; the netlist-sized observe index is built once and
-// shared read-only) and replays the full batch stream over its shard, so a
-// fault's detection history is exactly what the serial engine would compute
-// — shard membership never changes per-fault results, which is what makes
-// the output bit-identical for every thread count.
+// Structure: the pattern stream arrives packed into 64-wide capture batches
+// (a cube set is packed by PackedPatterns' converting constructor, its
+// checks noted in the same word-speed pass), and transition grading derives
+// each launch batch from them; the fault list is split into contiguous
+// shards, one per worker. Each worker owns a private FaultSimulator
+// (good-machine cache, event queues, epoch scratch; the netlist-sized
+// observe index is built once and shared read-only) and replays the full
+// batch stream over its shard, so a fault's detection history is exactly
+// what the serial engine would compute — shard membership never changes
+// per-fault results, which is what makes the output bit-identical for every
+// thread count.
 //
 // Per-fault state is two bits, detected (the result itself) and dropped,
 // plus hit counts (8 B) only under n-detect (drop_limit > 1): with
@@ -230,54 +233,6 @@ struct LiftedSource {
   Cursor cursor(std::size_t first) const { return {view, first}; }
 };
 
-void validate_patterns(const Netlist& nl, const std::vector<TestCube>& patterns) {
-  const std::size_t width = nl.num_combinational_inputs();
-  for (const auto& p : patterns) {
-    AIDFT_REQUIRE_CTX(p.size() == width, "run_campaign",
-                      "pattern width mismatch");
-    // OR-reduction: no per-bit branch, one check per cube.
-    bool any_x = false;
-    for (Val3 v : p.bits) any_x |= v == Val3::kX;
-    AIDFT_REQUIRE_CTX(!any_x, "run_campaign",
-                      "campaign patterns must be fully specified");
-  }
-}
-
-std::vector<PatternBatch> pack_capture_batches(
-    const std::vector<TestCube>& patterns) {
-  std::vector<PatternBatch> batches;
-  batches.reserve((patterns.size() + 63) / 64);
-  for (std::size_t base = 0; base < patterns.size(); base += 64) {
-    const std::size_t count = std::min<std::size_t>(64, patterns.size() - base);
-    batches.push_back(pack_patterns(patterns, base, count));
-  }
-  return batches;
-}
-
-// Launch batches for transition grading: lane p of batch b holds the values
-// of pattern (64*b + p - 1), i.e. the vector applied in the cycle before
-// capture. Lane 0 of the first batch has no predecessor: it copies lane 0 of
-// the capture batch (init == final => the transition is never armed there).
-std::vector<PatternBatch> pack_launch_batches(
-    const std::vector<TestCube>& patterns) {
-  std::vector<PatternBatch> batches;
-  batches.reserve((patterns.size() + 63) / 64);
-  for (std::size_t base = 0; base < patterns.size(); base += 64) {
-    const std::size_t count = std::min<std::size_t>(64, patterns.size() - base);
-    const std::size_t lbase = base == 0 ? 0 : base - 1;
-    PatternBatch launch = pack_patterns(patterns, lbase, count);
-    if (base == 0) {
-      const PatternBatch capture = pack_patterns(patterns, 0, count);
-      for (std::size_t i = 0; i < launch.words.size(); ++i) {
-        launch.words[i] = (launch.words[i] << 1) | (capture.words[i] & 1ull);
-      }
-    }
-    launch.npatterns = count;
-    batches.push_back(std::move(launch));
-  }
-  return batches;
-}
-
 // Sets fault i's detected bit and reports whether this is its first
 // detection. Only the fault's owner shard sets its bit, but shards share
 // boundary words, so the set is an atomic fetch_or — issued only after a
@@ -332,20 +287,28 @@ struct ShardState {
 // builds its own good machine per fault, so under it no batch is loaded.
 template <typename Source, typename Grade, typename NeedsLaunch>
 CampaignResult run_sharded(const Netlist& nl, const Source& faults,
-                           const std::vector<TestCube>& patterns,
+                           const PackedPatterns& patterns,
                            const CampaignOptions& options, Grade&& grade,
                            NeedsLaunch&& needs_launch, bool any_launch,
                            const DetailedDetectHook* on_detect = nullptr) {
   CampaignResult r;
   r.total_faults = faults.size();
   r.detected_bits.assign((faults.size() + 63) / 64, 0);
-  r.detected_after.assign(patterns.size(), 0);
-  if (patterns.empty() || faults.size() == 0) return r;
+  r.detected_after.assign(patterns.count, 0);
+  if (patterns.count == 0 || faults.size() == 0) return r;
 
-  validate_patterns(nl, patterns);
-  const std::vector<PatternBatch> capture = pack_capture_batches(patterns);
-  const std::vector<PatternBatch> launch =
-      any_launch ? pack_launch_batches(patterns) : std::vector<PatternBatch>{};
+  AIDFT_REQUIRE_CTX(patterns.width == nl.num_combinational_inputs(),
+                    "run_campaign", "pattern width mismatch");
+  AIDFT_REQUIRE_CTX(!patterns.has_x, "run_campaign",
+                    "campaign patterns must be fully specified");
+  const std::vector<PatternBatch>& capture = patterns.batches;
+  std::vector<PatternBatch> launch;
+  if (any_launch) {
+    launch.reserve(capture.size());
+    for (std::size_t b = 0; b < capture.size(); ++b) {
+      launch.push_back(launch_batch(patterns, b));
+    }
+  }
 
   RunControl* rc = options.run_control;
   const bool orchestrated = rc != nullptr || !options.checkpoint_path.empty() ||
@@ -364,7 +327,7 @@ CampaignResult run_sharded(const Netlist& nl, const Source& faults,
   const bool n_detect = drop_limit > 1;
   std::vector<std::uint64_t> hits(n_detect ? faults.size() : 0, 0);
   DropMap drops(faults.size());
-  std::vector<std::uint64_t> resumed(patterns.size(), 0);
+  std::vector<std::uint64_t> resumed(patterns.count, 0);
   std::size_t batches_done = 0;
   if (!options.resume_from.empty()) {
     CampaignCheckpoint ckpt =
@@ -374,11 +337,11 @@ CampaignResult run_sharded(const Netlist& nl, const Source& faults,
                           std::to_string(ckpt.total_faults) +
                           ") does not match the live fault list (" +
                           std::to_string(faults.size()) + ")");
-    AIDFT_REQUIRE_CTX(ckpt.total_patterns == patterns.size(), "run_campaign",
+    AIDFT_REQUIRE_CTX(ckpt.total_patterns == patterns.count, "run_campaign",
                       "resume checkpoint pattern count (" +
                           std::to_string(ckpt.total_patterns) +
                           ") does not match the live pattern set (" +
-                          std::to_string(patterns.size()) + ")");
+                          std::to_string(patterns.count) + ")");
     AIDFT_REQUIRE_CTX(ckpt.drop_limit == options.drop_limit, "run_campaign",
                       "resume checkpoint drop_limit differs from options");
     AIDFT_REQUIRE_CTX(ckpt.batches_done <= total_batches, "run_campaign",
@@ -397,7 +360,7 @@ CampaignResult run_sharded(const Netlist& nl, const Source& faults,
   obs::Span run_span = obs::span(telemetry, "campaign.run", "campaign");
   if (run_span.active()) {
     run_span.arg("faults", faults.size());
-    run_span.arg("patterns", patterns.size());
+    run_span.arg("patterns", patterns.count);
     run_span.arg("workers", num_threads);
     run_span.arg("state_bytes",
                  r.detected_bits.capacity() * sizeof(std::uint64_t) +
@@ -405,7 +368,7 @@ CampaignResult run_sharded(const Netlist& nl, const Source& faults,
   }
   obs::add(telemetry, "campaign.runs");
   obs::add(telemetry, "campaign.faults", faults.size());
-  obs::add(telemetry, "campaign.patterns", patterns.size());
+  obs::add(telemetry, "campaign.patterns", patterns.count);
   const std::uint64_t checks_before = rc != nullptr ? rc->checks() : 0;
 
   // Workers set only detected bits and hits[i] for i inside their own
@@ -417,7 +380,7 @@ CampaignResult run_sharded(const Netlist& nl, const Source& faults,
     shards[s].begin = s * faults.size() / num_threads;
     shards[s].end = (s + 1) * faults.size() / num_threads;
     shards[s].live = drops.count_live(shards[s].begin, shards[s].end);
-    shards[s].first_detections.assign(patterns.size(), 0);
+    shards[s].first_detections.assign(patterns.count, 0);
   }
   // Campaign-wide first detections per pattern (serial; after a join).
   const auto first_detections = [&] {
@@ -548,7 +511,7 @@ CampaignResult run_sharded(const Netlist& nl, const Source& faults,
     CampaignCheckpoint ckpt;
     ckpt.drop_limit = options.drop_limit;
     ckpt.total_faults = faults.size();
-    ckpt.total_patterns = patterns.size();
+    ckpt.total_patterns = patterns.count;
     ckpt.batches_done = batches_done;
     ckpt.detected = r.detected_bits;
     ckpt.first_detections = first_detections();
@@ -617,7 +580,7 @@ CampaignResult run_sharded(const Netlist& nl, const Source& faults,
 // source's core list, once, against the core's gate count.
 template <typename Source>
 CampaignResult run_faults(const Netlist& netlist, const Source& source,
-                          const std::vector<TestCube>& patterns,
+                          const PackedPatterns& patterns,
                           const CampaignOptions& options, bool detailed,
                           const DetailedDetectHook* on_detect) {
   AIDFT_REQUIRE_CTX(on_detect == nullptr || (options.checkpoint_path.empty() &&
@@ -679,14 +642,14 @@ CampaignResult run_faults(const Netlist& netlist, const Source& source,
 }  // namespace
 
 CampaignResult run_campaign(const Netlist& netlist, std::span<const Fault> faults,
-                            const std::vector<TestCube>& patterns,
+                            const PackedPatterns& patterns,
                             const CampaignOptions& options) {
   return run_faults(netlist, ListSource<Fault>{faults}, patterns, options,
                     false, nullptr);
 }
 
 CampaignResult run_campaign(const Netlist& netlist, const LiftedFaults& faults,
-                            const std::vector<TestCube>& patterns,
+                            const PackedPatterns& patterns,
                             const CampaignOptions& options) {
   AIDFT_REQUIRE_CTX(faults.instances >= 1 &&
                         netlist.replicas() == faults.instances,
@@ -704,7 +667,7 @@ CampaignResult run_campaign(const Netlist& netlist, const LiftedFaults& faults,
 }
 
 CampaignResult run_campaign(const Netlist& netlist, std::span<const Fault> faults,
-                            const std::vector<TestCube>& patterns,
+                            const PackedPatterns& patterns,
                             const CampaignOptions& options,
                             const DetectHook& on_detect) {
   const DetailedDetectHook mask_only =
@@ -717,7 +680,7 @@ CampaignResult run_campaign(const Netlist& netlist, std::span<const Fault> fault
 }
 
 CampaignResult run_campaign(const Netlist& netlist, std::span<const Fault> faults,
-                            const std::vector<TestCube>& patterns,
+                            const PackedPatterns& patterns,
                             const CampaignOptions& options,
                             const DetailedDetectHook& on_detect) {
   return run_faults(netlist, ListSource<Fault>{faults}, patterns, options,
@@ -726,7 +689,7 @@ CampaignResult run_campaign(const Netlist& netlist, std::span<const Fault> fault
 
 CampaignResult run_campaign(const Netlist& netlist,
                             std::span<const BridgingFault> faults,
-                            const std::vector<TestCube>& patterns,
+                            const PackedPatterns& patterns,
                             const CampaignOptions& options) {
   AIDFT_REQUIRE_CTX(options.engine == CampaignEngine::kPpsfp, "run_campaign",
                     "bridging campaigns have no reference engine");

@@ -126,13 +126,16 @@ struct CampaignResult {
 /// Grades fully specified `patterns` against stuck-at / transition `faults`.
 /// Stuck-at faults are graded per pattern; transition faults on consecutive
 /// pattern pairs (launch = i-1, capture = i; pattern 0 cannot detect them).
-/// CampaignEngine::kReference requires a pure stuck-at fault list. Throws
-/// aidft::Error when a pattern holds an X or has the wrong width, or when a
-/// fault's site is not in `netlist` (a gate past num_gates(), or a branch
-/// pin at or past its gate's fanin count).
+/// `patterns` is a packed set or, through the implicit conversion, a
+/// std::vector<TestCube> packed for the call. An empty fault or pattern
+/// list returns before any check. CampaignEngine::kReference requires a
+/// pure stuck-at fault list. Throws aidft::Error when a pattern holds an X
+/// or has the wrong width, or when a fault's site is not in `netlist` (a
+/// gate past num_gates(), or a branch pin at or past its gate's fanin
+/// count).
 CampaignResult run_campaign(const Netlist& netlist,
                             std::span<const Fault> faults,
-                            const std::vector<TestCube>& patterns,
+                            const PackedPatterns& patterns,
                             const CampaignOptions& options = {});
 
 /// The fault list of a Netlist::replicate() replica lifted from its core's
@@ -161,7 +164,7 @@ struct LiftedFaults {
 /// copy of a replica) or core_gates * instances != num_gates(), and on the
 /// errors of the list overload.
 CampaignResult run_campaign(const Netlist& netlist, const LiftedFaults& faults,
-                            const std::vector<TestCube>& patterns,
+                            const PackedPatterns& patterns,
                             const CampaignOptions& options = {});
 
 /// Detection hooks (DESIGN.md "Detection hooks") run once per (fault, batch)
@@ -187,12 +190,12 @@ using DetailedDetectHook = std::function<bool(
 
 CampaignResult run_campaign(const Netlist& netlist,
                             std::span<const Fault> faults,
-                            const std::vector<TestCube>& patterns,
+                            const PackedPatterns& patterns,
                             const CampaignOptions& options,
                             const DetectHook& on_detect);
 CampaignResult run_campaign(const Netlist& netlist,
                             std::span<const Fault> faults,
-                            const std::vector<TestCube>& patterns,
+                            const PackedPatterns& patterns,
                             const CampaignOptions& options,
                             const DetailedDetectHook& on_detect);
 
@@ -200,7 +203,7 @@ CampaignResult run_campaign(const Netlist& netlist,
 /// CampaignResult indexes follow `faults` order.
 CampaignResult run_campaign(const Netlist& netlist,
                             std::span<const BridgingFault> faults,
-                            const std::vector<TestCube>& patterns,
+                            const PackedPatterns& patterns,
                             const CampaignOptions& options = {});
 
 }  // namespace aidft

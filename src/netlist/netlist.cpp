@@ -1,5 +1,7 @@
 #include "netlist/netlist.hpp"
 
+#include <algorithm>
+
 namespace aidft {
 
 std::string_view to_string(GateType type) {
@@ -35,7 +37,7 @@ GateId Netlist::add_gate(GateType type, std::string name) {
     AIDFT_REQUIRE(inserted, "duplicate gate name: " + name);
   }
   names_.push_back(std::move(name));
-  records_.push_back(Record{type, {}});
+  records_.push_back(Record{.type = type});
   switch (type) {
     case GateType::kInput: inputs_.push_back(id); break;
     case GateType::kOutput: outputs_.push_back(id); break;
@@ -78,12 +80,28 @@ void Netlist::connect(GateId driver, GateId sink) {
   AIDFT_REQUIRE(!finalized_, "cannot connect after finalize()");
   AIDFT_REQUIRE(driver < records_.size() && sink < records_.size(),
                 "connect: gate id out of range");
-  records_[sink].fanin.push_back(driver);
+  Record& r = records_[sink];
+  if (r.nfanin < kInlineFanins) {
+    r.slot[r.nfanin++] = driver;
+    return;
+  }
+  if (r.nfanin == kInlineFanins || r.nfanin == r.slot[1]) {
+    // Inline slots or spill room full: move the list to the spill array's
+    // end with room for twice as many.
+    const std::size_t at = spill_.size();
+    spill_.resize(at + 2 * r.nfanin);
+    const std::span<const GateId> old = record_fanin(sink);
+    std::copy(old.begin(), old.end(), spill_.begin() + at);
+    r.slot[0] = static_cast<GateId>(at);
+    r.slot[1] = 2 * r.nfanin;
+  }
+  spill_[r.slot[0] + r.nfanin++] = driver;
 }
 
 void Netlist::check_arity(GateId id) const {
   const Record& g = records_[id];
-  const std::size_t n = g.fanin.size();
+  const std::span<const GateId> fanin = record_fanin(id);
+  const std::size_t n = fanin.size();
   auto fail = [&](const std::string& need) {
     throw Error("gate " + std::to_string(id) + " (" +
                 std::string(to_string(g.type)) +
@@ -95,7 +113,7 @@ void Netlist::check_arity(GateId id) const {
     fail((lo == hi ? "" : ">=") + std::to_string(lo) +
          (g.type == GateType::kMux ? " (sel,d0,d1)" : ""));
   }
-  for (GateId f : g.fanin) {
+  for (GateId f : fanin) {
     if (f >= records_.size()) fail("valid");
     if (records_[f].type == GateType::kOutput) {
       throw Error("gate " + std::to_string(id) +
@@ -110,6 +128,7 @@ void Netlist::finalize() {
   topo_view_ = Topology::build(*this);
   finalized_ = true;
   std::vector<Record>().swap(records_);
+  std::vector<GateId>().swap(spill_);
 }
 
 Netlist Netlist::replicate(const Netlist& core, std::size_t n) {

@@ -2,7 +2,8 @@
 //
 // A Netlist is a DAG of gates plus DFF state elements, and lives in two
 // phases. Phase 1 (builder): it is built incrementally (add_* then connect)
-// on per-gate records that hold only a type and a fanin list. Phase 2
+// on per-gate records that hold only a type and a fanin list (inline up to
+// three fanins, wider lists in one shared spill array). Phase 2
 // (compiled): `finalize()` validates the structure, freezes the netlist,
 // compiles the Topology view (CSR fanin/fanout, flat type and level arrays,
 // topological order, per-level buckets) and frees the records; the Topology
@@ -103,7 +104,7 @@ class Netlist {
   Gate gate(GateId id) const {
     AIDFT_DBG_ASSERT(id < num_gates(), "gate id out of range");
     if (finalized_) return {topo_view_.type(id), topo_view_.fanin(id)};
-    return {records_[id].type, records_[id].fanin};
+    return {records_[id].type, record_fanin(id)};
   }
   GateType type(GateId id) const {
     AIDFT_DBG_ASSERT(id < num_gates(), "gate id out of range");
@@ -183,16 +184,29 @@ class Netlist {
   std::size_t name_bytes() const;
 
  private:
-  // Builder-phase gate record.
+  // Builder-phase gate record, with no heap block of its own: up to
+  // kInlineFanins fanins sit in `slot`; a wider gate moves them to spill_,
+  // slot[0] then holding their offset there and slot[1] the room reserved
+  // at that offset (a gate that outgrows it moves to the end with double).
+  static constexpr std::uint32_t kInlineFanins = 3;
   struct Record {
     GateType type = GateType::kBuf;
-    std::vector<GateId> fanin;
+    std::uint32_t nfanin = 0;
+    GateId slot[kInlineFanins] = {};
   };
+  static_assert(sizeof(Record) == 20);
 
+  std::span<const GateId> record_fanin(GateId id) const {
+    const Record& r = records_[id];
+    return r.nfanin <= kInlineFanins
+               ? std::span<const GateId>(r.slot, r.nfanin)
+               : std::span<const GateId>(spill_.data() + r.slot[0], r.nfanin);
+  }
   void check_arity(GateId id) const;
 
   std::string name_;
   std::vector<Record> records_;  // builder phase only; freed by finalize()
+  std::vector<GateId> spill_;    // wide gates' fanins; freed with records_
   // One entry per gate, or on a replica one core instance's table;
   // "" = auto-named.
   std::vector<std::string> names_;

@@ -7,7 +7,15 @@
 //
 // PatternBatch packs up to 64 fully specified patterns bit-parallel: one
 // 64-bit word per input, bit p = value in pattern p. This is the unit of
-// work of the parallel-pattern simulators.
+// work of the parallel-pattern simulators. PackedPatterns is a whole set in
+// that form: grading takes it, so a set is packed once and stays packed
+// (the chip flow tiles a core's batches to the SoC without any SoC-wide
+// cube, and LBIST hands one packing to its campaign and its MISR).
+//
+// Packing runs at word speed: each cube's 64-input slice becomes one 64-bit
+// row (a byte compare per input, 16 at a time on SSE2, which also collects
+// the slice's X bytes), and a 64x64 bit transpose turns 64 cube rows into
+// 64 input words. The width and X checks ride the same pass.
 #pragma once
 
 #include <cstdint>
@@ -93,6 +101,33 @@ struct PatternBatch {
 /// batch. `cubes` must all have the same width.
 PatternBatch pack_patterns(const std::vector<TestCube>& cubes,
                            std::size_t first, std::size_t count);
+
+/// A pattern set in batch form: pattern i is lane i % 64 of batches[i / 64],
+/// and every batch but the last is full. Built from cubes by the converting
+/// constructor, or tiled from another set (aichip::broadcast_patterns).
+struct PackedPatterns {
+  /// `width` of a set whose cubes differ in width: nothing is packed.
+  static constexpr std::size_t kRagged = ~std::size_t{0};
+
+  std::vector<PatternBatch> batches;  // capture batches
+  std::size_t count = 0;              // patterns
+  std::size_t width = 0;              // words per batch, or kRagged
+  bool has_x = false;  // some cube held an X, packed as 0
+
+  PackedPatterns() = default;
+  /// Packs `cubes` in one word-speed pass. A ragged width or an X is noted,
+  /// not thrown: run_campaign() rejects either only after its early return
+  /// on an empty fault or pattern list. Implicit, so a cube set goes
+  /// wherever a packed one does.
+  PackedPatterns(const std::vector<TestCube>& cubes);
+};
+
+/// Launch batch `b` of a transition stream: lane p holds pattern
+/// 64 * b + p - 1, the vector applied the cycle before capture, so it is
+/// capture batch b shifted up one lane with lane 63 of batch b - 1 carried
+/// in. Pattern 0 has no predecessor: lane 0 of batch 0 repeats it, which
+/// never arms a transition.
+PatternBatch launch_batch(const PackedPatterns& patterns, std::size_t b);
 
 /// Generates `count` uniformly random fully-specified patterns.
 std::vector<TestCube> random_patterns(std::size_t ninputs, std::size_t count,

@@ -286,6 +286,38 @@ TEST(NetlistBuilder, FinalizedGateViewsReadTheTopology) {
   }
 }
 
+// Builder records keep three fanins inline and move wider lists into one
+// shared spill array, moving again as they outgrow their room there. Two
+// wide gates growing in turn must each read their fanins in pin order at
+// every step, and the compiled rows must match.
+TEST(NetlistBuilder, WideGatesKeepPinOrderWhileGrowingInTurn) {
+  Netlist nl;
+  std::vector<GateId> in;
+  for (int i = 0; i < 20; ++i) in.push_back(nl.add_input());
+  const GateId a = nl.add_gate(GateType::kAnd);
+  const GateId b = nl.add_gate(GateType::kXor);
+  std::vector<GateId> want_a, want_b;
+  const auto fanin_of = [&](GateId g) {
+    const std::span<const GateId> f = nl.gate(g).fanin;
+    return std::vector<GateId>(f.begin(), f.end());
+  };
+  for (std::size_t k = 0; k < in.size(); ++k) {
+    nl.connect(in[k], a);
+    want_a.push_back(in[k]);
+    if (k % 2 == 0) {
+      nl.connect(in[in.size() - 1 - k], b);
+      want_b.push_back(in[in.size() - 1 - k]);
+    }
+    ASSERT_EQ(fanin_of(a), want_a) << "after " << k + 1 << " connects";
+    ASSERT_EQ(fanin_of(b), want_b) << "after " << k + 1 << " connects";
+  }
+  nl.add_output(a);
+  nl.add_output(b);
+  nl.finalize();
+  EXPECT_EQ(fanin_of(a), want_a);
+  EXPECT_EQ(fanin_of(b), want_b);
+}
+
 TEST(NetlistBuilder, NameOfReturnsSideTableEntries) {
   Netlist nl;
   const GateId x = nl.add_input("x");
