@@ -15,6 +15,34 @@ Prpg::Prpg(const LbistConfig& config, std::size_t num_positions)
   if (machine_.bits() < 64) state_ &= (1ull << machine_.bits()) - 1;
 }
 
+PackedPatterns Prpg::patterns(std::size_t count) {
+  PackedPatterns packed;
+  packed.count = count;
+  packed.width = machine_.num_outputs();
+  // A pattern is `width` steps, a linear map: column j of `jump` is where
+  // it takes state bit j, so each lane starts one jump after the last.
+  std::vector<std::uint64_t> jump(machine_.bits());
+  for (std::size_t j = 0; j < jump.size(); ++j) jump[j] = 1ull << j;
+  for (std::size_t i = 0; i < packed.width; ++i) {
+    for (std::uint64_t& column : jump) column = machine_.step(column);
+  }
+  for (std::size_t first = 0; first < count; first += 64) {
+    PatternBatch& batch = packed.batches.emplace_back();
+    batch.npatterns = std::min<std::size_t>(64, count - first);
+    std::uint64_t starts[64] = {};  // lanes past the last pattern read 0
+    for (std::size_t p = 0; p < batch.npatterns; ++p) {
+      starts[p] = state_;
+      std::uint64_t next = 0;
+      for (std::uint64_t s = state_; s != 0; s &= s - 1) {
+        next ^= jump[__builtin_ctzll(s)];
+      }
+      state_ = next;
+    }
+    batch.words = machine_.lane_outputs(starts);
+  }
+  return packed;
+}
+
 namespace {
 
 // Width of the response MISR (aliasing probability ~2^-32).
@@ -23,40 +51,30 @@ constexpr std::size_t kMisrBits = 32;
 // The session's stimulus: config.patterns PRPG patterns, packed once for
 // both the campaign and the MISR.
 PackedPatterns session_patterns(const Netlist& nl, const LbistConfig& config) {
-  Prpg prpg(config, nl.num_combinational_inputs());
-  std::vector<TestCube> patterns;
-  patterns.reserve(config.patterns);
-  for (std::size_t i = 0; i < config.patterns; ++i) {
-    patterns.push_back(prpg.next_pattern());
-  }
-  return PackedPatterns(patterns);
+  return Prpg(config, nl.num_combinational_inputs()).patterns(config.patterns);
 }
 
-// Shifts the session's responses into `misr`: the good machine's XOR
-// `diffs` (one word per observe point per batch; empty = fault-free).
-// Polls `rc` once per batch; returns why it stopped, kNone when complete.
+// Absorbs the session's responses into `misr`, a batch per call: the good
+// machine's XOR `diffs` (one word per observe point per batch; empty =
+// fault-free). Polls `rc` once per batch; returns why it stopped, kNone
+// when complete.
 StopReason compact_responses(const Netlist& nl,
                              const PackedPatterns& patterns,
                              const std::vector<std::uint64_t>& diffs,
                              RunControl* rc, Misr& misr) {
   ParallelSimulator sim(nl);
   const std::size_t nops = nl.num_observe_points();
-  std::vector<bool> response(nops);
   for (std::size_t b = 0; b < patterns.batches.size(); ++b) {
     if (rc != nullptr) {
       const StopReason stop = rc->poll();
       if (stop != StopReason::kNone) return stop;
     }
     sim.simulate(patterns.batches[b]);
-    const auto words = sim.observed_response();
-    const std::uint64_t* diff =
-        diffs.empty() ? nullptr : diffs.data() + b * nops;
-    for (std::size_t lane = 0; lane < patterns.batches[b].npatterns; ++lane) {
-      for (std::size_t i = 0; i < nops; ++i) {
-        response[i] = ((words[i] ^ (diff ? diff[i] : 0)) >> lane) & 1;
-      }
-      misr.shift_in(response);
+    std::vector<std::uint64_t> words = sim.observed_response();
+    if (!diffs.empty()) {
+      for (std::size_t i = 0; i < nops; ++i) words[i] ^= diffs[b * nops + i];
     }
+    misr.absorb(words, patterns.batches[b].npatterns);
   }
   return StopReason::kNone;
 }

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/run_control.hpp"
-#include "compress/edt.hpp"  // Misr
 #include "compress/lfsr.hpp"
 #include "fault/fault.hpp"
 #include "netlist/netlist.hpp"
@@ -55,6 +54,10 @@ class Prpg {
     }
     return cube;
   }
+
+  /// The next `count` patterns, packed: the same LFSR run as `count`
+  /// next_pattern() calls, 64 patterns run side by side per batch.
+  PackedPatterns patterns(std::size_t count);
 
  private:
   LinearMachine machine_;  // free-running, one output per position

@@ -1,9 +1,6 @@
 #include "compress/edt.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
-#include "common/rng.hpp"
 
 namespace aidft {
 
@@ -49,40 +46,6 @@ std::vector<std::vector<bool>> EdtCodec::decompress(
                   "decompress: stream length");
   }
   return machine_.fill(0, warmup_, chain_len_, stream);
-}
-
-Misr::Misr(std::size_t bits, std::uint64_t poly_seed) : nbits_(bits) {
-  AIDFT_REQUIRE(bits >= 4, "MISR needs >= 4 bits");
-  Rng rng(poly_seed);
-  // Taps come from [1, bits - 2]: the feedback also flips the top bit, and
-  // a tap there would cancel it, making the step singular. A draw of
-  // bits - 1 is rejected like a repeat, so every width whose draws miss the
-  // top bit keeps its taps; at 4 bits only two taps fit.
-  const std::size_t count = std::min<std::size_t>(3, bits - 2);
-  while (taps_.size() < count) {
-    const std::size_t t = 1 + rng.next_below(bits - 1);
-    const bool repeat = std::find(taps_.begin(), taps_.end(), t) != taps_.end();
-    if (t != bits - 1 && !repeat) taps_.push_back(t);
-  }
-  state_.assign((bits + 63) / 64, 0);
-}
-
-void Misr::shift_in(const std::vector<bool>& bits_in) {
-  // Galois step on the multiword state.
-  const bool feedback = state_[0] & 1ull;
-  // Right shift by one across words.
-  for (std::size_t w = 0; w + 1 < state_.size(); ++w) {
-    state_[w] = (state_[w] >> 1) | (state_[w + 1] << 63);
-  }
-  state_.back() >>= 1;
-  auto flip = [&](std::size_t pos) { state_[pos >> 6] ^= 1ull << (pos & 63); };
-  if (feedback) {
-    flip(nbits_ - 1);
-    for (std::size_t t : taps_) flip(t);
-  }
-  for (std::size_t i = 0; i < bits_in.size(); ++i) {
-    if (bits_in[i]) flip(i % nbits_);
-  }
 }
 
 }  // namespace aidft

@@ -13,8 +13,7 @@
 // Response side: a spatial XOR compactor folds chain c into output channel
 // c % outs each unload cycle. It has no class of its own: the compressed
 // session (compress/session.hpp) maps each observe point to the compactor
-// output bit it reaches and grades a fault from the points it fails. The
-// MISR below is the signature register LBIST compacts into.
+// output bit it reaches and grades a fault from the points it fails.
 #pragma once
 
 #include <cstdint>
@@ -69,25 +68,6 @@ class EdtCodec {
   LinearMachine machine_;  // one injector per channel, one output per chain
   std::size_t chain_len_;
   std::size_t warmup_ = 0;
-};
-
-/// Multiple-input signature register over GF(2) (Galois form).
-class Misr {
- public:
-  explicit Misr(std::size_t bits, std::uint64_t poly_seed = 0x315F);
-
-  void reset() { state_.assign(state_.size(), 0); }
-  /// Absorbs one cycle of parallel response bits (width can be anything;
-  /// inputs beyond `bits` wrap around).
-  void shift_in(const std::vector<bool>& bits_in);
-  /// Current signature, packed LSB-first.
-  std::vector<std::uint64_t> signature() const { return state_; }
-  std::size_t bits() const { return nbits_; }
-
- private:
-  std::size_t nbits_;
-  std::vector<std::size_t> taps_;
-  std::vector<std::uint64_t> state_;
 };
 
 }  // namespace aidft

@@ -93,6 +93,30 @@ LinearMachine::LinearMachine(std::size_t nbits, std::size_t injectors,
   }
 }
 
+std::vector<std::uint64_t> LinearMachine::lane_outputs(
+    const std::uint64_t (&starts)[64]) const {
+  // Bit-sliced: word b of `slice` holds state bit b of every lane. A step
+  // moves word b + 1 to b and XORs the old word 0 into each feedback
+  // position, so after step t state bit b is slice[t + b], and the window
+  // slides one word a step instead of moving the words.
+  std::uint64_t block[64];
+  std::copy_n(starts, 64, block);
+  transpose64(block);
+  const std::size_t n = num_outputs();
+  std::vector<std::uint64_t> slice(nbits_ + n, 0);
+  std::copy_n(block, nbits_, slice.begin());
+  std::vector<std::uint64_t> out(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    for (std::uint64_t f = feedback_; f != 0; f &= f - 1) {
+      slice[t + 1 + __builtin_ctzll(f)] ^= slice[t];
+    }
+    for (std::uint64_t m = ps_masks_[t]; m != 0; m &= m - 1) {
+      out[t] ^= slice[t + 1 + __builtin_ctzll(m)];
+    }
+  }
+  return out;
+}
+
 void LinearMachine::step(std::vector<BitVec>& state) const {
   // The old bit 0 rotates to the top row; no tap is the top bit, so XORing
   // it into the tap rows never reads a row it writes.
@@ -158,6 +182,56 @@ std::optional<BitVec> LinearMachine::solve(
     }
   }
   return solve_gf2(rows, rhs, nvars);
+}
+
+Misr::Misr(std::size_t bits, std::uint64_t poly_seed)
+    : nbits_(bits), poly_((bits + 63) / 64, 0), state_(poly_.size(), 0),
+      cols_(poly_.size()) {
+  AIDFT_REQUIRE(bits >= 4, "MISR needs >= 4 bits");
+  auto set = [&](std::size_t pos) { poly_[pos >> 6] |= 1ull << (pos & 63); };
+  set(bits - 1);
+  Rng rng(poly_seed);
+  // Taps come from [1, bits - 2]: the feedback also flips the top bit, and
+  // a tap there would cancel it, making the step singular. A draw of
+  // bits - 1 is rejected like a repeat, so every width whose draws miss the
+  // top bit keeps its taps; at 4 bits only two taps fit.
+  const std::size_t count = std::min<std::size_t>(3, bits - 2);
+  for (std::size_t drawn = 0; drawn < count;) {
+    const std::size_t t = 1 + rng.next_below(bits - 1);
+    const bool repeat = (poly_[t >> 6] >> (t & 63)) & 1;
+    if (t != bits - 1 && !repeat) {
+      set(t);
+      ++drawn;
+    }
+  }
+}
+
+void Misr::absorb(std::span<const std::uint64_t> words, std::size_t lanes) {
+  AIDFT_REQUIRE(lanes <= 64, "MISR absorbs at most 64 lanes a call");
+  // Residue column j is the XOR of every input i with i % nbits == j.
+  cols_.assign(cols_.size(), Block{});
+  for (std::size_t i = 0, j = 0; i < words.size(); ++i) {
+    cols_[j >> 6].w[j & 63] ^= words[i];
+    if (++j == nbits_) j = 0;
+  }
+  // Block k becomes one word per lane: w[p] holds state bits 64k.. of the
+  // input that cycle p XORs in.
+  for (Block& block : cols_) transpose64(block.w);
+  const std::size_t nw = state_.size();
+  for (std::size_t p = 0; p < lanes; ++p) {
+    const std::uint64_t feedback = 0 - (state_[0] & 1);
+    for (std::size_t k = 0; k + 1 < nw; ++k) {
+      state_[k] = (state_[k] >> 1) ^ (state_[k + 1] << 63) ^
+                  (poly_[k] & feedback) ^ cols_[k].w[p];
+    }
+    state_[nw - 1] =
+        (state_[nw - 1] >> 1) ^ (poly_[nw - 1] & feedback) ^ cols_[nw - 1].w[p];
+  }
+}
+
+void Misr::shift_in(const std::vector<bool>& bits_in) {
+  std::vector<std::uint64_t> words(bits_in.begin(), bits_in.end());
+  absorb(words, 1);
 }
 
 }  // namespace aidft

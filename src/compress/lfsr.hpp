@@ -12,10 +12,18 @@
 // expression over the free variables per state bit) makes every loaded cell
 // a known XOR of those variables, and encoding a test cube is one GF(2)
 // solve for the cube's care bits.
+//
+// The MISR that LBIST compacts responses into is the same Galois step run
+// the other way: every cycle it absorbs one response vector, input i
+// flipping state bit i % nbits. It takes a 64-pattern batch per call: the
+// observe words XOR-fold into nbits residue columns, a 64x64 transpose turns
+// each block of 64 columns into one word per pattern, and each pattern is
+// one multiword step s = (s >> 1) ^ (s & 1 ? poly : 0) ^ in.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/bitvec.hpp"
@@ -53,6 +61,12 @@ class LinearMachine {
     return __builtin_parityll(state & ps_masks_[out]);
   }
 
+  /// The free-running outputs of 64 lanes at once, lane p from starts[p]:
+  /// bit p of word t is output(s, t) after t + 1 steps of that lane, for
+  /// every output t (a lane at the all-zero state reads 0 throughout).
+  std::vector<std::uint64_t> lane_outputs(
+      const std::uint64_t (&starts)[64]) const;
+
   /// step() on symbolic state, in place.
   void step(std::vector<BitVec>& state) const;
   /// output() on symbolic state.
@@ -80,6 +94,33 @@ class LinearMachine {
   std::uint64_t feedback_ = 0;  // top bit and taps, XORed in on feedback
   std::vector<std::size_t> injectors_;
   std::vector<std::uint64_t> ps_masks_;  // per output: its state taps
+};
+
+/// Multiple-input signature register over GF(2) (Galois form).
+class Misr {
+ public:
+  explicit Misr(std::size_t bits, std::uint64_t poly_seed = 0x315F);
+
+  void reset() { state_.assign(state_.size(), 0); }
+  /// Absorbs `lanes` <= 64 cycles of parallel response bits in lane order:
+  /// words[i] bit p is input i of cycle p (bits above `lanes` are ignored).
+  /// Any number of inputs; inputs beyond `bits` wrap around.
+  void absorb(std::span<const std::uint64_t> words, std::size_t lanes);
+  /// Absorbs one cycle: absorb() with one lane.
+  void shift_in(const std::vector<bool>& bits_in);
+  /// Current signature, packed LSB-first.
+  std::vector<std::uint64_t> signature() const { return state_; }
+  std::size_t bits() const { return nbits_; }
+
+ private:
+  struct Block {
+    std::uint64_t w[64];
+  };
+
+  std::size_t nbits_;
+  std::vector<std::uint64_t> poly_;  // top bit and taps, XORed on feedback
+  std::vector<std::uint64_t> state_;
+  std::vector<Block> cols_;  // absorb() scratch: 64 residue columns a block
 };
 
 }  // namespace aidft

@@ -1,33 +1,79 @@
 #include "scan/power.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace aidft {
+namespace {
+
+// Flop -> its position in the combinational-input tail (SIZE_MAX for
+// every other gate).
+std::vector<std::size_t> flop_positions(const Netlist& nl) {
+  std::vector<std::size_t> pos(nl.num_gates(), SIZE_MAX);
+  for (std::size_t i = 0; i < nl.dffs().size(); ++i) {
+    pos[nl.dffs()[i]] = nl.inputs().size() + i;
+  }
+  return pos;
+}
+
+}  // namespace
 
 ShiftPowerReport shift_power(const Netlist& nl, const ScanPlan& plan,
                              const std::vector<TestCube>& patterns) {
   ShiftPowerReport report;
   report.patterns = patterns.size();
   if (patterns.empty()) return report;
-  const auto scan_patterns = to_scan_patterns(nl, plan, patterns);
-  for (const ScanPattern& sp : scan_patterns) {
-    double wtm = 0.0;
-    for (const auto& load : sp.chain_load) {
-      const std::size_t len = load.size();
-      for (std::size_t i = 0; i + 1 < len; ++i) {
-        AIDFT_REQUIRE(load[i] != Val3::kX && load[i + 1] != Val3::kX,
+  for (const TestCube& cube : patterns) {
+    AIDFT_REQUIRE(cube.size() == nl.num_combinational_inputs(),
+                  "cube width != combinational inputs");
+  }
+  // Every boundary between adjacent cells i and i+1 of a chain: the cells'
+  // input positions, and the len-1-i cells it travels through (it enters at
+  // shift position i+1, as cell i's value is loaded one cycle later than
+  // cell i+1's).
+  struct Boundary {
+    std::size_t a, b;
+    std::uint64_t weight;
+  };
+  const std::vector<std::size_t> flop_pos = flop_positions(nl);
+  std::vector<Boundary> boundaries;
+  for (const ScanChain& chain : plan.chains) {
+    const std::size_t len = chain.cells.size();
+    for (std::size_t i = 0; i + 1 < len; ++i) {
+      boundaries.push_back(
+          {flop_pos[chain.cells[i]], flop_pos[chain.cells[i + 1]], len - 1 - i});
+    }
+  }
+  const PackedPatterns packed(patterns);
+  if (packed.has_x) {
+    // An X packs as 0; it is an error only where a boundary reads it.
+    for (const TestCube& cube : patterns) {
+      for (const Boundary& bd : boundaries) {
+        AIDFT_REQUIRE(cube.bits[bd.a] != Val3::kX && cube.bits[bd.b] != Val3::kX,
                       "shift_power needs fully specified patterns");
-        if (load[i] != load[i + 1]) {
-          // The boundary between cells i and i+1 enters at shift position
-          // i+1 (cell i's value is loaded one cycle later than cell i+1's)
-          // and travels through len-1-i cells.
-          wtm += static_cast<double>(len - 1 - i);
-        }
       }
     }
-    report.total_wtm += wtm;
-    report.peak_wtm_pattern = std::max(report.peak_wtm_pattern, wtm);
   }
+  // A boundary's word of differing lanes adds its weight to each of those
+  // patterns. Every WTM is an integer far below 2^53, so the doubles are
+  // exact.
+  std::uint64_t total = 0;
+  std::uint64_t peak = 0;
+  for (const PatternBatch& batch : packed.batches) {
+    std::uint64_t wtm[64] = {};
+    for (const Boundary& bd : boundaries) {
+      for (std::uint64_t d = batch.words[bd.a] ^ batch.words[bd.b]; d != 0;
+           d &= d - 1) {
+        wtm[__builtin_ctzll(d)] += bd.weight;
+      }
+    }
+    for (std::size_t p = 0; p < batch.npatterns; ++p) {
+      total += wtm[p];
+      peak = std::max(peak, wtm[p]);
+    }
+  }
+  report.total_wtm = static_cast<double>(total);
+  report.peak_wtm_pattern = static_cast<double>(peak);
   report.avg_wtm_per_pattern =
       report.total_wtm / static_cast<double>(patterns.size());
   return report;
@@ -36,11 +82,7 @@ ShiftPowerReport shift_power(const Netlist& nl, const ScanPlan& plan,
 void adjacent_fill(const Netlist& nl, const ScanPlan& plan,
                    std::vector<TestCube>& cubes) {
   const std::size_t npi = nl.inputs().size();
-  // Flop -> position in the combinational-input tail.
-  std::vector<std::size_t> flop_pos(nl.num_gates(), SIZE_MAX);
-  for (std::size_t i = 0; i < nl.dffs().size(); ++i) {
-    flop_pos[nl.dffs()[i]] = npi + i;
-  }
+  const std::vector<std::size_t> flop_pos = flop_positions(nl);
   for (TestCube& cube : cubes) {
     AIDFT_REQUIRE(cube.size() == npi + nl.dffs().size(),
                   "adjacent_fill: cube width mismatch");

@@ -41,20 +41,6 @@ std::uint64_t row_of(const std::uint8_t* bytes, std::size_t n,
   return ones;
 }
 
-// In-place transpose of a 64x64 bit matrix, a[r] bit c -> a[c] bit r: swap
-// the off-diagonal 32x32 blocks, then the 16x16 blocks inside each, and so
-// on down to single bits.
-void transpose64(std::uint64_t (&a)[64]) {
-  std::uint64_t m = 0x00000000FFFFFFFFull;
-  for (unsigned j = 32; j != 0; j >>= 1, m ^= m << j) {
-    for (unsigned k = 0; k < 64; k = ((k | j) + 1) & ~j) {
-      const std::uint64_t t = ((a[k] >> j) ^ a[k | j]) & m;
-      a[k] ^= t << j;
-      a[k | j] ^= t;
-    }
-  }
-}
-
 // Packs `count` <= 64 cubes, each batch.words.size() wide, into `batch`
 // (X as 0). Returns the OR of their X rows: nonzero when any holds an X.
 std::uint64_t pack_into(const TestCube* cubes, std::size_t count,
@@ -77,6 +63,19 @@ std::uint64_t pack_into(const TestCube* cubes, std::size_t count,
 }
 
 }  // namespace
+
+// Swaps the off-diagonal 32x32 blocks, then the 16x16 blocks inside each,
+// and so on down to single bits.
+void transpose64(std::uint64_t (&a)[64]) {
+  std::uint64_t m = 0x00000000FFFFFFFFull;
+  for (unsigned j = 32; j != 0; j >>= 1, m ^= m << j) {
+    for (unsigned k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((a[k] >> j) ^ a[k | j]) & m;
+      a[k] ^= t << j;
+      a[k | j] ^= t;
+    }
+  }
+}
 
 PatternBatch pack_patterns(const std::vector<TestCube>& cubes,
                            std::size_t first, std::size_t count) {

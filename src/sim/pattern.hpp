@@ -97,6 +97,11 @@ struct PatternBatch {
   }
 };
 
+/// In-place transpose of a 64x64 bit matrix, a[r] bit c -> a[c] bit r:
+/// rows of one pattern become one word per input (the packer and the
+/// PRPG), and words of one signal become one row per pattern (the MISR).
+void transpose64(std::uint64_t (&a)[64]);
+
 /// Packs up to 64 cubes (X treated as 0 — callers should fill first) into a
 /// batch. `cubes` must all have the same width.
 PatternBatch pack_patterns(const std::vector<TestCube>& cubes,

@@ -7,6 +7,7 @@
 #include "bist/test_points.hpp"
 #include "fsim/fault_sim.hpp"
 #include "sim/parallel_sim.hpp"
+#include "test_util.hpp"
 
 namespace aidft {
 namespace {
@@ -24,6 +25,41 @@ TEST(Prpg, PatternsLookRandomAndDeterministic) {
   // 2048 bits, expect roughly half ones.
   EXPECT_GT(ones, 800u);
   EXPECT_LT(ones, 1250u);
+}
+
+TEST(Prpg, PackedBatchesMatchNextPattern) {
+  // The packed emitter against next_pattern() packed afterwards, on tabled
+  // and drawn-tap (20) widths, over partial and full batches of patterns
+  // shorter and longer than a word; both leave the LFSR in the same state.
+  const std::size_t kWidths[] = {16, 24, 32, 64, 20};
+  const std::size_t kCounts[] = {1, 63, 64, 65, 500};
+  for (std::size_t width : kWidths) {
+    for (std::size_t count : kCounts) {
+      for (std::size_t positions : {37, 130}) {
+        const LbistConfig cfg{.prpg_bits = width};
+        Prpg packed_prpg(cfg, positions), serial(cfg, positions);
+        const PackedPatterns packed = packed_prpg.patterns(count);
+        std::vector<TestCube> cubes;
+        for (std::size_t k = 0; k < count; ++k) {
+          cubes.push_back(serial.next_pattern());
+        }
+        const PackedPatterns expected(cubes);
+        EXPECT_EQ(packed.count, expected.count);
+        EXPECT_EQ(packed.width, expected.width);
+        EXPECT_FALSE(packed.has_x);
+        ASSERT_EQ(packed.batches.size(), expected.batches.size());
+        for (std::size_t b = 0; b < packed.batches.size(); ++b) {
+          EXPECT_EQ(packed.batches[b].npatterns,
+                    expected.batches[b].npatterns);
+          EXPECT_EQ(packed.batches[b].words, expected.batches[b].words)
+              << "width " << width << " count " << count << " positions "
+              << positions << " batch " << b;
+        }
+        EXPECT_EQ(packed_prpg.next_pattern().to_string(),
+                  serial.next_pattern().to_string());
+      }
+    }
+  }
 }
 
 TEST(Lbist, CoverageGrowsAndSignatureStable) {
@@ -64,6 +100,62 @@ TEST(Lbist, UndetectedFaultKeepsSignature) {
   const auto golden = run_lbist(nl, {redundant}, cfg);
   EXPECT_EQ(golden.detected, 0u);
   EXPECT_EQ(faulty_signature(nl, redundant, cfg), golden.golden_signature);
+}
+
+// The MISR signature of `fault`'s machine (null: the good one) over
+// `config`'s session, from the reference sweep of each batch of
+// next_pattern() cubes, shifted into the bit-serial MISR a pattern at a
+// time. A DFF D-pin fault corrupts only what its flop captures.
+std::vector<std::uint64_t> resimulated_signature(const Netlist& nl,
+                                                 const Fault* fault,
+                                                 const LbistConfig& config) {
+  Prpg prpg(config, nl.num_combinational_inputs());
+  test::BitSerialMisr misr(32);
+  const std::size_t nops = nl.num_observe_points();
+  std::vector<std::uint64_t> values(nl.num_gates());
+  std::vector<bool> response(nops);
+  for (std::size_t done = 0; done < config.patterns; done += 64) {
+    const std::size_t lanes = std::min<std::size_t>(64, config.patterns - done);
+    std::vector<TestCube> cubes;
+    for (std::size_t k = 0; k < lanes; ++k) cubes.push_back(prpg.next_pattern());
+    const PatternBatch batch = pack_patterns(cubes, 0, lanes);
+    std::fill(values.begin(), values.end(), 0);
+    for (std::size_t i = 0; i < batch.words.size(); ++i) {
+      values[nl.combinational_input(i)] = batch.words[i];
+    }
+    full_sweep(nl, values, fault);
+    for (std::size_t p = 0; p < lanes; ++p) {
+      for (std::size_t i = 0; i < nops; ++i) {
+        const GateId op = nl.observe_point(i);
+        const bool dpin = fault != nullptr && op == fault->gate &&
+                          !fault->is_stem();
+        response[i] = dpin ? fault->stuck_at_one()
+                           : (values[nl.observed_gate(op)] >> p) & 1;
+      }
+      misr.shift_in(response);
+    }
+  }
+  return misr.signature();
+}
+
+TEST(Lbist, SignaturesMatchReferenceResimulation) {
+  // Golden and every collapsed fault's signature against the reference
+  // engine and the bit-serial MISR, on a combinational core and on a
+  // sequential one with more observe points than MISR bits, over a session
+  // whose last batch is partial.
+  const LbistConfig cfg{.patterns = 130};
+  for (const Netlist& nl :
+       {circuits::make_alu(4), circuits::make_counter(40)}) {
+    const auto faults = collapse_equivalent(nl, generate_stuck_at_faults(nl));
+    const LbistResult golden = run_lbist(nl, faults, cfg);
+    EXPECT_EQ(golden.golden_signature, resimulated_signature(nl, nullptr, cfg))
+        << nl.name();
+    for (const Fault& f : faults) {
+      EXPECT_EQ(faulty_signature(nl, f, cfg),
+                resimulated_signature(nl, &f, cfg))
+          << nl.name() << " " << fault_name(nl, f);
+    }
+  }
 }
 
 TEST(Lbist, ResistancePredictionFlagsTheRandomlyMissedFaults) {

@@ -76,11 +76,77 @@ TEST(AdjacentFill, CutsShiftPowerVsRandomFill) {
   EXPECT_GE(graded.detected, atpg.cubes.size());
 }
 
+// WTM cell by cell over each pattern's chain loads: the oracle for
+// shift_power's word form.
+ShiftPowerReport cell_by_cell_wtm(const Netlist& nl, const ScanPlan& plan,
+                                  const std::vector<TestCube>& patterns) {
+  ShiftPowerReport report;
+  report.patterns = patterns.size();
+  for (const ScanPattern& sp : to_scan_patterns(nl, plan, patterns)) {
+    double wtm = 0.0;
+    for (const std::vector<Val3>& load : sp.chain_load) {
+      for (std::size_t i = 0; i + 1 < load.size(); ++i) {
+        if (load[i] != load[i + 1]) {
+          wtm += static_cast<double>(load.size() - 1 - i);
+        }
+      }
+    }
+    report.total_wtm += wtm;
+    report.peak_wtm_pattern = std::max(report.peak_wtm_pattern, wtm);
+  }
+  report.avg_wtm_per_pattern =
+      report.total_wtm / static_cast<double>(patterns.size());
+  return report;
+}
+
+TEST(ShiftPower, WordWtmMatchesCellByCellOracle) {
+  // Ragged chains (10 flops over 3 and 4 chains) and one chain; random and
+  // adjacent-filled loads over partial, full and multiple batches.
+  const Netlist nl = circuits::make_counter(10);
+  Rng rng(29);
+  for (std::size_t chains : {1, 3, 4}) {
+    const ScanPlan plan = plan_scan_chains(nl, chains);
+    for (std::size_t count : {1, 64, 130}) {
+      std::vector<TestCube> random =
+          random_patterns(nl.num_combinational_inputs(), count, rng);
+      std::vector<TestCube> sparse(count, TestCube(random[0].size()));
+      for (std::size_t k = 0; k < count; ++k) {
+        sparse[k].bits[1 + k % 10] = random[k].bits[0];
+      }
+      adjacent_fill(nl, plan, sparse);
+      for (const auto* patterns : {&random, &sparse}) {
+        const ShiftPowerReport word = shift_power(nl, plan, *patterns);
+        const ShiftPowerReport oracle = cell_by_cell_wtm(nl, plan, *patterns);
+        EXPECT_EQ(word.patterns, oracle.patterns);
+        EXPECT_EQ(word.total_wtm, oracle.total_wtm)
+            << chains << " chains, " << count << " patterns";
+        EXPECT_EQ(word.peak_wtm_pattern, oracle.peak_wtm_pattern);
+        EXPECT_EQ(word.avg_wtm_per_pattern, oracle.avg_wtm_per_pattern);
+      }
+    }
+  }
+}
+
 TEST(ShiftPower, RejectsXPatterns) {
   const Netlist nl = circuits::make_counter(4);
   const ScanPlan plan = plan_scan_chains(nl, 1);
   std::vector<TestCube> cubes(1, TestCube(5));
   EXPECT_THROW(shift_power(nl, plan, cubes), Error);
+}
+
+TEST(ShiftPower, RejectsXOnlyWhereABoundaryReadsIt) {
+  // An X on a primary input never shifts; one in a chain does. A cube of
+  // the wrong width is rejected as before.
+  const Netlist nl = circuits::make_counter(4);  // 1 PI + 4 flops
+  const ScanPlan plan = plan_scan_chains(nl, 1);
+  TestCube cube(5);
+  cube.constant_fill(Val3::kZero);
+  cube.bits[0] = Val3::kX;
+  EXPECT_EQ(shift_power(nl, plan, {cube}).total_wtm, 0.0);
+  cube.bits[0] = Val3::kZero;
+  cube.bits[3] = Val3::kX;
+  EXPECT_THROW(shift_power(nl, plan, {cube}), Error);
+  EXPECT_THROW(shift_power(nl, plan, {TestCube(4)}), Error);
 }
 
 }  // namespace

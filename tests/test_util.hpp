@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "fault/fault.hpp"
 #include "fsim/campaign.hpp"
 #include "fsim/fault_sim.hpp"
@@ -227,5 +228,48 @@ inline bool cube_detects_3v(const Netlist& nl, const TestCube& cube,
   }
   return false;
 }
+
+/// The MISR one state bit at a time: the oracle for Misr's word-form step.
+/// Same taps from the same seed; each cycle shifts right, flips the top bit
+/// and every tap on feedback, then flips bit i % nbits for each set input i.
+class BitSerialMisr {
+ public:
+  explicit BitSerialMisr(std::size_t bits, std::uint64_t poly_seed = 0x315F)
+      : nbits_(bits), state_((bits + 63) / 64, 0) {
+    Rng rng(poly_seed);
+    const std::size_t count = std::min<std::size_t>(3, bits - 2);
+    while (taps_.size() < count) {
+      const std::size_t t = 1 + rng.next_below(bits - 1);
+      const bool repeat =
+          std::find(taps_.begin(), taps_.end(), t) != taps_.end();
+      if (t != bits - 1 && !repeat) taps_.push_back(t);
+    }
+  }
+
+  void shift_in(const std::vector<bool>& bits_in) {
+    const bool feedback = state_[0] & 1ull;
+    for (std::size_t w = 0; w + 1 < state_.size(); ++w) {
+      state_[w] = (state_[w] >> 1) | (state_[w + 1] << 63);
+    }
+    state_.back() >>= 1;
+    auto flip = [&](std::size_t pos) {
+      state_[pos >> 6] ^= 1ull << (pos & 63);
+    };
+    if (feedback) {
+      flip(nbits_ - 1);
+      for (std::size_t t : taps_) flip(t);
+    }
+    for (std::size_t i = 0; i < bits_in.size(); ++i) {
+      if (bits_in[i]) flip(i % nbits_);
+    }
+  }
+
+  const std::vector<std::uint64_t>& signature() const { return state_; }
+
+ private:
+  std::size_t nbits_;
+  std::vector<std::size_t> taps_;
+  std::vector<std::uint64_t> state_;
+};
 
 }  // namespace aidft::test
