@@ -1,6 +1,7 @@
 #include "atpg/fault_scope.hpp"
 
-#include <algorithm>
+#include <bit>
+#include <utility>
 
 namespace aidft {
 
@@ -8,7 +9,9 @@ FaultScope::FaultScope(const Topology& topo)
     : topo_(&topo),
       topo_pos_(topo.num_gates()),
       in_cone_(topo.num_gates(), false),
-      in_support_(topo.num_gates(), false) {
+      in_support_(topo.num_gates(), false),
+      pos_bits_((topo.num_gates() + 63) / 64, 0),
+      pos_words_((pos_bits_.size() + 63) / 64, 0) {
   const std::vector<GateId>& order = topo.topo_order();
   for (std::size_t i = 0; i < order.size(); ++i) {
     topo_pos_[order[i]] = static_cast<std::uint32_t>(i);
@@ -20,15 +23,7 @@ void FaultScope::clear() {
   for (GateId g : support_) in_support_[g] = false;
   cone_.clear();
   support_.clear();
-}
-
-void FaultScope::sort_topological(std::vector<GateId>& gates) const {
-  // Sorting the positions themselves, not gates by a looked-up key, keeps
-  // the comparisons on plain integers.
-  const std::vector<GateId>& order = topo_->topo_order();
-  for (GateId& g : gates) g = topo_pos_[g];
-  std::sort(gates.begin(), gates.end());
-  for (GateId& g : gates) g = order[g];
+  constants_.clear();
 }
 
 void FaultScope::build(const Fault& fault) {
@@ -44,6 +39,7 @@ void FaultScope::build(const Fault& fault) {
   clear();
   if (dpin_) {
     close_support({&line_, 1});
+    collect();
     return;
   }
   stack_.assign(1, fault.gate);
@@ -59,8 +55,8 @@ void FaultScope::build(const Fault& fault) {
       stack_.push_back(s);
     }
   }
-  sort_topological(cone_);
   close_support(cone_);
+  collect();
 }
 
 void FaultScope::build_line(GateId line) {
@@ -69,28 +65,51 @@ void FaultScope::build_line(GateId line) {
   line_ = line;
   clear();
   close_support({&line_, 1});
+  collect();
+}
+
+void FaultScope::add_to_support(GateId g) {
+  in_support_[g] = true;
+  const std::uint32_t p = topo_pos_[g];
+  pos_bits_[p >> 6] |= 1ull << (p & 63);
+  pos_words_[p >> 12] |= 1ull << ((p >> 6) & 63);
+  stack_.push_back(g);
 }
 
 void FaultScope::close_support(std::span<const GateId> seeds) {
   const Topology& t = *topo_;
-  stack_.assign(seeds.begin(), seeds.end());
-  for (GateId g : seeds) {
-    in_support_[g] = true;
-    support_.push_back(g);
-  }
+  stack_.clear();
+  for (GateId g : seeds) add_to_support(g);
   while (!stack_.empty()) {
     const GateId g = stack_.back();
     stack_.pop_back();
+    const GateType type = t.type(g);
+    if (type == GateType::kConst0 || type == GateType::kConst1) {
+      constants_.push_back(g);
+    }
     // Free variables of the full-scan combinational view end the walk.
-    if (t.type(g) == GateType::kInput || t.type(g) == GateType::kDff) continue;
+    if (type == GateType::kInput || type == GateType::kDff) continue;
     for (GateId f : t.fanin(g)) {
-      if (in_support_[f]) continue;
-      in_support_[f] = true;
-      support_.push_back(f);
-      stack_.push_back(f);
+      if (!in_support_[f]) add_to_support(f);
     }
   }
-  sort_topological(support_);
+}
+
+void FaultScope::collect() {
+  const std::vector<GateId>& order = topo_->topo_order();
+  cone_.clear();
+  for (std::size_t s = 0; s < pos_words_.size(); ++s) {
+    for (std::uint64_t words = std::exchange(pos_words_[s], 0); words != 0;
+         words &= words - 1) {
+      const std::size_t w = s * 64 + std::countr_zero(words);
+      for (std::uint64_t bits = std::exchange(pos_bits_[w], 0); bits != 0;
+           bits &= bits - 1) {
+        const GateId g = order[w * 64 + std::countr_zero(bits)];
+        support_.push_back(g);
+        if (in_cone_[g]) cone_.push_back(g);
+      }
+    }
+  }
 }
 
 }  // namespace aidft

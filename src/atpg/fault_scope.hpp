@@ -8,6 +8,12 @@
 // of the circuit. A DFF D-pin fault changes only the captured value, so its
 // cone is empty and its support is the transitive fanin of the pin's driver;
 // a fault-free line (line justification) is scoped the same way.
+//
+// Both lists come out in topo_order() order without a sort: the walks mark
+// each support gate's topo position in a bitmap (with one summary bit per
+// 64-position word), and one ascending read of the marked words lists the
+// support, and the cone within it, while clearing the marks. A build costs
+// its scope plus one summary word per 4096 gates of the netlist.
 #pragma once
 
 #include <cstdint>
@@ -44,13 +50,17 @@ class FaultScope {
   /// Cone and support gates, each in topo_order() order.
   const std::vector<GateId>& cone() const { return cone_; }
   const std::vector<GateId>& support() const { return support_; }
+  /// The constant gates of the support, in no fixed order.
+  const std::vector<GateId>& constants() const { return constants_; }
 
  private:
   void clear();
-  /// Fills the support: `seeds` and their transitive fanin.
+  /// Marks the support: `seeds` and their transitive fanin.
   void close_support(std::span<const GateId> seeds);
-  /// Puts `gates` in topo_order() order.
-  void sort_topological(std::vector<GateId>& gates) const;
+  /// Marks `g` as a support gate and queues it for the fanin walk.
+  void add_to_support(GateId g);
+  /// Lists the marked support, and the cone within it, in topo order.
+  void collect();
 
   const Topology* topo_;
   std::vector<std::uint32_t> topo_pos_;  // per gate: index in topo_order()
@@ -58,6 +68,11 @@ class FaultScope {
   std::vector<bool> in_support_;
   std::vector<GateId> cone_;
   std::vector<GateId> support_;
+  std::vector<GateId> constants_;
+  // Marked topo positions of the support (empty between builds), and one
+  // summary bit per word of them.
+  std::vector<std::uint64_t> pos_bits_;
+  std::vector<std::uint64_t> pos_words_;
   std::vector<GateId> stack_;  // scratch
   GateId line_ = kNoGate;
   bool dpin_ = false;

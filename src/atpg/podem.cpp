@@ -92,26 +92,28 @@ void Podem::imply_all() {
   for (GateId g : scope_.support()) evaluate(g);
 }
 
-void Podem::imply() {
+void Podem::imply(std::span<const GateId> seeds) {
   ++implications_;
   const Topology& t = *topo_;
   // Levels [lo, hi] hold queued gates; the levelized loop visits only them.
   std::uint32_t lo = std::numeric_limits<std::uint32_t>::max();
   std::uint32_t hi = 0;
+  auto enqueue = [&](GateId g) {
+    if (queued_[g]) return;
+    queued_[g] = 1;
+    const std::uint32_t lvl = t.level(g);
+    buckets_[lvl].push_back(g);
+    lo = std::min(lo, lvl);
+    hi = std::max(hi, lvl);
+  };
   auto enqueue_fanouts = [&](GateId g) {
     for (GateId s : t.fanout(g)) {
       // A D pin is captured, not propagated; nothing outside the support
       // is ever read.
-      if (queued_[s] || !scope_.in_support(s) || is_state_element(t.type(s))) {
-        continue;
-      }
-      queued_[s] = 1;
-      const std::uint32_t lvl = t.level(s);
-      buckets_[lvl].push_back(s);
-      lo = std::min(lo, lvl);
-      hi = std::max(hi, lvl);
+      if (scope_.in_support(s) && !is_state_element(t.type(s))) enqueue(s);
     }
   };
+  for (GateId g : seeds) enqueue(g);
   for (std::size_t idx : touched_) {
     const GateId g = comb_inputs_[idx];
     if (scope_.in_support(g) && evaluate(g)) enqueue_fanouts(g);
@@ -126,6 +128,20 @@ void Podem::imply() {
     }
     bucket.clear();
   }
+}
+
+void Podem::imply_from_x() {
+  for (GateId g : scope_.support()) {
+    good_[g] = Val3::kX;
+    faulty_[g] = Val3::kX;
+  }
+  // With every fanin X, every gate but a constant and the fault site (its
+  // forced value) evaluates to X, as does every input but a constrained
+  // one: those are the only gates that can leave X, and events from them
+  // reach what a full levelized pass would compute.
+  seeds_.assign(scope_.constants().begin(), scope_.constants().end());
+  if (!scope_.dpin()) seeds_.push_back(fault_.gate);
+  imply(seeds_);
 }
 
 bool Podem::fault_activated() const {
@@ -412,15 +428,17 @@ AtpgOutcome Podem::search(const PodemOptions& options) {
   AtpgOutcome out;
   implications_ = 0;
   events_ = 0;
-  // All-X, but for the options' pin constraints.
+  // All-X, but for the options' pin constraints. An assignment left over
+  // from an earlier call is no event of this search.
   std::fill(assignment_.begin(), assignment_.end(), Val3::kX);
+  touched_.clear();
   for (const auto& [gate, value] : options.constraints) {
     AIDFT_REQUIRE(gate < nl_->num_gates() && input_index_[gate] != kNpos,
                   "constraint target is not a combinational input");
     AIDFT_REQUIRE(is_known(value), "constraint value must be 0 or 1");
-    assignment_[input_index_[gate]] = value;
+    assign(input_index_[gate], value);
   }
-  imply_all();
+  imply_from_x();
 
   std::vector<Decision> decisions;
   for (;;) {

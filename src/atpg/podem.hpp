@@ -11,13 +11,17 @@
 //
 // Implication is event-driven and scoped to the fault (FaultScope): every
 // value the search reads lies in the fault's support, the transitive fanin
-// of its output cone. Each search starts with one levelized pass over the
-// support; after that, each input whose assignment changed (a decision, a
-// flip, or a pop back to X) is an event, propagated level by level through
-// support gates only, and stopped at a gate whose good and faulty values
-// both stay put. The faulty machine is evaluated only on the cone; outside
-// it the faulty value is the good one. An undo is just another event, so no
-// trail is kept.
+// of its output cone. Each search starts with every support gate at X,
+// stored without an evaluation: with all inputs X, only the support's
+// constant gates, the fault site (its forced value) and the constrained
+// inputs can leave X, so they seed the first implication. After that, each
+// input whose assignment changed (a decision, a flip, or a pop back to X)
+// is an event, propagated level by level through support gates only, and
+// stopped at a gate whose good and faulty values both stay put. Only
+// relax(), whose cube is fully assigned, starts from a full levelized pass.
+// The faulty machine is evaluated only on the cone; outside it the faulty
+// value is the good one. An undo is just another event, so no trail is
+// kept.
 //
 // generate() and justify() share one search. Line justification is the
 // empty-cone case of a fault: the line stuck at the opposite of the wanted
@@ -28,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "atpg/fault_scope.hpp"
@@ -112,10 +117,16 @@ class Podem {
 
   /// Sets comb input `idx` to `v`; the next imply() propagates the change.
   void assign(std::size_t idx, Val3 v);
-  /// Levelized pass over the whole support: the start of a search.
+  /// Levelized pass over the whole support, for a fully assigned cube:
+  /// the start of relax().
   void imply_all();
-  /// Propagates the inputs assigned since the last implication.
-  void imply();
+  /// Propagates the inputs assigned since the last implication, and
+  /// re-evaluates the support gates `seeds` (with their events) in level
+  /// order.
+  void imply(std::span<const GateId> seeds = {});
+  /// The start of a search: every support gate to X (no evaluation), then
+  /// imply() from the only gates that can leave X.
+  void imply_from_x();
   /// Re-evaluates gate `g`'s good and faulty values; true if either changed.
   bool evaluate(GateId g);
   bool fault_activated() const;
@@ -148,6 +159,7 @@ class Podem {
   Val3 stuck_ = Val3::kX;
   std::vector<GateId> cone_observed_;  // observe gates inside the cone
   std::vector<std::size_t> touched_;   // inputs assigned since last imply
+  std::vector<GateId> seeds_;          // imply_from_x() scratch
   std::vector<std::vector<GateId>> buckets_;  // levelized event queue
   std::vector<std::uint8_t> queued_;          // per gate: in a bucket
   mutable std::vector<GateId> dfrontier_;  // scratch

@@ -1,5 +1,7 @@
 #include "compress/edt.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
 
 namespace aidft {
@@ -20,21 +22,35 @@ double EdtCodec::compression_ratio() const {
 }
 
 std::optional<std::vector<BitVec>> EdtCodec::encode(
-    const std::vector<std::vector<Val3>>& chain_load) const {
+    const ChainLoad& chain_load) const {
+  const ChainLoad* const load = &chain_load;
+  return std::move(encode({&load, 1}).front());
+}
+
+std::vector<std::optional<std::vector<BitVec>>> EdtCodec::encode(
+    std::span<const ChainLoad* const> loads) const {
   const std::size_t channels = machine_.num_injectors();
   const std::size_t total_cycles = warmup_ + chain_len_;
   // Starts from zero: every variable is an injected channel bit.
-  const auto solution = machine_.solve(
+  const auto solutions = machine_.solve(
       std::vector<BitVec>(machine_.bits(), BitVec(channels * total_cycles)),
-      warmup_, chain_len_, chain_load);
-  if (!solution) return std::nullopt;
-  std::vector<BitVec> streams(channels, BitVec(total_cycles));
-  for (std::size_t t = 0; t < total_cycles; ++t) {
-    for (std::size_t ch = 0; ch < channels; ++ch) {
-      streams[ch].set(t, solution->get(t * channels + ch));
+      warmup_, chain_len_, loads);
+  std::vector<std::optional<std::vector<BitVec>>> out;
+  out.reserve(solutions.size());
+  for (const std::optional<BitVec>& solution : solutions) {
+    if (!solution) {
+      out.emplace_back();
+      continue;
     }
+    std::vector<BitVec> streams(channels, BitVec(total_cycles));
+    for (std::size_t t = 0; t < total_cycles; ++t) {
+      for (std::size_t ch = 0; ch < channels; ++ch) {
+        streams[ch].set(t, solution->get(t * channels + ch));
+      }
+    }
+    out.emplace_back(std::move(streams));
   }
-  return streams;
+  return out;
 }
 
 std::vector<std::vector<bool>> EdtCodec::decompress(

@@ -8,7 +8,8 @@
 // a known XOR of the injected channel bits; encoding a test cube is solving
 // that linear system for the cube's care bits (Gaussian elimination). The
 // don't-care cells come out pseudo-random for free — exactly the classic
-// EDT argument for why compression barely costs coverage.
+// EDT argument for why compression barely costs coverage. Encoding a span
+// of loads steps the symbolic decompressor once for all of them.
 //
 // Response side: a spatial XOR compactor folds chain c into output channel
 // c % outs each unload cycle. It has no class of its own: the compressed
@@ -18,6 +19,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/bitvec.hpp"
@@ -42,8 +44,12 @@ class EdtCodec {
   /// BitVec per channel, each warmup_cycles()+chain_len bits (bit t = value
   /// injected at shift cycle t, warm-up first); nullopt when the care bits
   /// exceed the linear capacity.
-  std::optional<std::vector<BitVec>> encode(
-      const std::vector<std::vector<Val3>>& chain_load) const;
+  std::optional<std::vector<BitVec>> encode(const ChainLoad& chain_load) const;
+  /// encode() of every load in one symbolic sweep of the decompressor
+  /// (LinearMachine::solve): element k is encode(*loads[k]). The equations
+  /// of all loads are held at once, so a caller bounds their number.
+  std::vector<std::optional<std::vector<BitVec>>> encode(
+      std::span<const ChainLoad* const> loads) const;
 
   /// Runs the concrete decompressor on a channel stream; returns the fully
   /// specified chain fill it delivers ([chain][cell position]).

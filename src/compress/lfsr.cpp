@@ -1,44 +1,61 @@
 #include "compress/lfsr.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.hpp"
 
 namespace aidft {
 namespace {
 
+// The care-bit equations of one load: row i is the `stride` words
+// [i * stride, (i + 1) * stride) over the variables, rhs[i] its value.
+struct Equations {
+  std::vector<std::uint64_t> rows;
+  std::vector<std::uint8_t> rhs;
+};
+
 // Gauss–Jordan elimination over GF(2) in row order: each row is reduced by
 // the pivots so far, becomes a pivot at its lowest remaining column, and
 // clears that column from the earlier pivot rows. Free variables are 0.
-std::optional<BitVec> solve_gf2(std::vector<BitVec>& rows,
-                                std::vector<bool>& rhs, std::size_t nvars) {
+std::optional<BitVec> solve_gf2(Equations& eq, std::size_t nvars) {
+  const std::size_t stride = (nvars + 63) / 64;
+  auto row = [&](std::size_t i) { return eq.rows.data() + i * stride; };
+  auto has = [](const std::uint64_t* r, std::size_t col) {
+    return (r[col >> 6] >> (col & 63)) & 1;
+  };
+  auto add = [&](std::size_t dst, std::size_t src) {
+    std::uint64_t* d = row(dst);
+    const std::uint64_t* s = row(src);
+    for (std::size_t w = 0; w < stride; ++w) d[w] ^= s[w];
+    eq.rhs[dst] ^= eq.rhs[src];
+  };
   std::vector<std::size_t> pivot_col;
   std::size_t r = 0;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
+  for (std::size_t i = 0; i < eq.rhs.size(); ++i) {
     for (std::size_t k = 0; k < r; ++k) {
-      if (rows[i].get(pivot_col[k])) {
-        rows[i] ^= rows[k];
-        rhs[i] = rhs[i] ^ rhs[k];
-      }
+      if (has(row(i), pivot_col[k])) add(i, k);
     }
-    const std::size_t col = rows[i].find_first();
-    if (col == nvars) {
-      if (rhs[i]) return std::nullopt;  // 0 = 1: unencodable cube
+    const std::uint64_t* ri = row(i);
+    std::size_t w = 0;
+    while (w < stride && ri[w] == 0) ++w;
+    if (w == stride) {
+      if (eq.rhs[i]) return std::nullopt;  // 0 = 1: unencodable cube
       continue;
     }
-    std::swap(rows[i], rows[r]);
-    rhs.swap(rhs[i], rhs[r]);
+    const std::size_t col = w * 64 + std::countr_zero(ri[w]);
+    if (i != r) {
+      std::swap_ranges(row(i), row(i) + stride, row(r));
+      std::swap(eq.rhs[i], eq.rhs[r]);
+    }
     pivot_col.push_back(col);
     for (std::size_t k = 0; k < r; ++k) {
-      if (rows[k].get(col)) {
-        rows[k] ^= rows[r];
-        rhs[k] = rhs[k] ^ rhs[r];
-      }
+      if (has(row(k), col)) add(k, r);
     }
     ++r;
   }
   BitVec solution(nvars);
-  for (std::size_t k = 0; k < r; ++k) solution.set(pivot_col[k], rhs[k]);
+  for (std::size_t k = 0; k < r; ++k) solution.set(pivot_col[k], eq.rhs[k]);
   return solution;
 }
 
@@ -120,7 +137,9 @@ std::vector<std::uint64_t> LinearMachine::lane_outputs(
 void LinearMachine::step(std::vector<BitVec>& state) const {
   // The old bit 0 rotates to the top row; no tap is the top bit, so XORing
   // it into the tap rows never reads a row it writes.
-  std::rotate(state.begin(), state.begin() + 1, state.end());
+  BitVec bit0 = std::move(state.front());
+  std::move(state.begin() + 1, state.end(), state.begin());
+  state.back() = std::move(bit0);
   const std::uint64_t taps = feedback_ ^ (1ull << (nbits_ - 1));
   for (std::uint64_t m = taps; m != 0; m &= m - 1) {
     state[static_cast<std::size_t>(__builtin_ctzll(m))] ^= state.back();
@@ -155,33 +174,57 @@ std::vector<std::vector<bool>> LinearMachine::fill(
   return chains;
 }
 
-std::optional<BitVec> LinearMachine::solve(
+std::vector<std::optional<BitVec>> LinearMachine::solve(
     std::vector<BitVec> state, std::size_t warmup, std::size_t chain_len,
-    const std::vector<std::vector<Val3>>& chain_load) const {
-  AIDFT_REQUIRE(chain_load.size() == num_outputs(), "encode: chain count");
-  for (const auto& load : chain_load) {
-    AIDFT_REQUIRE(load.size() <= chain_len, "encode: chain longer than codec");
+    std::span<const ChainLoad* const> loads) const {
+  const std::size_t chains = num_outputs();
+  const std::size_t nloads = loads.size();
+  if (nloads == 0) return {};
+  // Per cell (position, chain): which loads care, one bit per load.
+  const std::size_t mask_words = (nloads + 63) / 64;
+  std::vector<std::uint64_t> cares(chain_len * chains * mask_words, 0);
+  for (std::size_t k = 0; k < nloads; ++k) {
+    const ChainLoad& chain_load = *loads[k];
+    AIDFT_REQUIRE(chain_load.size() == chains, "encode: chain count");
+    for (std::size_t c = 0; c < chains; ++c) {
+      const std::vector<Val3>& load = chain_load[c];
+      AIDFT_REQUIRE(load.size() <= chain_len, "encode: chain longer than codec");
+      for (std::size_t pos = 0; pos < load.size(); ++pos) {
+        if (load[pos] == Val3::kX) continue;
+        cares[(pos * chains + c) * mask_words + k / 64] |= 1ull << (k % 64);
+      }
+    }
   }
   const std::size_t nvars = state.front().size();
-  // One row per care bit, with its value as the right-hand side.
-  std::vector<BitVec> rows;
-  std::vector<bool> rhs;
+  // One row per care bit, with its value as the right-hand side, in shift
+  // order, chain by chain: the order a single load would make them in.
+  std::vector<Equations> equations(nloads);
   for (std::size_t t = 0; t < warmup + chain_len; ++t) {
     step(state);
     for (std::size_t i = 0; i < injectors_.size(); ++i) {
       state[injectors_[i]].flip(t * injectors_.size() + i);
     }
     if (t < warmup) continue;
+    // Past the end of a short chain, no load cares: a pad bit shifts out.
     const std::size_t pos = chain_len - 1 - (t - warmup);
-    for (std::size_t c = 0; c < chain_load.size(); ++c) {
-      const auto& load = chain_load[c];
-      // Past the end of a short chain: a pad bit that shifts out.
-      if (pos >= load.size() || load[pos] == Val3::kX) continue;
-      rows.push_back(output(state, c));
-      rhs.push_back(load[pos] == Val3::kOne);
+    for (std::size_t c = 0; c < chains; ++c) {
+      const std::uint64_t* care = &cares[(pos * chains + c) * mask_words];
+      BitVec expr;
+      for (std::size_t j = 0; j < mask_words; ++j) {
+        for (std::uint64_t m = care[j]; m != 0; m &= m - 1) {
+          const std::size_t k = j * 64 + std::countr_zero(m);
+          if (expr.empty()) expr = output(state, c);
+          Equations& eq = equations[k];
+          eq.rows.insert(eq.rows.end(), expr.words().begin(), expr.words().end());
+          eq.rhs.push_back((*loads[k])[c][pos] == Val3::kOne);
+        }
+      }
     }
   }
-  return solve_gf2(rows, rhs, nvars);
+  std::vector<std::optional<BitVec>> solutions;
+  solutions.reserve(nloads);
+  for (Equations& eq : equations) solutions.push_back(solve_gf2(eq, nvars));
+  return solutions;
 }
 
 Misr::Misr(std::size_t bits, std::uint64_t poly_seed)

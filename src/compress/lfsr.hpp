@@ -11,7 +11,12 @@
 // The machine is linear over GF(2), so running it on symbolic state (one
 // expression over the free variables per state bit) makes every loaded cell
 // a known XOR of those variables, and encoding a test cube is one GF(2)
-// solve for the cube's care bits.
+// solve for the cube's care bits. That symbolic state does not depend on
+// the cube, so one sweep of it over the warm-up and shift cycles serves a
+// whole block of cubes: each cell's expression is formed once, when some
+// cube of the block cares about it, and copied into the equations of every
+// cube that does; each cube's equations are then solved on their own, in
+// the order a lone cube would have made them.
 //
 // The MISR that LBIST compacts responses into is the same Galois step run
 // the other way: every cycle it absorbs one response vector, input i
@@ -31,6 +36,9 @@
 #include "sim/pattern.hpp"
 
 namespace aidft {
+
+/// A scan load: [chain][cell position], X = free.
+using ChainLoad = std::vector<std::vector<Val3>>;
 
 /// `count` distinct values offset + rng.next_below(bound), in draw order.
 std::vector<std::size_t> distinct_draws(Rng& rng, std::size_t count,
@@ -79,15 +87,17 @@ class LinearMachine {
                                       std::size_t chain_len,
                                       const std::vector<BitVec>& streams) const;
 
-  /// The variable assignment under which fill() delivers every care bit of
-  /// `chain_load` ([chain][cell], chains of at most chain_len cells, X =
-  /// free). `state` holds the start state as expressions over the
-  /// variables; with injectors, variable t * num_injectors() + i is the bit
-  /// injector i takes after step t. Free variables come out 0; nullopt when
-  /// the care bits are inconsistent.
-  std::optional<BitVec> solve(
+  /// For each load of `loads` (chains of at most chain_len cells), the
+  /// variable assignment under which fill() delivers every care bit of the
+  /// load, or nullopt in its place when its care bits are inconsistent.
+  /// Free variables come out 0. `state` holds the start state as
+  /// expressions over the variables; with injectors, variable
+  /// t * num_injectors() + i is the bit injector i takes after step t. One
+  /// symbolic sweep serves every load, and the equations of all of them are
+  /// held at once, so a caller bounds their number.
+  std::vector<std::optional<BitVec>> solve(
       std::vector<BitVec> state, std::size_t warmup, std::size_t chain_len,
-      const std::vector<std::vector<Val3>>& chain_load) const;
+      std::span<const ChainLoad* const> loads) const;
 
  private:
   std::size_t nbits_;

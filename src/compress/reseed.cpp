@@ -1,5 +1,7 @@
 #include "compress/reseed.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
 
 namespace aidft {
@@ -16,7 +18,9 @@ std::optional<BitVec> ReseedCodec::encode(
   // Starts from the seed: state bit i is seed variable i.
   std::vector<BitVec> state(machine_.bits(), BitVec(machine_.bits()));
   for (std::size_t i = 0; i < state.size(); ++i) state[i].set(i, true);
-  return machine_.solve(std::move(state), 0, chain_len_, chain_load);
+  const ChainLoad* const load = &chain_load;
+  return std::move(machine_.solve(std::move(state), 0, chain_len_, {&load, 1})
+                       .front());
 }
 
 std::vector<std::vector<bool>> ReseedCodec::expand(const BitVec& seed) const {

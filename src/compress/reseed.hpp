@@ -36,8 +36,7 @@ class ReseedCodec {
   /// Solves for the seed delivering every care bit of `chain_load`
   /// ([chain][cell], X = free); nullopt when the care bits exceed the
   /// seed's linear capacity.
-  std::optional<BitVec> encode(
-      const std::vector<std::vector<Val3>>& chain_load) const;
+  std::optional<BitVec> encode(const ChainLoad& chain_load) const;
 
   /// Expands a seed into the fully specified chain fill.
   std::vector<std::vector<bool>> expand(const BitVec& seed) const;

@@ -11,8 +11,10 @@ namespace aidft {
 CompressedSessionResult run_compressed_session(
     const Netlist& nl, const ScanPlan& plan, const std::vector<Fault>& faults,
     const std::vector<TestCube>& cubes, const CompressedSessionConfig& config) {
-  AIDFT_REQUIRE_CTX(nl.finalized(), "run_compressed_session",
-                    "requires a finalized netlist");
+  // Flop -> combinational-input position, for reassembling decompressed
+  // cubes; throws on an unfinalized netlist or a malformed plan.
+  const std::vector<std::size_t> flop_pos =
+      checked_flop_positions(nl, plan, "run_compressed_session");
   CompressedSessionResult result;
   result.cubes_offered = cubes.size();
   result.faults_total = faults.size();
@@ -48,50 +50,64 @@ CompressedSessionResult run_compressed_session(
   result.response_compression =
       static_cast<double>(chains) / static_cast<double>(outs);
 
-  // Flop -> (chain, position) map for reassembling decompressed cubes.
-  std::vector<std::pair<std::size_t, std::size_t>> cell_of(nl.num_gates(),
-                                                           {SIZE_MAX, SIZE_MAX});
-  for (std::size_t c = 0; c < plan.chains.size(); ++c) {
-    for (std::size_t p = 0; p < plan.chains[c].cells.size(); ++p) {
-      cell_of[plan.chains[c].cells[p]] = {c, p};
-    }
-  }
-
   RunControl* rc = config.run_control;
   Rng pi_rng(config.pi_fill_seed);
   obs::Span encode_span = obs::span(config.telemetry, "edt.encode", "compress");
   const auto scan_patterns = to_scan_patterns(nl, plan, cubes);
-  for (std::size_t i = 0; i < cubes.size(); ++i) {
-    if (rc != nullptr && (i & 15) == 0) {
-      const StopReason stop = rc->check();
-      if (stop != StopReason::kNone) {
-        result.outcome = outcome_from(stop);
+  // Cubes are encoded a block at a time, one symbolic sweep of the
+  // decompressor per block, which bounds the equations held at once. Run
+  // control is checked every 16 cubes, the first of a block before it is
+  // encoded.
+  constexpr std::size_t kBlock = 64;
+  auto stop_requested = [&] {
+    if (rc == nullptr) return false;
+    const StopReason stop = rc->check();
+    if (stop == StopReason::kNone) return false;
+    result.outcome = outcome_from(stop);
+    return true;
+  };
+  std::vector<const ChainLoad*> block;
+  result.delivered.reserve(cubes.size());
+  bool stopped = false;
+  for (std::size_t begin = 0; begin < cubes.size() && !stopped;
+       begin += kBlock) {
+    if (stop_requested()) break;
+    const std::size_t end = std::min(cubes.size(), begin + kBlock);
+    block.clear();
+    for (std::size_t i = begin; i < end; ++i) {
+      block.push_back(&scan_patterns[i].chain_load);
+    }
+    const auto encoded = codec.encode(block);
+    for (std::size_t i = begin; i < end; ++i) {
+      if (i != begin && (i & 15) == 0 && stop_requested()) {
+        stopped = true;
         break;
       }
+      if (!encoded[i - begin]) {
+        ++result.encode_failures;
+        continue;
+      }
+      ++result.cubes_encoded;
+      const auto chain_fill = codec.decompress(*encoded[i - begin]);
+      // Every care bit must be delivered — the codec's contract.
+      TestCube full(npi + nffs);
+      for (std::size_t p = 0; p < npi; ++p) {
+        const Val3 v = cubes[i].bits[p];
+        full.bits[p] =
+            v == Val3::kX ? (pi_rng.next_bool() ? Val3::kOne : Val3::kZero) : v;
+      }
+      for (std::size_t c = 0; c < plan.chains.size(); ++c) {
+        const std::vector<GateId>& cells = plan.chains[c].cells;
+        for (std::size_t p = 0; p < cells.size(); ++p) {
+          const std::size_t at = flop_pos[cells[p]];
+          full.bits[at] = chain_fill[c][p] ? Val3::kOne : Val3::kZero;
+          const Val3 want = cubes[i].bits[at];
+          AIDFT_ASSERT(want == Val3::kX || want == full.bits[at],
+                       "EDT decompressor failed to deliver a care bit");
+        }
+      }
+      result.delivered.push_back(std::move(full));
     }
-    const auto encoded = codec.encode(scan_patterns[i].chain_load);
-    if (!encoded) {
-      ++result.encode_failures;
-      continue;
-    }
-    ++result.cubes_encoded;
-    const auto chains = codec.decompress(*encoded);
-    // Every care bit must be delivered — the codec's contract.
-    TestCube full(npi + nffs);
-    for (std::size_t p = 0; p < npi; ++p) {
-      const Val3 v = cubes[i].bits[p];
-      full.bits[p] = v == Val3::kX ? (pi_rng.next_bool() ? Val3::kOne : Val3::kZero)
-                                   : v;
-    }
-    for (std::size_t f = 0; f < nffs; ++f) {
-      const auto [c, p] = cell_of[nl.dffs()[f]];
-      AIDFT_ASSERT(c != SIZE_MAX, "flop missing from scan plan");
-      full.bits[npi + f] = chains[c][p] ? Val3::kOne : Val3::kZero;
-      const Val3 want = cubes[i].bits[npi + f];
-      AIDFT_ASSERT(want == Val3::kX || (want == full.bits[npi + f]),
-                   "EDT decompressor failed to deliver a care bit");
-    }
-    result.delivered.push_back(std::move(full));
   }
   encode_span.end();
 
@@ -126,10 +142,12 @@ CompressedSessionResult run_compressed_session(
   constexpr std::uint32_t kDirect = UINT32_MAX;
   const std::size_t npo = nl.outputs().size();
   std::vector<std::uint32_t> out_bit(npo + nffs, kDirect);
-  for (std::size_t f = 0; f < nffs; ++f) {
-    const auto [c, p] = cell_of[nl.dffs()[f]];
-    out_bit[npo + f] = static_cast<std::uint32_t>(
-        (plan.chains[c].cells.size() - 1 - p) * outs + c % outs);
+  for (std::size_t c = 0; c < plan.chains.size(); ++c) {
+    const std::vector<GateId>& cells = plan.chains[c].cells;
+    for (std::size_t p = 0; p < cells.size(); ++p) {
+      out_bit[npo + flop_pos[cells[p]] - npi] = static_cast<std::uint32_t>(
+          (cells.size() - 1 - p) * outs + c % outs);
+    }
   }
   // One parity word per compactor output bit, all zeros between hook calls.
   // The compacted campaign runs one worker (no num_threads), so the hook

@@ -7,6 +7,8 @@
 // and grades the delivered patterns with the fault simulator — once with
 // ideal observation and once through the X-tolerant XOR compactor, so the
 // coverage cost of both encode failures and compaction aliasing is measured.
+// The scan parts are encoded in blocks of at most 64 cubes, one symbolic
+// sweep of the decompressor per block (EdtCodec::encode over a span).
 #pragma once
 
 #include <cstdint>
@@ -32,7 +34,8 @@ struct CompressedSessionConfig {
   /// counters; both grading campaigns inherit the same sink.
   obs::Telemetry* telemetry = nullptr;
   /// Run control: null (default) = run to completion. When set, the encode
-  /// loop check()s every 16 cubes and both grading campaigns inherit it. On
+  /// loop check()s every 16 cubes (a block's first cube before the block is
+  /// encoded) and both grading campaigns inherit it. On
   /// expiry/cancel the session returns the patterns delivered and detections
   /// recorded so far (outcome != kCompleted).
   RunControl* run_control = nullptr;
@@ -74,7 +77,8 @@ struct CompressedSessionResult {
 
 /// Runs the session. `cubes` are combinational-view cubes (X allowed), e.g.
 /// raw ATPG output before X-fill — the don't-cares are what compression
-/// exploits.
+/// exploits. Throws aidft::Error for a malformed `plan`
+/// (checked_flop_positions).
 CompressedSessionResult run_compressed_session(
     const Netlist& netlist, const ScanPlan& plan,
     const std::vector<Fault>& faults, const std::vector<TestCube>& cubes,

@@ -4,22 +4,11 @@
 #include <cstdint>
 
 namespace aidft {
-namespace {
-
-// Flop -> its position in the combinational-input tail (SIZE_MAX for
-// every other gate).
-std::vector<std::size_t> flop_positions(const Netlist& nl) {
-  std::vector<std::size_t> pos(nl.num_gates(), SIZE_MAX);
-  for (std::size_t i = 0; i < nl.dffs().size(); ++i) {
-    pos[nl.dffs()[i]] = nl.inputs().size() + i;
-  }
-  return pos;
-}
-
-}  // namespace
 
 ShiftPowerReport shift_power(const Netlist& nl, const ScanPlan& plan,
                              const std::vector<TestCube>& patterns) {
+  const std::vector<std::size_t> flop_pos =
+      checked_flop_positions(nl, plan, "shift_power");
   ShiftPowerReport report;
   report.patterns = patterns.size();
   if (patterns.empty()) return report;
@@ -35,7 +24,6 @@ ShiftPowerReport shift_power(const Netlist& nl, const ScanPlan& plan,
     std::size_t a, b;
     std::uint64_t weight;
   };
-  const std::vector<std::size_t> flop_pos = flop_positions(nl);
   std::vector<Boundary> boundaries;
   for (const ScanChain& chain : plan.chains) {
     const std::size_t len = chain.cells.size();
@@ -81,8 +69,9 @@ ShiftPowerReport shift_power(const Netlist& nl, const ScanPlan& plan,
 
 void adjacent_fill(const Netlist& nl, const ScanPlan& plan,
                    std::vector<TestCube>& cubes) {
+  const std::vector<std::size_t> flop_pos =
+      checked_flop_positions(nl, plan, "adjacent_fill");
   const std::size_t npi = nl.inputs().size();
-  const std::vector<std::size_t> flop_pos = flop_positions(nl);
   for (TestCube& cube : cubes) {
     AIDFT_REQUIRE(cube.size() == npi + nl.dffs().size(),
                   "adjacent_fill: cube width mismatch");

@@ -39,24 +39,33 @@ ScanPlan plan_scan_chains(const Netlist& nl, std::size_t num_chains) {
   return plan;
 }
 
-ScanNetlist insert_scan(const Netlist& nl, const ScanPlan& plan) {
-  AIDFT_REQUIRE_CTX(nl.finalized(), "insert_scan",
-                    "requires a finalized netlist");
+std::vector<std::size_t> checked_flop_positions(const Netlist& nl,
+                                                const ScanPlan& plan,
+                                                const char* where) {
+  AIDFT_REQUIRE_CTX(nl.finalized(), where, "requires a finalized netlist");
   // Every flop must be covered exactly once.
-  std::vector<std::size_t> chain_of(nl.num_gates(), SIZE_MAX);
+  std::vector<bool> in_chain(nl.num_gates(), false);
   std::size_t covered = 0;
-  for (std::size_t c = 0; c < plan.chains.size(); ++c) {
-    for (GateId ff : plan.chains[c].cells) {
+  for (const ScanChain& chain : plan.chains) {
+    for (GateId ff : chain.cells) {
       AIDFT_REQUIRE_CTX(ff < nl.num_gates() && nl.type(ff) == GateType::kDff,
-                        "insert_scan", "scan plan references a non-flop gate");
-      AIDFT_REQUIRE_CTX(chain_of[ff] == SIZE_MAX, "insert_scan",
-                        "flop in two chains");
-      chain_of[ff] = c;
+                        where, "scan plan references a non-flop gate");
+      AIDFT_REQUIRE_CTX(!in_chain[ff], where, "flop in two chains");
+      in_chain[ff] = true;
       ++covered;
     }
   }
-  AIDFT_REQUIRE_CTX(covered == nl.dffs().size(), "insert_scan",
+  AIDFT_REQUIRE_CTX(covered == nl.dffs().size(), where,
                     "scan plan must cover all flops");
+  std::vector<std::size_t> pos(nl.num_gates(), SIZE_MAX);
+  for (std::size_t i = 0; i < nl.dffs().size(); ++i) {
+    pos[nl.dffs()[i]] = nl.inputs().size() + i;
+  }
+  return pos;
+}
+
+ScanNetlist insert_scan(const Netlist& nl, const ScanPlan& plan) {
+  checked_flop_positions(nl, plan, "insert_scan");
 
   ScanNetlist out;
   out.netlist.set_name(nl.name() + "_scan");
@@ -94,12 +103,9 @@ ScanNetlist insert_scan(const Netlist& nl, const ScanPlan& plan) {
 
 std::vector<ScanPattern> to_scan_patterns(const Netlist& nl, const ScanPlan& plan,
                                           const std::vector<TestCube>& cubes) {
+  const std::vector<std::size_t> flop_pos =
+      checked_flop_positions(nl, plan, "to_scan_patterns");
   const std::size_t npi = nl.inputs().size();
-  // Position of each flop inside the combinational-input tail.
-  std::vector<std::size_t> flop_pos(nl.num_gates(), SIZE_MAX);
-  for (std::size_t i = 0; i < nl.dffs().size(); ++i) {
-    flop_pos[nl.dffs()[i]] = npi + i;
-  }
   std::vector<ScanPattern> out;
   out.reserve(cubes.size());
   for (const TestCube& cube : cubes) {
@@ -109,8 +115,10 @@ std::vector<ScanPattern> to_scan_patterns(const Netlist& nl, const ScanPlan& pla
     sp.pi_values.assign(cube.bits.begin(), cube.bits.begin() + npi);
     sp.chain_load.resize(plan.chains.size());
     for (std::size_t c = 0; c < plan.chains.size(); ++c) {
-      for (GateId ff : plan.chains[c].cells) {
-        sp.chain_load[c].push_back(cube.bits[flop_pos[ff]]);
+      const std::vector<GateId>& cells = plan.chains[c].cells;
+      sp.chain_load[c].resize(cells.size());
+      for (std::size_t p = 0; p < cells.size(); ++p) {
+        sp.chain_load[c][p] = cube.bits[flop_pos[cells[p]]];
       }
     }
     out.push_back(std::move(sp));
@@ -200,6 +208,7 @@ std::vector<bool> ScanProtocolSimulator::run_pattern(const ScanPattern& pattern)
 std::vector<bool> combinational_reference_response(const Netlist& nl,
                                                    const ScanPlan& plan,
                                                    const TestCube& cube) {
+  checked_flop_positions(nl, plan, "combinational_reference_response");
   TestCube filled = cube;
   filled.constant_fill(Val3::kZero);
   std::vector<TestCube> v{filled};

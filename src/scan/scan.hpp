@@ -34,6 +34,17 @@ struct ScanPlan {
   std::size_t total_cells() const;
 };
 
+/// Checks `plan` against `netlist` (finalized): every cell a flop of it, in
+/// one chain only, and every flop in a chain; throws aidft::Error prefixed
+/// with `where` otherwise. Returns, per gate, a flop's position among the
+/// combinational inputs (PIs first, then flops in dffs() order) and
+/// SIZE_MAX for every other gate. insert_scan, to_scan_patterns,
+/// combinational_reference_response, shift_power, adjacent_fill,
+/// write_stil and run_compressed_session check their plan this way first.
+std::vector<std::size_t> checked_flop_positions(const Netlist& netlist,
+                                                const ScanPlan& plan,
+                                                const char* where);
+
 /// Partitions the netlist's flops into `num_chains` balanced chains in a
 /// deterministic order (flop id order, round-robin by length).
 ScanPlan plan_scan_chains(const Netlist& netlist, std::size_t num_chains);

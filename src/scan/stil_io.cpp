@@ -26,7 +26,8 @@ char bit_char(Val3 v) {
 
 void write_stil(const Netlist& nl, const ScanPlan& plan,
                 const std::vector<TestCube>& patterns, std::ostream& out) {
-  AIDFT_REQUIRE(nl.finalized(), "write_stil requires finalized netlist");
+  const std::vector<std::size_t> flop_pos =
+      checked_flop_positions(nl, plan, "write_stil");
   const std::size_t npi = nl.inputs().size();
   const std::size_t nff = nl.dffs().size();
   for (const auto& p : patterns) {
@@ -87,8 +88,6 @@ void write_stil(const Netlist& nl, const ScanPlan& plan,
 
   // Expected responses from the fault-free machine.
   ParallelSimulator sim(nl);
-  std::vector<std::size_t> flop_pos(nl.num_gates(), SIZE_MAX);
-  for (std::size_t i = 0; i < nff; ++i) flop_pos[nl.dffs()[i]] = npi + i;
 
   for (std::size_t base = 0; base < patterns.size(); base += 64) {
     const std::size_t count = std::min<std::size_t>(64, patterns.size() - base);

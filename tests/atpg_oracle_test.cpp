@@ -75,33 +75,13 @@ Netlist oracle_circuit(const std::string& name) {
   throw Error("unknown oracle circuit: " + name);
 }
 
-// Exact detectability of every fault: graded against all 2^n vectors.
-std::vector<bool> exhaustive_detectable(const Netlist& nl,
-                                        const std::vector<Fault>& faults) {
-  const std::size_t width = nl.combinational_inputs().size();
-  AIDFT_REQUIRE(width <= kMaxInputs, "exhaustive oracle: too many inputs");
-  const std::vector<TestCube> all = test::exhaustive_patterns(width);
-  FaultSimulator fsim(nl);
-  std::vector<bool> detectable(faults.size(), false);
-  for (std::size_t base = 0; base < all.size(); base += 64) {
-    const std::size_t count = std::min<std::size_t>(64, all.size() - base);
-    fsim.load_batch(pack_patterns(all, base, count));
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      if (!detectable[i] && fsim.detect_mask(faults[i]) != 0) {
-        detectable[i] = true;
-      }
-    }
-  }
-  return detectable;
-}
-
 class AtpgOracle : public ::testing::TestWithParam<std::string> {
  protected:
   void SetUp() override {
     nl_ = oracle_circuit(GetParam());
     ASSERT_LE(nl_.combinational_inputs().size(), kMaxInputs);
     faults_ = collapse_equivalent(nl_, generate_stuck_at_faults(nl_));
-    detectable_ = exhaustive_detectable(nl_, faults_);
+    detectable_ = test::exhaustive_detectable(nl_, faults_);
   }
 
   static AtpgStatus expected(bool detectable) {

@@ -109,6 +109,26 @@ inline std::vector<TestCube> exhaustive_patterns(std::size_t ninputs) {
   return v;
 }
 
+/// Exact detectability of every fault: graded against all 2^n vectors of
+/// the netlist's combinational inputs (n must be small).
+inline std::vector<bool> exhaustive_detectable(const Netlist& nl,
+                                               const std::vector<Fault>& faults) {
+  const std::vector<TestCube> all =
+      exhaustive_patterns(nl.combinational_inputs().size());
+  FaultSimulator fsim(nl);
+  std::vector<bool> detectable(faults.size(), false);
+  for (std::size_t base = 0; base < all.size(); base += 64) {
+    const std::size_t count = std::min<std::size_t>(64, all.size() - base);
+    fsim.load_batch(pack_patterns(all, base, count));
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      if (!detectable[i] && fsim.detect_mask(faults[i]) != 0) {
+        detectable[i] = true;
+      }
+    }
+  }
+  return detectable;
+}
+
 /// A campaign's result next to each fault's first detecting pattern (-1 =
 /// undetected), which the result itself does not keep.
 struct FirstDetections {
